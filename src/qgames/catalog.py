@@ -158,12 +158,18 @@ def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
     return eisert.extended_matrix(row_t, col_t, strategies, gamma)
 
 
-def extract_block(game_kind: str, payoffs, block_id, gamma: float) -> StrategyBlock:
-    """Row-player 2x2 block for one strategy pairing, computed by the circuit."""
+def extract_block(game_kind: str, payoffs, block_id, gamma):
+    """Row-player 2x2 block for one strategy pairing, computed by the circuit.
+
+    A float gamma gives one StrategyBlock; a 1-D gamma grid gives a tuple with
+    one StrategyBlock per gamma, from one pass of the circuit.
+    """
     block_id = Block(block_id)
     kind_required, strategies = _BLOCK_STRATEGIES[block_id]
     if game_kind != kind_required:
         raise ValidationError(f"block {block_id.value} belongs to game kind {kind_required!r}")
     row_t, col_t = _templates_for(game_kind, payoffs)
-    g = eisert.extended_matrix(row_t, col_t, strategies, gamma)
-    return StrategyBlock(g.row, g.labels, block_id)
+    games = eisert.extended_matrix(row_t, col_t, strategies, gamma)
+    if isinstance(games, BimatrixGame):
+        return StrategyBlock(games.row, games.labels, block_id)
+    return tuple(StrategyBlock(g.row, g.labels, block_id) for g in games)

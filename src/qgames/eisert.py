@@ -4,6 +4,9 @@ The protocol: entangle |00> with a gate L(gamma), let each player act with a
 local unitary O(theta, phi), disentangle with L^dag, and measure.  Payoffs
 are the measurement probabilities weighted by a per-player payoff template.
 gamma=0 reproduces the classical game, gamma=pi/2 is maximal entanglement.
+
+The circuit runs as one vectorized pass over every ordered strategy pair
+and, when gamma is a 1-D grid, over every gamma of the grid.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ THETA_RANGE = (0.0, math.pi)
 PHI_RANGE = (0.0, math.pi / 2)
 GAMMA_RANGE = (0.0, math.pi / 2)
 
-_KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+#: A final state whose norm drifts further from 1 means a non-unitary
+#: operator slipped into the circuit: an internal defect.
+NORM_DRIFT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,21 +81,26 @@ def strategy_operator(theta: float, phi: float) -> np.ndarray:
     return np.array([[ph * c, s], [-s, ph.conjugate() * c]], dtype=complex)
 
 
-def entangler(gamma: float) -> np.ndarray:
+def entangler(gamma) -> np.ndarray:
     """The 4x4 entangling gate: cos(gamma/2) on the diagonal, +i sin(gamma/2)
-    linking |00> and |11>, -i sin(gamma/2) linking |01> and |10>."""
-    _check_range("gamma", gamma, *GAMMA_RANGE)
-    c = math.cos(gamma / 2)
-    s = math.sin(gamma / 2)
-    return np.array(
-        [
-            [c, 0.0, 0.0, 1j * s],
-            [0.0, c, -1j * s, 0.0],
-            [0.0, -1j * s, c, 0.0],
-            [1j * s, 0.0, 0.0, c],
-        ],
-        dtype=complex,
-    )
+    linking |00> and |11>, -i sin(gamma/2) linking |01> and |10>.
+
+    A float gamma gives one (4, 4) gate, a 1-D gamma grid a (G, 4, 4) stack.
+    """
+    g = np.asarray(gamma, dtype=float)
+    if g.ndim > 1:
+        raise ValidationError(f"gamma must be a float or a 1-D grid, got shape {g.shape}")
+    lo, hi = GAMMA_RANGE
+    bad = ~((g >= lo) & (g <= hi))  # NaN is out of range too
+    if bad.any():
+        raise ValidationError(f"gamma={float(g[bad][0])!r} outside [{lo:.6g}, {hi:.6g}]")
+    c = np.cos(g / 2)
+    s = np.sin(g / 2)
+    lhat = np.zeros(g.shape + (4, 4), dtype=complex)
+    lhat[..., 0, 0] = lhat[..., 1, 1] = lhat[..., 2, 2] = lhat[..., 3, 3] = c
+    lhat[..., 0, 3] = lhat[..., 3, 0] = 1j * s
+    lhat[..., 1, 2] = lhat[..., 2, 1] = -1j * s
+    return lhat
 
 
 def _params(s):
@@ -100,25 +110,52 @@ def _params(s):
     return theta, phi
 
 
-def final_state(s1, s2, gamma: float) -> np.ndarray:
+def _circuit(row_ops, col_ops, gamma) -> np.ndarray:
+    """Final states L^dag (O_i (x) O_j) L |00> for every row operator O_i and
+    column operator O_j, shape (n, m, 4) for a float gamma and (G, n, m, 4)
+    for a 1-D grid.
+
+    One norm check covers every final state; drift (or NaN) means a
+    non-unitary operator slipped in and raises ConsistencyError.
+    """
+    lhat = entangler(gamma)[..., None, None, :, :]
+    n, m = len(row_ops), len(col_ops)
+    cells = (row_ops[:, None, :, None, :, None] * col_ops[None, :, None, :, None, :]).reshape(
+        n, m, 4, 4
+    )
+    psi0 = lhat[..., :, 0]  # L|00> is the first column of L
+    chi = tensor.apply(tensor.adjoint(lhat), tensor.apply(cells, psi0))
+    norm = (chi.conj() * chi).real.sum(axis=-1)
+    drift = ~(np.abs(norm - 1.0) <= NORM_DRIFT_TOL)
+    if drift.any():
+        at = tuple(int(k) for k in np.argwhere(drift)[0])
+        g = float(np.asarray(gamma, dtype=float)[at[:-2]])
+        raise ConsistencyError(
+            f"gamma={g!r}, cell ({at[-2]},{at[-1]}): state norm drifted to {float(norm[at])!r}"
+        )
+    return chi
+
+
+def final_state(s1, s2, gamma) -> np.ndarray:
     """State produced by entangle / act locally / disentangle from |00>.
 
-    Accepts Strategy instances or (theta, phi) pairs.  The global phase is
-    whatever the operator product yields; only squared amplitudes are
-    physically meaningful downstream.
+    Accepts Strategy instances or (theta, phi) pairs; a 1-D gamma grid gives
+    one state per gamma.  The global phase is whatever the operator product
+    yields; only squared amplitudes are physically meaningful downstream.
     """
     o1 = strategy_operator(*_params(s1))
     o2 = strategy_operator(*_params(s2))
-    lhat = entangler(gamma)
-    psi = tensor.apply(lhat, _KET00)
-    psi = tensor.apply(tensor.kron(o1, o2), psi)
-    return tensor.apply(tensor.adjoint(lhat), psi)
+    return _circuit(o1[None], o2[None], gamma)[..., 0, 0, :]
 
 
 def payoff(chi, template: PayoffTemplate) -> float:
     """Expected payoff of one player: squared amplitudes of chi weighted by
     the player's outcome template."""
-    v = tensor.as_state(chi)
+    v = np.asarray(chi, dtype=complex)
+    if v.shape != (4,):
+        raise ValidationError(f"expected a length-4 state vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValidationError("state amplitudes must be finite")
     w = (v.conj() * v).real
     return float(
         template.v00 * w[0] + template.v01 * w[1] + template.v10 * w[2] + template.v11 * w[3]
@@ -129,9 +166,13 @@ def extended_matrix(
     row_template: PayoffTemplate,
     col_template: PayoffTemplate,
     strategies,
-    gamma: float,
-) -> BimatrixGame:
-    """Bimatrix of expected payoffs over every ordered strategy pair."""
+    gamma,
+):
+    """Bimatrix of expected payoffs over every ordered strategy pair.
+
+    A float gamma gives one BimatrixGame; a 1-D gamma grid gives a tuple with
+    one BimatrixGame per gamma, all from one pass of the circuit.
+    """
     strategies = tuple(strategies)
     if not strategies:
         raise ValidationError("need at least one strategy")
@@ -139,23 +180,11 @@ def extended_matrix(
     if len(set(labels)) != len(labels):
         raise ValidationError(f"strategy labels must be distinct, got {labels}")
 
-    lhat = entangler(gamma)
-    ldag = tensor.adjoint(lhat)
-    psi0 = tensor.apply(lhat, _KET00)
-    ops = [strategy_operator(s.theta, s.phi) for s in strategies]
-    row_w = np.array([row_template.v00, row_template.v01, row_template.v10, row_template.v11])
-    col_w = np.array([col_template.v00, col_template.v01, col_template.v10, col_template.v11])
-
-    n = len(strategies)
-    row = np.empty((n, n))
-    col = np.empty((n, n))
-    for i, oi in enumerate(ops):
-        for j, oj in enumerate(ops):
-            # one end-to-end norm check per cell instead of one per operator
-            chi = ldag @ (np.kron(oi, oj) @ psi0)
-            w = (chi.conj() * chi).real
-            if abs(w.sum() - 1.0) > tensor.NORM_DRIFT_TOL:
-                raise ConsistencyError(f"cell ({i},{j}): state norm drifted to {w.sum()!r}")
-            row[i, j] = float(row_w @ w)
-            col[i, j] = float(col_w @ w)
-    return BimatrixGame(row=row, col=col, labels=labels)
+    ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
+    chi = _circuit(ops, ops, gamma)
+    w = (chi.conj() * chi).real
+    row = w @ np.array([row_template.v00, row_template.v01, row_template.v10, row_template.v11])
+    col = w @ np.array([col_template.v00, col_template.v01, col_template.v10, col_template.v11])
+    if row.ndim == 2:
+        return BimatrixGame(row=row, col=col, labels=labels)
+    return tuple(BimatrixGame(row=r, col=c, labels=labels) for r, c in zip(row, col))

@@ -116,27 +116,32 @@ def magnetization(ip: IsingParams) -> float:
     return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
 
 
-def curve(game_kind, payoffs, block_id, beta: float, gamma_grid) -> MagnetizationCurve:
-    """Magnetization samples along an increasing entanglement grid."""
-    block_id = Block(block_id)
+def _check_grid(gamma_grid) -> np.ndarray:
+    """The gamma grid as a float array; it must be non-empty, 1-D, finite,
+    within [0, pi/2] and strictly increasing."""
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("gamma grid must be a non-empty 1-D sequence")
-    if grid[0] < 0.0 or grid[-1] > GAMMA_MAX:
-        raise ValidationError(f"gamma grid must lie within [0, {GAMMA_MAX!r}]")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+    if not np.all((grid >= 0.0) & (grid <= GAMMA_MAX)):  # NaN fails too
+        raise ValidationError(f"gamma grid must be finite and lie within [0, {GAMMA_MAX!r}]")
+    if not np.all(np.diff(grid) > 0):
         raise ValidationError("gamma grid must be strictly increasing")
+    return grid
 
-    ms = np.empty(grid.size)
-    Js = np.empty(grid.size)
-    hs = np.empty(grid.size)
-    for k, g in enumerate(grid):
-        ip = to_ising(extract_block(game_kind, payoffs, block_id, g), beta)
-        Js[k] = ip.J
-        hs[k] = ip.h
-        ms[k] = magnetization(ip)
+
+def curve(game_kind, payoffs, block_id, beta: float, gamma_grid) -> MagnetizationCurve:
+    """Magnetization samples along an increasing entanglement grid."""
+    block_id = Block(block_id)
+    grid = _check_grid(gamma_grid)
+    params = [to_ising(b, beta) for b in extract_block(game_kind, payoffs, block_id, grid)]
     return MagnetizationCurve(
-        gammas=grid, m=ms, J=Js, h=hs, block_id=block_id, beta=float(beta), payoffs=payoffs
+        gammas=grid,
+        m=np.array([magnetization(ip) for ip in params]),
+        J=np.array([ip.J for ip in params]),
+        h=np.array([ip.h for ip in params]),
+        block_id=block_id,
+        beta=float(beta),
+        payoffs=payoffs,
     )
 
 
@@ -203,7 +208,7 @@ def phase_transition_gamma(game_kind, payoffs, block_id):
         raise ConsistencyError(
             f"transition mismatch for {block_id.value}: analytic={analytic!r}, bisect={numeric!r}"
         )
-    if analytic is not None and abs(analytic - numeric) > _CROSSCHECK_TOL:
+    if analytic is not None and not abs(analytic - numeric) <= _CROSSCHECK_TOL:
         raise ConsistencyError(
             f"transition mismatch for {block_id.value}: analytic={analytic!r}, bisect={numeric!r}"
         )

@@ -1,79 +1,21 @@
-"""Fixed-size complex linear algebra for the two-qubit game circuit.
+"""Stacked complex linear algebra for the two-qubit game circuit.
 
-Everything here is 2x2, 4x4 or a length-4 state vector in the computational
-basis ordered |00>, |01>, |10>, |11>.  There are deliberately no general
-matrix utilities: the helpers validate shapes and unitarity instead of
-supporting arbitrary dimensions.
+Operators are (..., 4, 4) arrays and states (..., 4) arrays in the
+computational basis ordered |00>, |01>, |10>, |11>.  Leading axes broadcast,
+so one call runs the circuit for a whole gamma grid and every strategy pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, ValidationError
-
-TOL = 1e-12            # default tolerance for unitarity / equality checks
-NORM_DRIFT_TOL = 1e-10  # apply() treats larger norm drift as an internal defect
-
-I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
-
-
-def _as_operator(m, sizes=(2, 4)):
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in sizes:
-        raise ValidationError(f"expected a square operator of size {sizes}, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError("operator entries must be finite")
-    return a
-
-
-def as_state(v):
-    """Validate and return a length-4 complex state vector."""
-    a = np.asarray(v, dtype=complex)
-    if a.shape != (4,):
-        raise ValidationError(f"expected a length-4 state vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError("state amplitudes must be finite")
-    return a
-
-
-def norm_sq(v):
-    """Sum of squared amplitude magnitudes."""
-    return float(np.real(np.vdot(v, v)))
-
-
-def kron(a, b):
-    """Kronecker product of two 2x2 operators, |00>,|01>,|10>,|11> ordering."""
-    return np.kron(_as_operator(a, (2,)), _as_operator(b, (2,)))
-
 
 def adjoint(m):
-    """Conjugate transpose."""
-    return _as_operator(m).conj().T
+    """Conjugate transpose of each operator in a stack."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def apply(m, v):
-    """Apply a 4x4 operator expected to be unitary to a state vector.
-
-    The output is not renormalised; a unitary must preserve the norm on its
-    own.  Norm drift beyond NORM_DRIFT_TOL raises ConsistencyError because it
-    means a non-unitary operator slipped in.
-    """
-    a = _as_operator(m, (4,))
-    x = as_state(v)
-    out = a @ x
-    if abs(norm_sq(out) - norm_sq(x)) > NORM_DRIFT_TOL:
-        raise ConsistencyError(
-            f"norm drifted by {abs(norm_sq(out) - norm_sq(x)):.3e}; operator is not unitary"
-        )
-    return out
-
-
-def is_unitary(m, tol=TOL):
-    """True iff max |M^dag M - I| <= tol."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    a = _as_operator(m)
-    n = a.shape[0]
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(n))) <= tol)
+    """Apply a stack of operators to a stack of state vectors, broadcasting
+    their leading axes."""
+    return (m @ v[..., None])[..., 0]

@@ -94,6 +94,29 @@ class TestExtractBlock:
         with pytest.raises(ValueError):
             extract_block("pd", PDPayoffs(3, 5, 0, 1), "QvX", 0.5)
 
+    @pytest.mark.parametrize("kind,payoffs,block_id", [
+        ("pd", PDPayoffs(3, 5, 0, 1), Block.QVC),
+        ("pd", PDPayoffs(3, 5, 0, 1), Block.QVD),
+        ("pd", PDPayoffs(3, 5, 0, 1), Block.CLASSICAL_PD),
+        ("chicken", ChickenPayoffs(3, 4), Block.QVSWERVE),
+        ("chicken", ChickenPayoffs(3, 4), Block.QVSTRAIGHT),
+        ("chicken", ChickenPayoffs(3, 4), Block.CLASSICAL_CHICKEN),
+    ])
+    def test_grid_matches_scalar_calls_bit_for_bit(self, kind, payoffs, block_id):
+        rng = np.random.default_rng(14)
+        for grid in (np.linspace(0, math.pi / 2, 200), rng.uniform(0, math.pi / 2, 2000)):
+            blocks = extract_block(kind, payoffs, block_id, grid)
+            assert len(blocks) == grid.size
+            for gamma, blk in zip(grid, blocks):
+                one = extract_block(kind, payoffs, block_id, float(gamma))
+                assert np.array_equal(blk.row_payoffs, one.row_payoffs)
+                assert (blk.labels, blk.block_id) == (one.labels, one.block_id)
+
+    @pytest.mark.parametrize("bad", [math.nan, 2.0, -0.1])
+    def test_grid_with_nan_or_out_of_range_gamma_rejected(self, bad):
+        with pytest.raises(ValidationError, match="gamma"):
+            extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, np.array([0.1, bad, 0.3]))
+
 
 class TestEngineMatchesClosedForms:
     """Circuit-derived blocks against the independent closed forms."""

@@ -90,6 +90,14 @@ class TestQuantize:
         )
         assert cells_of(out_deg) == cells_of(out_rad)
 
+    def test_negative_exponent_value_after_a_space(self, capsys):
+        # argparse's own pattern would read "-2e-05" as an option
+        base = ("quantize", "--game", "pd", "--r", "3", "--t", "5", "--p", "1", "--gamma", "0.5")
+        spaced = run(capsys, *base, "--s", "-2e-05")
+        joined = run(capsys, *base, "--s=-2e-05")
+        assert spaced[0] == 0
+        assert spaced == joined
+
     def test_chicken_rejects_pd_only_flags(self, capsys):
         code, _, err = run(
             capsys, "quantize", "--game", "chicken", "--r", "3", "--s", "4",
@@ -248,6 +256,25 @@ class TestOracle:
         _, rows = read_csv(out_file)
         for row in rows:
             assert float(row[2]) == pytest.approx(math.tanh(1.0), abs=0.02)
+
+    def test_negative_exponent_value_after_a_space(self, capsys):
+        base = ("oracle", "--h", "1.75", "--beta", "2", "--N", "8", "--sweeps", "500",
+                "--burn-in", "50", "--seed", "3")
+        spaced = run(capsys, *base, "--J", "-2e-05")
+        joined = run(capsys, *base, "--J=-2e-05")
+        assert spaced[0] == 0
+        assert spaced == joined
+
+    def test_nan_transfer_matrix_exits_3(self, capsys):
+        # long double overflows at this point and the transfer matrix is NaN;
+        # the enumeration gate must not let it through
+        code, out, err = run(
+            capsys, "oracle", "--J", "-1000", "--h", "0.001", "--beta", "1000", "--N", "8",
+            "--no-metropolis",
+        )
+        assert "transfer_matrix,nan" in out
+        assert code == 3
+        assert "internal consistency failure" in err
 
     def test_oversized_enumeration_exits_2(self, capsys):
         code, _, err = run(

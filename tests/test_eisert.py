@@ -68,6 +68,16 @@ class TestEntangler:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             entangler(2.0)
+        with pytest.raises(ValidationError):
+            entangler(math.nan)
+        with pytest.raises(ValidationError):
+            entangler(np.zeros((2, 2)))
+
+    def test_grid_gives_a_stack_of_the_single_gates(self):
+        grid = np.linspace(0, math.pi / 2, 9)
+        stack = entangler(grid)
+        assert stack.shape == (9, 4, 4)
+        assert all(np.array_equal(stack[k], entangler(g)) for k, g in enumerate(grid))
 
 
 class TestFinalState:
@@ -88,6 +98,11 @@ class TestFinalState:
         w = probs(final_state(D, Q, gamma))
         expected = [0.0, math.sin(gamma) ** 2, math.cos(gamma) ** 2, 0.0]
         assert np.allclose(w, expected, atol=1e-12)
+
+    def test_grid_gives_one_state_per_gamma(self):
+        grid = np.array([0.0, 0.7, 1.5])
+        states = final_state(D, Q, grid)
+        assert all(np.array_equal(states[k], final_state(D, Q, g)) for k, g in enumerate(grid))
 
     def test_accepts_raw_angle_pairs(self):
         chi1 = final_state((math.pi, 0.0), (0.0, math.pi / 2), 0.5)
@@ -176,6 +191,16 @@ class TestExtendedMatrix:
         row_t, col_t = pd_templates(PD_3501)
         g = extended_matrix(row_t, col_t, (C, D, Q), 0.9)
         assert np.max(np.abs(g.col - g.row.T)) <= 1e-12
+
+    def test_grid_gives_one_game_per_gamma(self):
+        row_t, col_t = pd_templates(PD_3501)
+        grid = np.linspace(0, math.pi / 2, 50)
+        games = extended_matrix(row_t, col_t, (C, D, Q), grid)
+        assert isinstance(games, tuple) and len(games) == grid.size
+        for gamma, game in zip(grid, games):
+            one = extended_matrix(row_t, col_t, (C, D, Q), float(gamma))
+            assert np.array_equal(game.row, one.row)
+            assert np.array_equal(game.col, one.col)
 
     def test_rejects_duplicate_labels(self):
         row_t, col_t = pd_templates(PD_3501)

@@ -1,0 +1,51 @@
+"""Byte-for-byte output of the documented CLI invocations.
+
+The files in golden/ hold the exact stdout of the README commands and of the
+calls in scripts/reproduce_figures.py, so a change that moves any printed
+float by one bit fails here.  The two 801-line curve CSVs are stored as
+SHA-256 digests of their bytes.
+"""
+
+import hashlib
+import warnings
+from pathlib import Path
+
+import pytest
+
+from qgames.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+PD_3501 = ("--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1")
+CHICKEN_44 = ("--game", "chicken", "--r", "4", "--s", "4")
+
+CASES = {
+    "quantize_pd.txt": ("quantize", *PD_3501, "--gamma", "1.5707963"),
+    "curve_pd_qvd.sha256": ("curve", *PD_3501, "--block", "QvD", "--gamma-steps", "200"),
+    "curve_chicken_qvstraight.sha256": (
+        "curve", *CHICKEN_44, "--block", "QvStraight", "--gamma-steps", "200",
+    ),
+    "transition_pd.txt": ("transition", *PD_3501),
+    "transition_chicken.txt": ("transition", *CHICKEN_44),
+    "oracle.txt": ("oracle", "--J", "-0.25", "--h", "1.75", "--beta", "2", "--N", "16",
+                   "--seed", "7"),
+}
+
+
+def stdout_bytes(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # chicken with r == s warns by design
+        code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    return out.encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_documented_invocation_bytes(name, capsys):
+    out = stdout_bytes(capsys, CASES[name])
+    golden = (GOLDEN / name).read_bytes()
+    if name.endswith(".sha256"):
+        assert hashlib.sha256(out).hexdigest() == golden.decode().strip()
+    else:
+        assert out == golden

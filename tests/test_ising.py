@@ -197,6 +197,8 @@ class TestCurve:
             curve("pd", PD_3501, Block.QVD, 1.0, [0.5, 0.4])
         with pytest.raises(ValidationError, match="within"):
             curve("pd", PD_3501, Block.QVD, 1.0, [0.5, 2.0])
+        with pytest.raises(ValidationError, match="within"):
+            curve("pd", PD_3501, Block.QVD, 1.0, [0.1, math.nan, 0.5])
         with pytest.raises(ValidationError, match="non-empty"):
             curve("pd", PD_3501, Block.QVD, 1.0, [])
 
