@@ -194,12 +194,14 @@ def _analytic_transition(payoffs, block_id):
     return 0.5 * math.acos(arg)
 
 
-def phase_transition_gamma(game_kind, payoffs, block_id):
+def phase_transition_gamma(game_kind, payoffs, block_id, *, with_bisection: bool = False):
     """Entanglement value where the field (hence the magnetization) changes
     sign, or None when there is no crossing.
 
     The closed-form arccos value is cross-checked against bisection on the
-    circuit-derived field; disagreement raises ConsistencyError.
+    circuit-derived field; disagreement raises ConsistencyError.  With
+    with_bisection=True the pair (closed form, bisection) is returned, both
+    from the one bisection run.
     """
     block_id = Block(block_id)
     analytic = _analytic_transition(payoffs, block_id)
@@ -212,4 +214,4 @@ def phase_transition_gamma(game_kind, payoffs, block_id):
         raise ConsistencyError(
             f"transition mismatch for {block_id.value}: analytic={analytic!r}, bisect={numeric!r}"
         )
-    return analytic
+    return (analytic, numeric) if with_bisection else analytic

@@ -23,7 +23,7 @@ from .errors import ResourceLimitError, ValidationError
 from .ising import IsingParams
 
 MAX_ENUM_SITES = 24
-_CHUNK_BITS = 20  # enumeration works in slices of at most 2**20 configurations
+_CHUNK_BITS = 20  # enumeration and Metropolis work in slices of at most 2**20 values
 _FD_STEP = 1e-6   # central-difference step for the transfer-matrix derivative
 
 # Extended precision for the transfer-matrix log-partition: a plain float64
@@ -69,16 +69,19 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
     beta, J, h = spec.params.beta, spec.params.J, spec.params.h
     total = 1 << n
     step = min(total, 1 << _CHUNK_BITS)
-    ks = np.arange(n, dtype=np.uint64)
+    top = np.uint64(n - 1)
+    one = np.uint64(1)
 
     gmax = -math.inf
     z = 0.0
     mw = 0.0
     for lo in range(0, total, step):
+        # bit k of a code is 1 where spin k is down; a bond is broken where
+        # a bit differs from its cyclic neighbour, i.e. in code ^ rotate(code)
         codes = np.arange(lo, lo + step, dtype=np.uint64)
-        spins = (1 - 2 * ((codes[:, None] >> ks) & 1)).astype(np.int8)
-        msum = spins.sum(axis=1, dtype=np.int64)
-        bonds = (spins * np.roll(spins, -1, axis=1)).sum(axis=1, dtype=np.int64)
+        msum = n - 2 * np.bitwise_count(codes).astype(np.int64)
+        rotated = (codes >> one) | ((codes & one) << top)
+        bonds = n - 2 * np.bitwise_count(codes ^ rotated).astype(np.int64)
         logw = beta * J * bonds + beta * h * msum  # = -beta * energy
         cmax = float(logw.max())
         w = np.exp(logw - cmax)
@@ -140,27 +143,46 @@ def _metropolis_sweeps(spins, us, accept, out):
     """Run one uniform block of sweeps in place; record mean spin per sweep.
 
     accept[(s+1)//2 * 3 + (left+right+2)//2] is the acceptance probability
-    for flipping a spin of value s with the given neighbour sum.
+    for flipping a spin of value s with the given neighbour sum.  Sites are
+    updated in order 0..N-1, so site k >= 1 sees the new value of its left
+    neighbour.  Given its draw, its old value and its right neighbour (old,
+    or the new site 0 for k = N-1), its new value is one of four maps of the
+    left value: constant down, constant up, identity or negation.  A sweep
+    then resolves as a prefix scan: the last constant map at or before k
+    fixes the value, and the parity of the negations since then flips it.
+    The result equals that of proposing the sites one at a time.
     """
     n = spins.shape[0]
+    sites = np.arange(n)
+    base = 4 * sites
+    # maps[t, 4k + 2*own + right] over spin bits (1 = up) is a code: 0 or 1
+    # for a constant map to that bit, 2 for identity, 3 for negation
+    flips = (us[:, :, None] < accept).view(np.uint8)
+    maps = np.empty(us.shape + (4,), dtype=np.uint8)
+    for own in (0, 1):
+        for nb in (0, 1):
+            after_down = own ^ flips[:, :, 3 * own + nb]
+            after_up = own ^ flips[:, :, 3 * own + nb + 1]
+            maps[:, :, 2 * own + nb] = after_down | ((after_down ^ after_up) << 1)
+    maps = maps.reshape(us.shape[0], 4 * n)
+
+    bits = (spins > 0).astype(np.uint8)
+    right = np.empty(n, dtype=np.uint8)
     for t in range(us.shape[0]):
-        for k in range(n):
-            s = spins[k]
-            left = spins[k - 1] if k > 0 else spins[n - 1]
-            right = spins[k + 1] if k < n - 1 else spins[0]
-            idx = ((s + 1) >> 1) * 3 + ((left + right + 2) >> 1)
-            if us[t, k] < accept[idx]:
-                spins[k] = -s
-        # int64: an int8 sum wraps once |sum| > 127
-        out[t] = spins.sum(dtype=np.int64) / n
+        row = maps[t]
+        # site 0 sees the old values of both neighbours
+        code = row[2 * bits[0] + bits[1]]
+        first = code if code < 2 else bits[n - 1] ^ (code & 1)
+        right[:-1] = bits[1:]
+        right[-1] = first
+        code = row[base + 2 * bits + right]
+        code[0] = first
+        anchor = np.maximum.accumulate(np.where(code < 2, sites, 0))
+        parity = np.bitwise_xor.accumulate(code == 3)
+        bits = code[anchor] ^ (parity ^ parity[anchor])
+        out[t] = (2 * bits.sum(dtype=np.int64) - n) / n
+    spins[:] = 2 * bits.astype(np.int8) - 1
 
-
-try:  # compiled kernel when available; the pure-Python loop is identical
-    from numba import njit
-
-    _metropolis_kernel = njit(cache=False)(_metropolis_sweeps)
-except ImportError:  # pragma: no cover - exercised only without numba
-    _metropolis_kernel = _metropolis_sweeps
 
 _SWEEP_CHUNK = 4096
 _BATCHES = 32
@@ -173,9 +195,9 @@ def metropolis_magnetization(
 
     Sites are proposed in fixed order 0..N-1 within a sweep; one uniform
     deviate per proposal is drawn from a PCG64 stream, so a given seed
-    reproduces the trajectory exactly, with or without the compiled kernel.
-    The standard error comes from 32 batch means (a plain standard error of
-    the per-sweep values is used when there are too few samples to batch).
+    reproduces the trajectory exactly.  The standard error comes from 32
+    batch means (a plain standard error of the per-sweep values is used when
+    there are too few samples to batch).
     """
     if not (sweeps > burn_in >= 0):
         raise ValidationError(f"need sweeps > burn_in >= 0, got sweeps={sweeps}, burn_in={burn_in}")
@@ -192,10 +214,13 @@ def metropolis_magnetization(
     spins = (2 * rng.integers(0, 2, size=n) - 1).astype(np.int8)
     mags = np.empty(sweeps)
     done = 0
+    # PCG64 draws the same values in any split, so the chunk size never
+    # changes the estimate
+    chunk = min(_SWEEP_CHUNK, max(1, (1 << _CHUNK_BITS) // n))
     while done < sweeps:
-        block = min(_SWEEP_CHUNK, sweeps - done)
+        block = min(chunk, sweeps - done)
         us = rng.random((block, n))
-        _metropolis_kernel(spins, us, accept, mags[done : done + block])
+        _metropolis_sweeps(spins, us, accept, mags[done : done + block])
         done += block
 
     meas = mags[burn_in:]

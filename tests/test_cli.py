@@ -209,6 +209,25 @@ class TestTransition:
         assert analytic == pytest.approx(0.5796397403637043, abs=1e-9)
         assert abs(analytic - numeric) <= 1e-9
 
+    def test_bisection_runs_once(self, capsys, monkeypatch):
+        from qgames import ising
+
+        calls = []
+        bisect = ising.phase_transition_bisect
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bisect(*args, **kwargs)
+
+        monkeypatch.setattr(ising, "phase_transition_bisect", counted)
+        code, out, _ = run(
+            capsys, "transition", "--game", "pd", "--r", "3", "--t", "5",
+            "--s", "0", "--p", "1",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert "bisection gamma*" in out
+
     def test_chicken_equal_payoffs_hits_pi_over_6(self, capsys):
         with pytest.warns(UserWarning):
             code, out, _ = run(
@@ -275,6 +294,18 @@ class TestOracle:
         assert "transfer_matrix,nan" in out
         assert code == 3
         assert "internal consistency failure" in err
+
+    def test_nan_transfer_matrix_against_frozen_metropolis_exits_3(self, capsys):
+        # the frozen chain reports a standard error of 0; the Metropolis gate
+        # must still compare it with the (NaN) transfer matrix
+        code, out, err = run(
+            capsys, "oracle", "--J", "-1000", "--h", "0.001", "--beta", "1000", "--N", "8",
+            "--no-enumeration", "--sweeps", "2000", "--burn-in", "200",
+        )
+        assert "transfer_matrix,nan" in out
+        assert "metropolis,0,0" in out
+        assert code == 3
+        assert "metropolis" in err
 
     def test_oversized_enumeration_exits_2(self, capsys):
         code, _, err = run(

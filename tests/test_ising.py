@@ -241,6 +241,12 @@ class TestPhaseTransition:
             analytic = phase_transition_gamma("pd", p, Block.QVD)
             numeric = phase_transition_bisect("pd", p, Block.QVD)
             assert abs(analytic - numeric) <= 1e-9
+            assert phase_transition_gamma("pd", p, Block.QVD, with_bisection=True) == (
+                analytic, numeric)
+
+    def test_pair_without_transition(self):
+        got = phase_transition_gamma("pd", PD_3501, Block.QVC, with_bisection=True)
+        assert got == (None, None)
 
     def test_boundary_transition_at_gamma_zero(self):
         # s exactly 2r puts the crossing at the edge of the interval

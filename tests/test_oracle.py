@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import classical_magnetization
-from qgames import IsingParams, magnetization
+from qgames import IsingParams, magnetization, oracle
 from qgames.errors import ResourceLimitError, ValidationError
 from qgames.oracle import (
     ChainSpec,
@@ -21,6 +21,33 @@ M_CLASSICAL_PD_POINT = -0.4463258856830062
 
 def spec(n, J, h, beta):
     return ChainSpec(N=n, params=IsingParams(J=J, h=h, beta=beta))
+
+
+def reference_enumeration(s):
+    """Enumeration through an explicit (2**N, N) spin matrix, one chunk
+    (N <= 20), in the same floating-point order as the library."""
+    n, p = s.N, s.params
+    codes = np.arange(1 << n, dtype=np.uint64)
+    spins = (1 - 2 * ((codes[:, None] >> np.arange(n, dtype=np.uint64)) & 1)).astype(np.int8)
+    msum = spins.sum(axis=1, dtype=np.int64)
+    bonds = (spins * np.roll(spins, -1, axis=1)).sum(axis=1, dtype=np.int64)
+    logw = p.beta * p.J * bonds + p.beta * p.h * msum
+    w = np.exp(logw - float(logw.max()))
+    return (float((msum * w).sum()) / n) / float(w.sum())
+
+
+def reference_sweeps(spins, us, accept, out):
+    """The sampler's sweeps proposed one site at a time, in order 0..N-1."""
+    n = spins.shape[0]
+    for t in range(us.shape[0]):
+        for k in range(n):
+            s = spins[k]
+            left = spins[k - 1] if k > 0 else spins[n - 1]
+            right = spins[k + 1] if k < n - 1 else spins[0]
+            idx = ((s + 1) >> 1) * 3 + ((left + right + 2) >> 1)
+            if us[t, k] < accept[idx]:
+                spins[k] = -s
+        out[t] = spins.sum(dtype=np.int64) / n
 
 
 class TestEnumerate:
@@ -48,6 +75,13 @@ class TestEnumerate:
             for n in (4, 8, 16)
         ]
         assert gaps[0] > gaps[1] > gaps[2]
+
+    @pytest.mark.parametrize("n", [*range(2, 17), 20])
+    def test_equals_spin_matrix_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        for J, h, beta in [(0.0, 0.0, 0.0), (-2.0, 2.0, 5.0), *rng.uniform(-2, 2, (2, 3))]:
+            s = spec(n, J, h, abs(beta))
+            assert enumerate_magnetization(s) == reference_enumeration(s)
 
     def test_too_many_sites_rejected(self):
         with pytest.raises(ResourceLimitError, match="N=30"):
@@ -167,3 +201,61 @@ class TestMetropolis:
                                         burn_in=2_000, seed=12)
         assert abs(up.mean + down.mean) <= 3 * (up.std_error + down.std_error)
 
+
+class TestMetropolisMatchesSequentialSweeps:
+    """The vectorized sweep reproduces site-by-site proposals bit for bit."""
+
+    @staticmethod
+    def both(monkeypatch, s, sweeps, burn_in, seed):
+        fast = metropolis_magnetization(s, sweeps, burn_in, seed)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_metropolis_sweeps", reference_sweeps)
+            slow = metropolis_magnetization(s, sweeps, burn_in, seed)
+        return fast, slow
+
+    @pytest.mark.parametrize("n, J, h, beta", [
+        (2, 0.7, -0.3, 1.5),     # both neighbours of site 1 are the new site 0
+        (2, -2.0, 0.1, 4.0),
+        (3, 0.4, 0.9, 2.0),      # site 2's right neighbour is the new site 0
+        (3, -1.5, -0.2, 3.5),
+        (5, 1.0, 0.5, 0.0),      # beta = 0: every proposal is accepted
+        (16, 2.0, 0.3, 2.5),     # beta*|J| >= 5: near-frozen ferromagnet
+        (17, -2.0, -0.4, 3.0),   # and antiferromagnet, odd length
+        (128, -0.3, 1.2, 1.0),
+    ])
+    def test_equals_reference(self, monkeypatch, n, J, h, beta):
+        fast, slow = self.both(monkeypatch, spec(n, J, h, beta), 300, 30, 7)
+        assert fast == slow
+
+    def test_random_draws_equal_reference(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            n = int(rng.choice([2, 3, 4, 5, 7, 16, 33, 128]))
+            J, h = rng.uniform(-2, 2, size=2)
+            s = spec(n, J, h, rng.uniform(0.0, 5.0))
+            fast, slow = self.both(monkeypatch, s, int(rng.integers(2, 80)), 1,
+                                   int(rng.integers(1000)))
+            assert fast == slow
+
+    def test_chunk_boundaries_change_nothing(self, monkeypatch):
+        s = spec(6, 0.6, -0.4, 1.3)
+        default = metropolis_magnetization(s, 100, 10, 5)
+        monkeypatch.setattr(oracle, "_SWEEP_CHUNK", 3)
+        fast, slow = self.both(monkeypatch, s, 100, 10, 5)
+        assert fast == slow == default
+
+    def test_long_chain_chunks_are_bounded_by_values(self, monkeypatch):
+        s = spec(1 << 17, 0.2, 0.1, 1.0)
+        default = metropolis_magnetization(s, 10, 2, 3)
+        shapes = []
+        kernel = oracle._metropolis_sweeps
+
+        def recording(spins, us, accept, out):
+            shapes.append(us.shape)
+            kernel(spins, us, accept, out)
+
+        monkeypatch.setattr(oracle, "_metropolis_sweeps", recording)
+        assert metropolis_magnetization(s, 10, 2, 3) == default
+        assert shapes == [(8, 1 << 17), (2, 1 << 17)]
+        monkeypatch.setattr(oracle, "_SWEEP_CHUNK", 3)
+        assert metropolis_magnetization(s, 10, 2, 3) == default
