@@ -93,7 +93,6 @@ class StrategyBlock:
     """Row-player payoffs of one 2x2 strategy restriction."""
 
     row_payoffs: np.ndarray
-    labels: tuple[str, str]
     block_id: Block
 
     def __post_init__(self):
@@ -101,9 +100,11 @@ class StrategyBlock:
         object.__setattr__(self, "row_payoffs", m)
         if m.shape != (2, 2) or not np.isfinite(m).all():
             raise ValidationError("block must be a finite 2x2 matrix")
-        expected = tuple(s.label for s in _BLOCK_STRATEGIES[self.block_id][1])
-        if tuple(self.labels) != expected:
-            raise ValidationError(f"labels {self.labels} inconsistent with {self.block_id.value}")
+
+    @property
+    def labels(self) -> tuple[str, str]:
+        """Row/column strategy labels, in the block's ordering."""
+        return tuple(s.label for s in _BLOCK_STRATEGIES[self.block_id][1])
 
     def as_game(self) -> BimatrixGame:
         """The block as a symmetric two-player game (column = row transposed)."""
@@ -171,5 +172,5 @@ def extract_block(game_kind: str, payoffs, block_id, gamma):
     row_t, col_t = _templates_for(game_kind, payoffs)
     games = eisert.extended_matrix(row_t, col_t, strategies, gamma)
     if isinstance(games, BimatrixGame):
-        return StrategyBlock(games.row, games.labels, block_id)
-    return tuple(StrategyBlock(g.row, g.labels, block_id) for g in games)
+        return StrategyBlock(games.row, block_id)
+    return tuple(StrategyBlock(g.row, block_id) for g in games)

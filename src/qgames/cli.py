@@ -32,6 +32,7 @@ from .catalog import (
     extract_block,
     quantized_game,
 )
+from .eisert import GAMMA_RANGE
 from .equilibrium import pure_nash
 from .errors import ConsistencyError, ValidationError
 
@@ -67,7 +68,7 @@ def _payoffs_from(args):
     if missing:
         raise ValidationError(f"game {CHICKEN} needs --r --s (missing: {missing})")
     for k in ("t", "p"):
-        if getattr(args, k, None) is not None:
+        if getattr(args, k) is not None:
             raise ValidationError(f"game {CHICKEN} takes --r and --s only (got --{k})")
     return ChickenPayoffs(r=args.r, s=args.s)
 
@@ -98,13 +99,12 @@ def _emit(path, lines):
             out.close()
 
 
-def _add_game_flags(p, payoffs=True):
+def _add_game_flags(p):
     p.add_argument("--game", required=True, choices=(PD, CHICKEN))
-    if payoffs:
-        p.add_argument("--r", type=float, help="reward (pd) / reputation (chicken)")
-        p.add_argument("--t", type=float, help="temptation (pd only)")
-        p.add_argument("--s", type=float, help="sucker payoff (pd) / injury cost (chicken)")
-        p.add_argument("--p", type=float, help="punishment (pd only)")
+    p.add_argument("--r", type=float, help="reward (pd) / reputation (chicken)")
+    p.add_argument("--t", type=float, help="temptation (pd only)")
+    p.add_argument("--s", type=float, help="sucker payoff (pd) / injury cost (chicken)")
+    p.add_argument("--p", type=float, help="punishment (pd only)")
 
 
 def cmd_quantize(args) -> int:
@@ -156,9 +156,7 @@ def cmd_transition(args) -> int:
     block_id = Block(args.block) if args.block else (
         Block.QVD if args.game == PD else Block.QVSTRAIGHT
     )
-    analytic, numeric = ising.phase_transition_gamma(
-        args.game, payoffs, block_id, with_bisection=True
-    )
+    analytic, numeric = ising.phase_transition_gamma(args.game, payoffs, block_id)
 
     lines = [f"game={args.game}  block={block_id.value}"]
     if analytic is None:
@@ -238,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", required=True, choices=[b.value for b in Block])
     p.add_argument("--beta", default=",".join(str(b) for b in DEFAULT_BETAS),
                    help="comma-separated inverse temperatures")
-    p.add_argument("--gamma-start", type=float, default=0.0)
-    p.add_argument("--gamma-stop", type=float, default=ising.GAMMA_MAX)
+    p.add_argument("--gamma-start", type=float, default=GAMMA_RANGE[0])
+    p.add_argument("--gamma-stop", type=float, default=GAMMA_RANGE[1])
     p.add_argument("--gamma-steps", type=int, default=DEFAULT_GAMMA_STEPS)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_curve)

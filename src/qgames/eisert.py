@@ -62,6 +62,11 @@ class PayoffTemplate:
         if not all(math.isfinite(v) for v in (self.v00, self.v10, self.v01, self.v11)):
             raise ValidationError("payoff template entries must be finite")
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The payoffs in the basis order |00>, |01>, |10>, |11> of a state."""
+        return np.array([self.v00, self.v01, self.v10, self.v11])
+
 
 def _check_range(name, value, lo, hi):
     if not (math.isfinite(value) and lo <= value <= hi):
@@ -103,13 +108,6 @@ def entangler(gamma) -> np.ndarray:
     return lhat
 
 
-def _params(s):
-    if isinstance(s, Strategy):
-        return s.theta, s.phi
-    theta, phi = s
-    return theta, phi
-
-
 def _circuit(row_ops, col_ops, gamma) -> np.ndarray:
     """Final states L^dag (O_i (x) O_j) L |00> for every row operator O_i and
     column operator O_j, shape (n, m, 4) for a float gamma and (G, n, m, 4)
@@ -136,15 +134,15 @@ def _circuit(row_ops, col_ops, gamma) -> np.ndarray:
     return chi
 
 
-def final_state(s1, s2, gamma) -> np.ndarray:
+def final_state(s1: Strategy, s2: Strategy, gamma) -> np.ndarray:
     """State produced by entangle / act locally / disentangle from |00>.
 
-    Accepts Strategy instances or (theta, phi) pairs; a 1-D gamma grid gives
-    one state per gamma.  The global phase is whatever the operator product
-    yields; only squared amplitudes are physically meaningful downstream.
+    A 1-D gamma grid gives one state per gamma.  The global phase is whatever
+    the operator product yields; only squared amplitudes are physically
+    meaningful downstream.
     """
-    o1 = strategy_operator(*_params(s1))
-    o2 = strategy_operator(*_params(s2))
+    o1 = strategy_operator(s1.theta, s1.phi)
+    o2 = strategy_operator(s2.theta, s2.phi)
     return _circuit(o1[None], o2[None], gamma)[..., 0, 0, :]
 
 
@@ -156,10 +154,7 @@ def payoff(chi, template: PayoffTemplate) -> float:
         raise ValidationError(f"expected a length-4 state vector, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValidationError("state amplitudes must be finite")
-    w = (v.conj() * v).real
-    return float(
-        template.v00 * w[0] + template.v01 * w[1] + template.v10 * w[2] + template.v11 * w[3]
-    )
+    return float((v.conj() * v).real @ template.weights)
 
 
 def extended_matrix(
@@ -183,8 +178,8 @@ def extended_matrix(
     ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
     chi = _circuit(ops, ops, gamma)
     w = (chi.conj() * chi).real
-    row = w @ np.array([row_template.v00, row_template.v01, row_template.v10, row_template.v11])
-    col = w @ np.array([col_template.v00, col_template.v01, col_template.v10, col_template.v11])
+    row = w @ row_template.weights
+    col = w @ col_template.weights
     if row.ndim == 2:
         return BimatrixGame(row=row, col=col, labels=labels)
     return tuple(BimatrixGame(row=r, col=c, labels=labels) for r, c in zip(row, col))

@@ -49,19 +49,19 @@ class BimatrixGame:
         return (self.labels[i], self.labels[j])
 
 
-def pure_nash(game: BimatrixGame, tol: float = BEST_RESPONSE_TOL):
+def pure_nash(game: BimatrixGame):
     """All cells where both players weakly best-respond, in row-major order.
 
-    Ties within tol count as best responses, so degenerate games report every
-    tied cell rather than none.
+    Ties within BEST_RESPONSE_TOL count as best responses, so degenerate
+    games report every tied cell rather than none.
     """
     r, c = game.row, game.col
-    rbest = r.max(axis=0)  # best row payoff per column
-    cbest = c.max(axis=1)  # best column payoff per row
+    rbest = r.max(axis=0) - BEST_RESPONSE_TOL  # best row payoff per column, less the tie margin
+    cbest = c.max(axis=1) - BEST_RESPONSE_TOL  # best column payoff per row, less the tie margin
     out = []
     for i in range(game.n):
         for j in range(game.n):
-            if r[i, j] >= rbest[j] - tol and c[i, j] >= cbest[i] - tol:
+            if r[i, j] >= rbest[j] and c[i, j] >= cbest[i]:
                 out.append((i, j))
     return out
 
@@ -74,16 +74,17 @@ class MixedProfile:
     p: float
 
 
-def mixed_nash_symmetric_2x2(game: BimatrixGame, tol: float = BEST_RESPONSE_TOL):
+def mixed_nash_symmetric_2x2(game: BimatrixGame):
     """Interior indifference equilibrium of a symmetric 2x2 game, or None.
 
     Solves for the opponent mix that makes both strategies payoff-equal.
-    Returns None when no interior solution exists; a solution within tol of
-    p=0 or p=1 is degenerate and also reported as None, with a warning.
+    Returns None when no interior solution exists; a solution within
+    BEST_RESPONSE_TOL of p=0 or p=1 is degenerate and also reported as None,
+    with a warning.
     """
     if game.n != 2:
         raise ValidationError("mixed solver handles 2x2 games only")
-    if not np.allclose(game.col, game.row.T, rtol=0.0, atol=tol):
+    if not np.allclose(game.col, game.row.T, rtol=0.0, atol=BEST_RESPONSE_TOL):
         raise ValidationError("game is not symmetric (col payoffs != row payoffs transposed)")
     (a, b), (c, d) = game.row
     den = (a - c) + (d - b)
@@ -91,8 +92,8 @@ def mixed_nash_symmetric_2x2(game: BimatrixGame, tol: float = BEST_RESPONSE_TOL)
         warnings.warn("degenerate game: both strategies always tie, no unique mixed point")
         return None
     p = (d - b) / den
-    if p <= tol or p >= 1.0 - tol:
-        if abs(p) <= tol or abs(1.0 - p) <= tol:
+    if p <= BEST_RESPONSE_TOL or p >= 1.0 - BEST_RESPONSE_TOL:
+        if abs(p) <= BEST_RESPONSE_TOL or abs(1.0 - p) <= BEST_RESPONSE_TOL:
             warnings.warn(f"indifference point p={p!r} sits on the boundary; degenerate")
         return None
     return MixedProfile(float(p))

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Block, extract_block
+from .eisert import GAMMA_RANGE
 from .errors import ConsistencyError, ValidationError
-
-GAMMA_MAX = math.pi / 2
 
 #: Blocks whose field term vanishes identically (symmetric coordination
 #: blocks): the magnetization is zero for every gamma and beta.
@@ -110,7 +109,8 @@ def magnetization(ip: IsingParams) -> float:
     x = ip.beta * ip.h
     if x == 0.0:
         # signed zero keeps sign(m) == sign(h) even when beta*h underflows
-        return math.copysign(0.0, x)
+        # or beta is -0.0
+        return math.copysign(0.0, ip.h)
     log_s = _log_sinh(abs(x))
     log_den = 0.5 * float(np.logaddexp(2.0 * log_s, -4.0 * ip.beta * ip.J))
     return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
@@ -122,8 +122,9 @@ def _check_grid(gamma_grid) -> np.ndarray:
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("gamma grid must be a non-empty 1-D sequence")
-    if not np.all((grid >= 0.0) & (grid <= GAMMA_MAX)):  # NaN fails too
-        raise ValidationError(f"gamma grid must be finite and lie within [0, {GAMMA_MAX!r}]")
+    lo, hi = GAMMA_RANGE
+    if not np.all((grid >= lo) & (grid <= hi)):  # NaN fails too
+        raise ValidationError(f"gamma grid must be finite and lie within [{lo:g}, {hi!r}]")
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("gamma grid must be strictly increasing")
     return grid
@@ -149,7 +150,7 @@ def _field_at(game_kind, payoffs, block_id, gamma: float) -> float:
     return to_ising(extract_block(game_kind, payoffs, block_id, gamma), 1.0).h
 
 
-def phase_transition_bisect(game_kind, payoffs, block_id, tol: float = _BISECT_TOL):
+def phase_transition_bisect(game_kind, payoffs, block_id):
     """Zero of the field h(gamma) on [0, pi/2] by bisection, or None.
 
     h is affine in cos(2*gamma), hence monotone on the interval, so a sign
@@ -157,7 +158,7 @@ def phase_transition_bisect(game_kind, payoffs, block_id, tol: float = _BISECT_T
     no sign change and return None.
     """
     block_id = Block(block_id)
-    a, b = 0.0, GAMMA_MAX
+    a, b = GAMMA_RANGE
     fa = _field_at(game_kind, payoffs, block_id, a)
     fb = _field_at(game_kind, payoffs, block_id, b)
     if fa == 0.0 and fb == 0.0:
@@ -168,7 +169,7 @@ def phase_transition_bisect(game_kind, payoffs, block_id, tol: float = _BISECT_T
         return b
     if (fa > 0) == (fb > 0):
         return None
-    while b - a > tol:
+    while b - a > _BISECT_TOL:
         mid = 0.5 * (a + b)
         fm = _field_at(game_kind, payoffs, block_id, mid)
         if fm == 0.0:
@@ -194,14 +195,13 @@ def _analytic_transition(payoffs, block_id):
     return 0.5 * math.acos(arg)
 
 
-def phase_transition_gamma(game_kind, payoffs, block_id, *, with_bisection: bool = False):
+def phase_transition_gamma(game_kind, payoffs, block_id):
     """Entanglement value where the field (hence the magnetization) changes
-    sign, or None when there is no crossing.
+    sign, as the pair (closed form, bisection), or (None, None) when there is
+    no crossing.
 
     The closed-form arccos value is cross-checked against bisection on the
-    circuit-derived field; disagreement raises ConsistencyError.  With
-    with_bisection=True the pair (closed form, bisection) is returned, both
-    from the one bisection run.
+    circuit-derived field; disagreement raises ConsistencyError.
     """
     block_id = Block(block_id)
     analytic = _analytic_transition(payoffs, block_id)
@@ -214,4 +214,4 @@ def phase_transition_gamma(game_kind, payoffs, block_id, *, with_bisection: bool
         raise ConsistencyError(
             f"transition mismatch for {block_id.value}: analytic={analytic!r}, bisect={numeric!r}"
         )
-    return (analytic, numeric) if with_bisection else analytic
+    return analytic, numeric

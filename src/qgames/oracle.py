@@ -57,9 +57,10 @@ class SampledEstimate:
 def enumerate_magnetization(spec: ChainSpec) -> float:
     """Exact mean magnetization by summing over every spin configuration.
 
-    Boltzmann weights are rescaled by the running maximum exponent, so large
-    beta*N*(|J|+|h|) cannot overflow; chunk order is fixed, which keeps the
-    result deterministic.
+    Each chunk's Boltzmann weights are scaled by its own maximum exponent,
+    and the chunk sums are combined once against the largest of those, so
+    large beta*N*(|J|+|h|) cannot overflow; chunk order is fixed, which keeps
+    the result deterministic.
     """
     n = spec.N
     if n > MAX_ENUM_SITES:
@@ -72,9 +73,7 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
     top = np.uint64(n - 1)
     one = np.uint64(1)
 
-    gmax = -math.inf
-    z = 0.0
-    mw = 0.0
+    parts = []  # (max exponent, Z, sum of m*W) of each chunk, weights scaled by the max
     for lo in range(0, total, step):
         # bit k of a code is 1 where spin k is down; a bond is broken where
         # a bit differs from its cyclic neighbour, i.e. in code ^ rotate(code)
@@ -85,18 +84,10 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
         logw = beta * J * bonds + beta * h * msum  # = -beta * energy
         cmax = float(logw.max())
         w = np.exp(logw - cmax)
-        zc = float(w.sum())
-        mwc = float((msum * w).sum())
-        if cmax > gmax:
-            scale = math.exp(gmax - cmax) if math.isfinite(gmax) else 0.0
-            z = z * scale + zc
-            mw = mw * scale + mwc
-            gmax = cmax
-        else:
-            scale = math.exp(cmax - gmax)
-            z += zc * scale
-            mw += mwc * scale
-    return (mw / n) / z
+        parts.append((cmax, float(w.sum()), float((msum * w).sum())))
+    cmax, z, mw = np.array(parts).T
+    scale = np.exp(cmax - cmax.max())
+    return float((scale @ mw / n) / (scale @ z))
 
 
 def _log_partition_per_site(n: int, beta_j, x):
@@ -199,8 +190,14 @@ def metropolis_magnetization(
     batch means (a plain standard error of the per-sweep values is used when
     there are too few samples to batch).
     """
+    if not all(isinstance(v, (int, np.integer)) for v in (sweeps, burn_in, seed)):
+        raise ValidationError(
+            f"sweeps, burn_in and seed must be integers, got {sweeps!r}, {burn_in!r}, {seed!r}"
+        )
     if not (sweeps > burn_in >= 0):
         raise ValidationError(f"need sweeps > burn_in >= 0, got sweeps={sweeps}, burn_in={burn_in}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     n = spec.N
     beta, J, h = spec.params.beta, spec.params.J, spec.params.h
 

@@ -91,7 +91,7 @@ def test_criterion_1_extended_matrix_reference():
 
 
 def test_criterion_2_pd_transition_checkpoint(tmp_path):
-    gamma_star = phase_transition_gamma("pd", PD_3501, Block.QVD)
+    gamma_star, _ = phase_transition_gamma("pd", PD_3501, Block.QVD)
     target = 0.5 * math.acos(2 / 5)
     analytic_ok = abs(gamma_star - target) <= 1e-9 and abs(gamma_star - 0.579640) < 1e-6
 
@@ -116,7 +116,7 @@ def test_criterion_3_chicken_transition_checkpoint(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ch = ChickenPayoffs(4, 4)
-        gamma_star = phase_transition_gamma("chicken", ch, Block.QVSTRAIGHT)
+        gamma_star, _ = phase_transition_gamma("chicken", ch, Block.QVSTRAIGHT)
     analytic_ok = abs(gamma_star - math.pi / 6) <= 1e-9
 
     out = tmp_path / "chicken_curve.csv"

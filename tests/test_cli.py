@@ -152,7 +152,7 @@ class TestCurve:
             "--output", str(out_file),
         )
         _, rows = read_csv(out_file)
-        gamma_star = phase_transition_gamma("pd", PDPayoffs(3, 5, 0, 1), "QvD")
+        gamma_star, _ = phase_transition_gamma("pd", PDPayoffs(3, 5, 0, 1), "QvD")
         by_beta = {}
         for row in rows:
             by_beta.setdefault(row[1], []).append((float(row[0]), float(row[4])))
@@ -187,6 +187,18 @@ class TestCurve:
         run(capsys, *args, "--output", str(f1))
         run(capsys, *args, "--output", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_zero_m_carries_the_sign_of_h_at_negative_zero_beta(self, capsys):
+        code, out, _ = run(
+            capsys, "curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1",
+            "--block", "QvD", "--gamma-steps", "2", "--beta=-0,0",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [r[1] for r in rows] == ["-0", "0", "-0", "0"]
+        for _, _, _, h, m in rows:
+            assert float(m) == 0.0
+            assert math.copysign(1.0, float(m)) == math.copysign(1.0, float(h))
 
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run(
@@ -306,6 +318,15 @@ class TestOracle:
         assert "metropolis,0,0" in out
         assert code == 3
         assert "metropolis" in err
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--J", "0.1", "--h", "0.2", "--beta", "1", "--N", "4",
+            "--sweeps", "100", "--burn-in", "10", "--seed", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
 
     def test_oversized_enumeration_exits_2(self, capsys):
         code, _, err = run(

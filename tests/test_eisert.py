@@ -14,6 +14,7 @@ from qgames.eisert import (
     STRAIGHT,
     SWERVE,
     PayoffTemplate,
+    Strategy,
     entangler,
     extended_matrix,
     final_state,
@@ -104,11 +105,6 @@ class TestFinalState:
         states = final_state(D, Q, grid)
         assert all(np.array_equal(states[k], final_state(D, Q, g)) for k, g in enumerate(grid))
 
-    def test_accepts_raw_angle_pairs(self):
-        chi1 = final_state((math.pi, 0.0), (0.0, math.pi / 2), 0.5)
-        chi2 = final_state(D, Q, 0.5)
-        assert np.allclose(chi1, chi2, atol=1e-15)
-
 
 class TestPayoff:
     def test_pure_00_state_pays_the_00_entry(self):
@@ -130,7 +126,7 @@ class TestPayoff:
     )
     def test_payoff_is_convex_combination(self, t1, p1, t2, p2, gamma):
         template = PayoffTemplate(v00=3.0, v10=5.0, v01=0.0, v11=1.0)
-        val = payoff(final_state((t1, p1), (t2, p2), gamma), template)
+        val = payoff(final_state(Strategy("1", t1, p1), Strategy("2", t2, p2), gamma), template)
         assert 0.0 - 1e-9 <= val <= 5.0 + 1e-9
 
 

@@ -38,14 +38,14 @@ def qvd_block(p, gamma):
 
 class TestTransform:
     def test_worked_example(self):
-        blk = StrategyBlock([[3.0, 0.0], [5.0, 1.0]], ("Q", "D"), Block.QVD)
+        blk = StrategyBlock([[3.0, 0.0], [5.0, 1.0]], Block.QVD)
         tr = transform(blk)
         assert tr.lam == -4.0
         assert tr.mu == -0.5
         assert np.array_equal(tr.entries, [[-1.0, -0.5], [1.0, 0.5]])
 
     def test_constant_columns_collapse_to_zero(self):
-        blk = StrategyBlock([[2.5, -1.0], [2.5, -1.0]], ("C", "Q"), Block.QVC)
+        blk = StrategyBlock([[2.5, -1.0], [2.5, -1.0]], Block.QVC)
         tr = transform(blk)
         assert np.array_equal(tr.entries, np.zeros((2, 2)))
 
@@ -71,8 +71,8 @@ class TestTransform:
         rng = np.random.default_rng(6)
         for _ in range(30):
             m = rng.uniform(-5, 5, size=(2, 2))
-            blk = StrategyBlock(m, ("Q", "D"), Block.QVD)
-            tr_blk = StrategyBlock(transform(blk).entries, ("Q", "D"), Block.QVD)
+            blk = StrategyBlock(m, Block.QVD)
+            tr_blk = StrategyBlock(transform(blk).entries, Block.QVD)
             assert pure_nash(blk.as_game()) == pure_nash(tr_blk.as_game())
 
 
@@ -129,6 +129,13 @@ class TestMagnetization:
     def test_zero_beta_is_unbiased(self):
         assert magnetization(IsingParams(J=1.0, h=5.0, beta=0.0)) == 0.0
 
+    def test_zero_carries_the_sign_of_the_field_at_negative_zero_beta(self):
+        for beta in (-0.0, 0.0):
+            for h in (-0.75, 1.75):
+                m = magnetization(IsingParams(J=-0.25, h=h, beta=beta))
+                assert m == 0.0
+                assert math.copysign(1.0, m) == math.copysign(1.0, h)
+
     def test_extreme_arguments_do_not_overflow(self):
         with np.errstate(over="raise"):
             assert magnetization(IsingParams(J=1.0, h=1.0, beta=1e6)) == pytest.approx(1.0)
@@ -161,7 +168,7 @@ class TestMagnetization:
 class TestCurve:
     def test_crossing_near_transition_for_every_beta(self):
         grid = np.linspace(0, math.pi / 2, 200)
-        gamma_star = phase_transition_gamma("pd", PD_3501, Block.QVD)
+        gamma_star, _ = phase_transition_gamma("pd", PD_3501, Block.QVD)
         step = grid[1] - grid[0]
         for beta in (0.5, 1.0, 2.0, 5.0, 50.0):
             c = curve("pd", PD_3501, Block.QVD, beta, grid)
@@ -205,32 +212,32 @@ class TestCurve:
 
 class TestPhaseTransition:
     def test_pd_reference_point(self):
-        got = phase_transition_gamma("pd", PD_3501, Block.QVD)
+        got, _ = phase_transition_gamma("pd", PD_3501, Block.QVD)
         assert got == pytest.approx(0.5 * math.acos(2 / 5), abs=1e-15)
         assert got == pytest.approx(0.5796397403637043, abs=1e-9)
 
     def test_chicken_reference_point_is_pi_over_6(self):
         with pytest.warns(UserWarning):
             ch = ChickenPayoffs(4, 4)
-        got = phase_transition_gamma("chicken", ch, Block.QVSTRAIGHT)
+        got, _ = phase_transition_gamma("chicken", ch, Block.QVSTRAIGHT)
         assert got == pytest.approx(math.pi / 6, abs=1e-9)
 
     def test_chicken_without_transition(self):
-        assert phase_transition_gamma("chicken", ChickenPayoffs(1, 3), Block.QVSTRAIGHT) is None
+        assert phase_transition_gamma("chicken", ChickenPayoffs(1, 3), Block.QVSTRAIGHT) == (None, None)
 
     def test_zero_field_blocks_have_no_transition(self):
-        assert phase_transition_gamma("pd", PD_3501, Block.QVC) is None
-        assert phase_transition_gamma("chicken", ChickenPayoffs(3, 4), Block.QVSWERVE) is None
+        assert phase_transition_gamma("pd", PD_3501, Block.QVC) == (None, None)
+        assert phase_transition_gamma("chicken", ChickenPayoffs(3, 4), Block.QVSWERVE) == (None, None)
 
     def test_classical_blocks_have_no_transition(self):
-        assert phase_transition_gamma("pd", PD_3501, Block.CLASSICAL_PD) is None
+        assert phase_transition_gamma("pd", PD_3501, Block.CLASSICAL_PD) == (None, None)
 
     def test_pd_transition_always_exists(self):
         # ordering t > r > p > s forces (r-p)/(t-s) < 1
         rng = np.random.default_rng(10)
         for _ in range(50):
             p = random_pd(rng)
-            got = phase_transition_gamma("pd", p, Block.QVD)
+            got, _ = phase_transition_gamma("pd", p, Block.QVD)
             assert got is not None
             assert got == pytest.approx(0.5 * math.acos((p.r - p.p) / (p.t - p.s)), abs=1e-12)
 
@@ -238,17 +245,17 @@ class TestPhaseTransition:
         rng = np.random.default_rng(13)
         for _ in range(20):
             p = random_pd(rng)
-            analytic = phase_transition_gamma("pd", p, Block.QVD)
+            analytic, _ = phase_transition_gamma("pd", p, Block.QVD)
             numeric = phase_transition_bisect("pd", p, Block.QVD)
             assert abs(analytic - numeric) <= 1e-9
-            assert phase_transition_gamma("pd", p, Block.QVD, with_bisection=True) == (
+            assert phase_transition_gamma("pd", p, Block.QVD) == (
                 analytic, numeric)
 
     def test_pair_without_transition(self):
-        got = phase_transition_gamma("pd", PD_3501, Block.QVC, with_bisection=True)
+        got = phase_transition_gamma("pd", PD_3501, Block.QVC)
         assert got == (None, None)
 
     def test_boundary_transition_at_gamma_zero(self):
         # s exactly 2r puts the crossing at the edge of the interval
         ch = ChickenPayoffs(1.0, 2.0)
-        assert phase_transition_gamma("chicken", ch, Block.QVSTRAIGHT) == pytest.approx(0.0, abs=1e-9)
+        assert phase_transition_gamma("chicken", ch, Block.QVSTRAIGHT)[0] == pytest.approx(0.0, abs=1e-9)

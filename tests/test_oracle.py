@@ -83,6 +83,21 @@ class TestEnumerate:
             s = spec(n, J, h, abs(beta))
             assert enumerate_magnetization(s) == reference_enumeration(s)
 
+    def test_multi_chunk_matches_reference(self, monkeypatch):
+        # 8-value chunks; at beta = 5 with |J|, |h| near 2 the chunk maxima
+        # differ by hundreds, so combining the chunk sums must rescale them
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", 3)
+        rng = np.random.default_rng(77)
+        for n in range(4, 13):
+            strong = rng.choice([-1.0, 1.0], size=(2, 2)) * rng.uniform(1.8, 2.0, size=(2, 2))
+            draws = [(J, h, 5.0) for J, h in strong]
+            draws += [(J, h, abs(beta)) for J, h, beta in rng.uniform(-2, 2, (2, 3))]
+            for J, h, beta in draws:
+                s = spec(n, J, h, beta)
+                assert enumerate_magnetization(s) == pytest.approx(
+                    reference_enumeration(s), abs=1e-14
+                )
+
     def test_too_many_sites_rejected(self):
         with pytest.raises(ResourceLimitError, match="N=30"):
             enumerate_magnetization(spec(30, 0.0, 1.0, 1.0))
@@ -186,6 +201,16 @@ class TestMetropolis:
         with pytest.raises(ValidationError, match="sweeps"):
             metropolis_magnetization(spec(16, 0.0, 0.5, 1.0), sweeps=100,
                                      burn_in=-1, seed=0)
+
+    @pytest.mark.parametrize("budget", [
+        {"sweeps": 100.5, "burn_in": 10, "seed": 0},
+        {"sweeps": 100, "burn_in": 10.0, "seed": 0},
+        {"sweeps": 100, "burn_in": 10, "seed": -1},
+        {"sweeps": 100, "burn_in": 10, "seed": 1.5},
+    ])
+    def test_non_integer_budget_and_bad_seed_rejected(self, budget):
+        with pytest.raises(ValidationError, match="sweeps|seed"):
+            metropolis_magnetization(spec(16, 0.0, 0.5, 1.0), **budget)
 
     def test_strong_field_n128_matches_transfer_matrix(self):
         # nearly all spins up: the per-sweep spin sum exceeds the int8 range
