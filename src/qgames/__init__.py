@@ -15,10 +15,8 @@ from .catalog import (
     ChickenPayoffs,
     PDPayoffs,
     StrategyBlock,
-    chicken_game,
     chicken_templates,
     extract_block,
-    pd_game,
     pd_templates,
     quantized_game,
 )
@@ -32,8 +30,6 @@ from .eisert import (
     Strategy,
     entangler,
     extended_matrix,
-    final_state,
-    payoff,
     strategy_operator,
 )
 from .equilibrium import BimatrixGame, MixedProfile, mixed_nash_symmetric_2x2, pure_nash
@@ -41,13 +37,11 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .ising import (
     IsingParams,
     MagnetizationCurve,
-    TransformedBlock,
     curve,
     magnetization,
     phase_transition_bisect,
     phase_transition_gamma,
     to_ising,
-    transform,
 )
 from .oracle import (
     ChainSpec,
@@ -81,21 +75,16 @@ __all__ = [
     "SampledEstimate",
     "Strategy",
     "StrategyBlock",
-    "TransformedBlock",
     "ValidationError",
-    "chicken_game",
     "chicken_templates",
     "curve",
     "entangler",
     "enumerate_magnetization",
     "extended_matrix",
     "extract_block",
-    "final_state",
     "magnetization",
     "metropolis_magnetization",
     "mixed_nash_symmetric_2x2",
-    "payoff",
-    "pd_game",
     "pd_templates",
     "phase_transition_bisect",
     "phase_transition_gamma",
@@ -104,6 +93,5 @@ __all__ = [
     "strategy_operator",
     "to_ising",
     "transfer_matrix_finite",
-    "transform",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Validated constructors for the two games and extraction of the 2x2
+"""Validated payoffs of the two games and extraction of the 2x2
 classical-vs-quantum strategy blocks.
 
 Blocks are always produced by running the quantization circuit, never by
@@ -124,20 +124,6 @@ def chicken_templates(c: ChickenPayoffs) -> tuple[PayoffTemplate, PayoffTemplate
     row = PayoffTemplate(v00=0.0, v10=c.r, v01=-c.r, v11=-c.s)
     col = PayoffTemplate(v00=0.0, v10=-c.r, v01=c.r, v11=-c.s)
     return row, col
-
-
-def pd_game(p: PDPayoffs) -> BimatrixGame:
-    """Classical prisoner's dilemma table over (C, D)."""
-    row = np.array([[p.r, p.s], [p.t, p.p]])
-    col = np.array([[p.r, p.t], [p.s, p.p]])
-    return BimatrixGame(row, col, ("C", "D"))
-
-
-def chicken_game(c: ChickenPayoffs) -> BimatrixGame:
-    """Classical chicken table over (straight, swerve)."""
-    row = np.array([[-c.s, c.r], [-c.r, 0.0]])
-    col = np.array([[-c.s, -c.r], [c.r, 0.0]])
-    return BimatrixGame(row, col, ("straight", "swerve"))
 
 
 def _templates_for(game_kind: str, payoffs):

@@ -134,29 +134,6 @@ def _circuit(row_ops, col_ops, gamma) -> np.ndarray:
     return chi
 
 
-def final_state(s1: Strategy, s2: Strategy, gamma) -> np.ndarray:
-    """State produced by entangle / act locally / disentangle from |00>.
-
-    A 1-D gamma grid gives one state per gamma.  The global phase is whatever
-    the operator product yields; only squared amplitudes are physically
-    meaningful downstream.
-    """
-    o1 = strategy_operator(s1.theta, s1.phi)
-    o2 = strategy_operator(s2.theta, s2.phi)
-    return _circuit(o1[None], o2[None], gamma)[..., 0, 0, :]
-
-
-def payoff(chi, template: PayoffTemplate) -> float:
-    """Expected payoff of one player: squared amplitudes of chi weighted by
-    the player's outcome template."""
-    v = np.asarray(chi, dtype=complex)
-    if v.shape != (4,):
-        raise ValidationError(f"expected a length-4 state vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValidationError("state amplitudes must be finite")
-    return float((v.conj() * v).real @ template.weights)
-
-
 def extended_matrix(
     row_template: PayoffTemplate,
     col_template: PayoffTemplate,

@@ -21,10 +21,6 @@ from .catalog import Block, extract_block
 from .eisert import GAMMA_RANGE
 from .errors import ConsistencyError, ValidationError
 
-#: Blocks whose field term vanishes identically (symmetric coordination
-#: blocks): the magnetization is zero for every gamma and beta.
-ZERO_FIELD_BLOCKS = frozenset({Block.QVC, Block.QVSWERVE})
-
 _BISECT_TOL = 1e-10
 _CROSSCHECK_TOL = 1e-9
 
@@ -46,15 +42,6 @@ class IsingParams:
 
 
 @dataclass(frozen=True)
-class TransformedBlock:
-    """Block after adding per-column constants; both columns antisymmetric."""
-
-    entries: np.ndarray
-    lam: float
-    mu: float
-
-
-@dataclass(frozen=True)
 class MagnetizationCurve:
     """Ordered (gamma, m) samples with the J/h values behind them."""
 
@@ -62,30 +49,17 @@ class MagnetizationCurve:
     m: np.ndarray
     J: np.ndarray
     h: np.ndarray
-    block_id: Block
-    beta: float
-    payoffs: object
-
-
-def transform(block) -> TransformedBlock:
-    """Shift each column by a constant so the columns become antisymmetric.
-
-    Best responses, hence Nash equilibria, are unchanged by per-column
-    shifts of the row player's payoffs.
-    """
-    (a, b), (c, d) = np.asarray(block.row_payoffs, dtype=float)
-    lam = -(a + c) / 2.0
-    mu = -(b + d) / 2.0
-    entries = np.array([[a + lam, b + mu], [c + lam, d + mu]])
-    return TransformedBlock(entries=entries, lam=lam, mu=mu)
 
 
 def to_ising(block, beta: float) -> IsingParams:
-    """Coupling and field that reproduce the block as a two-site spin table
-    [[J+h, -J+h], [-J-h, J-h]].
+    """Coupling and field read off the block in one step.
 
-    The (a-c) +/- (b-d) grouping keeps h exactly zero when the block's
-    diagonal entries match and its off-diagonal entries match.
+    Shifting each column of the row player's payoffs by a constant leaves
+    best responses, hence Nash equilibria, unchanged; the shift that makes
+    both columns antisymmetric turns [[a, b], [c, d]] into the two-site spin
+    table [[J+h, -J+h], [-J-h, J-h]].  The (a-c) +/- (b-d) grouping keeps h
+    exactly zero when the block's diagonal entries match and its
+    off-diagonal entries match.
     """
     (a, b), (c, d) = np.asarray(block.row_payoffs, dtype=float)
     J = ((a - c) + (d - b)) / 4.0
@@ -132,7 +106,6 @@ def _check_grid(gamma_grid) -> np.ndarray:
 
 def curve(game_kind, payoffs, block_id, beta: float, gamma_grid) -> MagnetizationCurve:
     """Magnetization samples along an increasing entanglement grid."""
-    block_id = Block(block_id)
     grid = _check_grid(gamma_grid)
     params = [to_ising(b, beta) for b in extract_block(game_kind, payoffs, block_id, grid)]
     return MagnetizationCurve(
@@ -140,9 +113,6 @@ def curve(game_kind, payoffs, block_id, beta: float, gamma_grid) -> Magnetizatio
         m=np.array([magnetization(ip) for ip in params]),
         J=np.array([ip.J for ip in params]),
         h=np.array([ip.h for ip in params]),
-        block_id=block_id,
-        beta=float(beta),
-        payoffs=payoffs,
     )
 
 
@@ -182,17 +152,13 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
 
 
 def _analytic_transition(payoffs, block_id):
-    if block_id in ZERO_FIELD_BLOCKS or block_id in (Block.CLASSICAL_PD, Block.CLASSICAL_CHICKEN):
-        return None
     if block_id is Block.QVD:
         arg = (payoffs.r - payoffs.p) / (payoffs.t - payoffs.s)
     elif block_id is Block.QVSTRAIGHT:
         arg = payoffs.s / (2.0 * payoffs.r)
-    else:  # pragma: no cover - Block enum is exhaustive above
-        raise ValidationError(f"unknown block {block_id!r}")
-    if arg > 1.0:
+    else:  # h is identically zero or independent of gamma: no crossing
         return None
-    return 0.5 * math.acos(arg)
+    return None if arg > 1.0 else 0.5 * math.acos(arg)
 
 
 def phase_transition_gamma(game_kind, payoffs, block_id):

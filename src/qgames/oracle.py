@@ -30,6 +30,7 @@ _FD_STEP = 1e-6   # central-difference step for the transfer-matrix derivative
 # central difference has a ~5e-9 cancellation floor in the worst corners,
 # above the 1e-10 agreement gate with enumeration.
 _LD = np.longdouble
+_LD_EXP_LIMIT = np.log(np.finfo(_LD).max)  # exp overflows long double from here on
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,17 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
     Each chunk's Boltzmann weights are scaled by its own maximum exponent,
     and the chunk sums are combined once against the largest of those, so
     large beta*N*(|J|+|h|) cannot overflow; chunk order is fixed, which keeps
-    the result deterministic.
+    the result deterministic.  Exponents beyond float64 raise ValidationError.
     """
     n = spec.N
     if n > MAX_ENUM_SITES:
         raise ResourceLimitError(
             f"exact enumeration needs 2**N states; N={n} exceeds the limit of {MAX_ENUM_SITES}"
         )
-    beta, J, h = spec.params.beta, spec.params.J, spec.params.h
+    bj = float(spec.params.beta) * float(spec.params.J)
+    bh = float(spec.params.beta) * float(spec.params.h)
+    if not math.isfinite(n * (abs(bj) + abs(bh))):  # the all-up or all-down exponent
+        raise ValidationError(f"enumeration overflows float64: beta*J={bj!r}, beta*h={bh!r}, N={n}")
     total = 1 << n
     step = min(total, 1 << _CHUNK_BITS)
     top = np.uint64(n - 1)
@@ -81,7 +85,7 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
         msum = n - 2 * np.bitwise_count(codes).astype(np.int64)
         rotated = (codes >> one) | ((codes & one) << top)
         bonds = n - 2 * np.bitwise_count(codes ^ rotated).astype(np.int64)
-        logw = beta * J * bonds + beta * h * msum  # = -beta * energy
+        logw = bj * bonds + bh * msum  # = -beta * energy
         cmax = float(logw.max())
         w = np.exp(logw - cmax)
         parts.append((cmax, float(w.sum()), float((msum * w).sum())))
@@ -111,6 +115,22 @@ def _log_partition_per_site(n: int, beta_j, x):
     return np.log(ch + root) + corr / _LD(n)
 
 
+def _log_partition_strong_afm(n: int, beta_j, x):
+    """(1/N) log Z where e^{-4 beta J} overflows long double, with ch and root
+    scaled by e^{2 beta J} and x-independent terms dropped: then root^2 - ch^2
+    = 1 to long-double precision, so lambda-/lambda+ = -(root + ch)^-2."""
+    ch = np.cosh(x)
+    log_root = np.log1p((np.sinh(x) * np.exp(_LD(2.0) * beta_j)) ** 2) / _LD(2.0)
+    w = np.exp(np.log(ch) - log_root + _LD(2.0) * beta_j)  # ch / root
+    lead = log_root + np.log1p(w)  # log(root + ch)
+    v = _LD(2 * n) * lead  # -N log|lambda-/lambda+|
+    if n % 2 == 0:
+        return lead + np.log1p(np.exp(-v)) / _LD(n)
+    # log(1 - e^{-v}) less log(2N) + 2 beta J: m -> tanh(x)/N as w underflows
+    ratio = lead / w * -np.expm1(-v) / v if w else _LD(1.0)
+    return lead + (np.log(ch) - log_root + np.log(ratio)) / _LD(n)
+
+
 def transfer_matrix_finite(spec: ChainSpec) -> float:
     """Exact finite-N magnetization from the 2x2 transfer matrix.
 
@@ -122,8 +142,11 @@ def transfer_matrix_finite(spec: ChainSpec) -> float:
     x0 = _LD(spec.params.beta) * _LD(spec.params.h)
     e = _LD(_FD_STEP)
 
+    strong = _LD(-4.0) * beta_j >= _LD_EXP_LIMIT  # decided once for the whole stencil
+    log_z = _log_partition_strong_afm if strong else _log_partition_per_site
+
     def f(x):
-        return _log_partition_per_site(spec.N, beta_j, x)
+        return log_z(spec.N, beta_j, x)
 
     d1 = (f(x0 + e) - f(x0 - e)) / (2.0 * e)
     d2 = (f(x0 + e / 2) - f(x0 - e / 2)) / e

@@ -1,4 +1,5 @@
-"""Shared test oracles: closed-form block matrices and payoff generators.
+"""Shared test oracles: closed-form block matrices, the classical games,
+the circuit's final state of one strategy pair, and payoff generators.
 
 The closed forms live here, outside the library, so the circuit-derived
 blocks are always checked against an independent route.
@@ -8,7 +9,8 @@ import math
 
 import numpy as np
 
-from qgames import ChickenPayoffs, PDPayoffs
+from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs
+from qgames.eisert import _circuit, strategy_operator
 
 
 def qvc_closed_form(p: PDPayoffs, gamma: float) -> np.ndarray:
@@ -44,6 +46,27 @@ def classical_pd_matrix(p: PDPayoffs) -> np.ndarray:
 
 def classical_chicken_matrix(c: ChickenPayoffs) -> np.ndarray:
     return np.array([[-c.s, c.r], [-c.r, 0.0]])
+
+
+def classical_pd_game(p: PDPayoffs) -> BimatrixGame:
+    """Classical prisoner's dilemma over (C, D); the column player's table
+    is the row player's transposed."""
+    m = classical_pd_matrix(p)
+    return BimatrixGame(m, m.T, ("C", "D"))
+
+
+def classical_chicken_game(c: ChickenPayoffs) -> BimatrixGame:
+    """Classical chicken over (straight, swerve)."""
+    m = classical_chicken_matrix(c)
+    return BimatrixGame(m, m.T, ("straight", "swerve"))
+
+
+def final_state(s1, s2, gamma) -> np.ndarray:
+    """L^dag (O1 (x) O2) L |00> for two strategies through the library's
+    circuit; a 1-D gamma grid gives one state per gamma."""
+    o1 = strategy_operator(s1.theta, s1.phi)
+    o2 = strategy_operator(s2.theta, s2.phi)
+    return _circuit(o1[None], o2[None], gamma)[..., 0, 0, :]
 
 
 def classical_magnetization(beta: float, J: float, h: float) -> float:

@@ -13,22 +13,16 @@ from conftest import (
     random_chicken,
     random_pd,
 )
-from qgames import (
-    Block,
-    ChickenPayoffs,
-    PDPayoffs,
-    chicken_game,
-    extract_block,
-    pd_game,
-)
+from qgames import Block, ChickenPayoffs, PDPayoffs, extract_block
 from qgames.errors import ValidationError
 
 
 class TestPDPayoffs:
     def test_standard_values_build_the_expected_table(self):
-        g = pd_game(PDPayoffs(3, 5, 0, 1))
-        assert np.array_equal(g.row, [[3, 0], [5, 1]])
-        assert np.array_equal(g.col, [[3, 5], [0, 1]])
+        # the circuit leaves a ~1e-32 residue where the sucker payoff is 0
+        g = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.CLASSICAL_PD, 0.0).as_game()
+        assert np.max(np.abs(g.row - [[3, 0], [5, 1]])) <= 1e-12
+        assert np.max(np.abs(g.col - [[3, 5], [0, 1]])) <= 1e-12
         assert g.labels == ("C", "D")
 
     def test_violated_ordering_names_the_inequality(self):
@@ -45,7 +39,7 @@ class TestPDPayoffs:
 
 class TestChickenPayoffs:
     def test_strictly_ordered_is_silent(self):
-        g = chicken_game(ChickenPayoffs(3, 4))
+        g = extract_block("chicken", ChickenPayoffs(3, 4), Block.CLASSICAL_CHICKEN, 0.0).as_game()
         assert np.array_equal(g.row, [[-4, 3], [-3, 0]])
         assert np.array_equal(g.col, [[-4, -3], [3, 0]])
         assert g.labels == ("straight", "swerve")

@@ -296,9 +296,31 @@ class TestOracle:
         assert spaced[0] == 0
         assert spaced == joined
 
-    def test_nan_transfer_matrix_exits_3(self, capsys):
-        # long double overflows at this point and the transfer matrix is NaN;
-        # the enumeration gate must not let it through
+    def test_strong_antiferromagnet_is_finite(self, capsys):
+        # e^{-4 beta J} overflows long double at this point
+        code, out, err = run(
+            capsys, "oracle", "--J", "-1000", "--h", "0.001", "--beta", "1000", "--N", "8",
+            "--no-metropolis",
+        )
+        assert code == 0
+        assert "8,transfer_matrix,0," in out
+        assert "nan" not in out
+        assert err == ""
+
+    def test_enumeration_overflow_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--J", "1e308", "--h", "0.5", "--beta", "10", "--N", "4",
+            "--no-metropolis",
+        )
+        assert code == 2
+        assert out == ""
+        assert "overflow" in err
+
+    def test_nan_transfer_matrix_exits_3(self, capsys, monkeypatch):
+        # the enumeration gate must not let a NaN transfer matrix through
+        from qgames import cli
+
+        monkeypatch.setattr(cli.oracle, "transfer_matrix_finite", lambda spec: math.nan)
         code, out, err = run(
             capsys, "oracle", "--J", "-1000", "--h", "0.001", "--beta", "1000", "--N", "8",
             "--no-metropolis",
@@ -307,9 +329,12 @@ class TestOracle:
         assert code == 3
         assert "internal consistency failure" in err
 
-    def test_nan_transfer_matrix_against_frozen_metropolis_exits_3(self, capsys):
+    def test_nan_transfer_matrix_against_frozen_metropolis_exits_3(self, capsys, monkeypatch):
         # the frozen chain reports a standard error of 0; the Metropolis gate
         # must still compare it with the (NaN) transfer matrix
+        from qgames import cli
+
+        monkeypatch.setattr(cli.oracle, "transfer_matrix_finite", lambda spec: math.nan)
         code, out, err = run(
             capsys, "oracle", "--J", "-1000", "--h", "0.001", "--beta", "1000", "--N", "8",
             "--no-enumeration", "--sweeps", "2000", "--burn-in", "200",

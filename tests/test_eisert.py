@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classical_chicken_matrix, classical_pd_matrix
+from conftest import classical_chicken_matrix, classical_pd_matrix, final_state
 from qgames import ChickenPayoffs, PDPayoffs, chicken_templates, pd_templates
 from qgames.eisert import (
     C,
@@ -17,8 +17,6 @@ from qgames.eisert import (
     Strategy,
     entangler,
     extended_matrix,
-    final_state,
-    payoff,
     strategy_operator,
 )
 from qgames.errors import ValidationError
@@ -28,6 +26,11 @@ PD_3501 = PDPayoffs(3, 5, 0, 1)
 
 def probs(state):
     return (state.conj() * state).real
+
+
+def payoff(chi, template):
+    """Expected payoff: squared amplitudes weighted by the outcome template."""
+    return float(probs(chi) @ template.weights)
 
 
 class TestStrategyOperator:

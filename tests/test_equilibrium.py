@@ -5,22 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgames import (
-    Block,
-    ChickenPayoffs,
-    PDPayoffs,
-    chicken_game,
-    extract_block,
-    pd_game,
-    quantized_game,
-)
+from conftest import classical_chicken_game, classical_pd_game
+from qgames import Block, ChickenPayoffs, PDPayoffs, extract_block, quantized_game
 from qgames.equilibrium import BimatrixGame, mixed_nash_symmetric_2x2, pure_nash
 from qgames.errors import ValidationError
 
 
 class TestPureNash:
     def test_classical_pd_defects(self):
-        g = pd_game(PDPayoffs(3, 5, 0, 1))
+        g = classical_pd_game(PDPayoffs(3, 5, 0, 1))
         assert [g.label_cell(c) for c in pure_nash(g)] == [("D", "D")]
 
     def test_maximally_entangled_pd_plays_quantum(self):
@@ -28,7 +21,7 @@ class TestPureNash:
         assert [g.label_cell(c) for c in pure_nash(g)] == [("Q", "Q")]
 
     def test_classical_chicken_has_two_asymmetric_equilibria(self):
-        g = chicken_game(ChickenPayoffs(3, 4))
+        g = classical_chicken_game(ChickenPayoffs(3, 4))
         named = [g.label_cell(c) for c in pure_nash(g)]
         assert named == [("straight", "swerve"), ("swerve", "straight")]
 
@@ -80,7 +73,7 @@ def test_pure_nash_invariant_under_column_shifts(data, lam, mu):
 
 class TestMixedNash:
     def test_classical_chicken_mixes_r_over_s(self):
-        g = chicken_game(ChickenPayoffs(3, 4))  # ordered (straight, swerve)
+        g = classical_chicken_game(ChickenPayoffs(3, 4))  # ordered (straight, swerve)
         mixed = mixed_nash_symmetric_2x2(g)
         assert mixed.p == pytest.approx(3 / 4, abs=1e-12)
 
@@ -99,7 +92,7 @@ class TestMixedNash:
             assert mixed_nash_symmetric_2x2(g) is None
 
     def test_no_interior_point_in_classical_pd(self):
-        g = pd_game(PDPayoffs(3, 5, 0, 1))
+        g = classical_pd_game(PDPayoffs(3, 5, 0, 1))
         # dominant strategy: indifference point falls outside (0, 1)
         assert mixed_nash_symmetric_2x2(g) is None
 

@@ -18,7 +18,6 @@ from qgames import (
     phase_transition_bisect,
     phase_transition_gamma,
     to_ising,
-    transform,
 )
 from qgames.catalog import StrategyBlock
 from qgames.equilibrium import pure_nash
@@ -36,44 +35,55 @@ def qvd_block(p, gamma):
     return extract_block("pd", p, Block.QVD, gamma)
 
 
+def spin_table(block):
+    """The two-site spin table [[J+h, -J+h], [-J-h, J-h]] of to_ising(block)."""
+    ip = to_ising(block, 1.0)
+    return np.array([[ip.J + ip.h, -ip.J + ip.h], [-ip.J - ip.h, ip.J - ip.h]])
+
+
 class TestTransform:
+    """to_ising's spin table is the block with each column shifted by a
+    constant until both columns are antisymmetric."""
+
     def test_worked_example(self):
         blk = StrategyBlock([[3.0, 0.0], [5.0, 1.0]], Block.QVD)
-        tr = transform(blk)
-        assert tr.lam == -4.0
-        assert tr.mu == -0.5
-        assert np.array_equal(tr.entries, [[-1.0, -0.5], [1.0, 0.5]])
+        table = spin_table(blk)
+        # column shifts -4 and -0.5
+        assert np.array_equal(table - blk.row_payoffs, [[-4.0, -0.5], [-4.0, -0.5]])
+        assert np.array_equal(table, [[-1.0, -0.5], [1.0, 0.5]])
 
     def test_constant_columns_collapse_to_zero(self):
         blk = StrategyBlock([[2.5, -1.0], [2.5, -1.0]], Block.QVC)
-        tr = transform(blk)
-        assert np.array_equal(tr.entries, np.zeros((2, 2)))
+        assert np.array_equal(spin_table(blk), np.zeros((2, 2)))
 
     def test_columns_become_antisymmetric(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             blk = qvd_block(random_pd(rng), rng.uniform(0, math.pi / 2))
-            tr = transform(blk)
-            assert abs(tr.entries[0, 0] + tr.entries[1, 0]) <= 1e-12
-            assert abs(tr.entries[0, 1] + tr.entries[1, 1]) <= 1e-12
+            table = spin_table(blk)
+            assert abs(table[0, 0] + table[1, 0]) <= 1e-12
+            assert abs(table[0, 1] + table[1, 1]) <= 1e-12
+            # and differs from the block by one constant per column
+            shift = table - blk.row_payoffs
+            assert np.max(np.abs(shift[0] - shift[1])) <= 1e-12
 
     def test_qvc_block_has_zero_field_part(self):
         p = PD_3501
         for gamma in (0.2, 0.9, 1.4):
-            tr = transform(extract_block("pd", p, Block.QVC, gamma))
+            table = spin_table(extract_block("pd", p, Block.QVC, gamma))
             alpha1 = p.r * math.cos(gamma) ** 2 + p.p * math.sin(gamma) ** 2
-            assert tr.entries[0, 0] == pytest.approx((p.r - alpha1) / 2, abs=1e-12)
-            assert tr.entries[1, 1] == pytest.approx((p.r - alpha1) / 2, abs=1e-12)
+            assert table[0, 0] == pytest.approx((p.r - alpha1) / 2, abs=1e-12)
+            assert table[1, 1] == pytest.approx((p.r - alpha1) / 2, abs=1e-12)
             # equal diagonals and equal off-diagonals mean no field term
-            assert tr.entries[0, 0] == tr.entries[1, 1]
+            assert table[0, 0] == table[1, 1]
 
     def test_transform_preserves_pure_nash(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             m = rng.uniform(-5, 5, size=(2, 2))
             blk = StrategyBlock(m, Block.QVD)
-            tr_blk = StrategyBlock(transform(blk).entries, Block.QVD)
-            assert pure_nash(blk.as_game()) == pure_nash(tr_blk.as_game())
+            table_blk = StrategyBlock(spin_table(blk), Block.QVD)
+            assert pure_nash(blk.as_game()) == pure_nash(table_blk.as_game())
 
 
 class TestToIsing:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ class TestEnumerate:
         with pytest.raises(ValidationError):
             spec(1, 0.0, 1.0, 1.0)
 
+    def test_overflowing_exponent_raises_before_numpy_warns(self):
+        # beta*J = 1e309 is inf in float64; the weights would come out NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflow"):
+                enumerate_magnetization(spec(4, 1e308, 0.5, 10.0))
+            with pytest.raises(ValidationError, match="overflow"):
+                enumerate_magnetization(spec(4, 0.5, -1e308, 10.0))
+
 
 class TestTransferMatrix:
     def test_agrees_with_enumeration_on_random_draws(self):
@@ -128,6 +138,27 @@ class TestTransferMatrix:
         for J, h, beta in [(-0.25, 1.75, 2.0), (0.5, 0.8, 1.0), (-0.5, -0.4, 2.0)]:
             got = transfer_matrix_finite(spec(512, J, h, beta))
             assert got == pytest.approx(classical_magnetization(beta, J, h), abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "n,J,h,beta,want",
+        [
+            (8, -1000.0, 0.001, 1000.0, 0.0),
+            (7, -1000.0, 0.001, 1000.0, 0.1087991651365378),
+            (5, -1e4, 3.0, 1.0, 0.19901095073734612),
+        ],
+    )
+    def test_strong_antiferromagnet_matches_enumeration(self, n, J, h, beta, want):
+        # e^{-4 beta J} overflows long double here
+        s = spec(n, J, h, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transfer_matrix_finite(s)
+            exact = enumerate_magnetization(s)
+        assert abs(exact - want) <= 1e-10
+        assert abs(got - exact) <= 1e-10
+        if n % 2:
+            # one unpaired spin left to the field: m -> tanh(beta*h)/N
+            assert abs(got - math.tanh(beta * h) / n) <= 1e-10
 
     def test_gap_shrinks_as_chain_doubles(self):
         # near-critical enough that the finite-size gap stays above noise

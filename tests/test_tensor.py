@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import final_state
 from qgames import eisert, tensor
-from qgames.eisert import C, D, Q, entangler, extended_matrix, final_state, strategy_operator
+from qgames.eisert import C, D, Q, entangler, extended_matrix, strategy_operator
 from qgames.errors import ConsistencyError
 
 I2 = np.eye(2, dtype=complex)
