@@ -48,6 +48,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+_CURVE_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g"  # gamma,beta,J,h,m as _fmt writes them
+
+
 def _parse_betas(text: str):
     try:
         betas = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -142,11 +145,10 @@ def cmd_curve(args) -> int:
 
     lines = ["gamma,beta,J,h,m"]
     # gamma-major ordering; the block is beta-independent
-    for g, block in zip(grid, extract_block(args.game, payoffs, block_id, grid)):
+    for g, block in zip(grid.tolist(), extract_block(args.game, payoffs, block_id, grid)):
         for b in betas:
             ip = ising.to_ising(block, b)
-            m = ising.magnetization(ip)
-            lines.append(",".join(_fmt(v) for v in (g, b, ip.J, ip.h, m)))
+            lines.append(_CURVE_ROW % (g, b, ip.J, ip.h, ising.magnetization(ip)))
     _emit(args.output, lines)
     return 0
 
@@ -204,6 +206,8 @@ def cmd_oracle(args) -> int:
                 f"metropolis {sampled.mean!r} (standard error {se!r}) is more than {tol!r} "
                 f"from the transfer matrix {transfer_m!r}"
             )
+    if not math.isfinite(transfer_m):  # the only gate when both other oracles are off
+        raise ConsistencyError(f"transfer matrix {transfer_m!r} is not finite")
     return 0
 
 

@@ -35,7 +35,7 @@ class IsingParams:
     beta: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.J, self.h, self.beta)):
+        if not (math.isfinite(self.J) and math.isfinite(self.h) and math.isfinite(self.beta)):
             raise ValidationError("J, h, beta must be finite")
         if self.beta < 0:
             raise ValidationError(f"beta must be >= 0, got {self.beta}")
@@ -59,9 +59,10 @@ def to_ising(block, beta: float) -> IsingParams:
     both columns antisymmetric turns [[a, b], [c, d]] into the two-site spin
     table [[J+h, -J+h], [-J-h, J-h]].  The (a-c) +/- (b-d) grouping keeps h
     exactly zero when the block's diagonal entries match and its
-    off-diagonal entries match.
+    off-diagonal entries match.  The entries are read as Python floats: the
+    same IEEE operations as on NumPy scalars, without their overhead.
     """
-    (a, b), (c, d) = np.asarray(block.row_payoffs, dtype=float)
+    (a, b), (c, d) = block.row_payoffs.tolist()
     J = ((a - c) + (d - b)) / 4.0
     h = ((a - c) + (b - d)) / 4.0
     return IsingParams(J=J, h=h, beta=float(beta))
@@ -72,6 +73,22 @@ def _log_sinh(t: float) -> float:
     if t < 20.0:
         return math.log(math.sinh(t))
     return t - math.log(2.0) + math.log1p(-math.exp(-2.0 * t))
+
+
+_LN2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y) in the steps of NumPy's npy_logaddexp, on libm's exp
+    and log1p, so it returns np.logaddexp's bits without its overhead."""
+    if x == y:  # also equal infinities, without an inf - inf
+        return x + _LN2
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp  # NaN
 
 
 def magnetization(ip: IsingParams) -> float:
@@ -86,7 +103,7 @@ def magnetization(ip: IsingParams) -> float:
         # or beta is -0.0
         return math.copysign(0.0, ip.h)
     log_s = _log_sinh(abs(x))
-    log_den = 0.5 * float(np.logaddexp(2.0 * log_s, -4.0 * ip.beta * ip.J))
+    log_den = 0.5 * _logaddexp(2.0 * log_s, -4.0 * ip.beta * ip.J)
     return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
 
 

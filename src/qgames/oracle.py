@@ -95,14 +95,30 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
 
 
 def _log_partition_per_site(n: int, beta_j, x):
-    """(1/N) log Z as a function of x = beta*h, constant offsets dropped.
+    """(1/N) log Z as a function of x = beta*h, constant offsets dropped."""
+    ch = np.cosh(x)
+    root = np.sqrt(np.sinh(x) ** 2 + np.exp(_LD(-4.0) * beta_j))
+    return _log_eigen_sum(n, ch, root)
+
+
+def _log_partition_wide(n: int, beta_j, x):
+    """(1/N) log Z less |x|, for x where sinh(x)^2 + e^{-4 beta J} overflows
+    long double: ch and root scaled by e^{-|x|}.  The caller adds sign(x),
+    the derivative of |x|, back, so the large linear part never goes through
+    the finite difference."""
+    u = _LD(-2.0) * np.abs(x)
+    ch = (_LD(1.0) + np.exp(u)) / _LD(2.0)
+    root = np.sqrt((np.expm1(u) / _LD(2.0)) ** 2 + np.exp(_LD(-4.0) * beta_j + u))
+    return _log_eigen_sum(n, ch, root)
+
+
+def _log_eigen_sum(n: int, ch, root):
+    """(1/N) log(lambda+^N + lambda-^N) for the eigenvalues ch +- root.
 
     Stable for both eigenvalue signs: the near-cancellation of lambda-^N
     against lambda+^N on the antiferromagnetic side goes through
     log1p/expm1 instead of raw subtraction.
     """
-    ch = np.cosh(x)
-    root = np.sqrt(np.sinh(x) ** 2 + np.exp(_LD(-4.0) * beta_j))
     if root <= ch:  # both eigenvalues non-negative
         corr = np.log1p(((ch - root) / (ch + root)) ** n)
     else:  # lambda- < 0: handle 1 + (lambda-/lambda+)^N carefully
@@ -137,20 +153,42 @@ def transfer_matrix_finite(spec: ChainSpec) -> float:
     Computed as the Richardson-extrapolated central difference of the
     per-site log partition with respect to beta*h, step 1e-6.  The numeric
     derivative keeps this route independent of the closed-form result.
+    Raises ValidationError where e^{-4 beta J} and cosh(beta*h) both
+    overflow long double.
     """
     beta_j = _LD(spec.params.beta) * _LD(spec.params.J)
     x0 = _LD(spec.params.beta) * _LD(spec.params.h)
     e = _LD(_FD_STEP)
 
-    strong = _LD(-4.0) * beta_j >= _LD_EXP_LIMIT  # decided once for the whole stencil
-    log_z = _log_partition_strong_afm if strong else _log_partition_per_site
+    # A form is chosen once for the whole stencil, and only where the plain
+    # one overflows long double: the strong form where e^{-4 beta J} does,
+    # the wide form where sinh(x)^2 + e^{-4 beta J} does at the stencil point
+    # farthest from 0.  Nothing is left once the strong form's cosh(x) does.
+    strong = _LD(-4.0) * beta_j >= _LD_EXP_LIMIT
+    far = x0 + e if x0 >= 0 else x0 - e
+    with np.errstate(over="ignore"):
+        wide = not np.isfinite(
+            np.cosh(far) if strong else np.sinh(far) ** 2 + np.exp(_LD(-4.0) * beta_j)
+        )
+    if strong and wide:
+        raise ValidationError(
+            f"transfer matrix overflows long double: beta*J={float(beta_j)!r}, "
+            f"beta*h={float(x0)!r}"
+        )
+    if strong:
+        log_z = _log_partition_strong_afm
+    elif wide:
+        log_z = _log_partition_wide
+    else:
+        log_z = _log_partition_per_site
 
     def f(x):
         return log_z(spec.N, beta_j, x)
 
     d1 = (f(x0 + e) - f(x0 - e)) / (2.0 * e)
     d2 = (f(x0 + e / 2) - f(x0 - e / 2)) / e
-    return float((4.0 * d2 - d1) / 3.0)
+    m = (4.0 * d2 - d1) / 3.0
+    return float(m + np.sign(x0) if wide else m)
 
 
 def _metropolis_sweeps(spins, us, accept, out):

@@ -1,5 +1,6 @@
 """Shared test oracles: closed-form block matrices, the classical games,
-the circuit's final state of one strategy pair, and payoff generators.
+the circuit's final state of one strategy pair, NumPy-scalar references for
+the block -> (J, h, m) step, and payoff generators.
 
 The closed forms live here, outside the library, so the circuit-derived
 blocks are always checked against an independent route.
@@ -74,6 +75,28 @@ def classical_magnetization(beta: float, J: float, h: float) -> float:
     purpose, so it stays an independent reference in moderate ranges."""
     x = beta * h
     return math.sinh(x) / math.sqrt(math.sinh(x) ** 2 + math.exp(-4.0 * beta * J))
+
+
+def numpy_to_ising(block):
+    """(J, h) of a block with to_ising's arithmetic on NumPy scalars, as the
+    library did before it read the block as Python floats."""
+    (a, b), (c, d) = np.asarray(block.row_payoffs, dtype=float)
+    return ((a - c) + (d - b)) / 4.0, ((a - c) + (b - d)) / 4.0
+
+
+def numpy_magnetization(J: float, h: float, beta: float) -> float:
+    """magnetization as it was written on np.logaddexp: the reference for the
+    bits of the libm-only form."""
+    x = beta * h
+    if x == 0.0:
+        return math.copysign(0.0, h)
+    t = abs(x)
+    if t < 20.0:
+        log_s = math.log(math.sinh(t))
+    else:
+        log_s = t - math.log(2.0) + math.log1p(-math.exp(-2.0 * t))
+    log_den = 0.5 * float(np.logaddexp(2.0 * log_s, -4.0 * beta * J))
+    return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
 
 
 def random_pd(rng) -> PDPayoffs:

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from conftest import numpy_magnetization, numpy_to_ising, random_chicken, random_pd
+from qgames import Block, extract_block
 from qgames.cli import main
 
 GAMMA_HALF_PI = "1.5707963"
@@ -200,6 +202,36 @@ class TestCurve:
             assert float(m) == 0.0
             assert math.copysign(1.0, float(m)) == math.copysign(1.0, float(h))
 
+    @pytest.mark.parametrize(
+        "game,block",
+        [("pd", b) for b in (Block.QVC, Block.QVD, Block.CLASSICAL_PD)]
+        + [("chicken", b) for b in (Block.QVSWERVE, Block.QVSTRAIGHT, Block.CLASSICAL_CHICKEN)],
+    )
+    def test_rows_match_numpy_scalar_reference(self, capsys, game, block):
+        # each row must carry the bits of the NumPy-scalar to_ising and the
+        # np.logaddexp magnetization, formatted one field at a time
+        rng = np.random.default_rng(list(Block).index(block))
+        for _ in range(3):
+            payoffs = random_pd(rng) if game == "pd" else random_chicken(rng)
+            start = rng.uniform(0.0, 0.6)
+            stop = rng.uniform(0.9, math.pi / 2)
+            steps = int(rng.integers(2, 40))
+            flags = [f"--{k}={v!r}" for k, v in vars(payoffs).items()]
+            code, out, _ = run(
+                capsys, "curve", "--game", game, *flags, "--block", block.value,
+                f"--gamma-start={start!r}", f"--gamma-stop={stop!r}",
+                "--gamma-steps", str(steps), "--beta=-0,0,0.5,5",
+            )
+            assert code == 0
+            grid = np.linspace(start, stop, steps)
+            want = ["gamma,beta,J,h,m"]
+            for g, blk in zip(grid, extract_block(game, payoffs, block, grid)):
+                J, h = numpy_to_ising(blk)
+                for beta in (-0.0, 0.0, 0.5, 5.0):
+                    m = numpy_magnetization(J, h, beta)
+                    want.append(",".join(format(v, ".17g") for v in (g, beta, J, h, m)))
+            assert out.splitlines() == want
+
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run(
             capsys, "curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
@@ -343,6 +375,32 @@ class TestOracle:
         assert "metropolis,0,0" in out
         assert code == 3
         assert "metropolis" in err
+
+    def test_nan_transfer_matrix_alone_exits_3(self, capsys, monkeypatch):
+        # with enumeration and Metropolis off, the transfer matrix row is
+        # still gated
+        from qgames import cli
+
+        monkeypatch.setattr(cli.oracle, "transfer_matrix_finite", lambda spec: math.nan)
+        code, out, err = run(
+            capsys, "oracle", "--J", "0.1", "--h", "20", "--beta", "1000", "--N", "8",
+            "--no-metropolis", "--no-enumeration",
+        )
+        assert "8,transfer_matrix,nan" in out
+        assert code == 3
+        assert "transfer matrix nan is not finite" in err
+
+    def test_strong_field_is_finite(self, capsys):
+        # cosh(beta*h) and sinh(beta*h)^2 overflow long double at this point
+        code, out, err = run(
+            capsys, "oracle", "--J", "0.1", "--h", "20", "--beta", "1000", "--N", "8",
+            "--no-metropolis",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "8,enumeration,1,", "8,transfer_matrix,1,", "inf,closed_form,1,",
+        ]
+        assert err == ""
 
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run(

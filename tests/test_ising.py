@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classical_magnetization, random_chicken, random_pd
+from conftest import (
+    classical_magnetization,
+    numpy_magnetization,
+    numpy_to_ising,
+    random_chicken,
+    random_pd,
+)
+from qgames import ising
 from qgames import (
     Block,
     ChickenPayoffs,
@@ -175,7 +182,63 @@ class TestMagnetization:
         assert m2 >= m1 - 1e-15
 
 
+def assert_same_bits(got, want):
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestLogaddexp:
+    """The libm form must return np.logaddexp's bits, or the CSV changes."""
+
+    def test_random_pairs_over_wide_magnitudes(self):
+        rng = np.random.default_rng(77)
+        signs = rng.choice([-1.0, 1.0], size=(20000, 2))
+        xy = signs * 10.0 ** rng.uniform(-320, 308, size=(20000, 2))
+        # close pairs, where log1p(exp(-|x - y|)) carries the most bits
+        close = xy[:, 0] * (1.0 + rng.uniform(-1e-3, 1e-3, size=20000))
+        for (x, y), z in zip(xy.tolist(), close.tolist()):
+            assert_same_bits(ising._logaddexp(x, y), float(np.logaddexp(x, y)))
+            assert_same_bits(ising._logaddexp(x, z), float(np.logaddexp(x, z)))
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (3.5, 3.5), (-700.0, -700.0),
+            (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0), (1.0, -math.inf),
+            (math.inf, math.inf), (-math.inf, -math.inf),
+            (math.inf, -math.inf), (-math.inf, math.inf),
+            (41.0, 0.0), (0.0, 41.0), (-3.0, 60.0), (800.0, -1e300), (1e300, 1e300 - 1e285),
+            (5e-324, 0.0), (-5e-324, 5e-324), (2.2e-308, 1e-310), (1e-310, -1e-320),
+        ],
+    )
+    def test_edges(self, x, y):
+        assert_same_bits(ising._logaddexp(x, y), float(np.logaddexp(x, y)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        J=st.floats(-1e6, 1e6), h=st.floats(-1e6, 1e6),
+        beta=st.one_of(st.just(0.0), st.just(-0.0), st.floats(0, 1e6)),
+    )
+    def test_magnetization_matches_the_numpy_form(self, J, h, beta):
+        got = magnetization(IsingParams(J=J, h=h, beta=beta))
+        assert_same_bits(got, numpy_magnetization(J, h, beta))
+
+    def test_magnetization_calls_no_numpy(self, monkeypatch):
+        monkeypatch.setattr(ising, "np", None)
+        for J, h, beta in [(-0.25, 1.75, 2.0), (300.0, -2.0, 5.0), (1.0, 0.5, 0.0)]:
+            magnetization(IsingParams(J=J, h=h, beta=beta))
+
+
 class TestCurve:
+    def test_matches_numpy_scalar_reference(self):
+        grid = np.linspace(0.0, math.pi / 2, 37)
+        c = curve("pd", PD_3501, "QvD", 2.0, grid)
+        for k, block in enumerate(extract_block("pd", PD_3501, Block.QVD, grid)):
+            J, h = numpy_to_ising(block)
+            assert_same_bits(c.J[k], J)
+            assert_same_bits(c.h[k], h)
+            assert_same_bits(c.m[k], numpy_magnetization(J, h, 2.0))
+
     def test_crossing_near_transition_for_every_beta(self):
         grid = np.linspace(0, math.pi / 2, 200)
         gamma_star, _ = phase_transition_gamma("pd", PD_3501, Block.QVD)

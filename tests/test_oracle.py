@@ -160,6 +160,34 @@ class TestTransferMatrix:
             # one unpaired spin left to the field: m -> tanh(beta*h)/N
             assert abs(got - math.tanh(beta * h) / n) <= 1e-10
 
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("h", [20.0, -20.0])
+    def test_strong_field_matches_enumeration(self, n, h):
+        # cosh(beta*h) and sinh(beta*h)^2 overflow long double here
+        s = spec(n, 0.1, h, 1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transfer_matrix_finite(s)
+            exact = enumerate_magnetization(s)
+        assert abs(got - exact) <= 1e-10
+
+    def test_field_crossover_past_sinh_overflow_matches_enumeration(self):
+        # beta*h just past where sinh^2 overflows, with e^{-4 beta J} close
+        # to it, so the antiferromagnetic coupling still pulls m below 1
+        for n in (7, 8):
+            s = spec(n, -2.8389, 5.679, 1000.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = transfer_matrix_finite(s)
+            exact = enumerate_magnetization(s)
+            assert 0.85 < exact < 0.86
+            assert abs(got - exact) <= 1e-10
+
+    def test_strong_field_and_strong_antiferromagnet_raise(self):
+        # e^{-4 beta J} and cosh(beta*h) both overflow long double
+        with pytest.raises(ValidationError, match="overflows long double"):
+            transfer_matrix_finite(spec(8, -1e4, 2e4, 1.0))
+
     def test_gap_shrinks_as_chain_doubles(self):
         # near-critical enough that the finite-size gap stays above noise
         J, h, beta = 0.8, 0.05, 1.2
