@@ -188,7 +188,8 @@ def cmd_oracle(args) -> int:
             spec, sweeps=args.sweeps, burn_in=args.burn_in, seed=args.seed
         )
         rows.append((str(spec.N), "metropolis", _fmt(sampled.mean), _fmt(sampled.std_error)))
-    rows.append(("inf", "closed_form", _fmt(ising.magnetization(ip)), ""))
+    closed_m = ising.magnetization(ip)
+    rows.append(("inf", "closed_form", _fmt(closed_m), ""))
 
     _emit(args.output, ["N,method,m,std_error"] + [",".join(r) for r in rows])
 
@@ -208,6 +209,8 @@ def cmd_oracle(args) -> int:
             )
     if not math.isfinite(transfer_m):  # the only gate when both other oracles are off
         raise ConsistencyError(f"transfer matrix {transfer_m!r} is not finite")
+    if not math.isfinite(closed_m):
+        raise ConsistencyError(f"closed form {closed_m!r} is not finite")
     return 0
 
 

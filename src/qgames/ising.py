@@ -96,6 +96,8 @@ def magnetization(ip: IsingParams) -> float:
 
     Evaluated in log space so that large beta*|h| or beta*|J| cannot
     overflow: m = sign(h) * exp(log sinh|beta h| - 1/2 log(sinh^2 + e^{-4 beta J})).
+    Where that log denominator overflows (beta*|h| above ~9e307, or
+    -4 beta J above ~1.8e308), m = sign(h) / sqrt(1 + e^t) instead.
     """
     x = ip.beta * ip.h
     if x == 0.0:
@@ -103,8 +105,17 @@ def magnetization(ip: IsingParams) -> float:
         # or beta is -0.0
         return math.copysign(0.0, ip.h)
     log_s = _log_sinh(abs(x))
-    log_den = 0.5 * _logaddexp(2.0 * log_s, -4.0 * ip.beta * ip.J)
-    return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
+    # beta*J first: -4*beta alone overflows from beta ~ 4.5e307
+    log_den = 0.5 * _logaddexp(2.0 * log_s, -4.0 * (ip.beta * ip.J))
+    if log_den < math.inf:
+        return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
+    if log_s < 20.0:  # then e^{-4 beta J} alone overflowed: m underflows
+        return math.copysign(0.0, x)
+    # t = -4 beta J - 2 log sinh|x| with log sinh|x| = |x| - log 2 +
+    # log1p(-e^{-2|x|}): beta*|h| and -2 beta J meet as 4 beta (-J - |h|/2)
+    # before either can overflow, so a balanced pair gives t of order 1
+    t = 4.0 * (ip.beta * (-ip.J - 0.5 * abs(ip.h))) + 2.0 * (_LN2 - math.log1p(-math.exp(-2.0 * abs(x))))
+    return math.copysign(math.exp(-0.5 * _logaddexp(0.0, t)), x)
 
 
 def _check_grid(gamma_grid) -> np.ndarray:

@@ -202,38 +202,54 @@ def _metropolis_sweeps(spins, us, accept, out):
     left value: constant down, constant up, identity or negation.  A sweep
     then resolves as a prefix scan: the last constant map at or before k
     fixes the value, and the parity of the negations since then flips it.
-    The result equals that of proposing the sites one at a time.
+
+    The scan runs on N-bit Python ints, bit k for site k (1 = up).  The six
+    flip masks are packed once per block.  Per sweep, bitwise selects give
+    every site's map, log2(N) shift-xors the parity of the negations, and
+    one add carries each constant's value up its run of identities and
+    negations; the carry stops at the next constant, whose bit is clear in
+    the addend.  Every step is exact integer arithmetic on the same draws,
+    so the trajectory equals that of proposing the sites one at a time, bit
+    for bit.
     """
     n = spins.shape[0]
-    sites = np.arange(n)
-    base = 4 * sites
-    # maps[t, 4k + 2*own + right] over spin bits (1 = up) is a code: 0 or 1
-    # for a constant map to that bit, 2 for identity, 3 for negation
-    flips = (us[:, :, None] < accept).view(np.uint8)
-    maps = np.empty(us.shape + (4,), dtype=np.uint8)
-    for own in (0, 1):
-        for nb in (0, 1):
-            after_down = own ^ flips[:, :, 3 * own + nb]
-            after_up = own ^ flips[:, :, 3 * own + nb + 1]
-            maps[:, :, 2 * own + nb] = after_down | ((after_down ^ after_up) << 1)
-    maps = maps.reshape(us.shape[0], 4 * n)
+    top = n - 1
+    full = (1 << n) - 1
+    rest = full ^ 1  # every site but 0, whose left neighbour is the old site N-1
+    shifts = [1 << i for i in range(top.bit_length())]  # prefix parity in log2(N) steps
+    nbytes = (n + 7) // 8
+    # masks[6t + c] has bit k set where draw t, k flips under accept[c]
+    data = np.packbits(us[:, None, :] < accept[:, None], axis=-1, bitorder="little").tobytes()
+    masks = [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)]
 
-    bits = (spins > 0).astype(np.uint8)
-    right = np.empty(n, dtype=np.uint8)
+    bits = int.from_bytes(np.packbits(spins > 0, bitorder="little").tobytes(), "little")
     for t in range(us.shape[0]):
-        row = maps[t]
+        f = masks[6 * t : 6 * t + 6]
         # site 0 sees the old values of both neighbours
-        code = row[2 * bits[0] + bits[1]]
-        first = code if code < 2 else bits[n - 1] ^ (code & 1)
-        right[:-1] = bits[1:]
-        right[-1] = first
-        code = row[base + 2 * bits + right]
-        code[0] = first
-        anchor = np.maximum.accumulate(np.where(code < 2, sites, 0))
-        parity = np.bitwise_xor.accumulate(code == 3)
-        bits = code[anchor] ^ (parity ^ parity[anchor])
-        out[t] = (2 * bits.sum(dtype=np.int64) - n) / n
-    spins[:] = 2 * bits.astype(np.int8) - 1
+        own = bits & 1
+        first = own ^ (f[3 * own + (bits >> top) + ((bits >> 1) & 1)] & 1)
+        right = (bits >> 1) | (first << top)
+        # the new value when the left neighbour is down, and when it is up:
+        # own ^ f[3*own + right] and own ^ f[3*own + right + 1], bit by bit
+        lo, hi = f[0] ^ ((f[0] ^ f[1]) & right), f[3] ^ ((f[3] ^ f[4]) & right)
+        down = bits ^ lo ^ ((lo ^ hi) & bits)
+        lo, hi = f[1] ^ ((f[1] ^ f[2]) & right), f[4] ^ ((f[4] ^ f[5]) & right)
+        up = bits ^ lo ^ ((lo ^ hi) & bits)
+        free = (down ^ up) & rest  # identity or negation
+        const = free ^ rest  # constant, besides site 0
+        parity = down & free  # negations, then their prefix parity
+        for shift in shifts:
+            parity ^= parity << shift
+        parity &= full
+        # each constant's value less the parity at it, carried up its run of
+        # identities and negations by one add, then the parity put back
+        anchor = ((down ^ parity) & const) | first
+        bits = ((((free + (anchor << 1)) ^ free) & free) | anchor) ^ parity
+        out[t] = (2 * bits.bit_count() - n) / n
+    up_bits = np.unpackbits(
+        np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8), count=n, bitorder="little"
+    )
+    spins[:] = 2 * up_bits.astype(np.int8) - 1
 
 
 _SWEEP_CHUNK = 4096

@@ -390,6 +390,34 @@ class TestOracle:
         assert code == 3
         assert "transfer matrix nan is not finite" in err
 
+    def test_closed_form_at_huge_beta_is_finite(self, capsys):
+        # -4*beta overflows at this beta; with J = 0 the closed form is tanh
+        code, out, err = run(
+            capsys, "oracle", "--J", "0", "--h", "1", "--beta", "1e308", "--N", "8",
+            "--no-metropolis", "--no-enumeration",
+        )
+        assert code == 0
+        assert "inf,closed_form,1,\n" in out
+        code, out, err = run(
+            capsys, "oracle", "--J", "1", "--h", "1e8", "--beta", "1e300", "--N", "8",
+            "--no-metropolis", "--no-enumeration",
+        )
+        assert code == 0
+        assert "inf,closed_form,1,\n" in out
+
+    def test_nan_closed_form_exits_3(self, capsys, monkeypatch):
+        # the closed-form row is gated like the transfer matrix row
+        from qgames import cli
+
+        monkeypatch.setattr(cli.ising, "magnetization", lambda ip: math.nan)
+        code, out, err = run(
+            capsys, "oracle", "--J", "-0.25", "--h", "1.75", "--beta", "2", "--N", "8",
+            "--no-metropolis",
+        )
+        assert "inf,closed_form,nan" in out
+        assert code == 3
+        assert "closed form nan is not finite" in err
+
     def test_strong_field_is_finite(self, capsys):
         # cosh(beta*h) and sinh(beta*h)^2 overflow long double at this point
         code, out, err = run(

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +181,59 @@ class TestMagnetization:
         m1 = magnetization(IsingParams(J=J, h=h1, beta=beta))
         m2 = magnetization(IsingParams(J=J, h=h1 + dh, beta=beta))
         assert m2 >= m1 - 1e-15
+
+
+def mp_magnetization(J: float, h: float, beta: float) -> float:
+    """The closed form at 40 digits; mpmath's exponent range has no overflow."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(beta) * mpmath.mpf(h)
+        s = mpmath.sinh(x)
+        return float(s / mpmath.sqrt(s * s + mpmath.exp(-4 * mpmath.mpf(beta) * mpmath.mpf(J))))
+
+
+class TestMagnetizationAtHugeBeta:
+    """beta up to the top of float64, where -4*beta or 2*log(sinh(beta*h))
+    alone overflows although m is well defined."""
+
+    @pytest.mark.parametrize("J, h, beta", [
+        (0.0, 1.0, 1e308),          # -4*beta overflows and meets J = 0
+        (0.0, -1e-307, 1e308),      # the same at beta*h = -10
+        (1e-308, 1e-308, 1e308),    # beta*J = 1 although -4*beta overflows
+        (-1e-308, 2e-308, 1e308),   # beta*J = -1 likewise
+        (1.0, 1e8, 1e300),          # 2*log(sinh(beta*h)) overflows
+        (-0.5, 1.0, 1e308),         # and e^{-4 beta J} balances it: m = 1/sqrt(5)
+        (-2.0, -4.0, 1e308),        # beta*h itself overflows, still balanced
+        (-0.5000000001, 1.0, 1e300),  # e^{-4 beta J} wins by e^{4e290}
+    ])
+    def test_matches_mpmath(self, J, h, beta):
+        m = magnetization(IsingParams(J=J, h=h, beta=beta))
+        assert m == pytest.approx(mp_magnetization(J, h, beta), rel=1e-12, abs=1e-300)
+        assert math.copysign(1.0, m) == math.copysign(1.0, h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        J=st.one_of(st.none(), st.floats(-1e308, 1e308)),
+        h=st.floats(1e8, 1e308), negative=st.booleans(),
+        beta=st.floats(1e300, 1.7e308),
+    )
+    def test_overflowing_field_matches_mpmath(self, J, h, negative, beta):
+        # beta*|h| >= 1e308, so 2*log(sinh(beta*h)) overflows float64;
+        # J = None is the balanced case -2J = |h|, where m is neither 0 nor 1
+        h = -h if negative else h
+        J = -abs(h) / 2 if J is None else J
+        m = magnetization(IsingParams(J=J, h=h, beta=beta))
+        assert m == pytest.approx(mp_magnetization(J, h, beta), rel=1e-12, abs=1e-300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        J=st.floats(-1e308, 1e308), h=st.floats(-1e308, 1e308),
+        beta=st.floats(0, 1.7e308),
+    )
+    def test_finite_odd_and_signed_at_any_scale(self, J, h, beta):
+        m = magnetization(IsingParams(J=J, h=h, beta=beta))
+        assert abs(m) <= 1.0  # NaN fails too
+        assert magnetization(IsingParams(J=J, h=-h, beta=beta)) == -m
+        assert math.copysign(1.0, m) == math.copysign(1.0, h)
 
 
 def assert_same_bits(got, want):

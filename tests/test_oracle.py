@@ -287,7 +287,7 @@ class TestMetropolis:
 
 
 class TestMetropolisMatchesSequentialSweeps:
-    """The vectorized sweep reproduces site-by-site proposals bit for bit."""
+    """The bit-parallel sweep reproduces site-by-site proposals bit for bit."""
 
     @staticmethod
     def both(monkeypatch, s, sweeps, burn_in, seed):
@@ -306,6 +306,15 @@ class TestMetropolisMatchesSequentialSweeps:
         (16, 2.0, 0.3, 2.5),     # beta*|J| >= 5: near-frozen ferromagnet
         (17, -2.0, -0.4, 3.0),   # and antiferromagnet, odd length
         (128, -0.3, 1.2, 1.0),
+        (7, 0.5, -0.2, 1.2),     # around the byte boundary of the packed masks
+        (8, -0.8, 0.6, 1.7),
+        (9, 1.1, 0.3, 0.9),
+        (63, -0.4, -0.9, 1.4),   # around the 64-bit word boundary
+        (64, 0.9, 0.2, 1.1),
+        (65, -1.2, 0.5, 0.8),
+        (129, 0.3, -0.7, 2.2),
+        (64, -2.0, 0.3, 3.0),    # near-frozen antiferromagnet: long negation runs
+        (64, 1.0, 0.5, 0.0),     # beta = 0 at a full word
     ])
     def test_equals_reference(self, monkeypatch, n, J, h, beta):
         fast, slow = self.both(monkeypatch, spec(n, J, h, beta), 300, 30, 7)
