@@ -16,6 +16,7 @@ exact binary values that produced them.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -224,7 +225,15 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one `qgames` parser of this process, built on the first call.
+
+    Every later call returns the same object. Each `parse_args` fills a
+    fresh Namespace and the parser holds no mutable default, so reusing it
+    carries nothing from one `main` call to the next. Callers must not
+    mutate it.
+    """
     parser = _Parser(
         prog="qgames",
         description="Quantized 2x2 games mapped onto the 1-D Ising chain.",

@@ -84,7 +84,10 @@ def mixed_nash_symmetric_2x2(game: BimatrixGame):
     """
     if game.n != 2:
         raise ValidationError("mixed solver handles 2x2 games only")
-    if not np.allclose(game.col, game.row.T, rtol=0.0, atol=BEST_RESPONSE_TOL):
+    row, col = game.row.tolist(), game.col.tolist()
+    # np.allclose(col, row.T, rtol=0.0, atol=BEST_RESPONSE_TOL) without its NumPy
+    # overhead; payoffs are finite, so this is the same decision
+    if any(abs(col[i][j] - row[j][i]) > BEST_RESPONSE_TOL for i in (0, 1) for j in (0, 1)):
         raise ValidationError("game is not symmetric (col payoffs != row payoffs transposed)")
     (a, b), (c, d) = game.row
     den = (a - c) + (d - b)

@@ -97,7 +97,8 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
 def _log_partition_per_site(n: int, beta_j, x):
     """(1/N) log Z as a function of x = beta*h, constant offsets dropped."""
     ch = np.cosh(x)
-    root = np.sqrt(np.sinh(x) ** 2 + np.exp(_LD(-4.0) * beta_j))
+    s = np.sinh(x)  # s * s, not s ** 2: NumPy's scalar power warns on a finite square
+    root = np.sqrt(s * s + np.exp(_LD(-4.0) * beta_j))
     return _log_eigen_sum(n, ch, root)
 
 

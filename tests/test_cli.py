@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import numpy_magnetization, numpy_to_ising, random_chicken, random_pd
-from qgames import Block, extract_block
+from qgames import Block, cli, extract_block
 from qgames.cli import main
+from test_golden import CASES, assert_golden, stdout_bytes
 
 GAMMA_HALF_PI = "1.5707963"
 
@@ -63,8 +64,6 @@ class TestQuantize:
         assert cells[6:9] == cells[0:3]
 
     def test_oracle_disagreement_exits_3(self, tmp_path, capsys, monkeypatch):
-        from qgames import cli
-
         monkeypatch.setattr(cli.oracle, "transfer_matrix_finite", lambda spec: 0.123)
         code, _, err = run(
             capsys, "oracle", "--J", "0", "--h", "1", "--beta", "1", "--N", "8",
@@ -350,8 +349,6 @@ class TestOracle:
 
     def test_nan_transfer_matrix_exits_3(self, capsys, monkeypatch):
         # the enumeration gate must not let a NaN transfer matrix through
-        from qgames import cli
-
         monkeypatch.setattr(cli.oracle, "transfer_matrix_finite", lambda spec: math.nan)
         code, out, err = run(
             capsys, "oracle", "--J", "-1000", "--h", "0.001", "--beta", "1000", "--N", "8",
@@ -364,8 +361,6 @@ class TestOracle:
     def test_nan_transfer_matrix_against_frozen_metropolis_exits_3(self, capsys, monkeypatch):
         # the frozen chain reports a standard error of 0; the Metropolis gate
         # must still compare it with the (NaN) transfer matrix
-        from qgames import cli
-
         monkeypatch.setattr(cli.oracle, "transfer_matrix_finite", lambda spec: math.nan)
         code, out, err = run(
             capsys, "oracle", "--J", "-1000", "--h", "0.001", "--beta", "1000", "--N", "8",
@@ -379,8 +374,6 @@ class TestOracle:
     def test_nan_transfer_matrix_alone_exits_3(self, capsys, monkeypatch):
         # with enumeration and Metropolis off, the transfer matrix row is
         # still gated
-        from qgames import cli
-
         monkeypatch.setattr(cli.oracle, "transfer_matrix_finite", lambda spec: math.nan)
         code, out, err = run(
             capsys, "oracle", "--J", "0.1", "--h", "20", "--beta", "1000", "--N", "8",
@@ -407,8 +400,6 @@ class TestOracle:
 
     def test_nan_closed_form_exits_3(self, capsys, monkeypatch):
         # the closed-form row is gated like the transfer matrix row
-        from qgames import cli
-
         monkeypatch.setattr(cli.ising, "magnetization", lambda ip: math.nan)
         code, out, err = run(
             capsys, "oracle", "--J", "-0.25", "--h", "1.75", "--beta", "2", "--N", "8",
@@ -498,3 +489,81 @@ class TestConfigFile:
         code, _, err = run(capsys, "curve", "--config", "/nonexistent.cfg")
         assert code == 2
         assert "cannot read config" in err
+
+
+class TestParserReuse:
+    """Every `main` call of a process parses with the one cached parser;
+    nothing a call parses may reach the next."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_metropolis_row_returns_after_no_metropolis(self, capsys):
+        point = ("oracle", "--J", "0.2", "--h", "0.5", "--beta", "1", "--N", "8",
+                 "--sweeps", "2000", "--burn-in", "200")
+        code, out, _ = run(capsys, *point, "--no-metropolis")
+        assert code == 0
+        assert ",metropolis," not in out
+        code, out, _ = run(capsys, *point)
+        assert code == 0
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == [
+            "enumeration", "transfer_matrix", "metropolis", "closed_form",
+        ]
+
+    def test_default_betas_return_after_a_beta_flag(self, capsys):
+        args = ("curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1",
+                "--block", "QvD", "--gamma-steps", "3")
+        code, out, _ = run(capsys, *args, "--beta", "1")
+        assert code == 0
+        assert {row.split(",")[1] for row in out.splitlines()[1:]} == {"1"}
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert tuple(float(row.split(",")[1]) for row in rows[:4]) == cli.DEFAULT_BETAS
+        assert len(rows) == 3 * len(cli.DEFAULT_BETAS)
+
+    def test_config_values_do_not_reach_the_next_call(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("game=pd\nr=3\nt=5\ns=0\np=1\nblock=QvD\ngamma_steps=10\nbeta=2\n")
+        code, out, _ = run(capsys, "curve", "--config", str(cfg))
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 10
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--block", "QvD"])
+        assert exc.value.code == 2
+        assert "--game" in capsys.readouterr().err
+        code, out, _ = run(capsys, "curve", "--game", "chicken", "--r", "3", "--s", "4",
+                           "--block", "QvStraight")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + cli.DEFAULT_GAMMA_STEPS * len(cli.DEFAULT_BETAS)
+
+    @pytest.mark.parametrize("bad", [
+        ("oracle", "--J", "x", "--h", "1", "--beta", "1", "--N", "8"),
+        ("quantize", "--game", "pd", "--gamma", "1", "--bogus"),
+        ("curve", "--game", "pd", "--block", "QvX"),
+        ("nonsense",),
+    ])
+    def test_rejected_call_leaves_nothing_behind(self, bad, capsys):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(list(bad))
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+            assert_golden("quantize_pd.txt", stdout_bytes(capsys, CASES["quantize_pd.txt"]))
+        assert errors[0] == errors[1]
+
+    def test_help_is_the_same_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["oracle", "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert "--no-metropolis" in texts[0]
+
+    def test_documented_invocations_twice_in_one_process(self, capsys):
+        for _ in range(2):
+            for name, argv in sorted(CASES.items()):
+                assert_golden(name, stdout_bytes(capsys, argv))

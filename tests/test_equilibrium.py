@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import classical_chicken_game, classical_pd_game
 from qgames import Block, ChickenPayoffs, PDPayoffs, extract_block, quantized_game
-from qgames.equilibrium import BimatrixGame, mixed_nash_symmetric_2x2, pure_nash
+from qgames.equilibrium import (
+    BEST_RESPONSE_TOL,
+    BimatrixGame,
+    mixed_nash_symmetric_2x2,
+    pure_nash,
+)
 from qgames.errors import ValidationError
 
 
@@ -100,6 +106,34 @@ class TestMixedNash:
         g = BimatrixGame([[1, 0], [0, 1]], [[2, 5], [7, 3]], ("a", "b"))
         with pytest.raises(ValidationError, match="symmetric"):
             mixed_nash_symmetric_2x2(g)
+
+    def test_symmetry_check_decides_as_numpy_allclose(self):
+        # offsets at the tolerance and one ulp either side of it, on exact
+        # (0, dyadic) and random payoffs
+        tol = BEST_RESPONSE_TOL
+        edges = [0.0, tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0), 2 * tol, 1e-3]
+        rng = np.random.default_rng(12)
+        seen = set()
+        for k in range(3000):
+            row = rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-3, 4)
+            if k % 3 == 0:
+                row = rng.integers(-4, 5, size=(2, 2)) / 4.0
+            if k % 5 == 0:
+                row[:] = 0.0
+            offsets = rng.choice(edges, size=(2, 2)) * rng.choice((-1.0, 1.0), size=(2, 2))
+            offsets[rng.random((2, 2)) < 0.5] = 0.0
+            g = BimatrixGame(row, row.T + offsets, ("a", "b"))
+            symmetric = bool(np.allclose(g.col, g.row.T, rtol=0.0, atol=tol))
+            seen.add(symmetric)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # degenerate games warn by design
+                try:
+                    mixed_nash_symmetric_2x2(g)
+                    accepted = True
+                except ValidationError:
+                    accepted = False
+            assert accepted == symmetric, (row, offsets)
+        assert seen == {True, False}
 
     def test_rejects_larger_games(self):
         g = quantized_game("pd", PDPayoffs(3, 5, 0, 1), 0.5)

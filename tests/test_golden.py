@@ -41,11 +41,14 @@ def stdout_bytes(capsys, argv):
     return out.encode()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_documented_invocation_bytes(name, capsys):
-    out = stdout_bytes(capsys, CASES[name])
+def assert_golden(name, out):
     golden = (GOLDEN / name).read_bytes()
     if name.endswith(".sha256"):
         assert hashlib.sha256(out).hexdigest() == golden.decode().strip()
     else:
         assert out == golden
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_documented_invocation_bytes(name, capsys):
+    assert_golden(name, stdout_bytes(capsys, CASES[name]))

@@ -183,6 +183,27 @@ class TestTransferMatrix:
             assert 0.85 < exact < 0.86
             assert abs(got - exact) <= 1e-10
 
+    def test_finite_square_of_sinh_does_not_warn(self, monkeypatch):
+        # sinh(x)^2 at beta*h = 3000 is finite in long double but past where
+        # NumPy's scalar power reports an overflow; s * s gives the same bits
+        s = spec(8, 0.1, 20.0, 150.0)
+        x = np.longdouble(3000.0)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            np.sinh(x) ** 2
+
+        def power_form(n, beta_j, x):
+            with np.errstate(over="ignore"):
+                root = np.sqrt(np.sinh(x) ** 2 + np.exp(np.longdouble(-4.0) * beta_j))
+            return oracle._log_eigen_sum(n, np.cosh(x), root)
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_log_partition_per_site", power_form)
+            want = transfer_matrix_finite(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transfer_matrix_finite(s)
+        assert got.hex() == want.hex()
+
     def test_strong_field_and_strong_antiferromagnet_raise(self):
         # e^{-4 beta J} and cosh(beta*h) both overflow long double
         with pytest.raises(ValidationError, match="overflows long double"):
