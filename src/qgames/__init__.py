@@ -36,8 +36,6 @@ from .equilibrium import BimatrixGame, MixedProfile, mixed_nash_symmetric_2x2, p
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .ising import (
     IsingParams,
-    MagnetizationCurve,
-    curve,
     magnetization,
     phase_transition_bisect,
     phase_transition_gamma,
@@ -63,7 +61,6 @@ __all__ = [
     "ConsistencyError",
     "D",
     "IsingParams",
-    "MagnetizationCurve",
     "MixedProfile",
     "PD",
     "PDPayoffs",
@@ -77,7 +74,6 @@ __all__ = [
     "StrategyBlock",
     "ValidationError",
     "chicken_templates",
-    "curve",
     "entangler",
     "enumerate_magnetization",
     "extended_matrix",

@@ -87,20 +87,15 @@ def _gamma_from(args) -> float:
     raise ValidationError("a gamma value is required (--gamma or --gamma-degrees)")
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
 def _emit(path, lines):
-    out, close = _open_out(path)
+    if path in (None, "-"):
+        sys.stdout.writelines(line + "\n" for line in lines)
+        return
     try:
-        for line in lines:
-            out.write(line + "\n")
-    finally:
-        if close:
-            out.close()
+        with open(path, "w", newline="") as out:
+            out.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output {path!r}: {exc}") from None
 
 
 def _add_game_flags(p):
@@ -142,7 +137,12 @@ def cmd_curve(args) -> int:
     betas = _parse_betas(args.beta)
     if args.gamma_steps < 1:
         raise ValidationError("--gamma-steps must be >= 1")
-    grid = ising._check_grid(np.linspace(args.gamma_start, args.gamma_stop, args.gamma_steps))
+    grid = np.linspace(args.gamma_start, args.gamma_stop, args.gamma_steps)
+    lo, hi = GAMMA_RANGE
+    if not np.all((grid >= lo) & (grid <= hi)):  # NaN fails too
+        raise ValidationError(f"gamma grid must be finite and lie within [{lo:g}, {hi!r}]")
+    if not np.all(np.diff(grid) > 0):
+        raise ValidationError("gamma grid must be strictly increasing")
 
     lines = ["gamma,beta,J,h,m"]
     # gamma-major ordering; the block is beta-independent

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .catalog import Block, extract_block
 from .eisert import GAMMA_RANGE
 from .errors import ConsistencyError, ValidationError
@@ -41,16 +39,6 @@ class IsingParams:
             raise ValidationError(f"beta must be >= 0, got {self.beta}")
 
 
-@dataclass(frozen=True)
-class MagnetizationCurve:
-    """Ordered (gamma, m) samples with the J/h values behind them."""
-
-    gammas: np.ndarray
-    m: np.ndarray
-    J: np.ndarray
-    h: np.ndarray
-
-
 def to_ising(block, beta: float) -> IsingParams:
     """Coupling and field read off the block in one step.
 
@@ -66,13 +54,6 @@ def to_ising(block, beta: float) -> IsingParams:
     J = ((a - c) + (d - b)) / 4.0
     h = ((a - c) + (b - d)) / 4.0
     return IsingParams(J=J, h=h, beta=float(beta))
-
-
-def _log_sinh(t: float) -> float:
-    # t > 0; switch before sinh loses to overflow
-    if t < 20.0:
-        return math.log(math.sinh(t))
-    return t - math.log(2.0) + math.log1p(-math.exp(-2.0 * t))
 
 
 _LN2 = math.log(2.0)
@@ -94,54 +75,26 @@ def _logaddexp(x: float, y: float) -> float:
 def magnetization(ip: IsingParams) -> float:
     """Infinite-chain magnetization, in [-1, 1].
 
-    Evaluated in log space so that large beta*|h| or beta*|J| cannot
-    overflow: m = sign(h) * exp(log sinh|beta h| - 1/2 log(sinh^2 + e^{-4 beta J})).
-    Where that log denominator overflows (beta*|h| above ~9e307, or
-    -4 beta J above ~1.8e308), m = sign(h) / sqrt(1 + e^t) instead.
+    Below beta*|h| = 20, m = sign(h) * exp(log sinh|beta h| - 1/2 log(sinh^2
+    + e^{-4 beta J})); an overflowed e^{-4 beta J} gives exp(-inf) = 0.
+    From 20 on, m = sign(h) / sqrt(1 + e^t) with t = -4 beta J - 2 log
+    sinh|beta h|, where beta*|h| and -2 beta J meet as 4 beta (-J - |h|/2)
+    before either can overflow, so a balanced pair gives t of order 1
+    without cancelling two huge exponents.
     """
     x = ip.beta * ip.h
     if x == 0.0:
         # signed zero keeps sign(m) == sign(h) even when beta*h underflows
         # or beta is -0.0
         return math.copysign(0.0, ip.h)
-    log_s = _log_sinh(abs(x))
-    # beta*J first: -4*beta alone overflows from beta ~ 4.5e307
-    log_den = 0.5 * _logaddexp(2.0 * log_s, -4.0 * (ip.beta * ip.J))
-    if log_den < math.inf:
+    if abs(x) < 20.0:
+        log_s = math.log(math.sinh(abs(x)))
+        # beta*J first: -4*beta alone overflows from beta ~ 4.5e307
+        log_den = 0.5 * _logaddexp(2.0 * log_s, -4.0 * (ip.beta * ip.J))
         return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
-    if log_s < 20.0:  # then e^{-4 beta J} alone overflowed: m underflows
-        return math.copysign(0.0, x)
-    # t = -4 beta J - 2 log sinh|x| with log sinh|x| = |x| - log 2 +
-    # log1p(-e^{-2|x|}): beta*|h| and -2 beta J meet as 4 beta (-J - |h|/2)
-    # before either can overflow, so a balanced pair gives t of order 1
+    # log sinh|x| = |x| - log 2 + log1p(-e^{-2|x|})
     t = 4.0 * (ip.beta * (-ip.J - 0.5 * abs(ip.h))) + 2.0 * (_LN2 - math.log1p(-math.exp(-2.0 * abs(x))))
     return math.copysign(math.exp(-0.5 * _logaddexp(0.0, t)), x)
-
-
-def _check_grid(gamma_grid) -> np.ndarray:
-    """The gamma grid as a float array; it must be non-empty, 1-D, finite,
-    within [0, pi/2] and strictly increasing."""
-    grid = np.asarray(gamma_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError("gamma grid must be a non-empty 1-D sequence")
-    lo, hi = GAMMA_RANGE
-    if not np.all((grid >= lo) & (grid <= hi)):  # NaN fails too
-        raise ValidationError(f"gamma grid must be finite and lie within [{lo:g}, {hi!r}]")
-    if not np.all(np.diff(grid) > 0):
-        raise ValidationError("gamma grid must be strictly increasing")
-    return grid
-
-
-def curve(game_kind, payoffs, block_id, beta: float, gamma_grid) -> MagnetizationCurve:
-    """Magnetization samples along an increasing entanglement grid."""
-    grid = _check_grid(gamma_grid)
-    params = [to_ising(b, beta) for b in extract_block(game_kind, payoffs, block_id, grid)]
-    return MagnetizationCurve(
-        gammas=grid,
-        m=np.array([magnetization(ip) for ip in params]),
-        J=np.array([ip.J for ip in params]),
-        h=np.array([ip.h for ip in params]),
-    )
 
 
 def _field_at(game_kind, payoffs, block_id, gamma: float) -> float:
@@ -200,11 +153,9 @@ def phase_transition_gamma(game_kind, payoffs, block_id):
     block_id = Block(block_id)
     analytic = _analytic_transition(payoffs, block_id)
     numeric = phase_transition_bisect(game_kind, payoffs, block_id)
-    if (analytic is None) != (numeric is None):
-        raise ConsistencyError(
-            f"transition mismatch for {block_id.value}: analytic={analytic!r}, bisect={numeric!r}"
-        )
-    if analytic is not None and not abs(analytic - numeric) <= _CROSSCHECK_TOL:
+    if (analytic is None) != (numeric is None) or (
+        analytic is not None and not abs(analytic - numeric) <= _CROSSCHECK_TOL
+    ):
         raise ConsistencyError(
             f"transition mismatch for {block_id.value}: analytic={analytic!r}, bisect={numeric!r}"
         )

@@ -4,7 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import numpy_magnetization, numpy_to_ising, random_chicken, random_pd
+from conftest import (
+    classical_magnetization,
+    numpy_magnetization,
+    numpy_to_ising,
+    random_chicken,
+    random_pd,
+)
 from qgames import Block, cli, extract_block
 from qgames.cli import main
 from test_golden import CASES, assert_golden, stdout_bytes
@@ -150,14 +156,14 @@ class TestCurve:
         run(
             capsys, "curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
             "--p", "1", "--block", "QvD", "--gamma-steps", "200",
-            "--output", str(out_file),
+            "--beta", "0.5,1,2,5,50", "--output", str(out_file),
         )
         _, rows = read_csv(out_file)
         gamma_star, _ = phase_transition_gamma("pd", PDPayoffs(3, 5, 0, 1), "QvD")
         by_beta = {}
         for row in rows:
             by_beta.setdefault(row[1], []).append((float(row[0]), float(row[4])))
-        assert len(by_beta) == 4
+        assert len(by_beta) == 5
         for samples in by_beta.values():
             crossings = [
                 (g1, g2)
@@ -167,6 +173,33 @@ class TestCurve:
             assert len(crossings) == 1
             lo, hi = crossings[0]
             assert lo <= gamma_star <= hi
+
+    def test_zero_entanglement_matches_classical_formula(self, capsys):
+        rng = np.random.default_rng(9)
+        for _ in range(25):
+            p = random_pd(rng)
+            beta = rng.uniform(0.05, 5.0)
+            flags = [f"--{k}={v!r}" for k, v in vars(p).items()]
+            code, out, _ = run(
+                capsys, "curve", "--game", "pd", *flags, "--block", "QvD",
+                "--gamma-start", "0", "--gamma-stop", "0", "--gamma-steps", "1",
+                f"--beta={beta!r}",
+            )
+            assert code == 0
+            (row,) = out.splitlines()[1:]
+            expected = classical_magnetization(beta, (p.r + p.p - p.t - p.s) / 4,
+                                               (p.r + p.s - p.t - p.p) / 4)
+            assert float(row.split(",")[4]) == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_beta_curve_vanishes(self, capsys):
+        code, out, _ = run(
+            capsys, "curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1",
+            "--block", "QvD", "--gamma-steps", "50", "--beta", "0",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 50
+        assert all(float(row.split(",")[4]) == 0.0 for row in rows)
 
     def test_zero_field_block_emits_zero_column(self, tmp_path, capsys):
         out_file = tmp_path / "curve.csv"
@@ -232,12 +265,20 @@ class TestCurve:
             assert out.splitlines() == want
 
     def test_bad_grid_exits_2(self, capsys):
-        code, _, err = run(
-            capsys, "curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
-            "--p", "1", "--block", "QvD", "--gamma-stop", "3.5",
-        )
-        assert code == 2
-        assert "gamma grid" in err
+        for flags, message in [
+            (("--gamma-stop", "3.5"), "gamma grid must be finite and lie within"),
+            (("--gamma-stop", "1.5707964"), "gamma grid must be finite and lie within"),
+            (("--gamma-start", "nan"), "gamma grid must be finite and lie within"),
+            (("--gamma-start", "1", "--gamma-stop", "0.5"), "gamma grid must be strictly increasing"),
+            (("--gamma-steps", "0"), "--gamma-steps must be >= 1"),
+        ]:
+            code, out, err = run(
+                capsys, "curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
+                "--p", "1", "--block", "QvD", *flags,
+            )
+            assert code == 2
+            assert out == ""
+            assert message in err
 
 
 class TestTransition:
@@ -454,6 +495,20 @@ class TestOracle:
         run(capsys, *args, "--output", str(f1))
         run(capsys, *args, "--output", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestOutput:
+    @pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, where):
+        path = tmp_path / "missing" / "x.txt" if where == "missing_dir" else tmp_path
+        code, out, err = run(
+            capsys, "transition", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
+            "--p", "1", "--output", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write output {str(path)!r}")
+        assert err.count("\n") == 1
 
 
 class TestConfigFile:

@@ -3,10 +3,13 @@
 The files in golden/ hold the exact stdout of the README commands and of the
 calls in scripts/reproduce_figures.py, so a change that moves any printed
 float by one bit fails here.  The two 801-line curve CSVs are stored as
-SHA-256 digests of their bytes.
+SHA-256 digests of their bytes; the script itself is run once as well.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -52,3 +55,17 @@ def assert_golden(name, out):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_documented_invocation_bytes(name, capsys):
     assert_golden(name, stdout_bytes(capsys, CASES[name]))
+
+
+def test_reproduce_figures_script(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_figures.py"), "--outdir", str(tmp_path)],
+        env=env, capture_output=True, check=True,
+    )
+    for csv, digest in [("pd_qvd_magnetization.csv", "curve_pd_qvd.sha256"),
+                        ("chicken_qvstraight_magnetization.csv", "curve_chicken_qvstraight.sha256")]:
+        assert_golden(digest, (tmp_path / csv).read_bytes())
+    for name in ("transition_pd.txt", "transition_chicken.txt"):
+        assert (GOLDEN / name).read_bytes() in proc.stdout
