@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import numpy_magnetization, random_chicken, random_pd
-from qgames import ising
+from conftest import numpy_magnetization, numpy_to_ising, random_chicken, random_pd
+from qgames import cli, ising
 from qgames import (
     Block,
     ChickenPayoffs,
@@ -296,6 +296,63 @@ class TestLogaddexp:
             name for name, value in vars(ising).items()
             if isinstance(value, types.ModuleType) and value.__name__.split(".")[0] == "numpy"
         ]
+
+
+class TestCurve:
+    """The gamma sweep, which `cli.cmd_curve` runs over to_ising and
+    magnetization; each case reads the columns back from its CSV."""
+
+    @staticmethod
+    def sweep(tmp_path, block, beta, *grid_flags):
+        out = tmp_path / "curve.csv"
+        args = cli.build_parser().parse_args([
+            "curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1",
+            "--block", block, "--beta", repr(beta), *grid_flags, "--output", str(out),
+        ])
+        assert cli.cmd_curve(args) == 0
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in out.read_text().splitlines()[1:]])
+        gammas, _, J, h, m = rows.T
+        return gammas, J, h, m
+
+    def test_matches_numpy_scalar_reference(self, tmp_path):
+        grid = np.linspace(0.0, math.pi / 2, 37)
+        gammas, Js, hs, ms = self.sweep(
+            tmp_path, "QvD", 2.0, "--gamma-stop", repr(math.pi / 2), "--gamma-steps", "37")
+        assert np.array_equal(gammas, grid)
+        for k, block in enumerate(extract_block("pd", PD_3501, Block.QVD, grid)):
+            J, h = numpy_to_ising(block)
+            assert_same_bits(Js[k], J)
+            assert_same_bits(hs[k], h)
+            assert_same_bits(ms[k], numpy_magnetization(J, h, 2.0))
+
+    def test_crossing_near_transition_for_every_beta(self, tmp_path):
+        gamma_star, _ = phase_transition_gamma("pd", PD_3501, Block.QVD)
+        for beta in (0.5, 1.0, 2.0, 5.0, 50.0):
+            gammas, _, _, m = self.sweep(
+                tmp_path, "QvD", beta, "--gamma-stop", repr(math.pi / 2), "--gamma-steps", "200")
+            step = gammas[1] - gammas[0]
+            signs = np.sign(m)
+            (idx,) = np.nonzero(signs[:-1] * signs[1:] < 0)
+            assert idx.size == 1
+            lo, hi = gammas[idx[0]], gammas[idx[0] + 1]
+            assert lo - step <= gamma_star <= hi + step
+
+    def test_zero_field_blocks_vanish_everywhere(self, tmp_path):
+        _, _, h, m = self.sweep(
+            tmp_path, "QvC", 2.0, "--gamma-stop", repr(math.pi / 2), "--gamma-steps", "60")
+        assert np.array_equal(m, np.zeros(60))
+        assert np.array_equal(h, np.zeros(60))
+
+    def test_grid_validation(self, tmp_path):
+        for flags, match in [
+            (("--gamma-start", "0.5", "--gamma-stop", "0.4", "--gamma-steps", "2"), "increasing"),
+            (("--gamma-start", "0.5", "--gamma-stop", "2.0"), "within"),
+            (("--gamma-start", "nan"), "within"),
+            (("--gamma-steps", "0"), ">= 1"),
+        ]:
+            with pytest.raises(ValidationError, match=match):
+                self.sweep(tmp_path, "QvD", 1.0, *flags)
 
 
 class TestPhaseTransition:
