@@ -30,7 +30,7 @@ _FD_STEP = 1e-6   # central-difference step for the transfer-matrix derivative
 # central difference has a ~5e-9 cancellation floor in the worst corners,
 # above the 1e-10 agreement gate with enumeration.
 _LD = np.longdouble
-_LD_EXP_LIMIT = np.log(np.finfo(_LD).max)  # exp overflows long double from here on
+_SCALED_FROM = 20.0  # max(|beta*h|, -2 beta*J) from which the scaled log partition is used
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,12 @@ class SampledEstimate:
 def enumerate_magnetization(spec: ChainSpec) -> float:
     """Exact mean magnetization by summing over every spin configuration.
 
-    Each chunk's Boltzmann weights are scaled by its own maximum exponent,
-    and the chunk sums are combined once against the largest of those, so
-    large beta*N*(|J|+|h|) cannot overflow; chunk order is fixed, which keeps
-    the result deterministic.  Exponents beyond float64 raise ValidationError.
+    Every exponent is taken relative to the largest one, which sits at one
+    of four (bond sum, spin sum) pairs: all up, all down, or as alternating
+    as the ring allows.  The offsets from that pair are exact integers, so
+    a huge beta*J cannot swamp a small beta*h, and no weight exceeds about
+    1; chunk order is fixed, which keeps the result deterministic.
+    Exponents beyond float64 raise ValidationError.
     """
     n = spec.N
     if n > MAX_ENUM_SITES:
@@ -70,57 +72,44 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
         )
     bj = float(spec.params.beta) * float(spec.params.J)
     bh = float(spec.params.beta) * float(spec.params.h)
-    if not math.isfinite(n * (abs(bj) + abs(bh))):  # the all-up or all-down exponent
+    if not math.isfinite(2 * n * (abs(bj) + abs(bh))):  # the largest offset exponent
         raise ValidationError(f"enumeration overflows float64: beta*J={bj!r}, beta*h={bh!r}, N={n}")
+    alt, odd = n - 4 * (n // 2), n % 2
+    b_top, m_top = max(
+        [(n, n), (alt, odd), (alt, -odd), (n, -n)], key=lambda p: bj * p[0] + bh * p[1]
+    )
     total = 1 << n
     step = min(total, 1 << _CHUNK_BITS)
     top = np.uint64(n - 1)
     one = np.uint64(1)
 
-    parts = []  # (max exponent, Z, sum of m*W) of each chunk, weights scaled by the max
+    z = mw = 0.0
     for lo in range(0, total, step):
         # bit k of a code is 1 where spin k is down; a bond is broken where
         # a bit differs from its cyclic neighbour, i.e. in code ^ rotate(code)
         codes = np.arange(lo, lo + step, dtype=np.uint64)
         msum = n - 2 * np.bitwise_count(codes).astype(np.int64)
         rotated = (codes >> one) | ((codes & one) << top)
-        bonds = n - 2 * np.bitwise_count(codes ^ rotated).astype(np.int64)
-        logw = bj * bonds + bh * msum  # = -beta * energy
-        cmax = float(logw.max())
-        w = np.exp(logw - cmax)
-        parts.append((cmax, float(w.sum()), float((msum * w).sum())))
-    cmax, z, mw = np.array(parts).T
-    scale = np.exp(cmax - cmax.max())
-    return float((scale @ mw / n) / (scale @ z))
+        bonds = (n - b_top) - 2 * np.bitwise_count(codes ^ rotated).astype(np.int64)  # less b_top
+        w = bh * (msum - m_top)
+        w += bj * bonds  # -beta * energy, less its max
+        np.exp(w, out=w)
+        z += float(w.sum())
+        mw += float((msum * w).sum())
+    return (mw / n) / z
 
 
 def _log_partition_per_site(n: int, beta_j, x):
-    """(1/N) log Z as a function of x = beta*h, constant offsets dropped."""
-    ch = np.cosh(x)
-    s = np.sinh(x)  # s * s, not s ** 2: NumPy's scalar power warns on a finite square
-    root = np.sqrt(s * s + np.exp(_LD(-4.0) * beta_j))
-    return _log_eigen_sum(n, ch, root)
-
-
-def _log_partition_wide(n: int, beta_j, x):
-    """(1/N) log Z less |x|, for x where sinh(x)^2 + e^{-4 beta J} overflows
-    long double: ch and root scaled by e^{-|x|}.  The caller adds sign(x),
-    the derivative of |x|, back, so the large linear part never goes through
-    the finite difference."""
-    u = _LD(-2.0) * np.abs(x)
-    ch = (_LD(1.0) + np.exp(u)) / _LD(2.0)
-    root = np.sqrt((np.expm1(u) / _LD(2.0)) ** 2 + np.exp(_LD(-4.0) * beta_j + u))
-    return _log_eigen_sum(n, ch, root)
-
-
-def _log_eigen_sum(n: int, ch, root):
-    """(1/N) log(lambda+^N + lambda-^N) for the eigenvalues ch +- root.
+    """(1/N) log Z as a function of x = beta*h, constant offsets dropped.
 
     Stable for both eigenvalue signs: the near-cancellation of lambda-^N
     against lambda+^N on the antiferromagnetic side goes through
     log1p/expm1 instead of raw subtraction.
     """
-    if root <= ch:  # both eigenvalues non-negative
+    ch = np.cosh(x)
+    s = np.sinh(x)  # s * s, not s ** 2: NumPy's scalar power warns on a finite square
+    root = np.sqrt(s * s + np.exp(_LD(-4.0) * beta_j))
+    if root <= ch:  # both eigenvalues ch +- root non-negative
         corr = np.log1p(((ch - root) / (ch + root)) ** n)
     else:  # lambda- < 0: handle 1 + (lambda-/lambda+)^N carefully
         eta = _LD(2.0) * ch / (ch + root)  # = 1 - |lambda-/lambda+|
@@ -132,20 +121,45 @@ def _log_eigen_sum(n: int, ch, root):
     return np.log(ch + root) + corr / _LD(n)
 
 
-def _log_partition_strong_afm(n: int, beta_j, x):
-    """(1/N) log Z where e^{-4 beta J} overflows long double, with ch and root
-    scaled by e^{2 beta J} and x-independent terms dropped: then root^2 - ch^2
-    = 1 to long-double precision, so lambda-/lambda+ = -(root + ch)^-2."""
-    ch = np.cosh(x)
-    log_root = np.log1p((np.sinh(x) * np.exp(_LD(2.0) * beta_j)) ** 2) / _LD(2.0)
-    w = np.exp(np.log(ch) - log_root + _LD(2.0) * beta_j)  # ch / root
-    lead = log_root + np.log1p(w)  # log(root + ch)
-    v = _LD(2 * n) * lead  # -N log|lambda-/lambda+|
-    if n % 2 == 0:
-        return lead + np.log1p(np.exp(-v)) / _LD(n)
-    # log(1 - e^{-v}) less log(2N) + 2 beta J: m -> tanh(x)/N as w underflows
-    ratio = lead / w * -np.expm1(-v) / v if w else _LD(1.0)
-    return lead + (np.log(ch) - log_root + np.log(ratio)) / _LD(n)
+def _log_partition_scaled(n: int, k, a0, s, y):
+    """(1/N) log Z at x = s*(a0 + y), for k = -2 beta J and max(a0, k) >= 20.
+
+    ch, sh and root are scaled by e^{-c}, with c = |x| where a0 >= k (the
+    caller adds its slope s back) and c = k otherwise, and terms constant
+    in y are dropped, so no large term goes through the central difference:
+    where y is added to a large term, the sum is an exponent that makes its
+    own contribution negligible.  The eigenvalue ratio |lambda-/lambda+| =
+    |e^{2k} - 1| / (ch + root)^2 = e^{-v} needs no subtraction of the
+    eigenvalues.
+    """
+    two, zero = _LD(2.0), _LD(0.0)
+    u = a0 + s * y  # |x|, or -|x| where the stencil crosses 0: every use is even in it
+    g = (a0 - k) + s * y  # |x| - k
+    # t = |x| - c, t_y the part of t that varies with y, two_kc = 2(k - c),
+    # d = c - max(k, 0)
+    if a0 >= k:  # c = |x|
+        t, t_y, two_kc, d = zero, zero, -two * g, g if k > 0 else u
+    else:  # c = k > 0
+        t, t_y, two_kc, d = g, s * y, zero, zero
+    q = np.exp(-two * u)  # e^{-2|x|}
+    ch = np.exp(t) * (1 + q) / two
+    sh = np.exp(t) * -np.expm1(-two * u) / two
+    log_root = np.log1p(sh * sh + np.expm1(two_kc)) / two
+    w = ch / np.exp(log_root)  # ch / root
+    lead = log_root + np.log1p(w)  # log(ch + root)
+    if k == 0:  # lambda- = 0
+        return lead
+    v = two * (d + lead) - np.log(-np.expm1(-two * np.abs(k)))
+    if k < 0 or n % 2 == 0:  # (lambda-/lambda+)^N = e^{-Nv}
+        return lead + np.log1p(np.exp(-n * v)) / n
+    # log(1 - e^{-Nv}) = log 2N + log(ch/root) + log(v root/2ch) + log((1 - e^{-Nv})/Nv),
+    # with log(ch/root) less the constant t - t_y; ch/root = 0 and v = 0 are the limits
+    corr = np.log(two * n) + t_y + np.log1p(q) - np.log(two) - log_root
+    if w:
+        corr += np.log(v / (two * w))
+    if v:
+        corr += np.log(-np.expm1(-n * v) / (n * v))
+    return lead + corr / n
 
 
 def transfer_matrix_finite(spec: ChainSpec) -> float:
@@ -154,42 +168,24 @@ def transfer_matrix_finite(spec: ChainSpec) -> float:
     Computed as the Richardson-extrapolated central difference of the
     per-site log partition with respect to beta*h, step 1e-6.  The numeric
     derivative keeps this route independent of the closed-form result.
-    Raises ValidationError where e^{-4 beta J} and cosh(beta*h) both
-    overflow long double.
+    Below max(|beta*h|, -2 beta*J) = 20 the log partition is the plain one;
+    from 20 on it is the scaled form, so every finite input gives a value.
     """
     beta_j = _LD(spec.params.beta) * _LD(spec.params.J)
     x0 = _LD(spec.params.beta) * _LD(spec.params.h)
     e = _LD(_FD_STEP)
+    k, a0, s = _LD(-2.0) * beta_j, np.abs(x0), np.sign(x0)
+    scaled = max(a0, k) >= _SCALED_FROM
 
-    # A form is chosen once for the whole stencil, and only where the plain
-    # one overflows long double: the strong form where e^{-4 beta J} does,
-    # the wide form where sinh(x)^2 + e^{-4 beta J} does at the stencil point
-    # farthest from 0.  Nothing is left once the strong form's cosh(x) does.
-    strong = _LD(-4.0) * beta_j >= _LD_EXP_LIMIT
-    far = x0 + e if x0 >= 0 else x0 - e
-    with np.errstate(over="ignore"):
-        wide = not np.isfinite(
-            np.cosh(far) if strong else np.sinh(far) ** 2 + np.exp(_LD(-4.0) * beta_j)
-        )
-    if strong and wide:
-        raise ValidationError(
-            f"transfer matrix overflows long double: beta*J={float(beta_j)!r}, "
-            f"beta*h={float(x0)!r}"
-        )
-    if strong:
-        log_z = _log_partition_strong_afm
-    elif wide:
-        log_z = _log_partition_wide
-    else:
-        log_z = _log_partition_per_site
+    def f(y):
+        if scaled:
+            return _log_partition_scaled(spec.N, k, a0, s, y)
+        return _log_partition_per_site(spec.N, beta_j, x0 + y)
 
-    def f(x):
-        return log_z(spec.N, beta_j, x)
-
-    d1 = (f(x0 + e) - f(x0 - e)) / (2.0 * e)
-    d2 = (f(x0 + e / 2) - f(x0 - e / 2)) / e
+    d1 = (f(e) - f(-e)) / (2.0 * e)
+    d2 = (f(e / 2) - f(-e / 2)) / e
     m = (4.0 * d2 - d1) / 3.0
-    return float(m + np.sign(x0) if wide else m)
+    return float(m + s if scaled and a0 >= k else m)
 
 
 def _metropolis_sweeps(spins, us, accept, out):

@@ -1,6 +1,7 @@
 """Shared test oracles: closed-form block matrices, the classical games,
 the circuit's final state of one strategy pair, NumPy-scalar references for
-the block -> (J, h, m) step, and payoff generators.
+the block -> (J, h, m) step, the finite chain's magnetization at 60 digits,
+and payoff generators.
 
 The closed forms live here, outside the library, so the circuit-derived
 blocks are always checked against an independent route.
@@ -8,6 +9,7 @@ blocks are always checked against an independent route.
 
 import math
 
+import mpmath
 import numpy as np
 
 from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs
@@ -75,6 +77,26 @@ def classical_magnetization(beta: float, J: float, h: float) -> float:
     purpose, so it stays an independent reference in moderate ranges."""
     x = beta * h
     return math.sinh(x) / math.sqrt(math.sinh(x) ** 2 + math.exp(-4.0 * beta * J))
+
+
+def mpmath_finite_magnetization(n: int, J: float, h: float, beta: float) -> float:
+    """Magnetization of the periodic N-site chain at 60 digits:
+    (sh/root) (1 - r^N) / (1 + r^N) with r = lambda-/lambda+ of the transfer
+    matrix.  Where r < 0, |r| is within 1e-60 of 1 at strong
+    antiferromagnetic coupling, so |r|^N goes through log1p of 1 - |r|."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(beta) * mpmath.mpf(h)
+        k = -2 * mpmath.mpf(beta) * mpmath.mpf(J)
+        ch, sh = mpmath.cosh(x), mpmath.sinh(x)
+        root = mpmath.sqrt(sh * sh + mpmath.exp(2 * k))
+        r = -mpmath.expm1(2 * k) / (ch + root) ** 2
+        if r < 0:
+            t = n * mpmath.log1p(-2 * ch / (ch + root))  # N log|r|
+            plus, minus = 1 + mpmath.exp(t), -mpmath.expm1(t)
+            num, den = (plus, minus) if n % 2 else (minus, plus)
+        else:
+            num, den = 1 - r**n, 1 + r**n
+        return float(sh / root * num / den)
 
 
 def numpy_to_ising(block):

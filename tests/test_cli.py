@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     classical_magnetization,
+    mpmath_finite_magnetization,
     numpy_magnetization,
     numpy_to_ising,
     random_chicken,
@@ -378,6 +379,28 @@ class TestOracle:
         assert "8,transfer_matrix,0," in out
         assert "nan" not in out
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "J,h,beta,n,extra",
+        [
+            ("-2", "1", "1000", "7", ("--no-metropolis",)),
+            ("0.1", "20", "150", "8", ()),
+            ("-1000", "1e-6", "1e5", "9", ("--no-metropolis",)),
+            ("-1e4", "2e4", "1", "8", ("--no-metropolis",)),
+        ],
+    )
+    def test_extreme_points_match_mpmath(self, capsys, J, h, beta, n, extra):
+        # -2 beta J in the thousands, beta*h = 3000, N |beta*J| swamping
+        # beta*h, and e^{-4 beta J} and cosh(beta*h) both past long double
+        code, out, err = run(
+            capsys, "oracle", "--J", J, "--h", h, "--beta", beta, "--N", n, *extra
+        )
+        assert code == 0, err
+        want = mpmath_finite_magnetization(int(n), float(J), float(h), float(beta))
+        rows = [line.split(",") for line in out.splitlines()[1:] if line.startswith(n + ",")]
+        assert len(rows) == 3 - len(extra)
+        for row in rows:
+            assert abs(float(row[2]) - want) <= 1e-10, row
 
     def test_enumeration_overflow_exits_2(self, capsys):
         code, out, err = run(

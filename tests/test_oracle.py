@@ -3,10 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import classical_magnetization
+from conftest import classical_magnetization, mpmath_finite_magnetization
 from qgames import IsingParams, magnetization, oracle
 from qgames.errors import ResourceLimitError, ValidationError
 from qgames.oracle import (
@@ -26,14 +26,16 @@ def spec(n, J, h, beta):
 
 def reference_enumeration(s):
     """Enumeration through an explicit (2**N, N) spin matrix, one chunk
-    (N <= 20), in the same floating-point order as the library."""
+    (N <= 20), in the same floating-point order as the library; its largest
+    exponent is found by argmax over every configuration."""
     n, p = s.N, s.params
     codes = np.arange(1 << n, dtype=np.uint64)
     spins = (1 - 2 * ((codes[:, None] >> np.arange(n, dtype=np.uint64)) & 1)).astype(np.int8)
     msum = spins.sum(axis=1, dtype=np.int64)
     bonds = (spins * np.roll(spins, -1, axis=1)).sum(axis=1, dtype=np.int64)
     logw = p.beta * p.J * bonds + p.beta * p.h * msum
-    w = np.exp(logw - float(logw.max()))
+    top = logw.argmax()
+    w = np.exp(p.beta * p.J * (bonds - bonds[top]) + p.beta * p.h * (msum - msum[top]))
     return (float((msum * w).sum()) / n) / float(w.sum())
 
 
@@ -85,8 +87,8 @@ class TestEnumerate:
             assert enumerate_magnetization(s) == reference_enumeration(s)
 
     def test_multi_chunk_matches_reference(self, monkeypatch):
-        # 8-value chunks; at beta = 5 with |J|, |h| near 2 the chunk maxima
-        # differ by hundreds, so combining the chunk sums must rescale them
+        # 8-value chunks; at beta = 5 with |J|, |h| near 2 most chunks hold
+        # only weights hundreds of e-folds below the largest one
         monkeypatch.setattr(oracle, "_CHUNK_BITS", 3)
         rng = np.random.default_rng(77)
         for n in range(4, 13):
@@ -98,6 +100,22 @@ class TestEnumerate:
                 assert enumerate_magnetization(s) == pytest.approx(
                     reference_enumeration(s), abs=1e-14
                 )
+
+    @pytest.mark.parametrize("n,J,h,beta", [(9, -1000.0, 1e-6, 1e5), (7, -1e6, 1e-9, 1e6)])
+    def test_huge_coupling_keeps_the_field(self, n, J, h, beta):
+        # N*|beta*J| carries no bit of beta*h; the offsets from the largest
+        # exponent are exact integers, so the field survives
+        got = enumerate_magnetization(spec(n, J, h, beta))
+        assert got == pytest.approx(mpmath_finite_magnetization(n, J, h, beta), abs=1e-15)
+
+    def test_exponents_next_to_the_float64_limit(self):
+        # 2N(|beta*J| + |beta*h|) bounds every offset exponent: just below
+        # float64's limit the weights stay finite, just above it raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert enumerate_magnetization(spec(4, -1e307, 1e307, 1.0)) == 0.0
+            with pytest.raises(ValidationError, match="overflow"):
+                enumerate_magnetization(spec(4, -2e307, 1e307, 1.0))
 
     def test_too_many_sites_rejected(self):
         with pytest.raises(ResourceLimitError, match="N=30"):
@@ -183,31 +201,25 @@ class TestTransferMatrix:
             assert 0.85 < exact < 0.86
             assert abs(got - exact) <= 1e-10
 
-    def test_finite_square_of_sinh_does_not_warn(self, monkeypatch):
+    def test_finite_square_of_sinh_does_not_warn(self):
         # sinh(x)^2 at beta*h = 3000 is finite in long double but past where
-        # NumPy's scalar power reports an overflow; s * s gives the same bits
+        # NumPy's scalar power reports an overflow; the scaled form squares
+        # only sinh scaled by e^{-|beta*h|}
         s = spec(8, 0.1, 20.0, 150.0)
         x = np.longdouble(3000.0)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             np.sinh(x) ** 2
-
-        def power_form(n, beta_j, x):
-            with np.errstate(over="ignore"):
-                root = np.sqrt(np.sinh(x) ** 2 + np.exp(np.longdouble(-4.0) * beta_j))
-            return oracle._log_eigen_sum(n, np.cosh(x), root)
-
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_log_partition_per_site", power_form)
-            want = transfer_matrix_finite(s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = transfer_matrix_finite(s)
-        assert got.hex() == want.hex()
+        assert got == 1.0  # the 60-digit mpmath value
 
-    def test_strong_field_and_strong_antiferromagnet_raise(self):
+    def test_strong_field_and_strong_antiferromagnet_is_finite(self):
         # e^{-4 beta J} and cosh(beta*h) both overflow long double
-        with pytest.raises(ValidationError, match="overflows long double"):
-            transfer_matrix_finite(spec(8, -1e4, 2e4, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transfer_matrix_finite(spec(8, -1e4, 2e4, 1.0))
+        assert got == pytest.approx(0.44680851063829785, abs=1e-12)
 
     def test_gap_shrinks_as_chain_doubles(self):
         # near-critical enough that the finite-size gap stays above noise
@@ -217,6 +229,40 @@ class TestTransferMatrix:
                 for n in (8, 16, 32, 64, 128)]
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-6
+
+
+@st.composite
+def hard_chains(draw):
+    """(N, J, h, beta) with |beta*J| and |beta*h| up to 1e4: the balanced
+    crossover |beta*h| ~ -2 beta*J, a strong antiferromagnet or a strong
+    field, each kind on both sides of the scaled form's threshold of 20."""
+    n = draw(st.one_of(st.integers(2, 64), st.just(512)))
+    size = st.floats(-3, 4).map(lambda t: 10.0**t)
+    sign = st.sampled_from([-1.0, 1.0])
+    kind = draw(st.sampled_from(["balanced", "antiferromagnet", "field"]))
+    if kind == "balanced":
+        k = min(draw(size), 1e4)
+        bj, bh = -k / 2, draw(sign) * (k + draw(st.floats(-5, 5)))
+    elif kind == "antiferromagnet":
+        bj, bh = -draw(size) / 2 - 5, draw(sign) * draw(size)
+    else:
+        bj, bh = draw(sign) * draw(size), draw(sign) * (draw(size) + 10)
+    beta = draw(st.floats(0.5, 2))
+    return n, bj / beta, bh / beta, beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(hard_chains())
+@example((7, -2.0, 1.0, 1000.0))   # -2 beta J in the thousands, odd N
+@example((8, 0.1, 20.0, 150.0))    # beta*h = 3000
+@example((8, -1e4, 2e4, 1.0))      # e^{-4 beta J} and cosh(beta*h) both overflow
+@example((9, -2.8389, 5.679, 1000.0))  # balanced, past where sinh^2 overflows
+def test_transfer_matrix_matches_mpmath(chain):
+    n, J, h, beta = chain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = transfer_matrix_finite(spec(n, J, h, beta))
+    assert abs(got - mpmath_finite_magnetization(n, J, h, beta)) <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)
