@@ -22,7 +22,6 @@ from .errors import ValidationError
 
 PD = "pd"
 CHICKEN = "chicken"
-GAME_KINDS = (PD, CHICKEN)
 
 
 @dataclass(frozen=True)
@@ -126,23 +125,31 @@ def chicken_templates(c: ChickenPayoffs) -> tuple[PayoffTemplate, PayoffTemplate
     return row, col
 
 
+# One row per game kind: payoff type, templates function, 3x3 strategy order.
+_GAMES = {
+    PD: (PDPayoffs, pd_templates, (C, D, Q)),
+    CHICKEN: (ChickenPayoffs, chicken_templates, (SWERVE, STRAIGHT, Q)),
+}
+GAME_KINDS = tuple(_GAMES)
+
+
 def _templates_for(game_kind: str, payoffs):
-    if game_kind == PD:
-        if not isinstance(payoffs, PDPayoffs):
-            raise ValidationError(f"{PD} needs PDPayoffs, got {type(payoffs).__name__}")
-        return pd_templates(payoffs)
-    if game_kind == CHICKEN:
-        if not isinstance(payoffs, ChickenPayoffs):
-            raise ValidationError(f"{CHICKEN} needs ChickenPayoffs, got {type(payoffs).__name__}")
-        return chicken_templates(payoffs)
-    raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {GAME_KINDS}")
+    if game_kind not in GAME_KINDS:
+        raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {GAME_KINDS}")
+    payoff_type, templates, _ = _GAMES[game_kind]
+    if not isinstance(payoffs, payoff_type):
+        raise ValidationError(
+            f"{game_kind} needs {payoff_type.__name__}, got {type(payoffs).__name__}"
+        )
+    return templates(payoffs)
 
 
 def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
     """Full 3x3 bimatrix over the classical pair plus the quantum strategy."""
     row_t, col_t = _templates_for(game_kind, payoffs)
-    strategies = (C, D, Q) if game_kind == PD else (SWERVE, STRAIGHT, Q)
-    return eisert.extended_matrix(row_t, col_t, strategies, gamma)
+    strategies = _GAMES[game_kind][2]
+    row, col = eisert.extended_matrix(row_t, col_t, strategies, gamma)
+    return BimatrixGame(row, col, tuple(s.label for s in strategies))
 
 
 def extract_block(game_kind: str, payoffs, block_id, gamma):
@@ -156,7 +163,7 @@ def extract_block(game_kind: str, payoffs, block_id, gamma):
     if game_kind != kind_required:
         raise ValidationError(f"block {block_id.value} belongs to game kind {kind_required!r}")
     row_t, col_t = _templates_for(game_kind, payoffs)
-    games = eisert.extended_matrix(row_t, col_t, strategies, gamma)
-    if isinstance(games, BimatrixGame):
-        return StrategyBlock(games.row, block_id)
-    return tuple(StrategyBlock(g.row, block_id) for g in games)
+    row, _ = eisert.extended_matrix(row_t, col_t, strategies, gamma)
+    if row.ndim == 2:
+        return StrategyBlock(row, block_id)
+    return tuple(StrategyBlock(r, block_id) for r in row)

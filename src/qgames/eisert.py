@@ -6,7 +6,8 @@ are the measurement probabilities weighted by a per-player payoff template.
 gamma=0 reproduces the classical game, gamma=pi/2 is maximal entanglement.
 
 The circuit runs as one vectorized pass over every ordered strategy pair
-and, when gamma is a 1-D grid, over every gamma of the grid.
+and, when gamma is a 1-D grid, over every gamma of the grid.  It returns
+payoff arrays; `catalog` wraps them into games and blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .equilibrium import BimatrixGame
 from .errors import ConsistencyError, ValidationError
 
 #: Allowed parameter ranges of the two-parameter strategy family.
@@ -98,7 +98,7 @@ def entangler(gamma) -> np.ndarray:
     lo, hi = GAMMA_RANGE
     bad = ~((g >= lo) & (g <= hi))  # NaN is out of range too
     if bad.any():
-        raise ValidationError(f"gamma={float(g[bad][0])!r} outside [{lo:.6g}, {hi:.6g}]")
+        raise ValidationError(f"gamma={float(g[bad][0])!r} outside [{lo!r}, {hi!r}]")
     c = np.cos(g / 2)
     s = np.sin(g / 2)
     lhat = np.zeros(g.shape + (4, 4), dtype=complex)
@@ -140,23 +140,13 @@ def extended_matrix(
     strategies,
     gamma,
 ):
-    """Bimatrix of expected payoffs over every ordered strategy pair.
-
-    A float gamma gives one BimatrixGame; a 1-D gamma grid gives a tuple with
-    one BimatrixGame per gamma, all from one pass of the circuit.
+    """Expected payoffs (row, col) over every ordered strategy pair, each of
+    shape (n, n) for a float gamma and (G, n, n) for a 1-D gamma grid, all
+    from one pass of the circuit.
     """
-    strategies = tuple(strategies)
     if not strategies:
         raise ValidationError("need at least one strategy")
-    labels = tuple(s.label for s in strategies)
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"strategy labels must be distinct, got {labels}")
-
     ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
     chi = _circuit(ops, ops, gamma)
     w = (chi.conj() * chi).real
-    row = w @ row_template.weights
-    col = w @ col_template.weights
-    if row.ndim == 2:
-        return BimatrixGame(row=row, col=col, labels=labels)
-    return tuple(BimatrixGame(row=r, col=c, labels=labels) for r, c in zip(row, col))
+    return w @ row_template.weights, w @ col_template.weights

@@ -33,6 +33,8 @@ class BimatrixGame:
         n = len(self.labels)
         if n < 2:
             raise ValidationError("a game needs at least 2 strategies")
+        if len(set(self.labels)) != n:
+            raise ValidationError(f"strategy labels must be distinct, got {self.labels}")
         if row.shape != (n, n) or col.shape != (n, n):
             raise ValidationError(
                 f"payoff matrices must be {n}x{n}, got {row.shape} and {col.shape}"

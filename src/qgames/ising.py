@@ -151,8 +151,8 @@ def phase_transition_gamma(game_kind, payoffs, block_id):
     circuit-derived field; disagreement raises ConsistencyError.
     """
     block_id = Block(block_id)
+    numeric = phase_transition_bisect(game_kind, payoffs, block_id)  # validates the inputs
     analytic = _analytic_transition(payoffs, block_id)
-    numeric = phase_transition_bisect(game_kind, payoffs, block_id)
     if (analytic is None) != (numeric is None) or (
         analytic is not None and not abs(analytic - numeric) <= _CROSSCHECK_TOL
     ):

@@ -20,6 +20,7 @@ from conftest import (
     random_pd,
 )
 from qgames import (
+    BimatrixGame,
     Block,
     ChickenPayoffs,
     IsingParams,
@@ -80,7 +81,8 @@ def test_criterion_1_extended_matrix_reference():
     row_t, col_t = pd_templates(PD_3501)
 
     def build():
-        return extended_matrix(row_t, col_t, (C, D, Q), math.pi / 2)
+        row, col = extended_matrix(row_t, col_t, (C, D, Q), math.pi / 2)
+        return BimatrixGame(row, col, ("C", "D", "Q"))
 
     game = build()
     expected = np.array([[3, 0, 1], [5, 1, 0], [1, 5, 3]], dtype=float)

@@ -13,7 +13,7 @@ from conftest import (
     random_chicken,
     random_pd,
 )
-from qgames import Block, ChickenPayoffs, PDPayoffs, extract_block
+from qgames import Block, ChickenPayoffs, PDPayoffs, extract_block, quantized_game
 from qgames.errors import ValidationError
 
 
@@ -110,6 +110,23 @@ class TestExtractBlock:
     def test_grid_with_nan_or_out_of_range_gamma_rejected(self, bad):
         with pytest.raises(ValidationError, match="gamma"):
             extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, np.array([0.1, bad, 0.3]))
+
+
+class TestQuantizedGame:
+    def test_carries_the_strategy_labels(self):
+        assert quantized_game("pd", PDPayoffs(3, 5, 0, 1), 0.5).labels == ("C", "D", "Q")
+        game = quantized_game("chicken", ChickenPayoffs(3, 4), 0.5)
+        assert game.labels == ("swerve", "straight", "Q")
+
+    def test_gamma_grid_rejected(self):
+        with pytest.raises(ValidationError):
+            quantized_game("pd", PDPayoffs(3, 5, 0, 1), np.array([0.1, 0.5]))
+
+    def test_game_kind_and_payoff_type_checked(self):
+        with pytest.raises(ValidationError, match="unknown game kind 'stag'"):
+            quantized_game("stag", PDPayoffs(3, 5, 0, 1), 0.5)
+        with pytest.raises(ValidationError, match="chicken needs ChickenPayoffs, got PDPayoffs"):
+            quantized_game("chicken", PDPayoffs(3, 5, 0, 1), 0.5)
 
 
 class TestEngineMatchesClosedForms:

@@ -267,9 +267,9 @@ class TestCurve:
 
     def test_bad_grid_exits_2(self, capsys):
         for flags, message in [
-            (("--gamma-stop", "3.5"), "gamma grid must be finite and lie within"),
-            (("--gamma-stop", "1.5707964"), "gamma grid must be finite and lie within"),
-            (("--gamma-start", "nan"), "gamma grid must be finite and lie within"),
+            (("--gamma-stop", "3.5"), "outside [0.0, 1.5707963267948966]"),
+            (("--gamma-stop", "1.5707964"), "gamma=1.5707964 outside [0.0, 1.5707963267948966]"),
+            (("--gamma-start", "nan"), "gamma=nan outside [0.0, 1.5707963267948966]"),
             (("--gamma-start", "1", "--gamma-stop", "0.5"), "gamma grid must be strictly increasing"),
             (("--gamma-steps", "0"), "--gamma-steps must be >= 1"),
         ]:
@@ -321,6 +321,14 @@ class TestTransition:
         assert code == 0
         analytic = float(re.search(r"analytic gamma\*:\s+(\S+)", out).group(1))
         assert analytic == pytest.approx(math.pi / 6, abs=1e-9)
+
+    def test_block_of_the_other_game_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "transition", "--game", "chicken", "--r", "3", "--s", "4", "--block", "QvD",
+        )
+        assert code == 2
+        assert out == ""
+        assert "block QvD belongs to game kind 'pd'" in err
 
     def test_no_transition_reports_none(self, capsys):
         code, out, _ = run(

@@ -136,27 +136,27 @@ class TestPayoff:
 class TestExtendedMatrix:
     def test_maximally_entangled_pd_matrix(self):
         row_t, col_t = pd_templates(PD_3501)
-        g = extended_matrix(row_t, col_t, (C, D, Q), math.pi / 2)
+        row, col = extended_matrix(row_t, col_t, (C, D, Q), math.pi / 2)
         expected_row = np.array([[3, 0, 1], [5, 1, 0], [1, 5, 3]], dtype=float)
-        assert np.max(np.abs(g.row - expected_row)) <= 1e-12
-        assert np.max(np.abs(g.col - expected_row.T)) <= 1e-12
+        assert np.max(np.abs(row - expected_row)) <= 1e-12
+        assert np.max(np.abs(col - expected_row.T)) <= 1e-12
 
     def test_no_entanglement_makes_quantum_equal_cooperate(self):
         row_t, col_t = pd_templates(PD_3501)
-        g = extended_matrix(row_t, col_t, (C, D, Q), 0.0)
-        c_i, q_i = g.labels.index("C"), g.labels.index("Q")
-        assert np.allclose(g.row[q_i], g.row[c_i], atol=1e-12)
-        assert np.allclose(g.row[:, q_i], g.row[:, c_i], atol=1e-12)
+        row, _ = extended_matrix(row_t, col_t, (C, D, Q), 0.0)
+        c_i, q_i = 0, 2  # rows and columns in the order (C, D, Q)
+        assert np.allclose(row[q_i], row[c_i], atol=1e-12)
+        assert np.allclose(row[:, q_i], row[:, c_i], atol=1e-12)
 
     def test_chicken_swerve_vs_quantum_entry(self):
         ch = ChickenPayoffs(3, 4)
         row_t, col_t = chicken_templates(ch)
         for gamma in (0.0, 0.5, 1.2, math.pi / 2):
-            g = extended_matrix(row_t, col_t, (SWERVE, STRAIGHT, Q), gamma)
-            sw, q = g.labels.index("swerve"), g.labels.index("Q")
+            row, col = extended_matrix(row_t, col_t, (SWERVE, STRAIGHT, Q), gamma)
+            sw, q = 0, 2  # rows and columns in the order (swerve, straight, Q)
             expected = -ch.s * math.sin(gamma) ** 2
-            assert g.row[sw, q] == pytest.approx(expected, abs=1e-12)
-            assert g.col[sw, q] == pytest.approx(expected, abs=1e-12)
+            assert row[sw, q] == pytest.approx(expected, abs=1e-12)
+            assert col[sw, q] == pytest.approx(expected, abs=1e-12)
 
     def test_classical_sector_is_gamma_independent(self):
         pd_expected = classical_pd_matrix(PD_3501)
@@ -165,10 +165,10 @@ class TestExtendedMatrix:
         pd_row_t, pd_col_t = pd_templates(PD_3501)
         ch_row_t, ch_col_t = chicken_templates(ch)
         for gamma in np.linspace(0, math.pi / 2, 25):
-            g = extended_matrix(pd_row_t, pd_col_t, (C, D), gamma)
-            assert np.max(np.abs(g.row - pd_expected)) <= 1e-12
-            g = extended_matrix(ch_row_t, ch_col_t, (STRAIGHT, SWERVE), gamma)
-            assert np.max(np.abs(g.row - ch_expected)) <= 1e-12
+            row, _ = extended_matrix(pd_row_t, pd_col_t, (C, D), gamma)
+            assert np.max(np.abs(row - pd_expected)) <= 1e-12
+            row, _ = extended_matrix(ch_row_t, ch_col_t, (STRAIGHT, SWERVE), gamma)
+            assert np.max(np.abs(row - ch_expected)) <= 1e-12
 
     def test_alpha_coefficient_identities_on_grid(self):
         r, t, s, p = 3.0, 5.0, 0.0, 1.0
@@ -177,31 +177,31 @@ class TestExtendedMatrix:
         ch_row_t, ch_col_t = chicken_templates(ch)
         for gamma in np.linspace(0, math.pi / 2, 101):
             cg2, sg2 = math.cos(gamma) ** 2, math.sin(gamma) ** 2
-            g = extended_matrix(row_t, col_t, (C, D, Q), gamma)
-            assert g.row[0, 2] == pytest.approx(r * cg2 + p * sg2, abs=1e-12)  # (C,Q)
-            assert g.row[2, 0] == pytest.approx(r * cg2 + p * sg2, abs=1e-12)  # (Q,C)
-            assert g.row[2, 1] == pytest.approx(t * sg2 + s * cg2, abs=1e-12)  # (Q,D)
-            assert g.row[1, 2] == pytest.approx(t * cg2 + s * sg2, abs=1e-12)  # (D,Q)
-            gch = extended_matrix(ch_row_t, ch_col_t, (SWERVE, STRAIGHT, Q), gamma)
-            assert gch.row[2, 1] == pytest.approx(-ch.r * math.cos(2 * gamma), abs=1e-12)
-            assert gch.row[1, 2] == pytest.approx(ch.r * math.cos(2 * gamma), abs=1e-12)
+            row, _ = extended_matrix(row_t, col_t, (C, D, Q), gamma)
+            assert row[0, 2] == pytest.approx(r * cg2 + p * sg2, abs=1e-12)  # (C,Q)
+            assert row[2, 0] == pytest.approx(r * cg2 + p * sg2, abs=1e-12)  # (Q,C)
+            assert row[2, 1] == pytest.approx(t * sg2 + s * cg2, abs=1e-12)  # (Q,D)
+            assert row[1, 2] == pytest.approx(t * cg2 + s * sg2, abs=1e-12)  # (D,Q)
+            ch_row, _ = extended_matrix(ch_row_t, ch_col_t, (SWERVE, STRAIGHT, Q), gamma)
+            assert ch_row[2, 1] == pytest.approx(-ch.r * math.cos(2 * gamma), abs=1e-12)
+            assert ch_row[1, 2] == pytest.approx(ch.r * math.cos(2 * gamma), abs=1e-12)
 
     def test_symmetric_templates_give_symmetric_game(self):
         row_t, col_t = pd_templates(PD_3501)
-        g = extended_matrix(row_t, col_t, (C, D, Q), 0.9)
-        assert np.max(np.abs(g.col - g.row.T)) <= 1e-12
+        row, col = extended_matrix(row_t, col_t, (C, D, Q), 0.9)
+        assert np.max(np.abs(col - row.T)) <= 1e-12
 
     def test_grid_gives_one_game_per_gamma(self):
         row_t, col_t = pd_templates(PD_3501)
         grid = np.linspace(0, math.pi / 2, 50)
-        games = extended_matrix(row_t, col_t, (C, D, Q), grid)
-        assert isinstance(games, tuple) and len(games) == grid.size
-        for gamma, game in zip(grid, games):
-            one = extended_matrix(row_t, col_t, (C, D, Q), float(gamma))
-            assert np.array_equal(game.row, one.row)
-            assert np.array_equal(game.col, one.col)
+        row, col = extended_matrix(row_t, col_t, (C, D, Q), grid)
+        assert row.shape == col.shape == (grid.size, 3, 3)
+        for k, gamma in enumerate(grid):
+            one_row, one_col = extended_matrix(row_t, col_t, (C, D, Q), float(gamma))
+            assert np.array_equal(row[k], one_row)
+            assert np.array_equal(col[k], one_col)
 
-    def test_rejects_duplicate_labels(self):
+    def test_rejects_empty_strategy_list(self):
         row_t, col_t = pd_templates(PD_3501)
         with pytest.raises(ValidationError):
-            extended_matrix(row_t, col_t, (C, C, Q), 0.5)
+            extended_matrix(row_t, col_t, (), 0.5)

@@ -148,3 +148,8 @@ def test_bimatrix_validation():
         BimatrixGame([[1]], [[1]], ("a",))
     with pytest.raises(ValidationError):
         BimatrixGame([[np.inf, 0], [0, 1]], [[1, 0], [0, 1]], ("a", "b"))
+
+
+def test_bimatrix_rejects_duplicate_labels():
+    with pytest.raises(ValidationError, match="distinct"):
+        BimatrixGame(np.eye(3), np.eye(3), ("C", "C", "Q"))

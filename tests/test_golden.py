@@ -3,11 +3,13 @@
 The files in golden/ hold the exact stdout of the README commands and of the
 calls in scripts/reproduce_figures.py, so a change that moves any printed
 float by one bit fails here.  The two 801-line curve CSVs are stored as
-SHA-256 digests of their bytes; the script itself is run once as well.
+SHA-256 digests of their bytes; the script itself is run once as well, and
+so is the README's Python example.
 """
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -69,3 +71,10 @@ def test_reproduce_figures_script(tmp_path):
         assert_golden(digest, (tmp_path / csv).read_bytes())
     for name in ("transition_pd.txt", "transition_chicken.txt"):
         assert (GOLDEN / name).read_bytes() in proc.stdout
+
+
+def test_readme_python_example(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "0.9867668811915064\n"

@@ -347,8 +347,8 @@ class TestCurve:
     def test_grid_validation(self, tmp_path):
         for flags, match in [
             (("--gamma-start", "0.5", "--gamma-stop", "0.4", "--gamma-steps", "2"), "increasing"),
-            (("--gamma-start", "0.5", "--gamma-stop", "2.0"), "within"),
-            (("--gamma-start", "nan"), "within"),
+            (("--gamma-start", "0.5", "--gamma-stop", "2.0"), "outside"),
+            (("--gamma-start", "nan"), "outside"),
             (("--gamma-steps", "0"), ">= 1"),
         ]:
             with pytest.raises(ValidationError, match=match):
@@ -366,6 +366,10 @@ class TestPhaseTransition:
             ch = ChickenPayoffs(4, 4)
         got, _ = phase_transition_gamma("chicken", ch, Block.QVSTRAIGHT)
         assert got == pytest.approx(math.pi / 6, abs=1e-9)
+
+    def test_payoffs_of_the_other_game_rejected(self):
+        with pytest.raises(ValidationError, match="pd needs PDPayoffs, got ChickenPayoffs"):
+            phase_transition_gamma("pd", ChickenPayoffs(3, 4), Block.QVD)
 
     def test_chicken_without_transition(self):
         assert phase_transition_gamma("chicken", ChickenPayoffs(1, 3), Block.QVSTRAIGHT) == (None, None)
