@@ -36,8 +36,8 @@ from .equilibrium import BimatrixGame, MixedProfile, mixed_nash_symmetric_2x2, p
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .ising import (
     IsingParams,
+    couplings,
     magnetization,
-    phase_transition_bisect,
     phase_transition_gamma,
     to_ising,
 )
@@ -74,6 +74,7 @@ __all__ = [
     "StrategyBlock",
     "ValidationError",
     "chicken_templates",
+    "couplings",
     "entangler",
     "enumerate_magnetization",
     "extended_matrix",
@@ -82,7 +83,6 @@ __all__ = [
     "metropolis_magnetization",
     "mixed_nash_symmetric_2x2",
     "pd_templates",
-    "phase_transition_bisect",
     "phase_transition_gamma",
     "pure_nash",
     "quantized_game",

@@ -89,7 +89,7 @@ _BLOCK_STRATEGIES = {
 
 @dataclass(frozen=True)
 class StrategyBlock:
-    """Row-player payoffs of one 2x2 strategy restriction."""
+    """Row-player payoffs of a 2x2 strategy restriction, (2, 2) or (G, 2, 2) along gamma."""
 
     row_payoffs: np.ndarray
     block_id: Block
@@ -97,8 +97,8 @@ class StrategyBlock:
     def __post_init__(self):
         m = np.asarray(self.row_payoffs, dtype=float)
         object.__setattr__(self, "row_payoffs", m)
-        if m.shape != (2, 2) or not np.isfinite(m).all():
-            raise ValidationError("block must be a finite 2x2 matrix")
+        if m.shape[-2:] != (2, 2) or m.ndim > 3 or not np.isfinite(m).all():
+            raise ValidationError("block must be a finite 2x2 matrix or a stack of them")
 
     @property
     def labels(self) -> tuple[str, str]:
@@ -155,8 +155,8 @@ def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
 def extract_block(game_kind: str, payoffs, block_id, gamma):
     """Row-player 2x2 block for one strategy pairing, computed by the circuit.
 
-    A float gamma gives one StrategyBlock; a 1-D gamma grid gives a tuple with
-    one StrategyBlock per gamma, from one pass of the circuit.
+    A float gamma gives a (2, 2) block; a 1-D gamma grid gives one block
+    stacked along the grid, (G, 2, 2), from one pass of the circuit.
     """
     block_id = Block(block_id)
     kind_required, strategies = _BLOCK_STRATEGIES[block_id]
@@ -164,6 +164,4 @@ def extract_block(game_kind: str, payoffs, block_id, gamma):
         raise ValidationError(f"block {block_id.value} belongs to game kind {kind_required!r}")
     row_t, col_t = _templates_for(game_kind, payoffs)
     row, _ = eisert.extended_matrix(row_t, col_t, strategies, gamma)
-    if row.ndim == 2:
-        return StrategyBlock(row, block_id)
-    return tuple(StrategyBlock(r, block_id) for r in row)
+    return StrategyBlock(row, block_id)

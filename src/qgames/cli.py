@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
@@ -138,16 +139,16 @@ def cmd_curve(args) -> int:
     if args.gamma_steps < 1:
         raise ValidationError("--gamma-steps must be >= 1")
     grid = np.linspace(args.gamma_start, args.gamma_stop, args.gamma_steps)
-    blocks = extract_block(args.game, payoffs, block_id, grid)  # range-checks the grid
+    stacked = extract_block(args.game, payoffs, block_id, grid)  # range-checks the grid
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("gamma grid must be strictly increasing")
 
     lines = ["gamma,beta,J,h,m"]
-    # gamma-major ordering; the block is beta-independent
-    for g, block in zip(grid.tolist(), blocks):
+    # gamma-major ordering; (J, h) is beta-independent
+    for g, (J, h) in zip(grid.tolist(), ising.couplings(stacked.row_payoffs)):
         for b in betas:
-            ip = ising.to_ising(block, b)
-            lines.append(_CURVE_ROW % (g, b, ip.J, ip.h, ising.magnetization(ip)))
+            m = ising.magnetization(ising.IsingParams(J, h, b))
+            lines.append(_CURVE_ROW % (g, b, J, h, m))
     _emit(args.output, lines)
     return 0
 
@@ -280,12 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(argv):
-    """Expand --config FILE into key=value flags placed before the explicit
-    ones, so explicit command-line flags win on conflict."""
+    """Expand --config FILE (or --config=FILE) into key=value flags placed
+    before the explicit ones, so explicit command-line flags win on conflict."""
     argv = list(argv)
-    if "--config" not in argv:
+    at = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
+    argv[at : at + 1] = argv[at].split("=", 1)  # --config=FILE reads as --config FILE
     if at + 1 >= len(argv):
         raise ValidationError("--config needs a file path")
     if at == 0:
@@ -323,7 +325,13 @@ def main(argv=None) -> int:
 
 
 def entry():  # console-script hook
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:  # the reader left; devnull keeps the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -39,20 +39,26 @@ class IsingParams:
             raise ValidationError(f"beta must be >= 0, got {self.beta}")
 
 
-def to_ising(block, beta: float) -> IsingParams:
-    """Coupling and field read off the block in one step.
+def couplings(row_payoffs) -> list[tuple[float, float]]:
+    """(J, h) of each 2x2 block along the leading axis of a StrategyBlock's
+    payoffs: one pair at one gamma, G pairs on a (G, 2, 2) stack.
 
-    Shifting each column of the row player's payoffs by a constant leaves
-    best responses, hence Nash equilibria, unchanged; the shift that makes
-    both columns antisymmetric turns [[a, b], [c, d]] into the two-site spin
-    table [[J+h, -J+h], [-J-h, J-h]].  The (a-c) +/- (b-d) grouping keeps h
-    exactly zero when the block's diagonal entries match and its
-    off-diagonal entries match.  The entries are read as Python floats: the
-    same IEEE operations as on NumPy scalars, without their overhead.
+    Shifting each column of the row player's payoffs by a constant keeps
+    best responses, hence Nash equilibria; the shift that makes both columns
+    antisymmetric turns [[a, b], [c, d]] into the two-site spin table
+    [[J+h, -J+h], [-J-h, J-h]].  The (a-c) +/- (b-d) grouping keeps h exactly
+    zero when the diagonal entries match and the off-diagonal ones match.
+    Read as Python floats: NumPy's IEEE operations, bit for bit, without their overhead.
     """
-    (a, b), (c, d) = block.row_payoffs.tolist()
-    J = ((a - c) + (d - b)) / 4.0
-    h = ((a - c) + (b - d)) / 4.0
+    return [(((a - c) + (d - b)) / 4.0, ((a - c) + (b - d)) / 4.0)
+            for (a, b), (c, d) in row_payoffs.reshape(-1, 2, 2).tolist()]
+
+
+def to_ising(block, beta: float) -> IsingParams:
+    """`couplings` of one 2x2 block, at inverse temperature beta."""
+    if block.row_payoffs.ndim != 2:
+        raise ValidationError("to_ising takes one 2x2 block, not a stack along gamma")
+    ((J, h),) = couplings(block.row_payoffs)
     return IsingParams(J=J, h=h, beta=float(beta))
 
 

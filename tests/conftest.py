@@ -1,7 +1,7 @@
 """Shared test oracles: closed-form block matrices, the classical games,
 the circuit's final state of one strategy pair, NumPy-scalar references for
-the block -> (J, h, m) step, the finite chain's magnetization at 60 digits,
-and payoff generators.
+the block -> (J, h, m) step, logit play of a block on a ring of players,
+the finite chain's magnetization at 60 digits, and payoff generators.
 
 The closed forms live here, outside the library, so the circuit-derived
 blocks are always checked against an independent route.
@@ -104,6 +104,27 @@ def numpy_to_ising(block):
     library did before it read the block as Python floats."""
     (a, b), (c, d) = np.asarray(block.row_payoffs, dtype=float)
     return ((a - c) + (d - b)) / 4.0, ((a - c) + (b - d)) / 4.0
+
+
+def game_level_magnetization(row_payoffs, beta: float, n: int = 10) -> float:
+    """Mean strategy of n players on a ring, each playing the symmetric 2x2
+    game of `row_payoffs` with both neighbours under logit choice.  The block's
+    first strategy counts +1, its second -1; J and h are never formed.
+
+    A symmetric 2x2 game [[a, b], [c, d]] is a potential game with potential
+    phi = [[a - c, 0], [0, d - b]] (Monderer & Shapley), so logit play has the
+    stationary law exp(beta * sum over bonds of phi), enumerated here over
+    all 2^n profiles.  Pairing each profile with its complement makes the
+    mean exactly 0 when phi's diagonal entries are equal.
+    """
+    (a, b), (c, d) = np.asarray(row_payoffs, dtype=float)
+    phi = np.array([[a - c, 0.0], [0.0, d - b]])
+    profiles = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # 1 = second strategy
+    exponent = beta * phi[profiles, np.roll(profiles, -1, axis=1)].sum(axis=1)
+    w = np.exp(exponent - exponent.max())
+    spin_mean = (1 - 2 * profiles).mean(axis=1)
+    # profile 2^n - 1 - i is the complement of profile i, with the opposite mean
+    return float(0.5 * ((w - w[::-1]) @ spin_mean) / w.sum())
 
 
 def numpy_magnetization(J: float, h: float, beta: float) -> float:

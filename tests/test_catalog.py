@@ -13,7 +13,7 @@ from conftest import (
     random_chicken,
     random_pd,
 )
-from qgames import Block, ChickenPayoffs, PDPayoffs, extract_block, quantized_game
+from qgames import Block, ChickenPayoffs, PDPayoffs, StrategyBlock, extract_block, quantized_game
 from qgames.errors import ValidationError
 
 
@@ -99,17 +99,40 @@ class TestExtractBlock:
     def test_grid_matches_scalar_calls_bit_for_bit(self, kind, payoffs, block_id):
         rng = np.random.default_rng(14)
         for grid in (np.linspace(0, math.pi / 2, 200), rng.uniform(0, math.pi / 2, 2000)):
-            blocks = extract_block(kind, payoffs, block_id, grid)
-            assert len(blocks) == grid.size
-            for gamma, blk in zip(grid, blocks):
+            stacked = extract_block(kind, payoffs, block_id, grid)
+            assert stacked.row_payoffs.shape == (grid.size, 2, 2)
+            for k, gamma in enumerate(grid):
                 one = extract_block(kind, payoffs, block_id, float(gamma))
-                assert np.array_equal(blk.row_payoffs, one.row_payoffs)
-                assert (blk.labels, blk.block_id) == (one.labels, one.block_id)
+                assert np.array_equal(stacked.row_payoffs[k], one.row_payoffs)
+                assert (stacked.labels, stacked.block_id) == (one.labels, one.block_id)
 
     @pytest.mark.parametrize("bad", [math.nan, 2.0, -0.1])
     def test_grid_with_nan_or_out_of_range_gamma_rejected(self, bad):
         with pytest.raises(ValidationError, match="gamma"):
             extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, np.array([0.1, bad, 0.3]))
+
+    def test_stacked_block_is_not_a_game(self):
+        stacked = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, np.array([0.1, 0.3]))
+        with pytest.raises(ValidationError):
+            stacked.as_game()
+
+
+class TestStrategyBlock:
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 2, 2, 2), (2,), ()])
+    def test_rejects_shapes_other_than_2x2_or_a_stack(self, shape):
+        with pytest.raises(ValidationError, match="finite 2x2 matrix"):
+            StrategyBlock(np.zeros(shape), Block.QVD)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_entry(self, bad):
+        m = np.zeros((3, 2, 2))
+        m[1, 0, 1] = bad
+        with pytest.raises(ValidationError, match="finite 2x2 matrix"):
+            StrategyBlock(m, Block.QVD)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 2), (5, 2, 2)])
+    def test_accepts_one_block_or_a_stack(self, shape):
+        assert StrategyBlock(np.ones(shape), Block.QVD).row_payoffs.shape == shape
 
 
 class TestQuantizedGame:

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,8 +262,8 @@ class TestCurve:
             assert code == 0
             grid = np.linspace(start, stop, steps)
             want = ["gamma,beta,J,h,m"]
-            for g, blk in zip(grid, extract_block(game, payoffs, block, grid)):
-                J, h = numpy_to_ising(blk)
+            for g in grid:
+                J, h = numpy_to_ising(extract_block(game, payoffs, block, float(g)))
                 for beta in (-0.0, 0.0, 0.5, 5.0):
                     m = numpy_magnetization(J, h, beta)
                     want.append(",".join(format(v, ".17g") for v in (g, beta, J, h, m)))
@@ -542,6 +546,20 @@ class TestOutput:
         assert err.count("\n") == 1
 
 
+class TestClosedPipe:
+    def test_reader_leaving_early_exits_1_without_a_traceback(self):
+        # 2000 gammas write far more than a pipe buffer holds
+        root = Path(__file__).resolve().parent.parent
+        argv = [sys.executable, "-m", "qgames.cli", "curve", "--game", "pd", "--r", "3",
+                "--t", "5", "--s", "0", "--p", "1", "--block", "QvD", "--gamma-steps", "2000"]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -575,6 +593,24 @@ class TestConfigFile:
         code, _, err = run(capsys, "curve", "--config", "/nonexistent.cfg")
         assert code == 2
         assert "cannot read config" in err
+
+    def test_equals_spelling_matches_the_spaced_one(self, tmp_path, capsys):
+        cfg = tmp_path / "pd.cfg"
+        cfg.write_text("game=pd\nr=3\nt=5\ns=0\np=1\n")
+        spaced = run(capsys, "transition", "--config", str(cfg))
+        assert spaced[0] == 0
+        assert run(capsys, "transition", f"--config={cfg}") == spaced
+
+    def test_equals_spelling_gives_the_same_errors(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("not a key value pair\n")
+        for path in (bad, tmp_path / "missing.cfg"):
+            spaced = run(capsys, "transition", "--config", str(path))
+            assert spaced[0] == 2
+            assert run(capsys, "transition", f"--config={path}") == spaced
+        spaced = run(capsys, "--config", str(bad), "transition")
+        assert spaced[2] == "error: --config must follow the subcommand\n"
+        assert run(capsys, f"--config={bad}", "transition") == spaced
 
 
 class TestParserReuse:

@@ -8,22 +8,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import numpy_magnetization, numpy_to_ising, random_chicken, random_pd
+from conftest import (
+    game_level_magnetization,
+    numpy_magnetization,
+    numpy_to_ising,
+    random_chicken,
+    random_pd,
+)
 from qgames import cli, ising
 from qgames import (
     Block,
     ChickenPayoffs,
     IsingParams,
     PDPayoffs,
+    couplings,
     extract_block,
     magnetization,
-    phase_transition_bisect,
     phase_transition_gamma,
     to_ising,
 )
 from qgames.catalog import StrategyBlock
 from qgames.equilibrium import pure_nash
 from qgames.errors import ValidationError
+from qgames.ising import phase_transition_bisect
+from qgames.oracle import ChainSpec, transfer_matrix_finite
 
 PD_3501 = PDPayoffs(3, 5, 0, 1)
 
@@ -121,6 +129,65 @@ class TestToIsing:
     def test_beta_must_be_nonnegative(self):
         with pytest.raises(ValidationError, match="beta"):
             to_ising(qvd_block(PD_3501, 0.5), -1.0)
+
+
+SIX_BLOCKS = [("pd", b) for b in (Block.QVC, Block.QVD, Block.CLASSICAL_PD)] + [
+    ("chicken", b) for b in (Block.QVSWERVE, Block.QVSTRAIGHT, Block.CLASSICAL_CHICKEN)
+]
+
+
+class TestCouplings:
+    """couplings reads (J, h) off a whole stack along gamma in one pass."""
+
+    @pytest.mark.parametrize("kind,block_id", SIX_BLOCKS)
+    def test_stack_matches_numpy_scalar_reference_bit_for_bit(self, kind, block_id):
+        rng = np.random.default_rng(list(Block).index(block_id))
+        for _ in range(2):
+            payoffs = random_pd(rng) if kind == "pd" else random_chicken(rng)
+            for grid in (np.linspace(0, math.pi / 2, 40), rng.uniform(0, math.pi / 2, 60)):
+                pairs = couplings(extract_block(kind, payoffs, block_id, grid).row_payoffs)
+                assert len(pairs) == grid.size
+                for (J, h), gamma in zip(pairs, grid):
+                    one = extract_block(kind, payoffs, block_id, float(gamma))
+                    want_J, want_h = numpy_to_ising(one)
+                    assert_same_bits(J, want_J)
+                    assert_same_bits(h, want_h)
+
+    def test_one_block_gives_one_pair(self):
+        blk = qvd_block(PD_3501, 0.5)
+        ip = to_ising(blk, 1.0)
+        assert couplings(blk.row_payoffs) == [(ip.J, ip.h)]
+
+    def test_to_ising_rejects_a_stack(self):
+        stacked = extract_block("pd", PD_3501, Block.QVD, np.array([0.1, 0.5]))
+        with pytest.raises(ValidationError, match="stack"):
+            to_ising(stacked, 1.0)
+
+
+class TestGameLevelOracle:
+    """The game -> Ising step against logit play of the block itself on a
+    ring of players (conftest's game_level_magnetization), which never forms
+    J or h.  Each player collects the field from its two games, so the ring
+    is the chain at (J, 2h): same sign of m, larger magnitude."""
+
+    def test_ring_is_the_chain_at_doubled_field(self):
+        rng = np.random.default_rng(3077)
+        grid = np.linspace(0.0, math.pi / 2, 200)
+        n = 10
+        for kind, blocks in (("pd", (Block.QVC, Block.QVD)),
+                             ("chicken", (Block.QVSWERVE, Block.QVSTRAIGHT))):
+            for _ in range(3):
+                payoffs = random_pd(rng) if kind == "pd" else random_chicken(rng)
+                for block_id in blocks:
+                    stacked = extract_block(kind, payoffs, block_id, grid)
+                    pairs = couplings(stacked.row_payoffs)
+                    for k in rng.choice(grid.size, size=3, replace=False):
+                        beta = rng.uniform(0.1, 3.0)
+                        J, h = pairs[k]
+                        m_game = game_level_magnetization(stacked.row_payoffs[k], beta, n)
+                        m_chain = transfer_matrix_finite(ChainSpec(n, IsingParams(J, 2.0 * h, beta)))
+                        assert abs(m_game - m_chain) <= 1e-10, (kind, block_id, grid[k], beta)
+                        assert np.sign(m_game) == np.sign(h), (kind, block_id, grid[k], beta)
 
 
 class TestMagnetization:
@@ -320,8 +387,8 @@ class TestCurve:
         gammas, Js, hs, ms = self.sweep(
             tmp_path, "QvD", 2.0, "--gamma-stop", repr(math.pi / 2), "--gamma-steps", "37")
         assert np.array_equal(gammas, grid)
-        for k, block in enumerate(extract_block("pd", PD_3501, Block.QVD, grid)):
-            J, h = numpy_to_ising(block)
+        for k, gamma in enumerate(grid):
+            J, h = numpy_to_ising(extract_block("pd", PD_3501, Block.QVD, float(gamma)))
             assert_same_bits(Js[k], J)
             assert_same_bits(hs[k], h)
             assert_same_bits(ms[k], numpy_magnetization(J, h, 2.0))
