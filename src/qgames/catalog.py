@@ -107,6 +107,8 @@ class StrategyBlock:
 
     def as_game(self) -> BimatrixGame:
         """The block as a symmetric two-player game (column = row transposed)."""
+        if self.row_payoffs.ndim != 2:
+            raise ValidationError("as_game takes one 2x2 block, not a stack along gamma")
         return BimatrixGame(self.row_payoffs, self.row_payoffs.T, self.labels)
 
 

@@ -50,9 +50,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-_CURVE_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g"  # gamma,beta,J,h,m as _fmt writes them
-
-
 def _parse_betas(text: str):
     try:
         betas = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -144,11 +141,13 @@ def cmd_curve(args) -> int:
         raise ValidationError("gamma grid must be strictly increasing")
 
     lines = ["gamma,beta,J,h,m"]
-    # gamma-major ordering; (J, h) is beta-independent
-    for g, (J, h) in zip(grid.tolist(), ising.couplings(stacked.row_payoffs)):
-        for b in betas:
+    beta_cols = [(b, _fmt(b)) for b in betas]
+    # gamma-major ordering; (J, h) is beta-independent, so only m is formatted per row
+    for g, (J, h) in zip(grid.tolist(), ising.couplings(stacked)):
+        gamma_col, jh_cols = _fmt(g), f"{_fmt(J)},{_fmt(h)}"
+        for b, beta_col in beta_cols:
             m = ising.magnetization(ising.IsingParams(J, h, b))
-            lines.append(_CURVE_ROW % (g, b, J, h, m))
+            lines.append(f"{gamma_col},{beta_col},{jh_cols},{m:.17g}")
     _emit(args.output, lines)
     return 0
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .catalog import Block, extract_block
+from .catalog import Block, StrategyBlock, extract_block
 from .eisert import GAMMA_RANGE
 from .errors import ConsistencyError, ValidationError
 
 _BISECT_TOL = 1e-10
+_TREE_DEPTH = 5  # bisection levels evaluated per circuit pass
 _CROSSCHECK_TOL = 1e-9
 
 
@@ -39,7 +40,7 @@ class IsingParams:
             raise ValidationError(f"beta must be >= 0, got {self.beta}")
 
 
-def couplings(row_payoffs) -> list[tuple[float, float]]:
+def couplings(block: StrategyBlock) -> list[tuple[float, float]]:
     """(J, h) of each 2x2 block along the leading axis of a StrategyBlock's
     payoffs: one pair at one gamma, G pairs on a (G, 2, 2) stack.
 
@@ -50,15 +51,17 @@ def couplings(row_payoffs) -> list[tuple[float, float]]:
     zero when the diagonal entries match and the off-diagonal ones match.
     Read as Python floats: NumPy's IEEE operations, bit for bit, without their overhead.
     """
+    if not isinstance(block, StrategyBlock):
+        raise ValidationError(f"couplings takes a StrategyBlock, got {type(block).__name__}")
     return [(((a - c) + (d - b)) / 4.0, ((a - c) + (b - d)) / 4.0)
-            for (a, b), (c, d) in row_payoffs.reshape(-1, 2, 2).tolist()]
+            for (a, b), (c, d) in block.row_payoffs.reshape(-1, 2, 2).tolist()]
 
 
 def to_ising(block, beta: float) -> IsingParams:
     """`couplings` of one 2x2 block, at inverse temperature beta."""
+    (J, h), *_ = couplings(block)  # rejects anything but a StrategyBlock
     if block.row_payoffs.ndim != 2:
         raise ValidationError("to_ising takes one 2x2 block, not a stack along gamma")
-    ((J, h),) = couplings(block.row_payoffs)
     return IsingParams(J=J, h=h, beta=float(beta))
 
 
@@ -113,6 +116,10 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
     h is affine in cos(2*gamma), hence monotone on the interval, so a sign
     change brackets exactly one root.  Blocks with h identically zero have
     no sign change and return None.
+
+    After the endpoints, each circuit pass evaluates the next _TREE_DEPTH
+    levels of the bisection tree, each midpoint 0.5*(lo + hi) of the interval
+    the one-at-a-time loop would hold, and walks them by its rules: same bits.
     """
     block_id = Block(block_id)
     a, b = GAMMA_RANGE
@@ -127,14 +134,21 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
     if (fa > 0) == (fb > 0):
         return None
     while b - a > _BISECT_TOL:
-        mid = 0.5 * (a + b)
-        fm = _field_at(game_kind, payoffs, block_id, mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
+        spans, mids = [(a, b)], []
+        for lo, hi in spans:  # breadth first: node i's halves are nodes 2i+1 and 2i+2
+            mids.append(0.5 * (lo + hi))
+            if len(spans) < 2**_TREE_DEPTH - 1:
+                spans += [(lo, mids[-1]), (mids[-1], hi)]
+        fields = couplings(extract_block(game_kind, payoffs, block_id, mids))
+        i = 0
+        while i < len(mids) and b - a > _BISECT_TOL:
+            mid, (_, fm) = mids[i], fields[i]
+            if fm == 0.0:
+                return mid
+            if (fm > 0) == (fa > 0):
+                a, fa, i = mid, fm, 2 * i + 2
+            else:
+                b, i = mid, 2 * i + 1
     return 0.5 * (a + b)
 
 

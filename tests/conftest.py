@@ -1,7 +1,8 @@
 """Shared test oracles: closed-form block matrices, the classical games,
 the circuit's final state of one strategy pair, NumPy-scalar references for
 the block -> (J, h, m) step, logit play of a block on a ring of players,
-the finite chain's magnetization at 60 digits, and payoff generators.
+the finite chain's magnetization at 60 digits, the one-midpoint-at-a-time
+bisection, and payoff generators.
 
 The closed forms live here, outside the library, so the circuit-derived
 blocks are always checked against an independent route.
@@ -12,8 +13,8 @@ import math
 import mpmath
 import numpy as np
 
-from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs
-from qgames.eisert import _circuit, strategy_operator
+from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, ising
+from qgames.eisert import GAMMA_RANGE, _circuit, strategy_operator
 
 
 def qvc_closed_form(p: PDPayoffs, gamma: float) -> np.ndarray:
@@ -140,6 +141,32 @@ def numpy_magnetization(J: float, h: float, beta: float) -> float:
         log_s = t - math.log(2.0) + math.log1p(-math.exp(-2.0 * t))
     log_den = 0.5 * float(np.logaddexp(2.0 * log_s, -4.0 * beta * J))
     return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
+
+
+def reference_bisect(game_kind, payoffs, block_id):
+    """phase_transition_bisect as a loop of one scalar circuit run per
+    midpoint: the reference for the bits of the tree bisection."""
+    a, b = GAMMA_RANGE
+    fa = ising._field_at(game_kind, payoffs, block_id, a)
+    fb = ising._field_at(game_kind, payoffs, block_id, b)
+    if fa == 0.0 and fb == 0.0:
+        return None
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0) == (fb > 0):
+        return None
+    while b - a > ising._BISECT_TOL:
+        mid = 0.5 * (a + b)
+        fm = ising._field_at(game_kind, payoffs, block_id, mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def random_pd(rng) -> PDPayoffs:

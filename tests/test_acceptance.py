@@ -25,6 +25,7 @@ from qgames import (
     ChickenPayoffs,
     IsingParams,
     PDPayoffs,
+    couplings,
     extract_block,
     magnetization,
     mixed_nash_symmetric_2x2,
@@ -173,10 +174,9 @@ def test_criterion_5_maximal_entanglement_positivity():
         for _ in range(1000):
             c = random_chicken(rng, allow_equal=True)
             beta = rng.uniform(0.0, 5.0) or 1e-3
-            for gamma in grid:
-                m = magnetization(
-                    to_ising(extract_block("chicken", c, Block.QVSTRAIGHT, gamma), beta)
-                )
+            # one circuit pass per draw; the stacked (J, h) equal the scalar ones bit for bit
+            for J, h in couplings(extract_block("chicken", c, Block.QVSTRAIGHT, grid)):
+                m = magnetization(IsingParams(J, h, beta))
                 chicken_ok &= m > 0.0
                 if not chicken_ok:
                     break

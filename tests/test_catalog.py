@@ -112,9 +112,11 @@ class TestExtractBlock:
             extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, np.array([0.1, bad, 0.3]))
 
     def test_stacked_block_is_not_a_game(self):
-        stacked = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, np.array([0.1, 0.3]))
-        with pytest.raises(ValidationError):
-            stacked.as_game()
+        for grid in (np.array([0.1, 0.3]), np.array([0.1])):
+            stacked = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, grid)
+            with pytest.raises(ValidationError) as err:
+                stacked.as_game()
+            assert str(err.value) == "as_game takes one 2x2 block, not a stack along gamma"
 
 
 class TestStrategyBlock:

@@ -239,6 +239,28 @@ class TestCurve:
             assert float(m) == 0.0
             assert math.copysign(1.0, float(m)) == math.copysign(1.0, float(h))
 
+    def test_rows_are_each_column_at_17_digits(self, capsys):
+        # signed zero, a subnormal and extreme betas, each formatted on its own
+        from qgames import IsingParams, PDPayoffs, couplings, magnetization
+
+        betas = (0.0, -0.0, 2e-320, 7.0, 1e300)
+        code, out, _ = run(
+            capsys, "curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
+            "--p", "1", "--block", "QvD", "--beta", "0,-0.0,2e-320,7,1e300",
+        )
+        assert code == 0
+        grid = np.linspace(0.0, math.pi / 2, 200)
+        stacked = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, grid)
+        want = ["gamma,beta,J,h,m"]
+        for g, (J, h) in zip(grid.tolist(), couplings(stacked)):
+            for beta in betas:
+                m = magnetization(IsingParams(J, h, beta))
+                want.append(",".join("%.17g" % v for v in (g, beta, J, h, m)))
+        got = out.splitlines()
+        assert len(got) == len(want) == 1 + 200 * 5
+        for got_row, want_row in zip(got, want):
+            assert got_row == want_row
+
     @pytest.mark.parametrize(
         "game,block",
         [("pd", b) for b in (Block.QVC, Block.QVD, Block.CLASSICAL_PD)]

@@ -14,6 +14,7 @@ from conftest import (
     numpy_to_ising,
     random_chicken,
     random_pd,
+    reference_bisect,
 )
 from qgames import cli, ising
 from qgames import (
@@ -145,7 +146,7 @@ class TestCouplings:
         for _ in range(2):
             payoffs = random_pd(rng) if kind == "pd" else random_chicken(rng)
             for grid in (np.linspace(0, math.pi / 2, 40), rng.uniform(0, math.pi / 2, 60)):
-                pairs = couplings(extract_block(kind, payoffs, block_id, grid).row_payoffs)
+                pairs = couplings(extract_block(kind, payoffs, block_id, grid))
                 assert len(pairs) == grid.size
                 for (J, h), gamma in zip(pairs, grid):
                     one = extract_block(kind, payoffs, block_id, float(gamma))
@@ -156,7 +157,16 @@ class TestCouplings:
     def test_one_block_gives_one_pair(self):
         blk = qvd_block(PD_3501, 0.5)
         ip = to_ising(blk, 1.0)
-        assert couplings(blk.row_payoffs) == [(ip.J, ip.h)]
+        assert couplings(blk) == [(ip.J, ip.h)]
+
+    @pytest.mark.parametrize("raw", [
+        np.zeros((3, 2)),
+        [[3.0, 0.0], [5.0, 1.0]],
+        np.array([[math.nan, 0.0], [5.0, 1.0]]),
+    ], ids=["wrong-shape", "nested-list", "nan-entry"])
+    def test_anything_but_a_block_rejected(self, raw):
+        with pytest.raises(ValidationError, match="StrategyBlock"):
+            couplings(raw)
 
     def test_to_ising_rejects_a_stack(self):
         stacked = extract_block("pd", PD_3501, Block.QVD, np.array([0.1, 0.5]))
@@ -180,7 +190,7 @@ class TestGameLevelOracle:
                 payoffs = random_pd(rng) if kind == "pd" else random_chicken(rng)
                 for block_id in blocks:
                     stacked = extract_block(kind, payoffs, block_id, grid)
-                    pairs = couplings(stacked.row_payoffs)
+                    pairs = couplings(stacked)
                     for k in rng.choice(grid.size, size=3, replace=False):
                         beta = rng.uniform(0.1, 3.0)
                         J, h = pairs[k]
@@ -475,3 +485,70 @@ class TestPhaseTransition:
         # s exactly 2r puts the crossing at the edge of the interval
         ch = ChickenPayoffs(1.0, 2.0)
         assert phase_transition_gamma("chicken", ch, Block.QVSTRAIGHT)[0] == pytest.approx(0.0, abs=1e-9)
+
+
+class TestTreeBisection:
+    """phase_transition_bisect evaluates several bisection levels per circuit
+    pass; conftest's reference_bisect runs one scalar circuit per midpoint.
+    Both must return the same float."""
+
+    @pytest.mark.parametrize("depth", [1, 3, 5, 6])
+    @pytest.mark.parametrize("kind,block_id", SIX_BLOCKS)
+    def test_equals_the_one_midpoint_loop(self, monkeypatch, depth, kind, block_id):
+        monkeypatch.setattr(ising, "_TREE_DEPTH", depth)
+        rng = np.random.default_rng(1500 + list(Block).index(block_id))
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # s == r chicken draws
+            for _ in range(8):
+                payoffs = random_pd(rng) if kind == "pd" else random_chicken(rng, allow_equal=True)
+                got = phase_transition_bisect(kind, payoffs, block_id)
+                want = reference_bisect(kind, payoffs, block_id)
+                assert got == want or got is want is None, (payoffs, got, want)
+                outcomes.add(want is None)
+        # QvD always crosses; QvStraight draws both; the others never cross
+        expected = {Block.QVD: {False}, Block.QVSTRAIGHT: {False, True}}.get(block_id, {True})
+        assert outcomes == expected
+
+    @pytest.mark.parametrize("r,s", [(1.0, 2.0), (4.0, 4.0), (1.0, 1.999)])
+    def test_boundary_roots_and_equal_payoffs(self, r, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # s == r
+            payoffs = ChickenPayoffs(r, s)
+            got = phase_transition_bisect("chicken", payoffs, Block.QVSTRAIGHT)
+            assert got == reference_bisect("chicken", payoffs, Block.QVSTRAIGHT)
+
+    @pytest.mark.parametrize("root", [
+        0.5 * (0.0 + math.pi / 2),            # the level-1 midpoint
+        0.5 * (math.pi / 4 + math.pi / 2),    # the level-2 midpoint
+    ])
+    def test_exact_zero_at_a_midpoint_is_returned(self, monkeypatch, root):
+        def field_minus_root(game_kind, payoffs, block_id, gamma):
+            # [[2f, 2f], [0, 0]] has J = 0 and h = f exactly
+            f = np.asarray(gamma, dtype=float) - root
+            rows = np.zeros(f.shape + (2, 2))
+            rows[..., 0, 0] = rows[..., 0, 1] = 2.0 * f
+            return StrategyBlock(rows, block_id)
+
+        monkeypatch.setattr(ising, "extract_block", field_minus_root)
+        got = phase_transition_bisect("pd", PD_3501, Block.QVD)
+        assert got == root
+        assert got == reference_bisect("pd", PD_3501, Block.QVD)
+
+    @pytest.mark.parametrize("kind,payoffs,block_id,most", [
+        ("pd", PD_3501, Block.QVD, 9),                                  # a crossing
+        ("chicken", ChickenPayoffs(1, 3), Block.QVSTRAIGHT, 2),         # no sign change
+        ("pd", PD_3501, Block.QVC, 2),                                  # h identically zero
+    ])
+    def test_circuit_runs_per_bisection(self, monkeypatch, kind, payoffs, block_id, most):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return extract_block(*args)
+
+        monkeypatch.setattr(ising, "extract_block", counted)
+        phase_transition_bisect(kind, payoffs, block_id)
+        assert len(calls) <= most
+        if most == 2:
+            assert len(calls) == 2
