@@ -127,18 +127,17 @@ def chicken_templates(c: ChickenPayoffs) -> tuple[PayoffTemplate, PayoffTemplate
     return row, col
 
 
-# One row per game kind: payoff type, templates function, 3x3 strategy order.
-_GAMES = {
-    PD: (PDPayoffs, pd_templates, (C, D, Q)),
-    CHICKEN: (ChickenPayoffs, chicken_templates, (SWERVE, STRAIGHT, Q)),
+# One row per game kind: payoff type, templates, 3x3 order, block whose field changes sign.
+GAMES = {
+    PD: (PDPayoffs, pd_templates, (C, D, Q), Block.QVD),
+    CHICKEN: (ChickenPayoffs, chicken_templates, (SWERVE, STRAIGHT, Q), Block.QVSTRAIGHT),
 }
-GAME_KINDS = tuple(_GAMES)
 
 
 def _templates_for(game_kind: str, payoffs):
-    if game_kind not in GAME_KINDS:
-        raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {GAME_KINDS}")
-    payoff_type, templates, _ = _GAMES[game_kind]
+    if game_kind not in GAMES:
+        raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {tuple(GAMES)}")
+    payoff_type, templates, *_ = GAMES[game_kind]
     if not isinstance(payoffs, payoff_type):
         raise ValidationError(
             f"{game_kind} needs {payoff_type.__name__}, got {type(payoffs).__name__}"
@@ -149,7 +148,7 @@ def _templates_for(game_kind: str, payoffs):
 def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
     """Full 3x3 bimatrix over the classical pair plus the quantum strategy."""
     row_t, col_t = _templates_for(game_kind, payoffs)
-    strategies = _GAMES[game_kind][2]
+    strategies = GAMES[game_kind][2]
     row, col = eisert.extended_matrix(row_t, col_t, strategies, gamma)
     return BimatrixGame(row, col, tuple(s.label for s in strategies))
 

@@ -16,6 +16,7 @@ exact binary values that produced them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -25,15 +26,7 @@ import sys
 import numpy as np
 
 from . import ising, oracle
-from .catalog import (
-    CHICKEN,
-    PD,
-    Block,
-    ChickenPayoffs,
-    PDPayoffs,
-    extract_block,
-    quantized_game,
-)
+from .catalog import GAMES, Block, extract_block, quantized_game
 from .eisert import GAMMA_RANGE
 from .equilibrium import pure_nash
 from .errors import ConsistencyError, ValidationError
@@ -61,18 +54,16 @@ def _parse_betas(text: str):
 
 
 def _payoffs_from(args):
-    if args.game == PD:
-        missing = [k for k in ("r", "t", "s", "p") if getattr(args, k) is None]
-        if missing:
-            raise ValidationError(f"game {PD} needs --r --t --s --p (missing: {missing})")
-        return PDPayoffs(r=args.r, t=args.t, s=args.s, p=args.p)
-    missing = [k for k in ("r", "s") if getattr(args, k) is None]
+    payoff_type = GAMES[args.game][0]
+    names = [f.name for f in dataclasses.fields(payoff_type)]
+    flags = ["--" + k for k in names]
+    missing = [k for k in names if getattr(args, k) is None]
     if missing:
-        raise ValidationError(f"game {CHICKEN} needs --r --s (missing: {missing})")
-    for k in ("t", "p"):
-        if getattr(args, k) is not None:
-            raise ValidationError(f"game {CHICKEN} takes --r and --s only (got --{k})")
-    return ChickenPayoffs(r=args.r, s=args.s)
+        raise ValidationError(f"game {args.game} needs {' '.join(flags)} (missing: {missing})")
+    for k in ("r", "t", "s", "p"):
+        if k not in names and getattr(args, k) is not None:
+            raise ValidationError(f"game {args.game} takes {' and '.join(flags)} only (got --{k})")
+    return payoff_type(**{k: getattr(args, k) for k in names})
 
 
 def _gamma_from(args) -> float:
@@ -97,7 +88,7 @@ def _emit(path, lines):
 
 
 def _add_game_flags(p):
-    p.add_argument("--game", required=True, choices=(PD, CHICKEN))
+    p.add_argument("--game", required=True, choices=tuple(GAMES))
     p.add_argument("--r", type=float, help="reward (pd) / reputation (chicken)")
     p.add_argument("--t", type=float, help="temptation (pd only)")
     p.add_argument("--s", type=float, help="sucker payoff (pd) / injury cost (chicken)")
@@ -154,9 +145,7 @@ def cmd_curve(args) -> int:
 
 def cmd_transition(args) -> int:
     payoffs = _payoffs_from(args)
-    block_id = Block(args.block) if args.block else (
-        Block.QVD if args.game == PD else Block.QVSTRAIGHT
-    )
+    block_id = Block(args.block or GAMES[args.game][3])
     analytic, numeric = ising.phase_transition_gamma(args.game, payoffs, block_id)
 
     lines = [f"game={args.game}  block={block_id.value}"]

@@ -43,6 +43,8 @@ class ChainSpec:
     def __post_init__(self):
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 2):
             raise ValidationError(f"N must be an integer >= 2, got {self.N!r}")
+        if not isinstance(self.params, IsingParams):
+            raise ValidationError(f"params must be IsingParams, got {type(self.params).__name__}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -17,6 +18,7 @@ from conftest import (
     random_pd,
 )
 from qgames import Block, cli, extract_block
+from qgames.catalog import _BLOCK_STRATEGIES, GAMES
 from qgames.cli import main
 from test_golden import CASES, assert_golden, stdout_bytes
 
@@ -362,6 +364,41 @@ class TestTransition:
         )
         assert code == 0
         assert "transition: none" in out
+
+
+class TestPayoffFlags:
+    """Each game kind's payoff flags and its default transition block."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("curve", "--game", "pd", "--r", "3", "--block", "QvD"),
+         "game pd needs --r --t --s --p (missing: ['t', 's', 'p'])"),
+        (("transition", "--game", "chicken", "--r", "3"),
+         "game chicken needs --r --s (missing: ['s'])"),
+        (("transition", "--game", "chicken", "--r", "3", "--s", "4", "--t", "1"),
+         "game chicken takes --r and --s only (got --t)"),
+        (("transition", "--game", "chicken", "--r", "3", "--s", "4", "--p", "1"),
+         "game chicken takes --r and --s only (got --p)"),
+    ])
+    def test_wrong_flags_exit_2_with_the_exact_message(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (("--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1"),
+         "game=pd  block=QvD"),
+        (("--game", "chicken", "--r", "3", "--s", "4"), "game=chicken  block=QvStraight"),
+    ])
+    def test_transition_without_block_uses_the_game_default(self, capsys, argv, first_line):
+        code, out, _ = run(capsys, "transition", *argv)
+        assert code == 0
+        assert out.splitlines()[0] == first_line
+
+    @pytest.mark.parametrize("kind", tuple(GAMES))
+    def test_each_games_row_fits_its_kind_and_the_cli_flags(self, kind):
+        payoff_type, _, _, block = GAMES[kind]
+        assert _BLOCK_STRATEGIES[block][0] == kind
+        names = {f.name for f in dataclasses.fields(payoff_type)}
+        assert names <= {"r", "t", "s", "p"}
+        assert names <= vars(cli.build_parser().parse_args(["transition", "--game", kind])).keys()
 
 
 class TestOracle:

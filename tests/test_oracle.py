@@ -53,6 +53,22 @@ def reference_sweeps(spins, us, accept, out):
         out[t] = spins.sum(dtype=np.int64) / n
 
 
+@pytest.mark.parametrize("params", [None, (0.1, 0.2, 1.0)])
+def test_chain_spec_rejects_params_that_are_not_ising_params(params):
+    with pytest.raises(ValidationError, match="params must be IsingParams"):
+        ChainSpec(4, params)
+
+
+def test_long_double_is_x87_extended_precision():
+    # a platform guard, not a skip: elsewhere the oracle's numbers change
+    nmant = np.finfo(np.longdouble).nmant
+    assert nmant >= 63, (
+        f"oracle._LD = np.longdouble has a {nmant}-bit mantissa: the transfer matrix meets "
+        "its 1e-10 gate against enumeration, and the golden transfer_matrix row, only with "
+        "the 80-bit long double of x86-64 (a float64 long double misses both)"
+    )
+
+
 class TestEnumerate:
     def test_decoupled_spins_reduce_to_tanh(self):
         for n in (2, 3, 8):
