@@ -75,6 +75,10 @@ class Block(str, Enum):
     CLASSICAL_PD = "ClassicalPD"
     CLASSICAL_CHICKEN = "ClassicalChicken"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"unknown block {value!r}; expected one of {[b.value for b in cls]}")
+
 
 # Row/column ordering of each block, matching how the 3x3 tables are reduced.
 _BLOCK_STRATEGIES = {
@@ -97,6 +101,7 @@ class StrategyBlock:
     def __post_init__(self):
         m = np.asarray(self.row_payoffs, dtype=float)
         object.__setattr__(self, "row_payoffs", m)
+        object.__setattr__(self, "block_id", Block(self.block_id))
         if m.shape[-2:] != (2, 2) or m.ndim > 3 or not np.isfinite(m).all():
             raise ValidationError("block must be a finite 2x2 matrix or a stack of them")
 
@@ -127,10 +132,12 @@ def chicken_templates(c: ChickenPayoffs) -> tuple[PayoffTemplate, PayoffTemplate
     return row, col
 
 
-# One row per game kind: payoff type, templates, 3x3 order, block whose field changes sign.
+# One row per game kind: payoff type, templates, 3x3 order, block whose field changes sign,
+# and cos(2 gamma*) at that sign change in closed form, the cross-check of the bisection.
 GAMES = {
-    PD: (PDPayoffs, pd_templates, (C, D, Q), Block.QVD),
-    CHICKEN: (ChickenPayoffs, chicken_templates, (SWERVE, STRAIGHT, Q), Block.QVSTRAIGHT),
+    PD: (PDPayoffs, pd_templates, (C, D, Q), Block.QVD, lambda p: (p.r - p.p) / (p.t - p.s)),
+    CHICKEN: (ChickenPayoffs, chicken_templates, (SWERVE, STRAIGHT, Q), Block.QVSTRAIGHT,
+              lambda c: c.s / (2.0 * c.r)),
 }
 
 

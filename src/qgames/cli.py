@@ -122,12 +122,11 @@ def cmd_quantize(args) -> int:
 
 def cmd_curve(args) -> int:
     payoffs = _payoffs_from(args)
-    block_id = Block(args.block)
     betas = _parse_betas(args.beta)
     if args.gamma_steps < 1:
         raise ValidationError("--gamma-steps must be >= 1")
     grid = np.linspace(args.gamma_start, args.gamma_stop, args.gamma_steps)
-    stacked = extract_block(args.game, payoffs, block_id, grid)  # range-checks the grid
+    stacked = extract_block(args.game, payoffs, args.block, grid)  # range-checks the grid
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("gamma grid must be strictly increasing")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .catalog import Block, StrategyBlock, extract_block
+from .catalog import GAMES, Block, StrategyBlock, extract_block
 from .eisert import GAMMA_RANGE
 from .errors import ConsistencyError, ValidationError
 
@@ -76,9 +76,7 @@ def _logaddexp(x: float, y: float) -> float:
     tmp = x - y
     if tmp > 0:
         return x + math.log1p(math.exp(-tmp))
-    if tmp <= 0:
-        return y + math.log1p(math.exp(tmp))
-    return tmp  # NaN
+    return y + math.log1p(math.exp(tmp))  # tmp <= 0; a NaN tmp gives NaN here too
 
 
 def magnetization(ip: IsingParams) -> float:
@@ -121,7 +119,6 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
     levels of the bisection tree, each midpoint 0.5*(lo + hi) of the interval
     the one-at-a-time loop would hold, and walks them by its rules: same bits.
     """
-    block_id = Block(block_id)
     a, b = GAMMA_RANGE
     fa = _field_at(game_kind, payoffs, block_id, a)
     fb = _field_at(game_kind, payoffs, block_id, b)
@@ -152,13 +149,11 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
     return 0.5 * (a + b)
 
 
-def _analytic_transition(payoffs, block_id):
-    if block_id is Block.QVD:
-        arg = (payoffs.r - payoffs.p) / (payoffs.t - payoffs.s)
-    elif block_id is Block.QVSTRAIGHT:
-        arg = payoffs.s / (2.0 * payoffs.r)
-    else:  # h is identically zero or independent of gamma: no crossing
+def _analytic_transition(game_kind, payoffs, block_id):
+    *_, sign_block, cos_2gamma = GAMES[game_kind]
+    if block_id is not sign_block:  # h is identically zero or independent of gamma: no crossing
         return None
+    arg = cos_2gamma(payoffs)
     return None if arg > 1.0 else 0.5 * math.acos(arg)
 
 
@@ -172,7 +167,7 @@ def phase_transition_gamma(game_kind, payoffs, block_id):
     """
     block_id = Block(block_id)
     numeric = phase_transition_bisect(game_kind, payoffs, block_id)  # validates the inputs
-    analytic = _analytic_transition(payoffs, block_id)
+    analytic = _analytic_transition(game_kind, payoffs, block_id)
     if (analytic is None) != (numeric is None) or (
         analytic is not None and not abs(analytic - numeric) <= _CROSSCHECK_TOL
     ):

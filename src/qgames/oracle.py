@@ -82,8 +82,6 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
     )
     total = 1 << n
     step = min(total, 1 << _CHUNK_BITS)
-    top = np.uint64(n - 1)
-    one = np.uint64(1)
 
     z = mw = 0.0
     for lo in range(0, total, step):
@@ -91,7 +89,7 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
         # a bit differs from its cyclic neighbour, i.e. in code ^ rotate(code)
         codes = np.arange(lo, lo + step, dtype=np.uint64)
         msum = n - 2 * np.bitwise_count(codes).astype(np.int64)
-        rotated = (codes >> one) | ((codes & one) << top)
+        rotated = (codes >> 1) | ((codes & 1) << (n - 1))
         bonds = (n - b_top) - 2 * np.bitwise_count(codes ^ rotated).astype(np.int64)  # less b_top
         w = bh * (msum - m_top)
         w += bj * bonds  # -beta * energy, less its max
@@ -190,8 +188,8 @@ def transfer_matrix_finite(spec: ChainSpec) -> float:
     return float(m + s if scaled and a0 >= k else m)
 
 
-def _metropolis_sweeps(spins, us, accept, out):
-    """Run one uniform block of sweeps in place; record mean spin per sweep.
+def _metropolis_sweeps(bits, us, accept, out):
+    """Run one uniform block of sweeps; record mean spin per sweep, return the new state.
 
     accept[(s+1)//2 * 3 + (left+right+2)//2] is the acceptance probability
     for flipping a spin of value s with the given neighbour sum.  Sites are
@@ -202,16 +200,16 @@ def _metropolis_sweeps(spins, us, accept, out):
     then resolves as a prefix scan: the last constant map at or before k
     fixes the value, and the parity of the negations since then flips it.
 
-    The scan runs on N-bit Python ints, bit k for site k (1 = up).  The six
-    flip masks are packed once per block.  Per sweep, bitwise selects give
-    every site's map, log2(N) shift-xors the parity of the negations, and
-    one add carries each constant's value up its run of identities and
-    negations; the carry stops at the next constant, whose bit is clear in
-    the addend.  Every step is exact integer arithmetic on the same draws,
-    so the trajectory equals that of proposing the sites one at a time, bit
-    for bit.
+    The chain state `bits` and the scan are N-bit Python ints, bit k for
+    site k (1 = up).  The six flip masks are packed once per block.  Per
+    sweep, bitwise selects give every site's map, log2(N) shift-xors the
+    parity of the negations, and one add carries each constant's value up
+    its run of identities and negations; the carry stops at the next
+    constant, whose bit is clear in the addend.  Every step is exact integer
+    arithmetic on the same draws, so the trajectory equals that of proposing
+    the sites one at a time, bit for bit.
     """
-    n = spins.shape[0]
+    n = us.shape[1]
     top = n - 1
     full = (1 << n) - 1
     rest = full ^ 1  # every site but 0, whose left neighbour is the old site N-1
@@ -221,7 +219,6 @@ def _metropolis_sweeps(spins, us, accept, out):
     data = np.packbits(us[:, None, :] < accept[:, None], axis=-1, bitorder="little").tobytes()
     masks = [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)]
 
-    bits = int.from_bytes(np.packbits(spins > 0, bitorder="little").tobytes(), "little")
     for t in range(us.shape[0]):
         f = masks[6 * t : 6 * t + 6]
         # site 0 sees the old values of both neighbours
@@ -245,10 +242,7 @@ def _metropolis_sweeps(spins, us, accept, out):
         anchor = ((down ^ parity) & const) | first
         bits = ((((free + (anchor << 1)) ^ free) & free) | anchor) ^ parity
         out[t] = (2 * bits.bit_count() - n) / n
-    up_bits = np.unpackbits(
-        np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8), count=n, bitorder="little"
-    )
-    spins[:] = 2 * up_bits.astype(np.int8) - 1
+    return bits
 
 
 _SWEEP_CHUNK = 4096
@@ -264,7 +258,7 @@ def metropolis_magnetization(
     deviate per proposal is drawn from a PCG64 stream, so a given seed
     reproduces the trajectory exactly.  The standard error comes from 32
     batch means (a plain standard error of the per-sweep values is used when
-    there are too few samples to batch).
+    there are too few samples to batch).  N and sweeps are capped at 2**24.
     """
     if not all(isinstance(v, (int, np.integer)) for v in (sweeps, burn_in, seed)):
         raise ValidationError(
@@ -275,6 +269,9 @@ def metropolis_magnetization(
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     n = spec.N
+    if max(n, sweeps) > 1 << MAX_ENUM_SITES:
+        raise ResourceLimitError(f"Metropolis takes N and sweeps up to 2**{MAX_ENUM_SITES}, "
+                                 f"got N={n}, sweeps={sweeps}")
     beta, J, h = spec.params.beta, spec.params.J, spec.params.h
 
     accept = np.empty(6)
@@ -284,7 +281,7 @@ def metropolis_magnetization(
             accept[si * 3 + ni] = math.exp(-beta * delta_e) if delta_e > 0 else 1.0
 
     rng = np.random.default_rng(seed)
-    spins = (2 * rng.integers(0, 2, size=n) - 1).astype(np.int8)
+    bits = int.from_bytes(np.packbits(rng.integers(0, 2, size=n), bitorder="little").tobytes(), "little")
     mags = np.empty(sweeps)
     done = 0
     # PCG64 draws the same values in any split, so the chunk size never
@@ -293,7 +290,7 @@ def metropolis_magnetization(
     while done < sweeps:
         block = min(chunk, sweeps - done)
         us = rng.random((block, n))
-        _metropolis_sweeps(spins, us, accept, mags[done : done + block])
+        bits = _metropolis_sweeps(bits, us, accept, mags[done : done + block])
         done += block
 
     meas = mags[burn_in:]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,15 @@ from conftest import (
     random_chicken,
     random_pd,
 )
-from qgames import Block, ChickenPayoffs, PDPayoffs, StrategyBlock, extract_block, quantized_game
+from qgames import (
+    Block,
+    ChickenPayoffs,
+    PDPayoffs,
+    StrategyBlock,
+    extract_block,
+    phase_transition_gamma,
+    quantized_game,
+)
 from qgames.errors import ValidationError
 
 
@@ -36,6 +45,10 @@ class TestPDPayoffs:
     def test_any_ordering_respecting_tuple_is_accepted(self):
         PDPayoffs(2, 3, 0, 1)
 
+    def test_non_finite_payoff_rejected(self):
+        with pytest.raises(ValidationError, match="payoffs must be finite"):
+            PDPayoffs(math.nan, 5, 0, 1)
+
 
 class TestChickenPayoffs:
     def test_strictly_ordered_is_silent(self):
@@ -53,6 +66,10 @@ class TestChickenPayoffs:
             ChickenPayoffs(4, 3)
         with pytest.raises(ValidationError, match="r > 0"):
             ChickenPayoffs(0, 1)
+
+    def test_non_finite_payoff_rejected(self):
+        with pytest.raises(ValidationError, match="payoffs must be finite"):
+            ChickenPayoffs(math.inf, 1)
 
 
 class TestExtractBlock:
@@ -196,3 +213,14 @@ def test_block_as_game_is_symmetric():
     g = blk.as_game()
     assert g.labels == ("Q", "D")
     assert np.array_equal(g.col, g.row.T)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: extract_block("pd", PDPayoffs(3, 5, 0, 1), "nope", 0.1),
+    lambda: phase_transition_gamma("pd", PDPayoffs(3, 5, 0, 1), "nope"),
+    lambda: StrategyBlock(np.eye(2), "nope"),
+], ids=["extract_block", "phase_transition_gamma", "StrategyBlock"])
+def test_unknown_block_id_is_a_validation_error(call):
+    message = f"unknown block 'nope'; expected one of {[b.value for b in Block]}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

@@ -394,7 +394,7 @@ class TestPayoffFlags:
 
     @pytest.mark.parametrize("kind", tuple(GAMES))
     def test_each_games_row_fits_its_kind_and_the_cli_flags(self, kind):
-        payoff_type, _, _, block = GAMES[kind]
+        payoff_type, _, _, block, _ = GAMES[kind]
         assert _BLOCK_STRATEGIES[block][0] == kind
         names = {f.name for f in dataclasses.fields(payoff_type)}
         assert names <= {"r", "t", "s", "p"}
@@ -572,6 +572,16 @@ class TestOracle:
         assert code == 2
         assert "N=30" in err
 
+    @pytest.mark.parametrize("size", [
+        ("--N", "1099511627776", "--sweeps", "2", "--burn-in", "1", "--no-enumeration"),
+        ("--N", "4", "--sweeps", "1000000000000"),
+        ("--N", "4", "--sweeps", "99999999999999999999"),
+    ])
+    def test_metropolis_above_its_bound_exits_2(self, capsys, size):
+        code, out, err = run(capsys, "oracle", "--J", "0.1", "--h", "0.2", "--beta", "1", *size)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Metropolis takes N and sweeps up to 2**24")
+
     def test_oversized_chain_allowed_without_enumeration(self, tmp_path, capsys):
         out_file = tmp_path / "oracle.csv"
         code, _, _ = run(
@@ -589,6 +599,23 @@ class TestOracle:
         run(capsys, *args, "--output", str(f1))
         run(capsys, *args, "--output", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestRejectedFlags:
+    PD = ("--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("curve", *PD, "--block", "QvD", "--beta", "abc"), "bad beta list 'abc': "),
+        (("curve", *PD, "--block", "QvD", "--beta", ","), "beta list is empty"),
+        (("quantize", *PD, "--gamma", "0.1", "--gamma-degrees", "5"),
+         "give either --gamma or --gamma-degrees, not both"),
+        (("quantize", *PD), "a gamma value is required (--gamma or --gamma-degrees)"),
+        (("quantize", *PD, "--config"), "--config needs a file path"),
+    ])
+    def test_exit_2_with_the_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
 
 class TestOutput:

@@ -110,6 +110,10 @@ class TestFinalState:
 
 
 class TestPayoff:
+    def test_non_finite_template_entry_rejected(self):
+        with pytest.raises(ValidationError, match="payoff template entries must be finite"):
+            PayoffTemplate(math.nan, 0, 0, 0)
+
     def test_pure_00_state_pays_the_00_entry(self):
         row, _ = pd_templates(PD_3501)
         chi = np.array([1, 0, 0, 0], dtype=complex)

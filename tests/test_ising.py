@@ -16,7 +16,7 @@ from conftest import (
     random_pd,
     reference_bisect,
 )
-from qgames import cli, ising
+from qgames import catalog, cli, ising
 from qgames import (
     Block,
     ChickenPayoffs,
@@ -30,7 +30,7 @@ from qgames import (
 )
 from qgames.catalog import StrategyBlock
 from qgames.equilibrium import pure_nash
-from qgames.errors import ValidationError
+from qgames.errors import ConsistencyError, ValidationError
 from qgames.ising import phase_transition_bisect
 from qgames.oracle import ChainSpec, transfer_matrix_finite
 
@@ -130,6 +130,10 @@ class TestToIsing:
     def test_beta_must_be_nonnegative(self):
         with pytest.raises(ValidationError, match="beta"):
             to_ising(qvd_block(PD_3501, 0.5), -1.0)
+
+    def test_non_finite_params_rejected(self):
+        with pytest.raises(ValidationError, match="J, h, beta must be finite"):
+            IsingParams(math.nan, 0, 1)
 
 
 SIX_BLOCKS = [("pd", b) for b in (Block.QVC, Block.QVD, Block.CLASSICAL_PD)] + [
@@ -480,6 +484,18 @@ class TestPhaseTransition:
     def test_pair_without_transition(self):
         got = phase_transition_gamma("pd", PD_3501, Block.QVC)
         assert got == (None, None)
+
+    def test_closed_form_off_the_circuit_is_a_consistency_error(self, monkeypatch, capsys):
+        # the row's closed form puts gamma* at pi/6, the circuit at acos(2/5)/2
+        *row, _ = catalog.GAMES["pd"]
+        monkeypatch.setitem(catalog.GAMES, "pd", (*row, lambda p: 0.5))
+        with pytest.raises(ConsistencyError, match="transition mismatch for QvD"):
+            phase_transition_gamma("pd", PD_3501, Block.QVD)
+        argv = ["transition", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal consistency failure: transition mismatch for QvD")
 
     def test_boundary_transition_at_gamma_zero(self):
         # s exactly 2r puts the crossing at the edge of the interval

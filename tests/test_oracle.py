@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -51,6 +52,15 @@ def reference_sweeps(spins, us, accept, out):
             if us[t, k] < accept[idx]:
                 spins[k] = -s
         out[t] = spins.sum(dtype=np.int64) / n
+
+
+def reference_kernel(bits, us, accept, out):
+    """reference_sweeps on the sampler's chain state, an N-bit int with bit k
+    set where spin k is up; returns the new state."""
+    n = us.shape[1]
+    spins = np.array([1 if bits >> k & 1 else -1 for k in range(n)], dtype=np.int8)
+    reference_sweeps(spins, us, accept, out)
+    return sum(1 << k for k in range(n) if spins[k] > 0)
 
 
 @pytest.mark.parametrize("params", [None, (0.1, 0.2, 1.0)])
@@ -330,6 +340,22 @@ class TestMetropolis:
         b = metropolis_magnetization(s, sweeps=5_000, burn_in=500, seed=2)
         assert a.mean != b.mean
 
+    def test_one_sample_has_zero_standard_error(self):
+        est = metropolis_magnetization(ChainSpec(4, IsingParams(0.1, 0.2, 1.0)), 2, 1, 0)
+        assert est.samples == 1
+        assert est.std_error == 0.0
+
+    @pytest.mark.parametrize("n, sweeps", [((1 << 24) + 1, 2), (4, (1 << 24) + 1)])
+    def test_chain_or_run_above_2_to_24_is_refused_before_any_draw(self, n, sweeps):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"up to 2\*\*24"):
+                metropolis_magnetization(spec(n, 0.1, 0.2, 1.0), sweeps, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_estimate_metadata(self):
         est = metropolis_magnetization(spec(16, 0.0, 0.5, 1.0), sweeps=1_000,
                                        burn_in=100, seed=9)
@@ -376,7 +402,7 @@ class TestMetropolisMatchesSequentialSweeps:
     def both(monkeypatch, s, sweeps, burn_in, seed):
         fast = metropolis_magnetization(s, sweeps, burn_in, seed)
         with monkeypatch.context() as m:
-            m.setattr(oracle, "_metropolis_sweeps", reference_sweeps)
+            m.setattr(oracle, "_metropolis_sweeps", reference_kernel)
             slow = metropolis_magnetization(s, sweeps, burn_in, seed)
         return fast, slow
 
@@ -426,9 +452,9 @@ class TestMetropolisMatchesSequentialSweeps:
         shapes = []
         kernel = oracle._metropolis_sweeps
 
-        def recording(spins, us, accept, out):
+        def recording(bits, us, accept, out):
             shapes.append(us.shape)
-            kernel(spins, us, accept, out)
+            return kernel(bits, us, accept, out)
 
         monkeypatch.setattr(oracle, "_metropolis_sweeps", recording)
         assert metropolis_magnetization(s, 10, 2, 3) == default
