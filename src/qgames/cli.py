@@ -267,9 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _switches(subcommand):
+    """The on/off flags (store_true actions) of one subcommand, e.g. --no-metropolis."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[subcommand]._actions if subcommand in sub.choices else ()
+    return {f for a in actions if isinstance(a, argparse._StoreTrueAction) for f in a.option_strings}
+
+
 def _merge_config(argv):
     """Expand --config FILE (or --config=FILE) into key=value flags placed
-    before the explicit ones, so explicit command-line flags win on conflict."""
+    before the explicit ones, so explicit command-line flags win on conflict.
+    A switch takes key=true (the flag is given) or key=false (it is not)."""
     argv = list(argv)
     at = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
     if at is None:
@@ -281,6 +289,7 @@ def _merge_config(argv):
         raise ValidationError("--config must follow the subcommand")
     path = argv[at + 1]
     rest = argv[:at] + argv[at + 2 :]
+    switches = _switches(rest[0])
     tokens = []
     try:
         with open(path) as fh:
@@ -290,8 +299,15 @@ def _merge_config(argv):
                     continue
                 if "=" not in line:
                     raise ValidationError(f"{path}:{ln}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                tokens += ["--" + key.strip().replace("_", "-"), value.strip()]
+                key, value = (part.strip() for part in line.split("=", 1))
+                flag = "--" + key.replace("_", "-")
+                if flag not in switches:
+                    tokens += [flag, value]
+                elif value == "true":
+                    tokens.append(flag)
+                elif value != "false":
+                    raise ValidationError(f"{path}:{ln}: {key} is a switch, "
+                                          f"give true or false, got {value!r}")
     except OSError as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from None
     return rest[:1] + tokens + rest[1:]

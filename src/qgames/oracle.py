@@ -14,6 +14,8 @@ fits inside the chain); Metropolis agrees statistically.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +25,7 @@ from .errors import ResourceLimitError, ValidationError
 from .ising import IsingParams
 
 MAX_ENUM_SITES = 24
+_MAX_UPDATES_LOG2 = 32  # Metropolis's bound on N * sweeps: about 2 minutes at ~30 ns per update
 _CHUNK_BITS = 20  # enumeration and Metropolis work in slices of at most 2**20 values
 _FD_STEP = 1e-6   # central-difference step for the transfer-matrix derivative
 
@@ -85,18 +88,30 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
 
     z = mw = 0.0
     for lo in range(0, total, step):
-        # bit k of a code is 1 where spin k is down; a bond is broken where
-        # a bit differs from its cyclic neighbour, i.e. in code ^ rotate(code)
-        codes = np.arange(lo, lo + step, dtype=np.uint64)
-        msum = n - 2 * np.bitwise_count(codes).astype(np.int64)
-        rotated = (codes >> 1) | ((codes & 1) << (n - 1))
-        bonds = (n - b_top) - 2 * np.bitwise_count(codes ^ rotated).astype(np.int64)  # less b_top
-        w = bh * (msum - m_top)
-        w += bj * bonds  # -beta * energy, less its max
+        msum, bonds = _spin_and_bond_sums(n, lo, step)
+        w = np.multiply(msum - m_top, bh)
+        w += bj * (bonds - b_top)  # -beta * energy, less its max
         np.exp(w, out=w)
         z += float(w.sum())
-        mw += float((msum * w).sum())
+        mw += float(np.multiply(msum, w, out=w).sum())
     return (mw / n) / z
+
+
+@functools.lru_cache(maxsize=1)
+def _spin_and_bond_sums(n: int, lo: int, step: int):
+    """Spin sum and bond sum of the codes lo .. lo+step-1 of an N-site ring.
+
+    Bit k of a code is 1 where spin k is down; a bond is broken where a bit
+    differs from its cyclic neighbour, i.e. in code ^ rotate(code).  Both
+    sums lie in [-N, N], so they are read-only int8 arrays.  The last chunk
+    is kept, so repeated calls at one N <= 20 (a single chunk) reuse it.
+    """
+    codes = np.arange(lo, lo + step, dtype=np.uint64)
+    rotated = (codes >> 1) | ((codes & 1) << (n - 1))
+    msum = n - 2 * np.bitwise_count(codes).astype(np.int8)
+    bonds = n - 2 * np.bitwise_count(codes ^ rotated).astype(np.int8)
+    msum.flags.writeable = bonds.flags.writeable = False
+    return msum, bonds
 
 
 def _log_partition_per_site(n: int, beta_j, x):
@@ -201,7 +216,9 @@ def _metropolis_sweeps(bits, us, accept, out):
     fixes the value, and the parity of the negations since then flips it.
 
     The chain state `bits` and the scan are N-bit Python ints, bit k for
-    site k (1 = up).  The six flip masks are packed once per block.  Per
+    site k (1 = up).  The flip masks are packed once per block, and only for
+    the classes with 0 < accept < 1: the draws lie in [0, 1), so a class
+    with accept >= 1 flips every site and one with accept <= 0 none.  Per
     sweep, bitwise selects give every site's map, log2(N) shift-xors the
     parity of the negations, and one add carries each constant's value up
     its run of identities and negations; the carry stops at the next
@@ -209,18 +226,24 @@ def _metropolis_sweeps(bits, us, accept, out):
     arithmetic on the same draws, so the trajectory equals that of proposing
     the sites one at a time, bit for bit.
     """
-    n = us.shape[1]
+    sweeps, n = us.shape
     top = n - 1
     full = (1 << n) - 1
     rest = full ^ 1  # every site but 0, whose left neighbour is the old site N-1
     shifts = [1 << i for i in range(top.bit_length())]  # prefix parity in log2(N) steps
     nbytes = (n + 7) // 8
-    # masks[6t + c] has bit k set where draw t, k flips under accept[c]
-    data = np.packbits(us[:, None, :] < accept[:, None], axis=-1, bitorder="little").tobytes()
-    masks = [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)]
+    # cols[c] yields per sweep t the mask with bit k set where draw t, k flips under accept[c]
+    probs = accept.tolist()
+    cols = [itertools.repeat(full if a >= 1.0 else 0, sweeps) for a in probs]
+    live = [c for c, a in enumerate(probs) if 0.0 < a < 1.0]
+    if live:
+        data = np.packbits(us < accept[live, None, None], axis=-1, bitorder="little").tobytes()
+        for j, c in enumerate(live):
+            start = j * sweeps * nbytes
+            cols[c] = [int.from_bytes(data[i : i + nbytes], "little")
+                       for i in range(start, start + sweeps * nbytes, nbytes)]
 
-    for t in range(us.shape[0]):
-        f = masks[6 * t : 6 * t + 6]
+    for t, f in enumerate(zip(*cols)):
         # site 0 sees the old values of both neighbours
         own = bits & 1
         first = own ^ (f[3 * own + (bits >> top) + ((bits >> 1) & 1)] & 1)
@@ -258,7 +281,8 @@ def metropolis_magnetization(
     deviate per proposal is drawn from a PCG64 stream, so a given seed
     reproduces the trajectory exactly.  The standard error comes from 32
     batch means (a plain standard error of the per-sweep values is used when
-    there are too few samples to batch).  N and sweeps are capped at 2**24.
+    there are too few samples to batch).  N and sweeps are capped at 2**24,
+    and N * sweeps, the number of site updates, at 2**32.
     """
     if not all(isinstance(v, (int, np.integer)) for v in (sweeps, burn_in, seed)):
         raise ValidationError(
@@ -272,13 +296,18 @@ def metropolis_magnetization(
     if max(n, sweeps) > 1 << MAX_ENUM_SITES:
         raise ResourceLimitError(f"Metropolis takes N and sweeps up to 2**{MAX_ENUM_SITES}, "
                                  f"got N={n}, sweeps={sweeps}")
+    if n * sweeps > 1 << _MAX_UPDATES_LOG2:
+        raise ResourceLimitError(f"Metropolis takes N * sweeps up to 2**{_MAX_UPDATES_LOG2} "
+                                 f"site updates, got N * sweeps = {n * sweeps}")
     beta, J, h = spec.params.beta, spec.params.J, spec.params.h
 
     accept = np.empty(6)
     for si, s in enumerate((-1, 1)):
         for ni, nsum in enumerate((-2, 0, 2)):
-            delta_e = 2.0 * s * (J * nsum + h)
-            accept[si * 3 + ni] = math.exp(-beta * delta_e) if delta_e > 0 else 1.0
+            # beta * delta_e, not the sign of delta_e alone: at beta = 0 an
+            # infinite delta_e gives a NaN cost, and that class flips always
+            cost = beta * (2.0 * s * (J * nsum + h))
+            accept[si * 3 + ni] = math.exp(-cost) if cost > 0 else 1.0
 
     rng = np.random.default_rng(seed)
     bits = int.from_bytes(np.packbits(rng.integers(0, 2, size=n), bitorder="little").tobytes(), "little")

@@ -582,6 +582,26 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert err.startswith("error: Metropolis takes N and sweeps up to 2**24")
 
+    def test_metropolis_above_its_site_update_bound_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--J", "0.1", "--h", "0.2", "--beta", "1", "--N", "65536",
+            "--sweeps", "65537", "--burn-in", "1", "--no-enumeration",
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: Metropolis takes N * sweeps up to 2**32 site updates, "
+                       "got N * sweeps = 4295032832\n")
+
+    def test_overflowing_energy_at_zero_beta_samples_every_flip(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--J", "1e308", "--h", "0", "--beta", "0", "--N", "8",
+            "--sweeps", "200", "--burn-in", "20", "--seed", "3",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "N,method,m,std_error", "8,enumeration,0,", "8,transfer_matrix,0,",
+            "8,metropolis,0,0", "inf,closed_form,0,",
+        ]
+
     def test_oversized_chain_allowed_without_enumeration(self, tmp_path, capsys):
         out_file = tmp_path / "oracle.csv"
         code, _, _ = run(
@@ -697,6 +717,50 @@ class TestConfigFile:
         spaced = run(capsys, "--config", str(bad), "transition")
         assert spaced[2] == "error: --config must follow the subcommand\n"
         assert run(capsys, f"--config={bad}", "transition") == spaced
+
+
+class TestConfigSwitches:
+    POINT = ("oracle", "--J", "0.1", "--h", "0.2", "--beta", "1", "--N", "8",
+             "--sweeps", "200", "--burn-in", "20")
+
+    def methods(self, capsys, tmp_path, text):
+        cfg = tmp_path / "switches.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, *self.POINT, "--config", str(cfg))
+        assert (code, err) == (0, "")
+        return [line.split(",")[1] for line in out.splitlines()[1:]]
+
+    @pytest.mark.parametrize("key, method", [
+        ("no_metropolis", "metropolis"), ("no_enumeration", "enumeration"),
+    ])
+    def test_true_sets_the_switch_and_false_leaves_it_off(self, capsys, tmp_path, key, method):
+        assert method not in self.methods(capsys, tmp_path, f"{key}=true\n")
+        assert method in self.methods(capsys, tmp_path, f"{key} = false\n")
+
+    def test_explicit_flag_wins_over_false(self, capsys, tmp_path):
+        cfg = tmp_path / "switches.cfg"
+        cfg.write_text("no_metropolis=false\n")
+        code, out, _ = run(capsys, *self.POINT, "--config", str(cfg), "--no-metropolis")
+        assert code == 0
+        assert "metropolis" not in out
+
+    @pytest.mark.parametrize("value", ["yes", "1", ""])
+    def test_other_values_of_a_switch_exit_2(self, capsys, tmp_path, value):
+        cfg = tmp_path / "switches.cfg"
+        cfg.write_text(f"no_metropolis={value}\n")
+        code, out, err = run(capsys, *self.POINT, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {cfg}:1: no_metropolis is a switch, give true or false, "
+                       f"got {value!r}\n")
+
+    def test_a_value_key_keeps_its_value(self, capsys, tmp_path, monkeypatch):
+        # output=true names a file, it is no switch
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text("output=true\nno_metropolis=true\n")
+        code, out, _ = run(capsys, *self.POINT, "--config", str(cfg))
+        assert (code, out) == (0, "")
+        assert (tmp_path / "true").read_text().startswith("N,method,m,std_error\n")
 
 
 class TestParserReuse:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,33 @@ def reference_enumeration(s):
     return (float((msum * w).sum()) / n) / float(w.sum())
 
 
+def uncached_enumeration(s):
+    """enumerate_magnetization's loop with the spin and bond sums built
+    afresh, as int64, in every chunk: the cached int8 sums must give the
+    same bits."""
+    n = s.N
+    bj = float(s.params.beta) * float(s.params.J)
+    bh = float(s.params.beta) * float(s.params.h)
+    alt, odd = n - 4 * (n // 2), n % 2
+    b_top, m_top = max(
+        [(n, n), (alt, odd), (alt, -odd), (n, -n)], key=lambda p: bj * p[0] + bh * p[1]
+    )
+    total = 1 << n
+    step = min(total, 1 << oracle._CHUNK_BITS)
+    z = mw = 0.0
+    for lo in range(0, total, step):
+        codes = np.arange(lo, lo + step, dtype=np.uint64)
+        msum = n - 2 * np.bitwise_count(codes).astype(np.int64)
+        rotated = (codes >> 1) | ((codes & 1) << (n - 1))
+        bonds = (n - b_top) - 2 * np.bitwise_count(codes ^ rotated).astype(np.int64)
+        w = bh * (msum - m_top)
+        w += bj * bonds
+        np.exp(w, out=w)
+        z += float(w.sum())
+        mw += float((msum * w).sum())
+    return (mw / n) / z
+
+
 def reference_sweeps(spins, us, accept, out):
     """The sampler's sweeps proposed one site at a time, in order 0..N-1."""
     n = spins.shape[0]
@@ -61,6 +89,20 @@ def reference_kernel(bits, us, accept, out):
     spins = np.array([1 if bits >> k & 1 else -1 for k in range(n)], dtype=np.int8)
     reference_sweeps(spins, us, accept, out)
     return sum(1 << k for k in range(n) if spins[k] > 0)
+
+
+def record_acceptance(monkeypatch):
+    """Route the sampler's sweeps through a spy; returns the list it fills
+    with each block's acceptance vector."""
+    seen = []
+    kernel = oracle._metropolis_sweeps
+
+    def recording(bits, us, accept, out):
+        seen.append(accept.copy())
+        return kernel(bits, us, accept, out)
+
+    monkeypatch.setattr(oracle, "_metropolis_sweeps", recording)
+    return seen
 
 
 @pytest.mark.parametrize("params", [None, (0.1, 0.2, 1.0)])
@@ -159,6 +201,37 @@ class TestEnumerate:
                 enumerate_magnetization(spec(4, 1e308, 0.5, 10.0))
             with pytest.raises(ValidationError, match="overflow"):
                 enumerate_magnetization(spec(4, 0.5, -1e308, 10.0))
+
+
+class TestEnumerationCache:
+    """The per-N spin and bond sums come from a cache; the sums over them
+    equal those built afresh bit for bit."""
+
+    def test_cached_sums_are_read_only(self):
+        enumerate_magnetization(spec(16, 0.3, -0.2, 1.0))
+        msum, bonds = oracle._spin_and_bond_sums(16, 0, 1 << 16)
+        assert msum.dtype == bonds.dtype == np.int8
+        for arr in (msum, bonds):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_alternating_lengths_equal_uncached_sums(self):
+        rng = np.random.default_rng(19)
+        for n in (16, 12, 16):
+            for J, h, beta in rng.uniform(-2, 2, (4, 3)):
+                s = spec(n, J, h, abs(beta) * 3)
+                assert enumerate_magnetization(s) == uncached_enumeration(s)
+
+    def test_two_chunks_equal_uncached_sums(self):
+        for J, h, beta in [(-0.7, 0.4, 1.3), (1.5, -0.05, 2.0)]:
+            s = spec(21, J, h, beta)
+            assert enumerate_magnetization(s) == uncached_enumeration(s)
+
+    def test_golden_oracle_point(self):
+        s = spec(16, -0.25, 1.75, 2.0)
+        golden = Path(__file__).parent / "golden" / "oracle.txt"
+        row = next(r for r in golden.read_text().splitlines() if ",enumeration," in r)
+        assert enumerate_magnetization(s) == uncached_enumeration(s) == float(row.split(",")[2])
 
 
 class TestTransferMatrix:
@@ -356,6 +429,24 @@ class TestMetropolis:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_overflowing_energy_at_zero_beta_accepts_every_flip(self, monkeypatch):
+        # delta E = inf and beta = 0: exp(-beta * delta E) would be exp(nan)
+        seen = record_acceptance(monkeypatch)
+        metropolis_magnetization(spec(8, 1e308, 0.0, 0.0), 200, 20, 3)
+        assert np.all(np.isfinite(seen[0]))
+        assert np.all((seen[0] >= 0.0) & (seen[0] <= 1.0))
+        assert np.all(seen[0] == 1.0)
+
+    def test_site_updates_above_2_to_32_are_refused_before_any_draw(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"N \* sweeps up to 2\*\*32"):
+                metropolis_magnetization(spec(1 << 16, 0.1, 0.2, 1.0), (1 << 16) + 1, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_estimate_metadata(self):
         est = metropolis_magnetization(spec(16, 0.0, 0.5, 1.0), sweeps=1_000,
                                        burn_in=100, seed=9)
@@ -428,6 +519,32 @@ class TestMetropolisMatchesSequentialSweeps:
     def test_equals_reference(self, monkeypatch, n, J, h, beta):
         fast, slow = self.both(monkeypatch, spec(n, J, h, beta), 300, 30, 7)
         assert fast == slow
+
+    @pytest.mark.parametrize("n, J, h, beta", [
+        (16, 0.0, 0.0, 1.0),     # every class accepts always: nothing is packed
+        (33, 0.7, 0.0, 1.2),     # h = 0: two classes with delta E = 0
+        (64, 1.0, 0.5, 1e3),     # acceptances that underflow to exactly 0.0
+    ])
+    def test_constant_classes_equal_reference(self, monkeypatch, n, J, h, beta):
+        fast, slow = self.both(monkeypatch, spec(n, J, h, beta), 300, 30, 7)
+        assert fast == slow
+
+    def test_zero_acceptance_point_has_exact_zeros(self, monkeypatch):
+        seen = record_acceptance(monkeypatch)
+        metropolis_magnetization(spec(64, 1.0, 0.5, 1e3), 10, 1, 0)
+        assert (seen[0] == 0.0).sum() == 3 and (seen[0] == 1.0).sum() == 3
+
+    def test_only_undecided_classes_are_packed(self, monkeypatch):
+        shapes = []
+        packbits = np.packbits
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return packbits(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "packbits", spy)
+        metropolis_magnetization(spec(16, 0.3, 0.2, 1.0), 50, 5, 1)
+        assert [sh for sh in shapes if len(sh) == 3] == [(3, 50, 16)]  # 3 classes, not 6
 
     def test_random_draws_equal_reference(self, monkeypatch):
         rng = np.random.default_rng(2024)
