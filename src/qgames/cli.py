@@ -29,10 +29,14 @@ from . import ising, oracle
 from .catalog import GAMES, Block, extract_block, quantized_game
 from .eisert import GAMMA_RANGE
 from .equilibrium import pure_nash
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ResourceLimitError, ValidationError
 
 DEFAULT_BETAS = (0.5, 1.0, 2.0, 5.0)
 DEFAULT_GAMMA_STEPS = 200
+MAX_CURVE_ROWS = 1 << 20  # gamma steps x betas: about 300 MB at ~290 B a row
+
+# on/off flags per subcommand; a --config file gives them as key=true or key=false
+_SWITCHES = {"oracle": ("--no-enumeration", "--no-metropolis")}
 
 # disagreement gates for the oracle subcommand (exit code 3 when exceeded)
 ENUM_VS_TRANSFER_TOL = 1e-10
@@ -125,6 +129,9 @@ def cmd_curve(args) -> int:
     betas = _parse_betas(args.beta)
     if args.gamma_steps < 1:
         raise ValidationError("--gamma-steps must be >= 1")
+    if args.gamma_steps * len(betas) > MAX_CURVE_ROWS:
+        raise ResourceLimitError(f"curve takes gamma steps x betas up to {MAX_CURVE_ROWS} rows, "
+                                 f"got {args.gamma_steps} x {len(betas)}")
     grid = np.linspace(args.gamma_start, args.gamma_stop, args.gamma_steps)
     stacked = extract_block(args.game, payoffs, args.block, grid)  # range-checks the grid
     if not np.all(np.diff(grid) > 0):
@@ -163,7 +170,7 @@ def cmd_oracle(args) -> int:
     spec = oracle.ChainSpec(N=args.N, params=ip)
 
     rows = []
-    enum_m = transfer_m = None
+    enum_m = None
     if not args.no_enumeration:
         enum_m = oracle.enumerate_magnetization(spec)
         rows.append((str(spec.N), "enumeration", _fmt(enum_m), ""))
@@ -259,19 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweeps", type=int, default=100_000)
     p.add_argument("--burn-in", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-enumeration", action="store_true")
-    p.add_argument("--no-metropolis", action="store_true")
+    for flag in _SWITCHES["oracle"]:
+        p.add_argument(flag, action="store_true")
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_oracle)
 
     return parser
-
-
-def _switches(subcommand):
-    """The on/off flags (store_true actions) of one subcommand, e.g. --no-metropolis."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    actions = sub.choices[subcommand]._actions if subcommand in sub.choices else ()
-    return {f for a in actions if isinstance(a, argparse._StoreTrueAction) for f in a.option_strings}
 
 
 def _merge_config(argv):
@@ -289,7 +289,7 @@ def _merge_config(argv):
         raise ValidationError("--config must follow the subcommand")
     path = argv[at + 1]
     rest = argv[:at] + argv[at + 2 :]
-    switches = _switches(rest[0])
+    switches = _SWITCHES.get(rest[0], ())
     tokens = []
     try:
         with open(path) as fh:

@@ -4,6 +4,7 @@ game."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -91,8 +92,11 @@ def mixed_nash_symmetric_2x2(game: BimatrixGame):
     # overhead; payoffs are finite, so this is the same decision
     if any(abs(col[i][j] - row[j][i]) > BEST_RESPONSE_TOL for i in (0, 1) for j in (0, 1)):
         raise ValidationError("game is not symmetric (col payoffs != row payoffs transposed)")
-    (a, b), (c, d) = game.row
+    (a, b), (c, d) = row
     den = (a - c) + (d - b)
+    if not math.isfinite(den):  # overflowed; a quarter of each payoff is exact and p is scale-free
+        a, b, c, d = (0.25 * x for x in (a, b, c, d))
+        den = (a - c) + (d - b)
     if den == 0.0:
         warnings.warn("degenerate game: both strategies always tie, no unique mixed point")
         return None
@@ -101,4 +105,4 @@ def mixed_nash_symmetric_2x2(game: BimatrixGame):
         if abs(p) <= BEST_RESPONSE_TOL or abs(1.0 - p) <= BEST_RESPONSE_TOL:
             warnings.warn(f"indifference point p={p!r} sits on the boundary; degenerate")
         return None
-    return MixedProfile(float(p))
+    return MixedProfile(p)

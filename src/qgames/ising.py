@@ -104,10 +104,6 @@ def magnetization(ip: IsingParams) -> float:
     return math.copysign(math.exp(-0.5 * _logaddexp(0.0, t)), x)
 
 
-def _field_at(game_kind, payoffs, block_id, gamma: float) -> float:
-    return to_ising(extract_block(game_kind, payoffs, block_id, gamma), 1.0).h
-
-
 def phase_transition_bisect(game_kind, payoffs, block_id):
     """Zero of the field h(gamma) on [0, pi/2] by bisection, or None.
 
@@ -120,8 +116,8 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
     the one-at-a-time loop would hold, and walks them by its rules: same bits.
     """
     a, b = GAMMA_RANGE
-    fa = _field_at(game_kind, payoffs, block_id, a)
-    fb = _field_at(game_kind, payoffs, block_id, b)
+    fa = to_ising(extract_block(game_kind, payoffs, block_id, a), 1.0).h
+    fb = to_ising(extract_block(game_kind, payoffs, block_id, b), 1.0).h
     if fa == 0.0 and fb == 0.0:
         return None
     if fa == 0.0:

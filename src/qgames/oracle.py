@@ -312,15 +312,12 @@ def metropolis_magnetization(
     rng = np.random.default_rng(seed)
     bits = int.from_bytes(np.packbits(rng.integers(0, 2, size=n), bitorder="little").tobytes(), "little")
     mags = np.empty(sweeps)
-    done = 0
     # PCG64 draws the same values in any split, so the chunk size never
     # changes the estimate
     chunk = min(_SWEEP_CHUNK, max(1, (1 << _CHUNK_BITS) // n))
-    while done < sweeps:
-        block = min(chunk, sweeps - done)
-        us = rng.random((block, n))
-        bits = _metropolis_sweeps(bits, us, accept, mags[done : done + block])
-        done += block
+    for done in range(0, sweeps, chunk):
+        us = rng.random((min(chunk, sweeps - done), n))
+        bits = _metropolis_sweeps(bits, us, accept, mags[done : done + chunk])
 
     meas = mags[burn_in:]
     mean = float(meas.mean())

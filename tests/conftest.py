@@ -143,12 +143,17 @@ def numpy_magnetization(J: float, h: float, beta: float) -> float:
     return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
 
 
+def _field_at(game_kind, payoffs, block_id, gamma):
+    # ising.extract_block, not the catalog's, so a test's monkeypatch reaches it
+    return ising.to_ising(ising.extract_block(game_kind, payoffs, block_id, gamma), 1.0).h
+
+
 def reference_bisect(game_kind, payoffs, block_id):
     """phase_transition_bisect as a loop of one scalar circuit run per
     midpoint: the reference for the bits of the tree bisection."""
     a, b = GAMMA_RANGE
-    fa = ising._field_at(game_kind, payoffs, block_id, a)
-    fb = ising._field_at(game_kind, payoffs, block_id, b)
+    fa = _field_at(game_kind, payoffs, block_id, a)
+    fb = _field_at(game_kind, payoffs, block_id, b)
     if fa == 0.0 and fb == 0.0:
         return None
     if fa == 0.0:
@@ -159,7 +164,7 @@ def reference_bisect(game_kind, payoffs, block_id):
         return None
     while b - a > ising._BISECT_TOL:
         mid = 0.5 * (a + b)
-        fm = ising._field_at(game_kind, payoffs, block_id, mid)
+        fm = _field_at(game_kind, payoffs, block_id, mid)
         if fm == 0.0:
             return mid
         if (fm > 0) == (fa > 0):

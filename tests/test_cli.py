@@ -293,6 +293,30 @@ class TestCurve:
                     want.append(",".join(format(v, ".17g") for v in (g, beta, J, h, m)))
             assert out.splitlines() == want
 
+    @pytest.mark.parametrize("steps", [10**12, 262145])  # 262145 x 4 betas: just above 2**20
+    def test_grid_above_the_row_bound_exits_2_before_it_is_built(self, capsys, monkeypatch, steps):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        code, out, err = run(
+            capsys, "curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1",
+            "--block", "QvD", "--gamma-steps", str(steps),
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"error: curve takes gamma steps x betas up to 1048576 rows, "
+                       f"got {steps} x 4\n")
+
+    def test_row_bound_counts_gamma_steps_times_betas(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CURVE_ROWS", 8)
+        argv = ("curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1",
+                "--block", "QvD", "--beta", "1,2,3,4")
+        code, out, _ = run(capsys, *argv, "--gamma-steps", "2")
+        assert (code, len(out.splitlines())) == (0, 1 + 8)
+        code, out, err = run(capsys, *argv, "--gamma-steps", "3")
+        assert (code, out) == (2, "")
+        assert "up to 8 rows, got 3 x 4" in err
+
     def test_bad_grid_exits_2(self, capsys):
         for flags, message in [
             (("--gamma-stop", "3.5"), "outside [0.0, 1.5707963267948966]"),
@@ -761,6 +785,17 @@ class TestConfigSwitches:
         code, out, _ = run(capsys, *self.POINT, "--config", str(cfg))
         assert (code, out) == (0, "")
         assert (tmp_path / "true").read_text().startswith("N,method,m,std_error\n")
+
+
+    def test_a_switch_of_another_subcommand_is_an_unknown_flag(self, capsys, tmp_path):
+        # curve has no switches, so no_metropolis=true reads as --no-metropolis true
+        cfg = tmp_path / "curve.cfg"
+        cfg.write_text("game=pd\nr=3\nt=5\ns=0\np=1\nblock=QvD\nno_metropolis=true\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments: --no-metropolis true" in captured.err
 
 
 class TestParserReuse:

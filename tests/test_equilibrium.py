@@ -135,6 +135,27 @@ class TestMixedNash:
             assert accepted == symmetric, (row, offsets)
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("row, p", [
+        ([[1e308, -1e308], [-1e308, 1e308]], 0.5),
+        ([[1.7e308, -1.7e308], [-1.7e308, 1.0]], 0.33333333333333337),
+    ])
+    def test_overflowing_payoff_differences_keep_the_mixed_point(self, row, p):
+        # (a - c) + (d - b) overflows; p does not depend on the payoff scale
+        scaled = [[x * 2.0**-4 for x in r] for r in row]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mixed_nash_symmetric_2x2(BimatrixGame(row, np.transpose(row), ("a", "b")))
+            small = mixed_nash_symmetric_2x2(BimatrixGame(scaled, np.transpose(scaled), ("a", "b")))
+        assert got.p == small.p == p
+        assert type(got.p) is float
+
+    def test_boundary_warning_prints_a_plain_float(self):
+        g = BimatrixGame([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], ("a", "b"))
+        with pytest.warns(UserWarning) as record:
+            assert mixed_nash_symmetric_2x2(g) is None
+        assert [str(w.message) for w in record] == [
+            "indifference point p=0.0 sits on the boundary; degenerate"]
+
     def test_rejects_larger_games(self):
         g = quantized_game("pd", PDPayoffs(3, 5, 0, 1), 0.5)
         with pytest.raises(ValidationError, match="2x2"):

@@ -537,6 +537,8 @@ class TestTreeBisection:
     @pytest.mark.parametrize("root", [
         0.5 * (0.0 + math.pi / 2),            # the level-1 midpoint
         0.5 * (math.pi / 4 + math.pi / 2),    # the level-2 midpoint
+        0.0,                                  # the left endpoint
+        math.pi / 2,                          # the right endpoint
     ])
     def test_exact_zero_at_a_midpoint_is_returned(self, monkeypatch, root):
         def field_minus_root(game_kind, payoffs, block_id, gamma):
