@@ -24,13 +24,12 @@ def run(argv):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="data", help="output directory (default: data/)")
-    parser.add_argument("--steps", type=int, default=200, help="points per sweep")
     args = parser.parse_args()
     os.makedirs(args.outdir, exist_ok=True)
 
     pd_csv = os.path.join(args.outdir, "pd_qvd_magnetization.csv")
     run(["curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1",
-         "--block", "QvD", "--gamma-steps", str(args.steps), "--output", pd_csv])
+         "--block", "QvD", "--output", pd_csv])
     print(f"wrote {pd_csv}")
     run(["transition", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1"])
 
@@ -38,8 +37,7 @@ def main():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # r == s relaxes the strict ordering
         run(["curve", "--game", "chicken", "--r", "4", "--s", "4",
-             "--block", "QvStraight", "--gamma-steps", str(args.steps),
-             "--output", ch_csv])
+             "--block", "QvStraight", "--output", ch_csv])
         print(f"wrote {ch_csv}")
         run(["transition", "--game", "chicken", "--r", "4", "--s", "4"])
 

@@ -253,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transition", help="locate the magnetization sign change")
     _add_game_flags(p)
-    p.add_argument("--block", choices=[b.value for b in Block],
-                   help="defaults to QvD for pd, QvStraight for chicken")
+    defaults = ", ".join(f"{row[3].value} for {kind}" for kind, row in GAMES.items())
+    p.add_argument("--block", choices=[b.value for b in Block], help=f"defaults to {defaults}")
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_transition)
 

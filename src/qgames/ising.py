@@ -111,9 +111,9 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
     change brackets exactly one root.  Blocks with h identically zero have
     no sign change and return None.
 
-    After the endpoints, each circuit pass evaluates the next _TREE_DEPTH
-    levels of the bisection tree, each midpoint 0.5*(lo + hi) of the interval
-    the one-at-a-time loop would hold, and walks them by its rules: same bits.
+    The loop reads each field from a cache that a miss fills with one circuit
+    pass over the 2**_TREE_DEPTH - 1 midpoints of the next _TREE_DEPTH levels
+    below the bracket, each formed as 0.5*(lo + hi) as the loop forms it.
     """
     a, b = GAMMA_RANGE
     fa = to_ising(extract_block(game_kind, payoffs, block_id, a), 1.0).h
@@ -126,31 +126,25 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
         return b
     if (fa > 0) == (fb > 0):
         return None
+    fields = {}
     while b - a > _BISECT_TOL:
-        spans, mids = [(a, b)], []
-        for lo, hi in spans:  # breadth first: node i's halves are nodes 2i+1 and 2i+2
-            mids.append(0.5 * (lo + hi))
-            if len(spans) < 2**_TREE_DEPTH - 1:
-                spans += [(lo, mids[-1]), (mids[-1], hi)]
-        fields = couplings(extract_block(game_kind, payoffs, block_id, mids))
-        i = 0
-        while i < len(mids) and b - a > _BISECT_TOL:
-            mid, (_, fm) = mids[i], fields[i]
-            if fm == 0.0:
-                return mid
-            if (fm > 0) == (fa > 0):
-                a, fa, i = mid, fm, 2 * i + 2
-            else:
-                b, i = mid, 2 * i + 1
+        mid = 0.5 * (a + b)
+        if mid not in fields:
+            spans, mids = [(a, b)], []
+            for lo, hi in spans:  # breadth first
+                mids.append(0.5 * (lo + hi))
+                if len(spans) < 2**_TREE_DEPTH - 1:
+                    spans += [(lo, mids[-1]), (mids[-1], hi)]
+            pairs = couplings(extract_block(game_kind, payoffs, block_id, mids))
+            fields.update((m, h) for m, (_, h) in zip(mids, pairs))
+        fm = fields[mid]
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
     return 0.5 * (a + b)
-
-
-def _analytic_transition(game_kind, payoffs, block_id):
-    *_, sign_block, cos_2gamma = GAMES[game_kind]
-    if block_id is not sign_block:  # h is identically zero or independent of gamma: no crossing
-        return None
-    arg = cos_2gamma(payoffs)
-    return None if arg > 1.0 else 0.5 * math.acos(arg)
 
 
 def phase_transition_gamma(game_kind, payoffs, block_id):
@@ -163,7 +157,11 @@ def phase_transition_gamma(game_kind, payoffs, block_id):
     """
     block_id = Block(block_id)
     numeric = phase_transition_bisect(game_kind, payoffs, block_id)  # validates the inputs
-    analytic = _analytic_transition(game_kind, payoffs, block_id)
+    *_, sign_block, cos_2gamma = GAMES[game_kind]
+    analytic = None
+    if block_id is sign_block:  # any other block's h is identically zero or independent of gamma
+        arg = cos_2gamma(payoffs)
+        analytic = None if arg > 1.0 else 0.5 * math.acos(arg)
     if (analytic is None) != (numeric is None) or (
         analytic is not None and not abs(analytic - numeric) <= _CROSSCHECK_TOL
     ):

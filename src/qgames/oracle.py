@@ -236,12 +236,11 @@ def _metropolis_sweeps(bits, us, accept, out):
     probs = accept.tolist()
     cols = [itertools.repeat(full if a >= 1.0 else 0, sweeps) for a in probs]
     live = [c for c, a in enumerate(probs) if 0.0 < a < 1.0]
-    if live:
-        data = np.packbits(us < accept[live, None, None], axis=-1, bitorder="little").tobytes()
-        for j, c in enumerate(live):
-            start = j * sweeps * nbytes
-            cols[c] = [int.from_bytes(data[i : i + nbytes], "little")
-                       for i in range(start, start + sweeps * nbytes, nbytes)]
+    data = np.packbits(us < accept[live, None, None], axis=-1, bitorder="little").tobytes()
+    for j, c in enumerate(live):
+        start = j * sweeps * nbytes
+        cols[c] = [int.from_bytes(data[i : i + nbytes], "little")
+                   for i in range(start, start + sweeps * nbytes, nbytes)]
 
     for t, f in enumerate(zip(*cols)):
         # site 0 sees the old values of both neighbours

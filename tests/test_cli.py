@@ -346,6 +346,15 @@ class TestTransition:
         assert analytic == pytest.approx(0.5796397403637043, abs=1e-9)
         assert abs(analytic - numeric) <= 1e-9
 
+    def test_help_names_each_games_default_block(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["transition", "--help"])
+        assert exc.value.code == 0
+        # argparse wraps help to the terminal width
+        assert "--block {QvC,QvD,QvSwerve,QvStraight,ClassicalPD,ClassicalChicken} " \
+               "defaults to QvD for pd, QvStraight for chicken --output" \
+               in " ".join(capsys.readouterr().out.split())
+
     def test_bisection_runs_once(self, capsys, monkeypatch):
         from qgames import ising
 

@@ -29,7 +29,7 @@ from qgames import (
     to_ising,
 )
 from qgames.catalog import StrategyBlock
-from qgames.equilibrium import pure_nash
+from qgames.equilibrium import BEST_RESPONSE_TOL, pure_nash
 from qgames.errors import ConsistencyError, ValidationError
 from qgames.ising import phase_transition_bisect
 from qgames.oracle import ChainSpec, transfer_matrix_finite
@@ -202,6 +202,56 @@ class TestGameLevelOracle:
                         m_chain = transfer_matrix_finite(ChainSpec(n, IsingParams(J, 2.0 * h, beta)))
                         assert abs(m_game - m_chain) <= 1e-10, (kind, block_id, grid[k], beta)
                         assert np.sign(m_game) == np.sign(h), (kind, block_id, grid[k], beta)
+
+
+class TestZeroTemperatureMajority:
+    """The beta -> infinity limit of m against the block's symmetric pure
+    equilibria.  At the per-player field (J, 2h) the limit is the Nash
+    reading: one symmetric equilibrium (i, i) gives +1 for i = 0 and -1 for
+    i = 1, two give sign(h), none gives 0.  At the paper's (J, h) it differs
+    exactly where a strategy is dominant and J <= -|h|/2, where m tends to
+    +-1/sqrt(5) or 0: the majority is then a sign only."""
+
+    # (J + h/2, J + h) at gamma = pi/2, the margins of the two readings there
+    AT_MAXIMAL_ENTANGLEMENT = {
+        Block.QVD: lambda p: ((3 * p.r - 3 * p.s + p.p - p.t) / 8, (p.r - p.s) / 2),
+        Block.QVSTRAIGHT: lambda c: ((2 * c.r - c.s) / 8, c.r / 2),
+    }
+
+    def test_limit_reads_the_symmetric_pure_equilibria(self):
+        rng = np.random.default_rng(1806)
+        grid = np.linspace(0.0, math.pi / 2, 21)
+        cells = differing = 0
+        for block_id in Block:
+            kind = catalog._BLOCK_STRATEGIES[block_id][0]
+            for _ in range(20):
+                payoffs = random_pd(rng) if kind == "pd" else random_chicken(rng)
+                stacked = extract_block(kind, payoffs, block_id, grid)
+                pairs = couplings(stacked)
+                if block_id in self.AT_MAXIMAL_ENTANGLEMENT:
+                    J, h = pairs[-1]
+                    assert (J + h / 2, J + h) == pytest.approx(
+                        self.AT_MAXIMAL_ENTANGLEMENT[block_id](payoffs), abs=1e-12)
+                for gamma, row, (J, h) in zip(grid, stacked.row_payoffs, pairs):
+                    (a, b), (c, d) = row
+                    if min(abs(a - c), abs(d - b), abs(h)) <= BEST_RESPONSE_TOL:
+                        continue  # a best-response tie, or no field
+                    game = StrategyBlock(row, block_id).as_game()
+                    symmetric = [i for i, j in pure_nash(game) if i == j]
+                    if len(symmetric) == 2:
+                        want = math.copysign(1.0, h)
+                    elif symmetric:
+                        want = 1.0 - 2.0 * symmetric[0]
+                    else:
+                        want = 0.0
+                    where = (block_id, payoffs, gamma)
+                    assert magnetization(IsingParams(J, 2.0 * h, 1e300)) == want, where
+                    differs = magnetization(IsingParams(J, h, 1e300)) != want
+                    dominant = (a - c) * (d - b) < 0
+                    assert differs == (dominant and J <= -abs(h) / 2), where
+                    cells += 1
+                    differing += differs
+        assert 0 < differing < cells, (differing, cells)
 
 
 class TestMagnetization:
@@ -553,20 +603,23 @@ class TestTreeBisection:
         assert got == root
         assert got == reference_bisect("pd", PD_3501, Block.QVD)
 
-    @pytest.mark.parametrize("kind,payoffs,block_id,most", [
-        ("pd", PD_3501, Block.QVD, 9),                                  # a crossing
-        ("chicken", ChickenPayoffs(1, 3), Block.QVSTRAIGHT, 2),         # no sign change
-        ("pd", PD_3501, Block.QVC, 2),                                  # h identically zero
+    @pytest.mark.parametrize("kind,payoffs,block_id,depth,runs", [
+        # a crossing: 2 endpoints, then one pass per `depth` of its 34 midpoints
+        ("pd", PD_3501, Block.QVD, 1, 36),
+        ("pd", PD_3501, Block.QVD, 3, 14),
+        ("pd", PD_3501, Block.QVD, 5, 9),
+        ("pd", PD_3501, Block.QVD, 6, 8),
+        ("chicken", ChickenPayoffs(1, 3), Block.QVSTRAIGHT, 5, 2),      # no sign change
+        ("pd", PD_3501, Block.QVC, 5, 2),                               # h identically zero
     ])
-    def test_circuit_runs_per_bisection(self, monkeypatch, kind, payoffs, block_id, most):
+    def test_circuit_runs_per_bisection(self, monkeypatch, kind, payoffs, block_id, depth, runs):
         calls = []
 
         def counted(*args):
             calls.append(args)
             return extract_block(*args)
 
+        monkeypatch.setattr(ising, "_TREE_DEPTH", depth)
         monkeypatch.setattr(ising, "extract_block", counted)
         phase_transition_bisect(kind, payoffs, block_id)
-        assert len(calls) <= most
-        if most == 2:
-            assert len(calls) == 2
+        assert len(calls) == runs
