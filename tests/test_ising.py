@@ -603,23 +603,28 @@ class TestTreeBisection:
         assert got == root
         assert got == reference_bisect("pd", PD_3501, Block.QVD)
 
-    @pytest.mark.parametrize("kind,payoffs,block_id,depth,runs", [
-        # a crossing: 2 endpoints, then one pass per `depth` of its 34 midpoints
-        ("pd", PD_3501, Block.QVD, 1, 36),
-        ("pd", PD_3501, Block.QVD, 3, 14),
-        ("pd", PD_3501, Block.QVD, 5, 9),
-        ("pd", PD_3501, Block.QVD, 6, 8),
-        ("chicken", ChickenPayoffs(1, 3), Block.QVSTRAIGHT, 5, 2),      # no sign change
-        ("pd", PD_3501, Block.QVC, 5, 2),                               # h identically zero
-    ])
-    def test_circuit_runs_per_bisection(self, monkeypatch, kind, payoffs, block_id, depth, runs):
+    @staticmethod
+    def _circuit_runs(monkeypatch, kind, payoffs, block_id):
         calls = []
 
         def counted(*args):
             calls.append(args)
             return extract_block(*args)
 
-        monkeypatch.setattr(ising, "_TREE_DEPTH", depth)
         monkeypatch.setattr(ising, "extract_block", counted)
         phase_transition_bisect(kind, payoffs, block_id)
-        assert len(calls) == runs
+        return len(calls)
+
+    @pytest.mark.parametrize("kind,payoffs,block_id,runs", [
+        ("pd", PD_3501, Block.QVD, 9),                                  # a crossing
+        ("chicken", ChickenPayoffs(1, 3), Block.QVSTRAIGHT, 2),         # no sign change
+        ("pd", PD_3501, Block.QVC, 2),                                  # h identically zero
+    ])
+    def test_circuit_runs_per_bisection(self, monkeypatch, kind, payoffs, block_id, runs):
+        assert self._circuit_runs(monkeypatch, kind, payoffs, block_id) == runs
+
+    # a crossing: 2 endpoints, then one pass per `depth` of its 34 midpoints
+    @pytest.mark.parametrize("depth,runs", [(1, 36), (3, 14), (5, 9), (6, 8)])
+    def test_circuit_runs_per_tree_depth(self, monkeypatch, depth, runs):
+        monkeypatch.setattr(ising, "_TREE_DEPTH", depth)
+        assert self._circuit_runs(monkeypatch, "pd", PD_3501, Block.QVD) == runs
