@@ -15,9 +15,7 @@ from .catalog import (
     ChickenPayoffs,
     PDPayoffs,
     StrategyBlock,
-    chicken_templates,
     extract_block,
-    pd_templates,
     quantized_game,
 )
 from .eisert import (
@@ -73,7 +71,6 @@ __all__ = [
     "Strategy",
     "StrategyBlock",
     "ValidationError",
-    "chicken_templates",
     "couplings",
     "entangler",
     "enumerate_magnetization",
@@ -82,7 +79,6 @@ __all__ = [
     "magnetization",
     "metropolis_magnetization",
     "mixed_nash_symmetric_2x2",
-    "pd_templates",
     "phase_transition_gamma",
     "pure_nash",
     "quantized_game",

@@ -117,47 +117,35 @@ class StrategyBlock:
         return BimatrixGame(self.row_payoffs, self.row_payoffs.T, self.labels)
 
 
-def pd_templates(p: PDPayoffs) -> tuple[PayoffTemplate, PayoffTemplate]:
-    """Outcome payoff templates (row player, column player); |0> means
-    cooperate, |1> means defect."""
-    row = PayoffTemplate(v00=p.r, v10=p.t, v01=p.s, v11=p.p)
-    col = PayoffTemplate(v00=p.r, v10=p.s, v01=p.t, v11=p.p)
-    return row, col
-
-
-def chicken_templates(c: ChickenPayoffs) -> tuple[PayoffTemplate, PayoffTemplate]:
-    """Outcome templates with |0> as swerve and |1> as straight."""
-    row = PayoffTemplate(v00=0.0, v10=c.r, v01=-c.r, v11=-c.s)
-    col = PayoffTemplate(v00=0.0, v10=-c.r, v01=c.r, v11=-c.s)
-    return row, col
-
-
-# One row per game kind: payoff type, templates, 3x3 order, block whose field changes sign,
-# and cos(2 gamma*) at that sign change in closed form, the cross-check of the bisection.
+# One row per game kind: payoff type, the row player's outcome template (|0> cooperate or
+# swerve, |1> defect or straight; the column player's payoffs are the transpose), 3x3 order,
+# block whose field changes sign, and cos(2 gamma*) there in closed form, the bisection's check.
 GAMES = {
-    PD: (PDPayoffs, pd_templates, (C, D, Q), Block.QVD, lambda p: (p.r - p.p) / (p.t - p.s)),
-    CHICKEN: (ChickenPayoffs, chicken_templates, (SWERVE, STRAIGHT, Q), Block.QVSTRAIGHT,
-              lambda c: c.s / (2.0 * c.r)),
+    PD: (PDPayoffs, lambda p: PayoffTemplate(v00=p.r, v10=p.t, v01=p.s, v11=p.p), (C, D, Q),
+         Block.QVD, lambda p: (p.r - p.p) / (p.t - p.s)),
+    CHICKEN: (ChickenPayoffs, lambda c: PayoffTemplate(v00=0.0, v10=c.r, v01=-c.r, v11=-c.s),
+              (SWERVE, STRAIGHT, Q), Block.QVSTRAIGHT, lambda c: c.s / (2.0 * c.r)),
 }
 
 
-def _templates_for(game_kind: str, payoffs):
+def _template_for(game_kind: str, payoffs) -> PayoffTemplate:
     if game_kind not in GAMES:
         raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {tuple(GAMES)}")
-    payoff_type, templates, *_ = GAMES[game_kind]
+    payoff_type, template, *_ = GAMES[game_kind]
     if not isinstance(payoffs, payoff_type):
         raise ValidationError(
             f"{game_kind} needs {payoff_type.__name__}, got {type(payoffs).__name__}"
         )
-    return templates(payoffs)
+    return template(payoffs)
 
 
 def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
     """Full 3x3 bimatrix over the classical pair plus the quantum strategy."""
-    row_t, col_t = _templates_for(game_kind, payoffs)
+    template = _template_for(game_kind, payoffs)
     strategies = GAMES[game_kind][2]
-    row, col = eisert.extended_matrix(row_t, col_t, strategies, gamma)
-    return BimatrixGame(row, col, tuple(s.label for s in strategies))
+    # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
+    row = eisert.extended_matrix(template, strategies=strategies, gamma=gamma)
+    return BimatrixGame(row, row.swapaxes(-1, -2), tuple(s.label for s in strategies))
 
 
 def extract_block(game_kind: str, payoffs, block_id, gamma):
@@ -170,6 +158,7 @@ def extract_block(game_kind: str, payoffs, block_id, gamma):
     kind_required, strategies = _BLOCK_STRATEGIES[block_id]
     if game_kind != kind_required:
         raise ValidationError(f"block {block_id.value} belongs to game kind {kind_required!r}")
-    row_t, col_t = _templates_for(game_kind, payoffs)
-    row, _ = eisert.extended_matrix(row_t, col_t, strategies, gamma)
+    template = _template_for(game_kind, payoffs)
+    # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
+    row = eisert.extended_matrix(template, strategies=strategies, gamma=gamma)
     return StrategyBlock(row, block_id)

@@ -110,8 +110,9 @@ def cmd_quantize(args) -> int:
     header = " " * 10 + "".join(lab.ljust(width) for lab in game.labels)
     lines.append(header)
     for i, lab in enumerate(game.labels):
+        # pad to one under the width, then one space, so a long cell still ends in a separator
         cells = "".join(
-            f"({game.row[i, j]:.10g}, {game.col[i, j]:.10g})".ljust(width)
+            f"({game.row[i, j]:.10g}, {game.col[i, j]:.10g})".ljust(width - 1) + " "
             for j in range(game.n)
         )
         lines.append(lab.ljust(10) + cells)
@@ -292,7 +293,7 @@ def _merge_config(argv):
     switches = _SWITCHES.get(rest[0], ())
     tokens = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for ln, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -308,7 +309,7 @@ def _merge_config(argv):
                 elif value != "false":
                     raise ValidationError(f"{path}:{ln}: {key} is a switch, "
                                           f"give true or false, got {value!r}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from None
     return rest[:1] + tokens + rest[1:]
 

@@ -2,7 +2,7 @@
 
 The protocol: entangle |00> with a gate L(gamma), let each player act with a
 local unitary O(theta, phi), disentangle with L^dag, and measure.  Payoffs
-are the measurement probabilities weighted by a per-player payoff template.
+are the measurement probabilities weighted by the row player's payoff template.
 gamma=0 reproduces the classical game, gamma=pi/2 is maximal entanglement.
 
 The circuit runs as one vectorized pass over every ordered strategy pair
@@ -134,19 +134,15 @@ def _circuit(row_ops, col_ops, gamma) -> np.ndarray:
     return chi
 
 
-def extended_matrix(
-    row_template: PayoffTemplate,
-    col_template: PayoffTemplate,
-    strategies,
-    gamma,
-):
-    """Expected payoffs (row, col) over every ordered strategy pair, each of
-    shape (n, n) for a float gamma and (G, n, n) for a 1-D gamma grid, all
-    from one pass of the circuit.
+def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
+    """Row player's expected payoffs over every ordered strategy pair, shape
+    (n, n) for a float gamma and (G, n, n) for a 1-D gamma grid, from one
+    pass of the circuit.  The protocol is symmetric under swapping the
+    players, so in a symmetric game the column player's payoffs are this
+    array with its last two axes swapped.
     """
     if not strategies:
         raise ValidationError("need at least one strategy")
     ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
     chi = _circuit(ops, ops, gamma)
-    w = (chi.conj() * chi).real
-    return w @ row_template.weights, w @ col_template.weights
+    return (chi.conj() * chi).real @ template.weights

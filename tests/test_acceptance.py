@@ -20,7 +20,6 @@ from conftest import (
     random_pd,
 )
 from qgames import (
-    BimatrixGame,
     Block,
     ChickenPayoffs,
     IsingParams,
@@ -29,13 +28,12 @@ from qgames import (
     extract_block,
     magnetization,
     mixed_nash_symmetric_2x2,
-    pd_templates,
     phase_transition_gamma,
     pure_nash,
+    quantized_game,
     to_ising,
 )
 from qgames.cli import main as cli_main
-from qgames.eisert import C, D, Q, extended_matrix
 from qgames.oracle import (
     ChainSpec,
     enumerate_magnetization,
@@ -79,11 +77,8 @@ def bracket_of_sign_change(samples):
 
 
 def test_criterion_1_extended_matrix_reference():
-    row_t, col_t = pd_templates(PD_3501)
-
     def build():
-        row, col = extended_matrix(row_t, col_t, (C, D, Q), math.pi / 2)
-        return BimatrixGame(row, col, ("C", "D", "Q"))
+        return quantized_game("pd", PD_3501, math.pi / 2)
 
     game = build()
     expected = np.array([[3, 0, 1], [5, 1, 0], [1, 5, 3]], dtype=float)

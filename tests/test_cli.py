@@ -76,6 +76,16 @@ class TestQuantize:
         # the quantum row duplicates the swerve row at gamma=0
         assert cells[6:9] == cells[0:3]
 
+    def test_cells_of_22_characters_or_more_keep_a_separator(self, capsys):
+        code, out, _ = run(
+            capsys, "quantize", "--game", "chicken", "--r", "3", "--s", "4", "--gamma", "0.7",
+        )
+        assert code == 0
+        rows = out.splitlines()[2:5]
+        assert [row.split()[0] for row in rows] == ["swerve", "straight", "Q"]
+        for row in rows:
+            assert re.fullmatch(r"\w+ +(\([^ ()]+, [^ ()]+\) +){3}", row), row
+
     def test_oracle_disagreement_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.oracle, "transfer_matrix_finite", lambda spec: 0.123)
         code, _, err = run(
@@ -732,6 +742,13 @@ class TestConfigFile:
         code, _, err = run(capsys, "curve", "--config", "/nonexistent.cfg")
         assert code == 2
         assert "cannot read config" in err
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"game=pd\n\xff\n")
+        code, out, err = run(capsys, "transition", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config {str(cfg)!r}: ")
 
     def test_equals_spelling_matches_the_spaced_one(self, tmp_path, capsys):
         cfg = tmp_path / "pd.cfg"

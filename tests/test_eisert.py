@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classical_chicken_matrix, classical_pd_matrix, final_state
-from qgames import ChickenPayoffs, PDPayoffs, chicken_templates, pd_templates
+from conftest import (
+    classical_chicken_matrix,
+    classical_pd_matrix,
+    final_state,
+    random_chicken,
+    random_pd,
+)
+from qgames import CHICKEN, PD, ChickenPayoffs, PDPayoffs
+from qgames.catalog import GAMES
 from qgames.eisert import (
     C,
     D,
@@ -22,6 +29,12 @@ from qgames.eisert import (
 from qgames.errors import ValidationError
 
 PD_3501 = PDPayoffs(3, 5, 0, 1)
+PD_ROW = GAMES[PD][1](PD_3501)
+
+
+def swapped(template):
+    """The players-swapped template: the column player's payoffs of a symmetric game."""
+    return PayoffTemplate(v00=template.v00, v10=template.v01, v01=template.v10, v11=template.v11)
 
 
 def probs(state):
@@ -115,14 +128,12 @@ class TestPayoff:
             PayoffTemplate(math.nan, 0, 0, 0)
 
     def test_pure_00_state_pays_the_00_entry(self):
-        row, _ = pd_templates(PD_3501)
         chi = np.array([1, 0, 0, 0], dtype=complex)
-        assert payoff(chi, row) == pytest.approx(3.0, abs=1e-12)
+        assert payoff(chi, PD_ROW) == pytest.approx(3.0, abs=1e-12)
 
     def test_defect_vs_quantum_row_payoff(self):
-        row, _ = pd_templates(PD_3501)
         for gamma in (0.0, 0.3, 1.0, math.pi / 2):
-            got = payoff(final_state(D, Q, gamma), row)
+            got = payoff(final_state(D, Q, gamma), PD_ROW)
             assert got == pytest.approx(5 * math.cos(gamma) ** 2, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -139,24 +150,24 @@ class TestPayoff:
 
 class TestExtendedMatrix:
     def test_maximally_entangled_pd_matrix(self):
-        row_t, col_t = pd_templates(PD_3501)
-        row, col = extended_matrix(row_t, col_t, (C, D, Q), math.pi / 2)
+        row = extended_matrix(PD_ROW, (C, D, Q), math.pi / 2)
+        col = extended_matrix(swapped(PD_ROW), (C, D, Q), math.pi / 2)
         expected_row = np.array([[3, 0, 1], [5, 1, 0], [1, 5, 3]], dtype=float)
         assert np.max(np.abs(row - expected_row)) <= 1e-12
         assert np.max(np.abs(col - expected_row.T)) <= 1e-12
 
     def test_no_entanglement_makes_quantum_equal_cooperate(self):
-        row_t, col_t = pd_templates(PD_3501)
-        row, _ = extended_matrix(row_t, col_t, (C, D, Q), 0.0)
+        row = extended_matrix(PD_ROW, (C, D, Q), 0.0)
         c_i, q_i = 0, 2  # rows and columns in the order (C, D, Q)
         assert np.allclose(row[q_i], row[c_i], atol=1e-12)
         assert np.allclose(row[:, q_i], row[:, c_i], atol=1e-12)
 
     def test_chicken_swerve_vs_quantum_entry(self):
         ch = ChickenPayoffs(3, 4)
-        row_t, col_t = chicken_templates(ch)
+        row_t = GAMES[CHICKEN][1](ch)
         for gamma in (0.0, 0.5, 1.2, math.pi / 2):
-            row, col = extended_matrix(row_t, col_t, (SWERVE, STRAIGHT, Q), gamma)
+            row = extended_matrix(row_t, (SWERVE, STRAIGHT, Q), gamma)
+            col = extended_matrix(swapped(row_t), (SWERVE, STRAIGHT, Q), gamma)
             sw, q = 0, 2  # rows and columns in the order (swerve, straight, Q)
             expected = -ch.s * math.sin(gamma) ** 2
             assert row[sw, q] == pytest.approx(expected, abs=1e-12)
@@ -166,46 +177,52 @@ class TestExtendedMatrix:
         pd_expected = classical_pd_matrix(PD_3501)
         ch = ChickenPayoffs(3, 4)
         ch_expected = classical_chicken_matrix(ch)
-        pd_row_t, pd_col_t = pd_templates(PD_3501)
-        ch_row_t, ch_col_t = chicken_templates(ch)
+        ch_row_t = GAMES[CHICKEN][1](ch)
         for gamma in np.linspace(0, math.pi / 2, 25):
-            row, _ = extended_matrix(pd_row_t, pd_col_t, (C, D), gamma)
+            row = extended_matrix(PD_ROW, (C, D), gamma)
             assert np.max(np.abs(row - pd_expected)) <= 1e-12
-            row, _ = extended_matrix(ch_row_t, ch_col_t, (STRAIGHT, SWERVE), gamma)
+            row = extended_matrix(ch_row_t, (STRAIGHT, SWERVE), gamma)
             assert np.max(np.abs(row - ch_expected)) <= 1e-12
 
     def test_alpha_coefficient_identities_on_grid(self):
         r, t, s, p = 3.0, 5.0, 0.0, 1.0
-        row_t, col_t = pd_templates(PD_3501)
         ch = ChickenPayoffs(3, 4)
-        ch_row_t, ch_col_t = chicken_templates(ch)
+        ch_row_t = GAMES[CHICKEN][1](ch)
         for gamma in np.linspace(0, math.pi / 2, 101):
             cg2, sg2 = math.cos(gamma) ** 2, math.sin(gamma) ** 2
-            row, _ = extended_matrix(row_t, col_t, (C, D, Q), gamma)
+            row = extended_matrix(PD_ROW, (C, D, Q), gamma)
             assert row[0, 2] == pytest.approx(r * cg2 + p * sg2, abs=1e-12)  # (C,Q)
             assert row[2, 0] == pytest.approx(r * cg2 + p * sg2, abs=1e-12)  # (Q,C)
             assert row[2, 1] == pytest.approx(t * sg2 + s * cg2, abs=1e-12)  # (Q,D)
             assert row[1, 2] == pytest.approx(t * cg2 + s * sg2, abs=1e-12)  # (D,Q)
-            ch_row, _ = extended_matrix(ch_row_t, ch_col_t, (SWERVE, STRAIGHT, Q), gamma)
+            ch_row = extended_matrix(ch_row_t, (SWERVE, STRAIGHT, Q), gamma)
             assert ch_row[2, 1] == pytest.approx(-ch.r * math.cos(2 * gamma), abs=1e-12)
             assert ch_row[1, 2] == pytest.approx(ch.r * math.cos(2 * gamma), abs=1e-12)
 
     def test_symmetric_templates_give_symmetric_game(self):
-        row_t, col_t = pd_templates(PD_3501)
-        row, col = extended_matrix(row_t, col_t, (C, D, Q), 0.9)
-        assert np.max(np.abs(col - row.T)) <= 1e-12
+        # the column player's payoffs are the row player's with the last two axes swapped,
+        # bit for bit: quantized_game builds them that way
+        rng = np.random.default_rng(22)
+        grid = np.linspace(0, math.pi / 2, 52)
+        for game_kind, draw in ((PD, random_pd), (CHICKEN, random_chicken)):
+            _, template, strategies, *_ = GAMES[game_kind]
+            for _ in range(50):
+                row_t = template(draw(rng))
+                row = extended_matrix(row_t, strategies, grid)
+                col = extended_matrix(swapped(row_t), strategies, grid)
+                assert np.array_equal(col, row.swapaxes(-1, -2))
 
     def test_grid_gives_one_game_per_gamma(self):
-        row_t, col_t = pd_templates(PD_3501)
         grid = np.linspace(0, math.pi / 2, 50)
-        row, col = extended_matrix(row_t, col_t, (C, D, Q), grid)
+        row = extended_matrix(PD_ROW, (C, D, Q), grid)
+        col = extended_matrix(swapped(PD_ROW), (C, D, Q), grid)
         assert row.shape == col.shape == (grid.size, 3, 3)
         for k, gamma in enumerate(grid):
-            one_row, one_col = extended_matrix(row_t, col_t, (C, D, Q), float(gamma))
+            one_row = extended_matrix(PD_ROW, (C, D, Q), float(gamma))
+            one_col = extended_matrix(swapped(PD_ROW), (C, D, Q), float(gamma))
             assert np.array_equal(row[k], one_row)
             assert np.array_equal(col[k], one_col)
 
     def test_rejects_empty_strategy_list(self):
-        row_t, col_t = pd_templates(PD_3501)
         with pytest.raises(ValidationError):
-            extended_matrix(row_t, col_t, (), 0.5)
+            extended_matrix(PD_ROW, (), 0.5)

@@ -73,7 +73,7 @@ def test_apply_flags_non_unitary_operator(monkeypatch):
     monkeypatch.setattr(eisert, "strategy_operator", lambda theta, phi: 2.0 * I2)
     template = eisert.PayoffTemplate(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ConsistencyError, match=r"gamma=0\.5, cell \(0,0\)"):
-        extended_matrix(template, template, (C, D), np.array([0.5, 1.0]))
+        extended_matrix(template, (C, D), np.array([0.5, 1.0]))
 
 
 def test_adjoint_identity():
