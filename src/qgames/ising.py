@@ -59,9 +59,10 @@ def couplings(block: StrategyBlock) -> list[tuple[float, float]]:
 
 def to_ising(block, beta: float) -> IsingParams:
     """`couplings` of one 2x2 block, at inverse temperature beta."""
-    (J, h), *_ = couplings(block)  # rejects anything but a StrategyBlock
+    pairs = couplings(block)  # rejects anything but a StrategyBlock
     if block.row_payoffs.ndim != 2:
         raise ValidationError("to_ising takes one 2x2 block, not a stack along gamma")
+    (J, h), = pairs
     return IsingParams(J=J, h=h, beta=float(beta))
 
 

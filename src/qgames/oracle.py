@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +46,11 @@ class ChainSpec:
     params: IsingParams
 
     def __post_init__(self):
+        # a bool is refused too: False and True are below 2
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 2):
             raise ValidationError(f"N must be an integer >= 2, got {self.N!r}")
+        # a NumPy integer would wrap in the oracles' shifts and products
+        object.__setattr__(self, "N", int(self.N))
         if not isinstance(self.params, IsingParams):
             raise ValidationError(f"params must be IsingParams, got {type(self.params).__name__}")
 
@@ -237,12 +242,16 @@ def _metropolis_sweeps(bits, us, accept, out):
     cols = [itertools.repeat(full if a >= 1.0 else 0, sweeps) for a in probs]
     live = [c for c, a in enumerate(probs) if 0.0 < a < 1.0]
     data = np.packbits(us < accept[live, None, None], axis=-1, bitorder="little").tobytes()
-    for j, c in enumerate(live):
-        start = j * sweeps * nbytes
-        cols[c] = [int.from_bytes(data[i : i + nbytes], "little")
-                   for i in range(start, start + sweeps * nbytes, nbytes)]
+    # data is laid out (live class, sweep, byte): one lazy C-level pipeline
+    # turns it into ints, and each live class takes the next `sweeps` of them
+    masks = map(int.from_bytes,
+                map(operator.itemgetter(0), struct.iter_unpack(f"{nbytes}s", data)),
+                itertools.repeat("little"))
+    for c in live:
+        cols[c] = list(itertools.islice(masks, sweeps))
 
-    for t, f in enumerate(zip(*cols)):
+    counts = []
+    for f in zip(*cols):
         # site 0 sees the old values of both neighbours
         own = bits & 1
         first = own ^ (f[3 * own + (bits >> top) + ((bits >> 1) & 1)] & 1)
@@ -263,7 +272,10 @@ def _metropolis_sweeps(bits, us, accept, out):
         # identities and negations by one add, then the parity put back
         anchor = ((down ^ parity) & const) | first
         bits = ((((free + (anchor << 1)) ^ free) & free) | anchor) ^ parity
-        out[t] = (2 * bits.bit_count() - n) / n
+        counts.append(bits.bit_count())
+    # 2c - n is an exact int64 and both divisions round correctly, so this
+    # is the float (2c - n) / n of plain Python
+    np.divide(np.multiply(counts, 2) - n, n, out=out)
     return bits
 
 
@@ -283,10 +295,13 @@ def metropolis_magnetization(
     there are too few samples to batch).  N and sweeps are capped at 2**24,
     and N * sweeps, the number of site updates, at 2**32.
     """
-    if not all(isinstance(v, (int, np.integer)) for v in (sweeps, burn_in, seed)):
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in (sweeps, burn_in, seed)):
         raise ValidationError(
             f"sweeps, burn_in and seed must be integers, got {sweeps!r}, {burn_in!r}, {seed!r}"
         )
+    # Python ints, so the bound on N * sweeps below cannot wrap
+    sweeps, burn_in, seed = int(sweeps), int(burn_in), int(seed)
     if not (sweeps > burn_in >= 0):
         raise ValidationError(f"need sweeps > burn_in >= 0, got sweeps={sweeps}, burn_in={burn_in}")
     if seed < 0:
@@ -327,4 +342,4 @@ def metropolis_magnetization(
         se = float(meas.std(ddof=1) / math.sqrt(meas.size))
     else:
         se = 0.0
-    return SampledEstimate(mean=mean, std_error=se, samples=int(meas.size), seed=int(seed))
+    return SampledEstimate(mean=mean, std_error=se, samples=int(meas.size), seed=seed)

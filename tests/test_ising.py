@@ -173,9 +173,11 @@ class TestCouplings:
             couplings(raw)
 
     def test_to_ising_rejects_a_stack(self):
-        stacked = extract_block("pd", PD_3501, Block.QVD, np.array([0.1, 0.5]))
-        with pytest.raises(ValidationError, match="stack"):
-            to_ising(stacked, 1.0)
+        for grid in (np.array([0.1, 0.5]), np.array([])):  # an empty stack too
+            stacked = extract_block("pd", PD_3501, Block.QVD, grid)
+            with pytest.raises(ValidationError) as err:
+                to_ising(stacked, 1.0)
+            assert str(err.value) == "to_ising takes one 2x2 block, not a stack along gamma"
 
 
 class TestGameLevelOracle:

@@ -111,6 +111,18 @@ def test_chain_spec_rejects_params_that_are_not_ising_params(params):
         ChainSpec(4, params)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16])
+def test_numpy_integer_n_gives_the_plain_int_results(dtype):
+    # 1 << np.int16(16) wraps to 0, and np.int32 cannot shift a uint64
+    ip = IsingParams(0.3, 0.2, 1.0)
+    plain, wide = ChainSpec(16, ip), ChainSpec(dtype(16), ip)
+    assert type(wide.N) is int
+    assert enumerate_magnetization(wide) == enumerate_magnetization(plain)
+    assert transfer_matrix_finite(wide) == transfer_matrix_finite(plain)
+    assert (metropolis_magnetization(wide, 200, 20, 0)
+            == metropolis_magnetization(plain, 200, 20, 0))
+
+
 def test_long_double_is_x87_extended_precision():
     # a platform guard, not a skip: elsewhere the oracle's numbers change
     nmant = np.finfo(np.longdouble).nmant
@@ -190,8 +202,9 @@ class TestEnumerate:
             enumerate_magnetization(spec(30, 0.0, 1.0, 1.0))
 
     def test_chain_needs_two_sites(self):
-        with pytest.raises(ValidationError):
-            spec(1, 0.0, 1.0, 1.0)
+        for n in (1, False, True, np.True_):  # a boolean N is refused too
+            with pytest.raises(ValidationError, match="N must be an integer >= 2"):
+                spec(n, 0.0, 1.0, 1.0)
 
     def test_overflowing_exponent_raises_before_numpy_warns(self):
         # beta*J = 1e309 is inf in float64; the weights would come out NaN
@@ -447,6 +460,18 @@ class TestMetropolis:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_numpy_integer_budget_cannot_wrap_the_update_bound(self):
+        # 2**24 * np.int32(2**24) wraps to 0 in int32 and would pass the bound
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"N \* sweeps = 281474976710656"):
+                metropolis_magnetization(spec(1 << 24, 0.1, 0.2, 1.0),
+                                         np.int32(1 << 24), np.int32(1), np.int32(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_estimate_metadata(self):
         est = metropolis_magnetization(spec(16, 0.0, 0.5, 1.0), sweeps=1_000,
                                        burn_in=100, seed=9)
@@ -466,6 +491,8 @@ class TestMetropolis:
         {"sweeps": 100, "burn_in": 10.0, "seed": 0},
         {"sweeps": 100, "burn_in": 10, "seed": -1},
         {"sweeps": 100, "burn_in": 10, "seed": 1.5},
+        {"sweeps": True, "burn_in": False, "seed": True},
+        {"sweeps": 100, "burn_in": 10, "seed": True},
     ])
     def test_non_integer_budget_and_bad_seed_rejected(self, budget):
         with pytest.raises(ValidationError, match="sweeps|seed"):
