@@ -18,18 +18,6 @@ from .catalog import (
     extract_block,
     quantized_game,
 )
-from .eisert import (
-    C,
-    D,
-    Q,
-    STRAIGHT,
-    SWERVE,
-    PayoffTemplate,
-    Strategy,
-    entangler,
-    extended_matrix,
-    strategy_operator,
-)
 from .equilibrium import BimatrixGame, MixedProfile, mixed_nash_symmetric_2x2, pure_nash
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .ising import (
@@ -52,29 +40,20 @@ __version__ = "0.1.0"
 __all__ = [
     "BimatrixGame",
     "Block",
-    "C",
     "CHICKEN",
     "ChainSpec",
     "ChickenPayoffs",
     "ConsistencyError",
-    "D",
     "IsingParams",
     "MixedProfile",
     "PD",
     "PDPayoffs",
-    "PayoffTemplate",
-    "Q",
     "ResourceLimitError",
-    "STRAIGHT",
-    "SWERVE",
     "SampledEstimate",
-    "Strategy",
     "StrategyBlock",
     "ValidationError",
     "couplings",
-    "entangler",
     "enumerate_magnetization",
-    "extended_matrix",
     "extract_block",
     "magnetization",
     "metropolis_magnetization",
@@ -82,7 +61,6 @@ __all__ = [
     "phase_transition_gamma",
     "pure_nash",
     "quantized_game",
-    "strategy_operator",
     "to_ising",
     "transfer_matrix_finite",
     "__version__",

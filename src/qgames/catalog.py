@@ -8,7 +8,7 @@ cross-checks the circuit against them.
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +36,7 @@ class PDPayoffs:
 
     def __post_init__(self):
         vals = (self.r, self.t, self.s, self.p)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(abs(v) <= sys.float_info.max for v in vals):
             raise ValidationError("payoffs must be finite")
         if not self.t > self.r:
             raise ValidationError(f"t > r violated (t={self.t}, r={self.r})")
@@ -55,7 +55,7 @@ class ChickenPayoffs:
     s: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.s)):
+        if not (abs(self.r) <= sys.float_info.max and abs(self.s) <= sys.float_info.max):
             raise ValidationError("payoffs must be finite")
         if not self.r > 0:
             raise ValidationError(f"r > 0 violated (r={self.r})")

@@ -293,7 +293,7 @@ def _merge_config(argv):
     switches = _SWITCHES.get(rest[0], ())
     tokens = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for ln, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -13,6 +13,7 @@ payoff arrays; `catalog` wraps them into games and blocks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ class PayoffTemplate:
     v11: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.v00, self.v10, self.v01, self.v11)):
+        if not all(abs(v) <= sys.float_info.max for v in (self.v00, self.v10, self.v01, self.v11)):
             raise ValidationError("payoff template entries must be finite")
 
     @property
@@ -69,7 +70,7 @@ class PayoffTemplate:
 
 
 def _check_range(name, value, lo, hi):
-    if not (math.isfinite(value) and lo <= value <= hi):
+    if not (lo <= value <= hi):  # NaN fails too
         raise ValidationError(f"{name}={value!r} outside [{lo:.6g}, {hi:.6g}]")
 
 
@@ -92,10 +93,13 @@ def entangler(gamma) -> np.ndarray:
 
     A float gamma gives one (4, 4) gate, a 1-D gamma grid a (G, 4, 4) stack.
     """
-    g = np.asarray(gamma, dtype=float)
+    lo, hi = GAMMA_RANGE
+    try:
+        g = np.asarray(gamma, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValidationError(f"gamma={gamma!r} outside [{lo!r}, {hi!r}]") from None
     if g.ndim > 1:
         raise ValidationError(f"gamma must be a float or a 1-D grid, got shape {g.shape}")
-    lo, hi = GAMMA_RANGE
     bad = ~((g >= lo) & (g <= hi))  # NaN is out of range too
     if bad.any():
         raise ValidationError(f"gamma={float(g[bad][0])!r} outside [{lo!r}, {hi!r}]")
@@ -108,19 +112,17 @@ def entangler(gamma) -> np.ndarray:
     return lhat
 
 
-def _circuit(row_ops, col_ops, gamma) -> np.ndarray:
-    """Final states L^dag (O_i (x) O_j) L |00> for every row operator O_i and
-    column operator O_j, shape (n, m, 4) for a float gamma and (G, n, m, 4)
-    for a 1-D grid.
+def _circuit(ops, gamma) -> np.ndarray:
+    """Final states L^dag (O_i (x) O_j) L |00> for every ordered pair of
+    operators O_i, O_j of `ops`, shape (n, n, 4) for a float gamma and
+    (G, n, n, 4) for a 1-D grid.
 
     One norm check covers every final state; drift (or NaN) means a
     non-unitary operator slipped in and raises ConsistencyError.
     """
     lhat = entangler(gamma)[..., None, None, :, :]
-    n, m = len(row_ops), len(col_ops)
-    cells = (row_ops[:, None, :, None, :, None] * col_ops[None, :, None, :, None, :]).reshape(
-        n, m, 4, 4
-    )
+    n = len(ops)
+    cells = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(n, n, 4, 4)
     psi0 = lhat[..., :, 0]  # L|00> is the first column of L
     chi = tensor.apply(tensor.adjoint(lhat), tensor.apply(cells, psi0))
     norm = (chi.conj() * chi).real.sum(axis=-1)
@@ -144,5 +146,5 @@ def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
     if not strategies:
         raise ValidationError("need at least one strategy")
     ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
-    chi = _circuit(ops, ops, gamma)
+    chi = _circuit(ops, gamma)
     return (chi.conj() * chi).real @ template.weights

@@ -13,6 +13,7 @@ majority strategy flips.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .catalog import GAMES, Block, StrategyBlock, extract_block
@@ -34,7 +35,8 @@ class IsingParams:
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.J) and math.isfinite(self.h) and math.isfinite(self.beta)):
+        big = sys.float_info.max  # NaN and +-inf fail too; an int beyond it does not raise
+        if not (abs(self.J) <= big and abs(self.h) <= big and abs(self.beta) <= big):
             raise ValidationError("J, h, beta must be finite")
         if self.beta < 0:
             raise ValidationError(f"beta must be >= 0, got {self.beta}")

@@ -70,7 +70,7 @@ def final_state(s1, s2, gamma) -> np.ndarray:
     circuit; a 1-D gamma grid gives one state per gamma."""
     o1 = strategy_operator(s1.theta, s1.phi)
     o2 = strategy_operator(s2.theta, s2.phi)
-    return _circuit(o1[None], o2[None], gamma)[..., 0, 0, :]
+    return _circuit(np.array([o1, o2]), gamma)[..., 0, 1, :]
 
 
 def classical_magnetization(beta: float, J: float, h: float) -> float:

@@ -750,6 +750,15 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read config {str(cfg)!r}: ")
 
+    def test_byte_order_mark_reads_as_the_plain_file(self, tmp_path, capsys):
+        point = ("oracle", "--J", "0.3", "--h", "0.2", "--beta", "1", "--N", "8")
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(b"no_metropolis=true\n")
+        bom.write_bytes(b"\xef\xbb\xbfno_metropolis=true\n")
+        want = run(capsys, *point, "--config", str(plain))
+        assert want[0] == 0
+        assert run(capsys, *point, "--config", str(bom))[:2] == want[:2]
+
     def test_equals_spelling_matches_the_spaced_one(self, tmp_path, capsys):
         cfg = tmp_path / "pd.cfg"
         cfg.write_text("game=pd\nr=3\nt=5\ns=0\np=1\n")

@@ -12,7 +12,8 @@ from conftest import (
     random_chicken,
     random_pd,
 )
-from qgames import CHICKEN, PD, ChickenPayoffs, PDPayoffs
+import qgames
+from qgames import CHICKEN, PD, Block, ChickenPayoffs, IsingParams, PDPayoffs, extract_block
 from qgames.catalog import GAMES
 from qgames.eisert import (
     C,
@@ -226,3 +227,33 @@ class TestExtendedMatrix:
     def test_rejects_empty_strategy_list(self):
         with pytest.raises(ValidationError):
             extended_matrix(PD_ROW, (), 0.5)
+
+
+KERNEL_NAMES = ("C", "D", "Q", "STRAIGHT", "SWERVE", "Strategy", "PayoffTemplate",
+                "entangler", "strategy_operator", "extended_matrix")
+
+
+def test_package_exports_the_pipeline_and_not_the_circuit_kernel():
+    namespace = {}
+    exec("from qgames import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(qgames.__all__)
+    assert all(getattr(qgames, name) is namespace[name] for name in qgames.__all__)
+    for name in KERNEL_NAMES:
+        assert not hasattr(qgames, name)
+        assert hasattr(qgames.eisert, name)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: IsingParams(10**400, 0, 1),
+    lambda: PDPayoffs(10**400, 10**401, 0, 1),
+    lambda: ChickenPayoffs(1, 10**400),
+    lambda: PayoffTemplate(10**400, 0, 0, 0),
+    lambda: strategy_operator(10**400, 0),
+    lambda: entangler(10**400),
+    lambda: extract_block(PD, PD_3501, Block.QVD, gamma=10**400),
+], ids=["IsingParams", "PDPayoffs", "ChickenPayoffs", "PayoffTemplate", "strategy_operator",
+        "entangler", "extract_block"])
+def test_int_beyond_the_float_range_is_a_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()

@@ -333,6 +333,25 @@ class TestTransferMatrix:
             got = transfer_matrix_finite(spec(8, -1e4, 2e4, 1.0))
         assert got == pytest.approx(0.44680851063829785, abs=1e-12)
 
+    def test_root_one_ulp_above_cosh_drops_the_negative_eigenvalue(self):
+        # at a vanishing antiferromagnetic J, root = sqrt(sinh^2 + e^{-4 beta J})
+        # rounds one ulp above cosh at one stencil point, where eta = 2 ch/(ch + root)
+        # rounds to 1 and the lambda- term is dropped
+        n, J, h, beta = 9, -1.451416671187035e-19, 7.858013800881416, 1.0
+        ld, e = np.longdouble, np.longdouble(oracle._FD_STEP)
+        taken = []
+        for y in (e, -e, e / 2, -e / 2):
+            x = ld(beta) * ld(h) + y
+            ch = np.cosh(x)
+            root = np.sqrt(np.sinh(x) * np.sinh(x) + np.exp(ld(-4.0) * ld(beta) * ld(J)))
+            taken.append(bool(root > ch and 2 * ch / (ch + root) >= 1.0))
+        assert taken.count(True) == 1
+        s = spec(n, J, h, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transfer_matrix_finite(s)
+        assert abs(got - enumerate_magnetization(s)) <= 1e-10
+
     def test_gap_shrinks_as_chain_doubles(self):
         # near-critical enough that the finite-size gap stays above noise
         J, h, beta = 0.8, 0.05, 1.2
