@@ -210,13 +210,17 @@ def cmd_oracle(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's negative-number pattern lacks the exponent form, so it would
-    read `--s -2e-05` as two options; this pattern takes any float literal.
-    Subcommand parsers are built from the same class."""
+    """argparse's negative-number pattern lacks the exponent form and the
+    non-finite words, so it would read `--s -2e-05` or `--J -inf` as two
+    options; this pattern takes any negative float literal, and `-inf`,
+    `-infinity` and `-nan` in any case, as float() does, so that validation
+    reports them.  Subcommand parsers are built from the same class."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
 
 @functools.cache

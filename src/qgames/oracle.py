@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .ising import IsingParams
 
 MAX_ENUM_SITES = 24
@@ -72,7 +72,10 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
     of four (bond sum, spin sum) pairs: all up, all down, or as alternating
     as the ring allows.  The offsets from that pair are exact integers, so
     a huge beta*J cannot swamp a small beta*h, and no weight exceeds about
-    1; chunk order is fixed, which keeps the result deterministic.
+    1.  A weight depends only on the configuration's (spin sum, bond sum)
+    class, so the exponent and its exp are evaluated once per class and
+    gathered back to every configuration; the sums then run over all 2**N
+    weights in a fixed chunk order, which keeps the result deterministic.
     Exponents beyond float64 raise ValidationError.
     """
     n = spec.N
@@ -93,10 +96,11 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
 
     z = mw = 0.0
     for lo in range(0, total, step):
-        msum, bonds = _spin_and_bond_sums(n, lo, step)
-        w = np.multiply(msum - m_top, bh)
-        w += bj * (bonds - b_top)  # -beta * energy, less its max
-        np.exp(w, out=w)
+        msum, index, class_msum, class_bonds = _spin_and_bond_sums(n, lo, step)
+        t = np.multiply(class_msum - m_top, bh)
+        t += bj * (class_bonds - b_top)  # -beta * energy, less its max
+        np.exp(t, out=t)
+        w = t[index]
         z += float(w.sum())
         mw += float(np.multiply(msum, w, out=w).sum())
     return (mw / n) / z
@@ -104,19 +108,32 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
 
 @functools.lru_cache(maxsize=1)
 def _spin_and_bond_sums(n: int, lo: int, step: int):
-    """Spin sum and bond sum of the codes lo .. lo+step-1 of an N-site ring.
+    """Spin sums and (spin sum, bond sum) classes of the codes lo .. lo+step-1
+    of an N-site ring.
 
     Bit k of a code is 1 where spin k is down; a bond is broken where a bit
-    differs from its cyclic neighbour, i.e. in code ^ rotate(code).  Both
-    sums lie in [-N, N], so they are read-only int8 arrays.  The last chunk
-    is kept, so repeated calls at one N <= 20 (a single chunk) reuse it.
+    differs from its cyclic neighbour, i.e. in code ^ rotate(code).  A code
+    with d down spins and b broken bonds has class d * (N//2 + 1) + b/2.
+    Returns each code's int8 spin sum and intp class, and each class's spin
+    sum N - 2d and bond sum N - 2b, all read-only.  A class no code reaches
+    (b = 0 iff d is 0 or N, else 2 <= b <= 2 min(d, N - d)) takes the all-up
+    sums, so its exp is one already taken.  The last chunk is kept, so
+    repeated calls at one N <= 20 (a single chunk) reuse it.
     """
-    codes = np.arange(lo, lo + step, dtype=np.uint64)
+    codes = np.arange(lo, lo + step, dtype=np.uint32)  # N <= 24
     rotated = (codes >> 1) | ((codes & 1) << (n - 1))
-    msum = n - 2 * np.bitwise_count(codes).astype(np.int8)
-    bonds = n - 2 * np.bitwise_count(codes ^ rotated).astype(np.int8)
-    msum.flags.writeable = bonds.flags.writeable = False
-    return msum, bonds
+    down = np.bitwise_count(codes)
+    width = n // 2 + 1
+    index = np.multiply(down, width, dtype=np.intp)
+    index += np.bitwise_count(codes ^ rotated) >> 1
+    msum = n - 2 * down.astype(np.int8)
+    d, half = np.divmod(np.arange((n + 1) * width), width)
+    reached = ((half == 0) == ((d == 0) | (d == n))) & (half <= np.minimum(d, n - d))
+    class_msum = np.where(reached, n - 2 * d, n)
+    class_bonds = np.where(reached, n - 4 * half, n)
+    for arr in (msum, index, class_msum, class_bonds):
+        arr.flags.writeable = False
+    return msum, index, class_msum, class_bonds
 
 
 def _log_partition_per_site(n: int, beta_j, x):
@@ -216,29 +233,41 @@ def _metropolis_sweeps(bits, us, accept, out):
     updated in order 0..N-1, so site k >= 1 sees the new value of its left
     neighbour.  Given its draw, its old value and its right neighbour (old,
     or the new site 0 for k = N-1), its new value is one of four maps of the
-    left value: constant down, constant up, identity or negation.  A sweep
-    then resolves as a prefix scan: the last constant map at or before k
-    fixes the value, and the parity of the negations since then flips it.
+    left value: constant down, constant up, copy or negation.  Acceptance
+    is monotone in the neighbour sum, so a sweep's other maps are all
+    copies (as for J >= 0) or all negations (J < 0); a table monotone in
+    neither direction raises ConsistencyError.  Flipping the odd sites, the
+    sublattice gauge transformation, turns each negation into a copy, since
+    sites k-1 and k lie on different sublattices (site 0, which sees the old
+    site N-1, is even).  A sweep then resolves as a prefix scan: the last
+    constant at or before k fixes the value.
 
     The chain state `bits` and the scan are N-bit Python ints, bit k for
     site k (1 = up).  The flip masks are packed once per block, and only for
     the classes with 0 < accept < 1: the draws lie in [0, 1), so a class
     with accept >= 1 flips every site and one with accept <= 0 none.  Per
-    sweep, bitwise selects give every site's map, log2(N) shift-xors the
-    parity of the negations, and one add carries each constant's value up
-    its run of identities and negations; the carry stops at the next
-    constant, whose bit is clear in the addend.  Every step is exact integer
-    arithmetic on the same draws, so the trajectory equals that of proposing
-    the sites one at a time, bit for bit.
+    sweep, bitwise selects give every site's map, and one add carries each
+    constant's gauged value up its run of copies; the carry stops at the
+    next constant, whose bit is clear in the addend.  The gauge mask (0, or
+    the odd sites when negations occur) is XORed in before the add and out
+    after it.  Every step is exact integer arithmetic on the same draws, so
+    the trajectory equals that of proposing the sites one at a time, bit
+    for bit.
     """
     sweeps, n = us.shape
     top = n - 1
     full = (1 << n) - 1
     rest = full ^ 1  # every site but 0, whose left neighbour is the old site N-1
-    shifts = [1 << i for i in range(top.bit_length())]  # prefix parity in log2(N) steps
+    probs = accept.tolist()
+    a0, a1, a2, a3, a4, a5 = probs
+    if a0 <= a1 <= a2 and a3 >= a4 >= a5:  # no negation can occur
+        gauge = 0
+    elif a0 >= a1 >= a2 and a3 <= a4 <= a5:
+        gauge = full // 3 << (1 - n % 2)  # the odd sites 1, 3, 5, ...
+    else:
+        raise ConsistencyError(f"acceptance is not monotone in the neighbour sum: {probs}")
     nbytes = (n + 7) // 8
     # cols[c] yields per sweep t the mask with bit k set where draw t, k flips under accept[c]
-    probs = accept.tolist()
     cols = [itertools.repeat(full if a >= 1.0 else 0, sweeps) for a in probs]
     live = [c for c, a in enumerate(probs) if 0.0 < a < 1.0]
     data = np.packbits(us < accept[live, None, None], axis=-1, bitorder="little").tobytes()
@@ -262,16 +291,12 @@ def _metropolis_sweeps(bits, us, accept, out):
         down = bits ^ lo ^ ((lo ^ hi) & bits)
         lo, hi = f[1] ^ ((f[1] ^ f[2]) & right), f[4] ^ ((f[4] ^ f[5]) & right)
         up = bits ^ lo ^ ((lo ^ hi) & bits)
-        free = (down ^ up) & rest  # identity or negation
+        free = (down ^ up) & rest  # copy or negation
         const = free ^ rest  # constant, besides site 0
-        parity = down & free  # negations, then their prefix parity
-        for shift in shifts:
-            parity ^= parity << shift
-        parity &= full
-        # each constant's value less the parity at it, carried up its run of
-        # identities and negations by one add, then the parity put back
-        anchor = ((down ^ parity) & const) | first
-        bits = ((((free + (anchor << 1)) ^ free) & free) | anchor) ^ parity
+        # each constant's gauged value, carried up its run of copies by one
+        # add, then the gauge taken off
+        anchor = ((down ^ gauge) & const) | first
+        bits = ((((free + (anchor << 1)) ^ free) & free) | anchor) ^ gauge
         counts.append(bits.bit_count())
     # 2c - n is an exact int64 and both divisions round correctly, so this
     # is the float (2c - n) / n of plain Python

@@ -122,6 +122,16 @@ class TestQuantize:
         assert spaced[0] == 0
         assert spaced == joined
 
+    @pytest.mark.parametrize("game, flags", [
+        ("pd", ("--r", "3", "--t", "5", "--p", "1")),
+        ("chicken", ("--r", "3")),
+    ])
+    def test_non_finite_payoff_after_a_space_reaches_validation(self, capsys, game, flags):
+        code, out, err = run(capsys, "quantize", "--game", game, *flags, "--s", "-inf",
+                             "--gamma", "0.5")
+        assert (code, out) == (2, "")
+        assert "payoffs must be finite" in err
+
     def test_chicken_rejects_pd_only_flags(self, capsys):
         code, _, err = run(
             capsys, "quantize", "--game", "chicken", "--r", "3", "--s", "4",
@@ -482,6 +492,15 @@ class TestOracle:
         joined = run(capsys, *base, "--J=-2e-05")
         assert spaced[0] == 0
         assert spaced == joined
+
+    @pytest.mark.parametrize("flag, value", [("--J", "-inf"), ("--h", "-NaN"), ("--beta", "-Infinity")])
+    def test_non_finite_value_after_a_space_reaches_validation(self, capsys, flag, value):
+        # argparse's own pattern would read "-inf" as an option and stop at
+        # "expected one argument"
+        point = {"--J": "0.1", "--h": "0.2", "--beta": "1", flag: value}
+        code, out, err = run(capsys, "oracle", *(x for kv in point.items() for x in kv), "--N", "4")
+        assert (code, out) == (2, "")
+        assert "J, h, beta must be finite" in err
 
     def test_strong_antiferromagnet_is_finite(self, capsys):
         # e^{-4 beta J} overflows long double at this point

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import classical_magnetization, mpmath_finite_magnetization
 from qgames import IsingParams, magnetization, oracle
-from qgames.errors import ResourceLimitError, ValidationError
+from qgames.errors import ConsistencyError, ResourceLimitError, ValidationError
 from qgames.oracle import (
     ChainSpec,
     enumerate_magnetization,
@@ -222,11 +222,22 @@ class TestEnumerationCache:
 
     def test_cached_sums_are_read_only(self):
         enumerate_magnetization(spec(16, 0.3, -0.2, 1.0))
-        msum, bonds = oracle._spin_and_bond_sums(16, 0, 1 << 16)
-        assert msum.dtype == bonds.dtype == np.int8
-        for arr in (msum, bonds):
+        msum, index, class_msum, class_bonds = oracle._spin_and_bond_sums(16, 0, 1 << 16)
+        assert msum.dtype == np.int8 and index.dtype == np.intp
+        assert class_msum.shape == class_bonds.shape == (17 * 9,)
+        for arr in (msum, index, class_msum, class_bonds):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
+
+    def test_classes_hold_each_code_sums(self):
+        # the class of a code gives back its spin sum and its bond sum
+        n = 11
+        msum, index, class_msum, class_bonds = oracle._spin_and_bond_sums(n, 0, 1 << n)
+        codes = np.arange(1 << n, dtype=np.uint64)
+        spins = 1 - 2 * ((codes[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int64)
+        assert np.array_equal(class_msum[index], spins.sum(axis=1))
+        assert np.array_equal(class_bonds[index], (spins * np.roll(spins, -1, axis=1)).sum(axis=1))
+        assert np.array_equal(msum, spins.sum(axis=1))
 
     def test_alternating_lengths_equal_uncached_sums(self):
         rng = np.random.default_rng(19)
@@ -239,6 +250,20 @@ class TestEnumerationCache:
         for J, h, beta in [(-0.7, 0.4, 1.3), (1.5, -0.05, 2.0)]:
             s = spec(21, J, h, beta)
             assert enumerate_magnetization(s) == uncached_enumeration(s)
+
+    def test_four_chunks_equal_uncached_sums(self):
+        for J, h, beta in [(-0.7, 0.4, 1.3), (1.5, -0.05, 2.0)]:
+            s = spec(22, J, h, beta)
+            assert enumerate_magnetization(s) == uncached_enumeration(s)
+
+    def test_classes_no_code_reaches_do_not_overflow(self):
+        # at this antiferromagnetic point an empty class such as (all up,
+        # N broken bonds) would have an exponent near +1e308 and exp would
+        # overflow; the classes that occur stay at or below the largest one
+        # (the float64-limit points are test_exponents_next_to_the_float64_limit's)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert enumerate_magnetization(spec(16, -1e306, 1e306, 1.0)) == 0.0
 
     def test_golden_oracle_point(self):
         s = spec(16, -0.25, 1.75, 2.0)
@@ -574,6 +599,37 @@ class TestMetropolisMatchesSequentialSweeps:
     def test_constant_classes_equal_reference(self, monkeypatch, n, J, h, beta):
         fast, slow = self.both(monkeypatch, spec(n, J, h, beta), 300, 30, 7)
         assert fast == slow
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 17, 63, 64, 65, 129])
+    def test_kernel_equals_reference_on_monotone_tables(self, n):
+        # random tables monotone in the neighbour sum, in either order: with
+        # ties, exact 0.0 and 1.0 entries and 1 to 6 classes strictly between
+        rng = np.random.default_rng(300 + n)
+        for i in range(60):
+            live = 1 + i % 6
+            values = rng.uniform(0.0, 1.0, live)
+            if i % 3 == 0:  # ties among the undecided classes
+                values = rng.choice(values[: max(1, live // 2)], live)
+            table = np.concatenate([values, rng.choice([0.0, 1.0], 6 - live)])
+            rng.shuffle(table)
+            down, up = np.sort(table[:3]), np.sort(table[3:])
+            if i % 2:  # negations: accept falls for a down spin, rises for an up one
+                down = down[::-1]
+            else:
+                up = up[::-1]
+            accept = np.concatenate([down, up])
+            us = rng.random((int(rng.integers(1, 30)), n))
+            bits = int(rng.integers(0, 2, n) @ (1 << np.arange(n, dtype=object)))
+            out, ref_out = np.empty(len(us)), np.empty(len(us))
+            got = oracle._metropolis_sweeps(bits, us, accept, out)
+            assert got == reference_kernel(bits, us, accept, ref_out)
+            assert np.array_equal(out, ref_out)
+
+    def test_kernel_refuses_a_table_monotone_in_neither_order(self):
+        # rising for a down spin, as with J > 0, but also rising for an up one
+        accept = np.array([0.1, 0.5, 0.9, 0.2, 0.4, 0.6])
+        with pytest.raises(ConsistencyError, match="not monotone"):
+            oracle._metropolis_sweeps(5, np.full((3, 4), 0.5), accept, np.empty(3))
 
     def test_zero_acceptance_point_has_exact_zeros(self, monkeypatch):
         seen = record_acceptance(monkeypatch)
