@@ -133,7 +133,8 @@ def cmd_curve(args) -> int:
     if args.gamma_steps * len(betas) > MAX_CURVE_ROWS:
         raise ResourceLimitError(f"curve takes gamma steps x betas up to {MAX_CURVE_ROWS} rows, "
                                  f"got {args.gamma_steps} x {len(betas)}")
-    grid = np.linspace(args.gamma_start, args.gamma_stop, args.gamma_steps)
+    with np.errstate(all="ignore"):  # an infinite end gives NaNs, which extract_block rejects
+        grid = np.linspace(args.gamma_start, args.gamma_stop, args.gamma_steps)
     stacked = extract_block(args.game, payoffs, args.block, grid)  # range-checks the grid
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("gamma grid must be strictly increasing")

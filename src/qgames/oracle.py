@@ -3,17 +3,19 @@
 Three routes onto the same finite periodic chain of N spins:
 
 * exact enumeration of all 2**N configurations (N <= 24),
-* the 2x2 transfer matrix, differentiated numerically so this route never
-  writes down the closed-form magnetization it is meant to validate,
+* the 2x2 transfer matrix, its log partition differentiated by complex
+  step in float64, so this route never writes down the closed-form
+  magnetization it is meant to validate,
 * seeded single-flip Metropolis sampling.
 
-Enumeration and the transfer matrix must agree to ~1e-10; the transfer
+Enumeration and the transfer matrix must agree to 1e-10; the transfer
 matrix approaches the closed form as N grows (when the correlation length
 fits inside the chain); Metropolis agrees statistically.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -29,13 +31,9 @@ from .ising import IsingParams
 MAX_ENUM_SITES = 24
 _MAX_UPDATES_LOG2 = 32  # Metropolis's bound on N * sweeps: about 2 minutes at ~30 ns per update
 _CHUNK_BITS = 20  # enumeration and Metropolis work in slices of at most 2**20 values
-_FD_STEP = 1e-6   # central-difference step for the transfer-matrix derivative
-
-# Extended precision for the transfer-matrix log-partition: a plain float64
-# central difference has a ~5e-9 cancellation floor in the worst corners,
-# above the 1e-10 agreement gate with enumeration.
-_LD = np.longdouble
-_SCALED_FROM = 20.0  # max(|beta*h|, -2 beta*J) from which the scaled log partition is used
+_EPS = 1e-20  # complex step of the transfer-matrix derivative
+_BIG = 1e300  # bound on the transfer matrix's exponents, where exp is 0 or negligible
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,12 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
     if not math.isfinite(2 * n * (abs(bj) + abs(bh))):  # the largest offset exponent
         raise ValidationError(f"enumeration overflows float64: beta*J={bj!r}, beta*h={bh!r}, N={n}")
     alt, odd = n - 4 * (n // 2), n % 2
-    b_top, m_top = max(
-        [(n, n), (alt, odd), (alt, -odd), (n, -n)], key=lambda p: bj * p[0] + bh * p[1]
-    )
+    b_top, m_top = n, n
+    for b, m in (alt, odd), (alt, -odd), (n, -n):
+        # the sign of the difference, not two rounded exponents that can tie
+        # when beta*J swamps beta*h
+        if bj * (b - b_top) + bh * (m - m_top) > 0:
+            b_top, m_top = b, m
     total = 1 << n
     step = min(total, 1 << _CHUNK_BITS)
 
@@ -136,93 +137,87 @@ def _spin_and_bond_sums(n: int, lo: int, step: int):
     return msum, index, class_msum, class_bonds
 
 
-def _log_partition_per_site(n: int, beta_j, x):
-    """(1/N) log Z as a function of x = beta*h, constant offsets dropped.
+def _log1p(z: complex) -> complex:
+    """log(1 + z), accurate for small z, where cmath.log(1 + z) would round 1 + z."""
+    return complex(math.log1p(z.real), math.atan2(z.imag, 1.0 + z.real))
 
-    Stable for both eigenvalue signs: the near-cancellation of lambda-^N
-    against lambda+^N on the antiferromagnetic side goes through
-    log1p/expm1 instead of raw subtraction.
+
+def _expm1(z: complex) -> complex:
+    """e^z - 1, accurate for small z."""
+    a, b = z.real, z.imag
+    return complex(math.expm1(a) * math.cos(b) - 2.0 * math.sin(b / 2.0) ** 2,
+                   math.exp(a) * math.sin(b))
+
+
+def _logaddexp(p: complex, q: complex) -> complex:
+    """log(e^p + e^q), with only the smaller of the two exponentiated."""
+    if p.real < q.real:
+        p, q = q, p
+    return p + _log1p(cmath.exp(q - p))
+
+
+def _log_partition_scaled(n: int, k: float, a0: float, gap: float, s: float, y: complex):
+    """(1/N) log Z at beta*h = s*a0 + y, less c = max(|x|, k), for k = -2 beta*J,
+    a0 > 0 and gap = a0 - k; analytic in y, with |x| continued as a0 + s*y.
+
+    The eigenvalues are e^{beta J} (ch +- root), with ch, sh = cosh, sinh(x)
+    and root = sqrt(sh^2 + e^{2k}).  ch, sh and root are scaled by e^{-c}, so
+    none overflows, and the ratio |lambda-/lambda+| = |e^{2k} - 1| /
+    (ch + root)^2 = e^{-v} needs no subtraction of the eigenvalues.
     """
-    ch = np.cosh(x)
-    s = np.sinh(x)  # s * s, not s ** 2: NumPy's scalar power warns on a finite square
-    root = np.sqrt(s * s + np.exp(_LD(-4.0) * beta_j))
-    if root <= ch:  # both eigenvalues ch +- root non-negative
-        corr = np.log1p(((ch - root) / (ch + root)) ** n)
-    else:  # lambda- < 0: handle 1 + (lambda-/lambda+)^N carefully
-        eta = _LD(2.0) * ch / (ch + root)  # = 1 - |lambda-/lambda+|
-        if eta >= 1.0:  # ratio underflowed: the lambda- term is negligible
-            corr = _LD(0.0)
-        else:
-            t = _LD(n) * np.log1p(-eta)
-            corr = np.log1p(np.exp(t)) if n % 2 == 0 else np.log(-np.expm1(t))
-    return np.log(ch + root) + corr / _LD(n)
-
-
-def _log_partition_scaled(n: int, k, a0, s, y):
-    """(1/N) log Z at x = s*(a0 + y), for k = -2 beta J and max(a0, k) >= 20.
-
-    ch, sh and root are scaled by e^{-c}, with c = |x| where a0 >= k (the
-    caller adds its slope s back) and c = k otherwise, and terms constant
-    in y are dropped, so no large term goes through the central difference:
-    where y is added to a large term, the sum is an exponent that makes its
-    own contribution negligible.  The eigenvalue ratio |lambda-/lambda+| =
-    |e^{2k} - 1| / (ch + root)^2 = e^{-v} needs no subtraction of the
-    eigenvalues.
-    """
-    two, zero = _LD(2.0), _LD(0.0)
-    u = a0 + s * y  # |x|, or -|x| where the stencil crosses 0: every use is even in it
-    g = (a0 - k) + s * y  # |x| - k
-    # t = |x| - c, t_y the part of t that varies with y, two_kc = 2(k - c),
-    # d = c - max(k, 0)
-    if a0 >= k:  # c = |x|
-        t, t_y, two_kc, d = zero, zero, -two * g, g if k > 0 else u
+    u = a0 + s * y  # |x|
+    g = gap + s * y  # |x| - k
+    # t = |x| - c, two_kc = 2(k - c), d = c - max(k, 0)
+    if gap >= 0.0:  # c = |x|
+        t, two_kc, d = 0.0, -2.0 * g, g if k > 0.0 else u
     else:  # c = k > 0
-        t, t_y, two_kc, d = g, s * y, zero, zero
-    q = np.exp(-two * u)  # e^{-2|x|}
-    ch = np.exp(t) * (1 + q) / two
-    sh = np.exp(t) * -np.expm1(-two * u) / two
-    log_root = np.log1p(sh * sh + np.expm1(two_kc)) / two
-    w = ch / np.exp(log_root)  # ch / root
-    lead = log_root + np.log1p(w)  # log(ch + root)
-    if k == 0:  # lambda- = 0
+        t, two_kc, d = g, 0.0, 0.0
+    half_sh = _expm1(-2.0 * u) / -2.0  # sinh|x| e^{-|x|}, and cosh|x| e^{-|x|} = 1 - half_sh
+    log_ch = t + _log1p(-half_sh)
+    sh = cmath.exp(t) * half_sh
+    if two_kc.real < -1.0:  # log(sh^2 + e^{two_kc}) as a log-sum, where log1p could meet -1
+        log_root = _logaddexp(2.0 * cmath.log(sh), two_kc) / 2.0
+    else:
+        log_root = _log1p(sh * sh + _expm1(two_kc)) / 2.0
+    lead = _logaddexp(log_ch, log_root)  # log(ch + root)
+    if k == 0.0:  # lambda- = 0
         return lead
-    v = two * (d + lead) - np.log(-np.expm1(-two * np.abs(k)))
-    if k < 0 or n % 2 == 0:  # (lambda-/lambda+)^N = e^{-Nv}
-        return lead + np.log1p(np.exp(-n * v)) / n
-    # log(1 - e^{-Nv}) = log 2N + log(ch/root) + log(v root/2ch) + log((1 - e^{-Nv})/Nv),
-    # with log(ch/root) less the constant t - t_y; ch/root = 0 and v = 0 are the limits
-    corr = np.log(two * n) + t_y + np.log1p(q) - np.log(two) - log_root
-    if w:
-        corr += np.log(v / (two * w))
-    if v:
-        corr += np.log(-np.expm1(-n * v) / (n * v))
+    a = 2.0 * abs(k)  # log(1 - e^{-a}) on whichever of log1p and expm1 keeps its bits
+    v = 2.0 * (d + lead) - (math.log1p(-math.exp(-a)) if a > _LN2 else math.log(-math.expm1(-a)))
+    if k < 0.0 or n % 2 == 0:  # (lambda-/lambda+)^N = e^{-Nv}
+        corr = _log1p(cmath.exp(-n * v))
+    elif abs(cmath.exp(log_ch - log_root)) >= 1e-150:  # (lambda-/lambda+)^N = -e^{-Nv}
+        corr = cmath.log(-_expm1(-n * v))
+    else:  # ch/root < 1e-150, where eps times Nv nears the subnormals:
+        # 1 - e^{-Nv} = 2N (ch/root) (1 + O(ch/root)), the O term's slope as small
+        corr = log_ch - log_root
     return lead + corr / n
 
 
 def transfer_matrix_finite(spec: ChainSpec) -> float:
     """Exact finite-N magnetization from the 2x2 transfer matrix.
 
-    Computed as the Richardson-extrapolated central difference of the
-    per-site log partition with respect to beta*h, step 1e-6.  The numeric
+    The derivative of the per-site log partition with respect to beta*h,
+    taken by complex step: Im f(x + i eps) / eps, eps = 1e-20, which is
+    exact to O(eps^2) and has no subtractive cancellation (Squire & Trapp,
+    SIAM Rev. 40, 110 (1998)), so float64 suffices.  The numeric
     derivative keeps this route independent of the closed-form result.
-    Below max(|beta*h|, -2 beta*J) = 20 the log partition is the plain one;
-    from 20 on it is the scaled form, so every finite input gives a value.
+    beta*h, beta*J and |beta*h| + 2 beta*J are clamped at +-1e300, where
+    their exponentials are 0 or negligible, so every finite input gives a
+    value; a ring past 2**1000 sites is taken as one of 2**1000 or
+    2**1000 + 1, by parity.
     """
-    beta_j = _LD(spec.params.beta) * _LD(spec.params.J)
-    x0 = _LD(spec.params.beta) * _LD(spec.params.h)
-    e = _LD(_FD_STEP)
-    k, a0, s = _LD(-2.0) * beta_j, np.abs(x0), np.sign(x0)
-    scaled = max(a0, k) >= _SCALED_FROM
-
-    def f(y):
-        if scaled:
-            return _log_partition_scaled(spec.N, k, a0, s, y)
-        return _log_partition_per_site(spec.N, beta_j, x0 + y)
-
-    d1 = (f(e) - f(-e)) / (2.0 * e)
-    d2 = (f(e / 2) - f(-e / 2)) / e
-    m = (4.0 * d2 - d1) / 3.0
-    return float(m + s if scaled and a0 >= k else m)
+    beta, J, h = float(spec.params.beta), float(spec.params.J), float(spec.params.h)
+    x0 = beta * h
+    if x0 == 0.0:  # Z is even in beta*h; this also takes beta = 0, where gap below is NaN
+        return 0.0
+    # gap = |beta*h| - k in one rounding, so a balanced chain keeps its bits
+    k, gap = (max(-_BIG, min(v, _BIG)) for v in (-2.0 * beta * J, beta * (abs(h) + 2.0 * J)))
+    n = min(spec.N, (1 << 1000) + spec.N % 2)
+    s = math.copysign(1.0, x0)
+    f = _log_partition_scaled(n, k, min(abs(x0), _BIG), gap, s, _EPS * 1j)
+    # add back the slope s of c = |x|; adding 0.0 turns -0.0 into 0.0
+    return f.imag / _EPS + (s if gap >= 0.0 else 0.0)
 
 
 def _metropolis_sweeps(bits, us, accept, out):

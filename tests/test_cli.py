@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,23 @@ class TestCurve:
             assert message in err
 
 
+    @pytest.mark.parametrize("steps, start, stop", [
+        ("1", "-1", "-inf"), ("3", "0", "inf"), ("3", "-1.7e308", "1.7e308"),
+    ])
+    def test_huge_or_infinite_grid_end_gives_one_error_line(self, capsys, steps, start, stop):
+        # linspace meets inf - inf or an overflow there; its NumPy warning
+        # would print before the range error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "curve", "--game", "chicken", "--r", "1", "--s", "2",
+                "--block", "QvSwerve", "--gamma-steps", steps,
+                "--gamma-start", start, "--gamma-stop", stop,
+            )
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: [^\n]*\n", err), err
+
+
 class TestTransition:
     def test_pd_reference_report(self, capsys):
         code, out, _ = run(
@@ -503,7 +521,7 @@ class TestOracle:
         assert "J, h, beta must be finite" in err
 
     def test_strong_antiferromagnet_is_finite(self, capsys):
-        # e^{-4 beta J} overflows long double at this point
+        # e^{-4 beta J} = e^{4e6} overflows float64 at this point
         code, out, err = run(
             capsys, "oracle", "--J", "-1000", "--h", "0.001", "--beta", "1000", "--N", "8",
             "--no-metropolis",
@@ -524,7 +542,7 @@ class TestOracle:
     )
     def test_extreme_points_match_mpmath(self, capsys, J, h, beta, n, extra):
         # -2 beta J in the thousands, beta*h = 3000, N |beta*J| swamping
-        # beta*h, and e^{-4 beta J} and cosh(beta*h) both past long double
+        # beta*h, and e^{-4 beta J} and cosh(beta*h) both past float64
         code, out, err = run(
             capsys, "oracle", "--J", J, "--h", h, "--beta", beta, "--N", n, *extra
         )
@@ -534,6 +552,23 @@ class TestOracle:
         assert len(rows) == 3 - len(extra)
         for row in rows:
             assert abs(float(row[2]) - want) <= 1e-10, row
+
+    @pytest.mark.parametrize("point", [
+        ("--J", "1e20", "--h", "-4.665494327264568", "--beta", "7.422370891875762", "--N", "16"),
+        # without Metropolis, whose frozen chain is the known exit-3 family
+        ("--J", "1.7976931348623157e308", "--h", "-1e20", "--beta", "0.1", "--N", "3",
+         "--no-metropolis"),
+    ])
+    def test_enumeration_maxima_that_round_together_give_finite_rows(self, capsys, point):
+        # beta*J swamps beta*h, so all up and all down round to one exponent;
+        # the field still picks all down as the largest, and no weight overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "oracle", *point)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert rows[0][1:3] == ["enumeration", "-1"]
+        assert all(math.isfinite(float(row[2])) for row in rows)
 
     def test_enumeration_overflow_exits_2(self, capsys):
         code, out, err = run(
@@ -607,7 +642,7 @@ class TestOracle:
         assert "closed form nan is not finite" in err
 
     def test_strong_field_is_finite(self, capsys):
-        # cosh(beta*h) and sinh(beta*h)^2 overflow long double at this point
+        # cosh(beta*h) and sinh(beta*h)^2 overflow float64 at this point
         code, out, err = run(
             capsys, "oracle", "--J", "0.1", "--h", "20", "--beta", "1000", "--N", "8",
             "--no-metropolis",

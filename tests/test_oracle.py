@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -49,9 +51,10 @@ def uncached_enumeration(s):
     bj = float(s.params.beta) * float(s.params.J)
     bh = float(s.params.beta) * float(s.params.h)
     alt, odd = n - 4 * (n // 2), n % 2
-    b_top, m_top = max(
-        [(n, n), (alt, odd), (alt, -odd), (n, -n)], key=lambda p: bj * p[0] + bh * p[1]
-    )
+    b_top, m_top = n, n
+    for b, m in (alt, odd), (alt, -odd), (n, -n):
+        if bj * (b - b_top) + bh * (m - m_top) > 0:
+            b_top, m_top = b, m
     total = 1 << n
     step = min(total, 1 << oracle._CHUNK_BITS)
     z = mw = 0.0
@@ -123,14 +126,11 @@ def test_numpy_integer_n_gives_the_plain_int_results(dtype):
             == metropolis_magnetization(plain, 200, 20, 0))
 
 
-def test_long_double_is_x87_extended_precision():
-    # a platform guard, not a skip: elsewhere the oracle's numbers change
-    nmant = np.finfo(np.longdouble).nmant
-    assert nmant >= 63, (
-        f"oracle._LD = np.longdouble has a {nmant}-bit mantissa: the transfer matrix meets "
-        "its 1e-10 gate against enumeration, and the golden transfer_matrix row, only with "
-        "the 80-bit long double of x86-64 (a float64 long double misses both)"
-    )
+def test_oracle_never_references_long_double():
+    # float64 everywhere: long double is 80-bit on x86-64 Linux only, so it
+    # would make the oracle's numbers depend on the platform
+    source = Path(oracle.__file__).read_text()
+    assert "longdouble" not in source and "float128" not in source
 
 
 class TestEnumerate:
@@ -181,7 +181,12 @@ class TestEnumerate:
                     reference_enumeration(s), abs=1e-14
                 )
 
-    @pytest.mark.parametrize("n,J,h,beta", [(9, -1000.0, 1e-6, 1e5), (7, -1e6, 1e-9, 1e6)])
+    @pytest.mark.parametrize("n,J,h,beta", [
+        (9, -1000.0, 1e-6, 1e5), (7, -1e6, 1e-9, 1e6),
+        # all up and all down round to one exponent; the field picks all down
+        (16, 1e20, -4.665494327264568, 7.422370891875762),
+        (3, 1.7976931348623157e308, -1e20, 0.1),
+    ])
     def test_huge_coupling_keeps_the_field(self, n, J, h, beta):
         # N*|beta*J| carries no bit of beta*h; the offsets from the largest
         # exponent are exact integers, so the field survives
@@ -285,8 +290,13 @@ class TestTransferMatrix:
             )
 
     def test_zero_field_is_exactly_zero(self):
-        for n in (2, 7, 64, 513):
-            assert transfer_matrix_finite(spec(n, 0.6, 0.0, 2.0)) == 0.0
+        # Z is even in beta*h, so m is 0, and +0: the CLI prints "0", not "-0"
+        for n in (2, 3, 7, 64, 513):
+            for J, h, beta in itertools.product(
+                (0.6, -1.0, 0.0, -1e4, 1e300), (0.0, -0.0), (0.0, 5.0, 1e300)
+            ):
+                m = transfer_matrix_finite(spec(n, J, h, beta))
+                assert m == 0.0 and math.copysign(1.0, m) == 1.0
 
     def test_large_chain_approaches_closed_form(self):
         # points whose correlation length is far below 512 sites
@@ -303,7 +313,7 @@ class TestTransferMatrix:
         ],
     )
     def test_strong_antiferromagnet_matches_enumeration(self, n, J, h, beta, want):
-        # e^{-4 beta J} overflows long double here
+        # e^{-4 beta J} overflows float64 here
         s = spec(n, J, h, beta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -318,7 +328,7 @@ class TestTransferMatrix:
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("h", [20.0, -20.0])
     def test_strong_field_matches_enumeration(self, n, h):
-        # cosh(beta*h) and sinh(beta*h)^2 overflow long double here
+        # cosh(beta*h) and sinh(beta*h)^2 overflow float64 here
         s = spec(n, 0.1, h, 1000.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -339,43 +349,37 @@ class TestTransferMatrix:
             assert abs(got - exact) <= 1e-10
 
     def test_finite_square_of_sinh_does_not_warn(self):
-        # sinh(x)^2 at beta*h = 3000 is finite in long double but past where
-        # NumPy's scalar power reports an overflow; the scaled form squares
-        # only sinh scaled by e^{-|beta*h|}
+        # sinh(x)^2 at beta*h = 3000 is about e^6000, past float64; the scaled
+        # form squares only sinh scaled by e^{-|beta*h|}
         s = spec(8, 0.1, 20.0, 150.0)
-        x = np.longdouble(3000.0)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            np.sinh(x) ** 2
+        with pytest.raises(OverflowError):
+            math.sinh(3000.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = transfer_matrix_finite(s)
         assert got == 1.0  # the 60-digit mpmath value
 
     def test_strong_field_and_strong_antiferromagnet_is_finite(self):
-        # e^{-4 beta J} and cosh(beta*h) both overflow long double
+        # e^{-4 beta J} and cosh(beta*h) both overflow float64
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = transfer_matrix_finite(spec(8, -1e4, 2e4, 1.0))
         assert got == pytest.approx(0.44680851063829785, abs=1e-12)
 
-    def test_root_one_ulp_above_cosh_drops_the_negative_eigenvalue(self):
-        # at a vanishing antiferromagnetic J, root = sqrt(sinh^2 + e^{-4 beta J})
-        # rounds one ulp above cosh at one stencil point, where eta = 2 ch/(ch + root)
-        # rounds to 1 and the lambda- term is dropped
-        n, J, h, beta = 9, -1.451416671187035e-19, 7.858013800881416, 1.0
-        ld, e = np.longdouble, np.longdouble(oracle._FD_STEP)
-        taken = []
-        for y in (e, -e, e / 2, -e / 2):
-            x = ld(beta) * ld(h) + y
-            ch = np.cosh(x)
-            root = np.sqrt(np.sinh(x) * np.sinh(x) + np.exp(ld(-4.0) * ld(beta) * ld(J)))
-            taken.append(bool(root > ch and 2 * ch / (ch + root) >= 1.0))
-        assert taken.count(True) == 1
-        s = spec(n, J, h, beta)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = transfer_matrix_finite(s)
-        assert abs(got - enumerate_magnetization(s)) <= 1e-10
+    def test_golden_row_is_the_exact_value_rounded(self):
+        golden = Path(__file__).parent / "golden" / "oracle.txt"
+        row = next(r for r in golden.read_text().splitlines() if ",transfer_matrix," in r)
+        got = transfer_matrix_finite(spec(16, -0.25, 1.75, 2.0))
+        assert got == float(row.split(",")[2]) == mpmath_finite_magnetization(16, -0.25, 1.75, 2.0)
+
+    @pytest.mark.parametrize("J", [0.5, -0.5, 5.0])
+    def test_ring_past_float64_sizes(self, J):
+        # N beyond the float64 range is taken as 2**1000 sites, parity kept;
+        # at these couplings that ring is at the infinite-chain value
+        for n in (10**400, 10**400 + 1):
+            got = transfer_matrix_finite(spec(n, J, 0.01, 1.0))
+            assert got == transfer_matrix_finite(spec(2**1000 + n % 2, J, 0.01, 1.0))
+            assert got == pytest.approx(classical_magnetization(1.0, J, 0.01), abs=1e-15)
 
     def test_gap_shrinks_as_chain_doubles(self):
         # near-critical enough that the finite-size gap stays above noise
@@ -389,9 +393,9 @@ class TestTransferMatrix:
 
 @st.composite
 def hard_chains(draw):
-    """(N, J, h, beta) with |beta*J| and |beta*h| up to 1e4: the balanced
-    crossover |beta*h| ~ -2 beta*J, a strong antiferromagnet or a strong
-    field, each kind on both sides of the scaled form's threshold of 20."""
+    """(N, J, h, beta) with |beta*J| and |beta*h| from 1e-3 to 1e4: the
+    balanced crossover |beta*h| ~ -2 beta*J, a strong antiferromagnet or a
+    strong field."""
     n = draw(st.one_of(st.integers(2, 64), st.just(512)))
     size = st.floats(-3, 4).map(lambda t: 10.0**t)
     sign = st.sampled_from([-1.0, 1.0])
@@ -413,12 +417,52 @@ def hard_chains(draw):
 @example((8, 0.1, 20.0, 150.0))    # beta*h = 3000
 @example((8, -1e4, 2e4, 1.0))      # e^{-4 beta J} and cosh(beta*h) both overflow
 @example((9, -2.8389, 5.679, 1000.0))  # balanced, past where sinh^2 overflows
+# a vanishing antiferromagnetic J: root = sqrt(sinh^2 + e^{-4 beta J}) and
+# cosh agree to about an ulp, so lambda- is a negative rounding residue
+@example((9, -1.451416671187035e-19, 7.858013800881416, 1.0))
 def test_transfer_matrix_matches_mpmath(chain):
+    n, J, h, beta = chain
+    s = spec(n, J, h, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = transfer_matrix_finite(s)
+    assert abs(got - mpmath_finite_magnetization(n, J, h, beta)) <= 1e-13
+    if n <= 12:
+        assert abs(got - enumerate_magnetization(s)) <= 1e-10
+
+
+@st.composite
+def overflowing_chains(draw):
+    """(N, J, h, beta) with beta from 1e250 to the float64 maximum and |J|,
+    |h| from 1e-300 to 1e300, so beta*h, beta*J and beta*(|h| + 2J) often
+    lie past the maximum; a third balanced (J = -|h|/2 to a few ulps), and
+    a tenth at beta = 0 with |h| + 2J past the maximum."""
+    n = draw(st.integers(2, 64))
+    sign = st.sampled_from([-1.0, 1.0])
+    size = st.floats(-300, 300).map(lambda t: 10.0**t)
+    h = draw(sign) * draw(size)
+    kind = draw(st.sampled_from(["free"] * 6 + ["balanced"] * 3 + ["zero beta"]))
+    if kind == "zero beta":
+        return n, draw(sign) * draw(st.floats(1e308, sys.float_info.max)), h, 0.0
+    if kind == "balanced":
+        J = -abs(h) / 2 * (1 + draw(st.integers(-4, 4)) * 2.0**-52)
+    else:
+        J = draw(sign) * draw(size)
+    return n, J, h, 10.0 ** draw(st.floats(250, 308.25))  # 10**308.25 = 1.78e308
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(overflowing_chains())
+@example((16, -1.0, 2.0, 1e308))  # balanced, with beta*h past the maximum
+@example((7, -1e10, 3e10, 1e300))  # odd N, antiferromagnet past the maximum
+@example((5, 1e308, -1e308, 1.0))  # |h| + 2J past the maximum
+@example((4, sys.float_info.max, 1.0, 0.0))  # beta = 0 with |h| + 2J past it
+def test_transfer_matrix_past_float64_matches_mpmath(chain):
     n, J, h, beta = chain
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = transfer_matrix_finite(spec(n, J, h, beta))
-    assert abs(got - mpmath_finite_magnetization(n, J, h, beta)) <= 1e-10
+    assert abs(got - mpmath_finite_magnetization(n, J, h, beta)) <= 1e-13
 
 
 @settings(max_examples=25, deadline=None)
