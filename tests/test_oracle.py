@@ -366,6 +366,27 @@ class TestTransferMatrix:
             got = transfer_matrix_finite(spec(8, -1e4, 2e4, 1.0))
         assert got == pytest.approx(0.44680851063829785, abs=1e-12)
 
+    def test_root_one_ulp_above_cosh_drops_the_negative_eigenvalue(self):
+        # at a vanishing antiferromagnetic J, lambda- = e^{beta J} (ch - root)
+        # = e^{beta J} (1 - e^{-4 beta J}) / (ch + root) is about -2e-22, but
+        # root = sqrt(sinh^2 + e^{-4 beta J}) rounds one ulp above cosh one
+        # ulp of beta*h away, where ch - root would be 1e9 times too large;
+        # the ratio lambda-/lambda+ is taken without that subtraction, so the
+        # negligible lambda- drops out
+        J, beta = -1.451416671187035e-19, 1.0
+        h0 = 7.858013800881416
+        h1 = math.nextafter(h0, math.inf)
+        ch, sh = math.cosh(h1), math.sinh(h1)
+        assert math.sqrt(sh * sh + math.exp(-4.0 * beta * J)) - ch == math.ulp(ch)
+        for n in (9, 10):
+            for h in (h0, h1):
+                s = spec(n, J, h, beta)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = transfer_matrix_finite(s)
+                assert abs(got - mpmath_finite_magnetization(n, J, h, beta)) <= 1e-13
+                assert abs(got - enumerate_magnetization(s)) <= 1e-10
+
     def test_golden_row_is_the_exact_value_rounded(self):
         golden = Path(__file__).parent / "golden" / "oracle.txt"
         row = next(r for r in golden.read_text().splitlines() if ",transfer_matrix," in r)
