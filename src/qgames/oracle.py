@@ -209,10 +209,13 @@ def transfer_matrix_finite(spec: ChainSpec) -> float:
     """
     beta, J, h = float(spec.params.beta), float(spec.params.J), float(spec.params.h)
     x0 = beta * h
-    if x0 == 0.0:  # Z is even in beta*h; this also takes beta = 0, where gap below is NaN
+    if x0 == 0.0:  # Z is even in beta*h, so m = 0 there, beta = 0 included
         return 0.0
-    # gap = |beta*h| - k in one rounding, so a balanced chain keeps its bits
-    k, gap = (max(-_BIG, min(v, _BIG)) for v in (-2.0 * beta * J, beta * (abs(h) + 2.0 * J)))
+    # gap = |beta*h| - k in one rounding, so a balanced chain keeps its bits;
+    # where |h| + 2J overflows, its quarter does not, and beta may bring it back
+    span = abs(h) + 2.0 * J
+    gap = beta * span if math.isfinite(span) else 4.0 * (beta * (abs(h) / 4.0 + J / 2.0))
+    k, gap = (max(-_BIG, min(v, _BIG)) for v in (-2.0 * (beta * J), gap))
     n = min(spec.N, (1 << 1000) + spec.N % 2)
     s = math.copysign(1.0, x0)
     f = _log_partition_scaled(n, k, min(abs(x0), _BIG), gap, s, _EPS * 1j)

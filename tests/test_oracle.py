@@ -438,9 +438,6 @@ def hard_chains(draw):
 @example((8, 0.1, 20.0, 150.0))    # beta*h = 3000
 @example((8, -1e4, 2e4, 1.0))      # e^{-4 beta J} and cosh(beta*h) both overflow
 @example((9, -2.8389, 5.679, 1000.0))  # balanced, past where sinh^2 overflows
-# a vanishing antiferromagnetic J: root = sqrt(sinh^2 + e^{-4 beta J}) and
-# cosh agree to about an ulp, so lambda- is a negative rounding residue
-@example((9, -1.451416671187035e-19, 7.858013800881416, 1.0))
 def test_transfer_matrix_matches_mpmath(chain):
     n, J, h, beta = chain
     s = spec(n, J, h, beta)
@@ -456,15 +453,23 @@ def test_transfer_matrix_matches_mpmath(chain):
 def overflowing_chains(draw):
     """(N, J, h, beta) with beta from 1e250 to the float64 maximum and |J|,
     |h| from 1e-300 to 1e300, so beta*h, beta*J and beta*(|h| + 2J) often
-    lie past the maximum; a third balanced (J = -|h|/2 to a few ulps), and
-    a tenth at beta = 0 with |h| + 2J past the maximum."""
+    lie past the maximum; a quarter balanced (J = -|h|/2 to a few ulps), a
+    twelfth at beta = 0 with |h| + 2J past the maximum, and a sixth with
+    beta*J and beta*h from 1e-3 to 10 at beta near either end of float64,
+    where 2 beta J, or |h| + 2J at a finite gap, can overflow."""
     n = draw(st.integers(2, 64))
     sign = st.sampled_from([-1.0, 1.0])
     size = st.floats(-300, 300).map(lambda t: 10.0**t)
     h = draw(sign) * draw(size)
-    kind = draw(st.sampled_from(["free"] * 6 + ["balanced"] * 3 + ["zero beta"]))
+    kind = draw(st.sampled_from(["free"] * 6 + ["balanced"] * 3 + ["zero beta"]
+                                + ["reciprocal"] * 2))
     if kind == "zero beta":
         return n, draw(sign) * draw(st.floats(1e308, sys.float_info.max)), h, 0.0
+    if kind == "reciprocal":
+        beta = 10.0 ** draw(st.one_of(st.floats(-323, -300), st.floats(300, 308.25)))
+        J, h = (draw(sign) * min(10.0 ** draw(st.floats(-3, 1)) / beta, sys.float_info.max)
+                for _ in range(2))
+        return n, J, h, beta
     if kind == "balanced":
         J = -abs(h) / 2 * (1 + draw(st.integers(-4, 4)) * 2.0**-52)
     else:
@@ -478,6 +483,10 @@ def overflowing_chains(draw):
 @example((7, -1e10, 3e10, 1e300))  # odd N, antiferromagnet past the maximum
 @example((5, 1e308, -1e308, 1.0))  # |h| + 2J past the maximum
 @example((4, sys.float_info.max, 1.0, 0.0))  # beta = 0 with |h| + 2J past it
+@example((8, 1e308, 1e308, 1e-308))  # |h| + 2J past the maximum at a gap of 3
+@example((7, -1e308, 1.7e308, 1e-308))  # |h| + 2J past the negative maximum, gap -0.3
+@example((8, 1e308, -1e308, 5e-324))  # the same at the smallest beta
+@example((8, 1e-308, 1e-308, 1e308))  # 2 beta past the maximum, beta*J = 1
 def test_transfer_matrix_past_float64_matches_mpmath(chain):
     n, J, h, beta = chain
     with warnings.catch_warnings():
