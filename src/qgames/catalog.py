@@ -117,14 +117,24 @@ class StrategyBlock:
         return BimatrixGame(self.row_payoffs, self.row_payoffs.T, self.labels)
 
 
+def _pd_cos_2gamma(p: PDPayoffs) -> float:
+    """(r - p) / (t - s), from halved payoffs where t - s overflows."""
+    den = p.t - p.s  # positive, since t > s
+    if den <= sys.float_info.max:
+        return (p.r - p.p) / den
+    return (p.r / 2 - p.p / 2) / (p.t / 2 - p.s / 2)
+
+
 # One row per game kind: payoff type, the row player's outcome template (|0> cooperate or
 # swerve, |1> defect or straight; the column player's payoffs are the transpose), 3x3 order,
 # block whose field changes sign, and cos(2 gamma*) there in closed form, the bisection's check.
+# Chicken's s / (2 r) is formed as (s / r) / 2: the same bits where 2 r is finite, and finite
+# where it is not.
 GAMES = {
     PD: (PDPayoffs, lambda p: PayoffTemplate(v00=p.r, v10=p.t, v01=p.s, v11=p.p), (C, D, Q),
-         Block.QVD, lambda p: (p.r - p.p) / (p.t - p.s)),
+         Block.QVD, _pd_cos_2gamma),
     CHICKEN: (ChickenPayoffs, lambda c: PayoffTemplate(v00=0.0, v10=c.r, v01=-c.r, v11=-c.s),
-              (SWERVE, STRAIGHT, Q), Block.QVSTRAIGHT, lambda c: c.s / (2.0 * c.r)),
+              (SWERVE, STRAIGHT, Q), Block.QVSTRAIGHT, lambda c: c.s / c.r / 2.0),
 }
 
 

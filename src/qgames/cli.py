@@ -34,6 +34,7 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 DEFAULT_BETAS = (0.5, 1.0, 2.0, 5.0)
 DEFAULT_GAMMA_STEPS = 200
 MAX_CURVE_ROWS = 1 << 20  # gamma steps x betas: about 300 MB at ~290 B a row
+_PIPE_BUF = 4096  # the POSIX minimum of PIPE_BUF, in characters of the ASCII output
 
 # on/off flags per subcommand; a --config file gives them as key=true or key=false
 _SWITCHES = {"oracle": ("--no-enumeration", "--no-metropolis")}
@@ -81,12 +82,15 @@ def _gamma_from(args) -> float:
 
 
 def _emit(path, lines):
+    text = "\n".join(lines) + "\n"
     if path in (None, "-"):
-        sys.stdout.writelines(line + "\n" for line in lines)
+        # Unbuffered (python -u), one long write to a pipe whose reader leaves is cut short
+        # without an error; a pipe takes a write of at most PIPE_BUF bytes whole or raises.
+        sys.stdout.writelines(text[i : i + _PIPE_BUF] for i in range(0, len(text), _PIPE_BUF))
         return
     try:
         with open(path, "w", newline="") as out:
-            out.writelines(line + "\n" for line in lines)
+            out.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write output {path!r}: {exc}") from None
 

@@ -12,6 +12,7 @@ payoff arrays; `catalog` wraps them into games and blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -112,20 +113,35 @@ def entangler(gamma) -> np.ndarray:
     return lhat
 
 
-def _circuit(ops, gamma) -> np.ndarray:
-    """Final states L^dag (O_i (x) O_j) L |00> for every ordered pair of
-    operators O_i, O_j of `ops`, shape (n, n, 4) for a float gamma and
-    (G, n, n, 4) for a 1-D grid.
+@functools.lru_cache(maxsize=32)
+def _products(strategies) -> np.ndarray:
+    """The products O_i (x) O_j over every ordered pair of a strategy tuple,
+    shape (n, n, 4, 4), built once per tuple and process and read-only.
+
+    Strategies that compare equal share an entry, so a theta of -0.0 reads
+    the operators of 0.0: they differ only in the sign of a zero, which no
+    measured probability carries.
+    """
+    ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
+    n = len(ops)
+    cells = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(n, n, 4, 4)
+    cells.flags.writeable = False
+    return cells
+
+
+def _circuit(cells, gamma):
+    """Final states L^dag (O_i (x) O_j) L |00> for every product of `cells`
+    (as `_products` gives them), and their squared amplitudes: shape
+    (n, n, 4) each for a float gamma and (G, n, n, 4) for a 1-D grid.
 
     One norm check covers every final state; drift (or NaN) means a
     non-unitary operator slipped in and raises ConsistencyError.
     """
     lhat = entangler(gamma)[..., None, None, :, :]
-    n = len(ops)
-    cells = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(n, n, 4, 4)
     psi0 = lhat[..., :, 0]  # L|00> is the first column of L
     chi = tensor.apply(tensor.adjoint(lhat), tensor.apply(cells, psi0))
-    norm = (chi.conj() * chi).real.sum(axis=-1)
+    probs = (chi.conj() * chi).real
+    norm = probs.sum(axis=-1)
     drift = ~(np.abs(norm - 1.0) <= NORM_DRIFT_TOL)
     if drift.any():
         at = tuple(int(k) for k in np.argwhere(drift)[0])
@@ -133,7 +149,7 @@ def _circuit(ops, gamma) -> np.ndarray:
         raise ConsistencyError(
             f"gamma={g!r}, cell ({at[-2]},{at[-1]}): state norm drifted to {float(norm[at])!r}"
         )
-    return chi
+    return chi, probs
 
 
 def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
@@ -145,6 +161,5 @@ def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
     """
     if not strategies:
         raise ValidationError("need at least one strategy")
-    ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
-    chi = _circuit(ops, gamma)
-    return (chi.conj() * chi).real @ template.weights
+    _, probs = _circuit(_products(tuple(strategies)), gamma)
+    return probs @ template.weights

@@ -51,12 +51,20 @@ def couplings(block: StrategyBlock) -> list[tuple[float, float]]:
     antisymmetric turns [[a, b], [c, d]] into the two-site spin table
     [[J+h, -J+h], [-J-h, J-h]].  The (a-c) +/- (b-d) grouping keeps h exactly
     zero when the diagonal entries match and the off-diagonal ones match.
+    Where a sum overflows, a pair comes from quarter payoffs, whose sums cannot.
     Read as Python floats: NumPy's IEEE operations, bit for bit, without their overhead.
     """
     if not isinstance(block, StrategyBlock):
         raise ValidationError(f"couplings takes a StrategyBlock, got {type(block).__name__}")
-    return [(((a - c) + (d - b)) / 4.0, ((a - c) + (b - d)) / 4.0)
-            for (a, b), (c, d) in block.row_payoffs.reshape(-1, 2, 2).tolist()]
+    big = sys.float_info.max
+    pairs = []
+    for (a, b), (c, d) in block.row_payoffs.reshape(-1, 2, 2).tolist():
+        J, h = ((a - c) + (d - b)) / 4.0, ((a - c) + (b - d)) / 4.0
+        if not (abs(J) <= big and abs(h) <= big):
+            a, b, c, d = (0.25 * x for x in (a, b, c, d))
+            J, h = (a - c) + (d - b), (a - c) + (b - d)
+        pairs.append((J, h))
+    return pairs
 
 
 def to_ising(block, beta: float) -> IsingParams:

@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 
 from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, ising
-from qgames.eisert import GAMMA_RANGE, _circuit, strategy_operator
+from qgames.eisert import GAMMA_RANGE, _circuit, _products
 
 
 def qvc_closed_form(p: PDPayoffs, gamma: float) -> np.ndarray:
@@ -68,9 +68,8 @@ def classical_chicken_game(c: ChickenPayoffs) -> BimatrixGame:
 def final_state(s1, s2, gamma) -> np.ndarray:
     """L^dag (O1 (x) O2) L |00> for two strategies through the library's
     circuit; a 1-D gamma grid gives one state per gamma."""
-    o1 = strategy_operator(s1.theta, s1.phi)
-    o2 = strategy_operator(s2.theta, s2.phi)
-    return _circuit(np.array([o1, o2]), gamma)[..., 0, 1, :]
+    chi, _ = _circuit(_products((s1, s2)), gamma)
+    return chi[..., 0, 1, :]
 
 
 def classical_magnetization(beta: float, J: float, h: float) -> float:

@@ -371,6 +371,20 @@ class TestCurve:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: [^\n]*\n", err), err
 
+    @pytest.mark.parametrize("game, flags, block", [
+        ("chicken", ("--r", "1e308", "--s", "1.5e308"), "QvStraight"),
+        ("pd", ("--r", "1e308", "--t", "1.7e308", "--s", "-1.7e308", "--p", "0"), "QvD"),
+    ])
+    def test_payoffs_near_the_float64_maximum_give_finite_rows(self, capsys, game, flags, block):
+        # (a - c) + (b - d) overflows there; the quarter payoffs give the pair
+        code, out, err = run(capsys, "curve", "--game", game, *flags, "--block", block,
+                             "--gamma-steps", "3")
+        assert (code, err) == (0, "")
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 3 * len(cli.DEFAULT_BETAS)
+        assert all(math.isfinite(x) for row in rows for x in row)
+        assert all(-1.0 <= row[4] <= 1.0 for row in rows)
+
 
 class TestTransition:
     def test_pd_reference_report(self, capsys):
@@ -435,6 +449,19 @@ class TestTransition:
         )
         assert code == 0
         assert "transition: none" in out
+
+    @pytest.mark.parametrize("flags, analytic", [
+        (("--game", "chicken", "--r", "1e308", "--s", "1.5e308"), "0.36136712390670783"),
+        (("--game", "pd", "--r", "1e308", "--t", "1.7e308", "--s", "-1.7e308", "--p", "0"),
+         "0.63613206280501022"),
+    ])
+    def test_payoffs_near_the_float64_maximum(self, capsys, flags, analytic):
+        # 2 r and t - s overflow in the closed forms, the field's sums in the bisection
+        code, out, err = run(capsys, "transition", *flags)
+        assert (code, err) == (0, "")
+        assert re.search(r"analytic gamma\*:\s+(\S+)", out).group(1) == analytic
+        numeric = float(re.search(r"bisection gamma\*:\s+(\S+)", out).group(1))
+        assert abs(float(analytic) - numeric) <= 1e-9
 
 
 class TestPayoffFlags:
@@ -750,13 +777,29 @@ class TestOutput:
 
 
 class TestClosedPipe:
+    # 2000 gammas write far more than a pipe buffer holds
+    ARGV = [sys.executable, "-m", "qgames.cli", "curve", "--game", "pd", "--r", "3",
+            "--t", "5", "--s", "0", "--p", "1", "--block", "QvD", "--gamma-steps", "2000"]
+
+    ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
     def test_reader_leaving_early_exits_1_without_a_traceback(self):
-        # 2000 gammas write far more than a pipe buffer holds
-        root = Path(__file__).resolve().parent.parent
-        argv = [sys.executable, "-m", "qgames.cli", "curve", "--game", "pd", "--r", "3",
-                "--t", "5", "--s", "0", "--p", "1", "--block", "QvD", "--gamma-steps", "2000"]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        with subprocess.Popen(self.ARGV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=self.ENV) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_leaving_after_the_first_line_exits_1(self, unbuffered):
+        # as `qgames curve ... | head -1`: the reader leaves while a write is under way
+        env = {k: v for k, v in self.ENV.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen(self.ARGV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline() == b"gamma,beta,J,h,m\n"
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 1

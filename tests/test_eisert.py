@@ -14,7 +14,8 @@ from conftest import (
 )
 import qgames
 from qgames import CHICKEN, PD, Block, ChickenPayoffs, IsingParams, PDPayoffs, extract_block
-from qgames.catalog import GAMES
+from qgames import eisert, tensor
+from qgames.catalog import _BLOCK_STRATEGIES, GAMES
 from qgames.eisert import (
     C,
     D,
@@ -227,6 +228,81 @@ class TestExtendedMatrix:
     def test_rejects_empty_strategy_list(self):
         with pytest.raises(ValidationError):
             extended_matrix(PD_ROW, (), 0.5)
+
+
+def uncached_extended_matrix(template, strategies, gamma):
+    """extended_matrix without the product cache: the operators and their
+    products built on this call, and the final state squared here."""
+    ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
+    n = len(ops)
+    cells = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(n, n, 4, 4)
+    lhat = entangler(gamma)[..., None, None, :, :]
+    chi = tensor.apply(tensor.adjoint(lhat), tensor.apply(cells, lhat[..., :, 0]))
+    return (chi.conj() * chi).real @ template.weights
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+_RNG = np.random.default_rng(27)
+# every block's strategy pair and every game's 3x3 order
+CACHED_SETS = sorted({pair for _, pair in _BLOCK_STRATEGIES.values()}
+                     | {row[2] for row in GAMES.values()}, key=lambda s: [x.label for x in s])
+CACHE_GAMMAS = [0.0, math.pi / 2, 5e-324, *_RNG.uniform(0.0, math.pi / 2, 5),
+                np.linspace(0.0, math.pi / 2, 200)]
+CACHE_TEMPLATES = [PD_ROW, GAMES[CHICKEN][1](ChickenPayoffs(3, 4)),
+                   *(PayoffTemplate(*_RNG.normal(0.0, 10.0, 4)) for _ in range(3))]
+
+
+class TestProductCache:
+    """eisert._products builds each strategy set's products once; the
+    payoffs keep every bit of the uncached circuit."""
+
+    def test_payoffs_keep_every_bit(self):
+        for strategies in CACHED_SETS:
+            for template in CACHE_TEMPLATES:
+                for gamma in CACHE_GAMMAS:
+                    got = extended_matrix(template, strategies, gamma)
+                    want = uncached_extended_matrix(template, strategies, gamma)
+                    assert np.array_equal(bits(got), bits(want))
+
+    def test_interleaved_sets_leave_each_other_unchanged(self):
+        eisert._products.cache_clear()
+        grid = CACHE_GAMMAS[-1]
+        first = {s: extended_matrix(PD_ROW, s, grid) for s in CACHED_SETS}
+        order = [CACHED_SETS[k] for k in np.random.default_rng(5).permutation(len(CACHED_SETS))]
+        for strategies in order + order[::-1]:
+            got = extended_matrix(PD_ROW, strategies, grid)
+            assert np.array_equal(bits(got), bits(first[strategies]))
+            got = extended_matrix(PD_ROW, strategies, 0.7)
+            want = uncached_extended_matrix(PD_ROW, strategies, 0.7)
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_cached_products_are_read_only(self):
+        for strategies in CACHED_SETS:
+            cells = eisert._products(strategies)
+            assert not cells.flags.writeable
+            with pytest.raises(ValueError):
+                cells[0, 0, 0, 0] = 0.0
+        assert eisert._products.cache_info().maxsize is not None  # bounded
+
+    @pytest.mark.parametrize("first", ["negative zero", "positive zero"])
+    def test_negative_zero_theta_shares_the_entry_and_every_bit(self, first):
+        c_neg = Strategy("C", -0.0, 0.0)
+        assert c_neg == C and hash(c_neg) == hash(C)
+        calls = [(c_neg, D), (C, D)]
+        if first == "positive zero":
+            calls.reverse()
+        eisert._products.cache_clear()
+        try:
+            for strategies in calls:
+                for gamma in CACHE_GAMMAS:
+                    got = extended_matrix(PD_ROW, strategies, gamma)
+                    want = uncached_extended_matrix(PD_ROW, strategies, gamma)
+                    assert np.array_equal(bits(got), bits(want))
+        finally:
+            eisert._products.cache_clear()
 
 
 KERNEL_NAMES = ("C", "D", "Q", "STRAIGHT", "SWERVE", "Strategy", "PayoffTemplate",

@@ -1,4 +1,5 @@
 import math
+import sys
 import types
 import warnings
 
@@ -28,7 +29,7 @@ from qgames import (
     phase_transition_gamma,
     to_ising,
 )
-from qgames.catalog import StrategyBlock
+from qgames.catalog import GAMES, StrategyBlock
 from qgames.equilibrium import BEST_RESPONSE_TOL, pure_nash
 from qgames.errors import ConsistencyError, ValidationError
 from qgames.ising import phase_transition_bisect
@@ -157,6 +158,30 @@ class TestCouplings:
                     want_J, want_h = numpy_to_ising(one)
                     assert_same_bits(J, want_J)
                     assert_same_bits(h, want_h)
+
+    def test_pairs_whose_sums_overflow_come_from_quarter_payoffs(self):
+        # entries up to 1.78e308: a pair keeps its bits where its sums are finite,
+        # and is the quarter-payoff pair, finite and within a few ulps, where they are not
+        big = sys.float_info.max
+        rng = np.random.default_rng(2707)
+        scales = 10.0 ** rng.uniform(306.0, 308.25, (4000, 1, 1))
+        rows = rng.uniform(-1.0, 1.0, (4000, 2, 2)) * scales
+        with np.errstate(all="ignore"):
+            want = [numpy_to_ising(StrategyBlock(row, Block.QVD)) for row in rows]
+        pairs = couplings(StrategyBlock(rows, Block.QVD))
+        fallbacks = 0
+        for row, (J, h), (want_J, want_h) in zip(rows, pairs, want):
+            if abs(want_J) <= big and abs(want_h) <= big:
+                assert_same_bits(J, want_J)
+                assert_same_bits(h, want_h)
+                continue
+            fallbacks += 1
+            (a, b), (c, d) = (0.25 * row).tolist()
+            assert (J, h) == ((a - c) + (d - b), (a - c) + (b - d))
+            (a, b), (c, d) = (mpmath.mpf(x) for x in row[0]), (mpmath.mpf(x) for x in row[1])
+            assert abs(J - ((a - c) + (d - b)) / 4) <= 4 * sys.float_info.epsilon * abs(row).max()
+            assert abs(h - ((a - c) + (b - d)) / 4) <= 4 * sys.float_info.epsilon * abs(row).max()
+        assert 100 < fallbacks < len(rows) - 100
 
     def test_one_block_gives_one_pair(self):
         blk = qvd_block(PD_3501, 0.5)
@@ -548,6 +573,35 @@ class TestPhaseTransition:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal consistency failure: transition mismatch for QvD")
+
+    def test_closed_forms_keep_their_bits_where_the_old_quotients_are_finite(self):
+        # (r - p) / (t - s) and s / (2 r), at payoff scales 1e-315 to 2.5e307
+        pd_form, chicken_form = GAMES["pd"][4], GAMES["chicken"][4]
+        rng = np.random.default_rng(2708)
+        for scale in (10.0 ** rng.uniform(-315.0, 307.4, 3000)).tolist():
+            p = random_pd(rng)
+            p = PDPayoffs(*(scale * x for x in (p.r, p.t, p.s, p.p)))
+            c = random_chicken(rng)
+            c = ChickenPayoffs(scale * c.r, scale * c.s)
+            if p.t - p.s <= sys.float_info.max:
+                assert_same_bits(pd_form(p), (p.r - p.p) / (p.t - p.s))
+            assert_same_bits(chicken_form(c), c.s / (2.0 * c.r))
+
+    def test_closed_forms_are_finite_where_the_old_quotients_overflow(self):
+        # t - s or 2 r past the float64 maximum; mpmath gives the quotient
+        big = sys.float_info.max
+        pd_form, chicken_form = GAMES["pd"][4], GAMES["chicken"][4]
+        rng = np.random.default_rng(2709)
+        for _ in range(500):
+            t, s = rng.uniform(0.5, 1.0) * big, -rng.uniform(0.5, 1.0) * big
+            pd = PDPayoffs(rng.uniform(0.01, 1.0) * t, t, s, rng.uniform(0.01, 1.0) * s)
+            r, p = pd.r, pd.p
+            want = (mpmath.mpf(r) - p) / (mpmath.mpf(t) - s)
+            assert abs(pd_form(pd) - want) <= 2 * sys.float_info.epsilon
+            r = rng.uniform(0.5, 1.0) * big
+            c = ChickenPayoffs(r, rng.uniform(r, big))
+            want = mpmath.mpf(c.s) / (2 * mpmath.mpf(c.r))
+            assert abs(chicken_form(c) - want) <= 2 * sys.float_info.epsilon
 
     def test_boundary_transition_at_gamma_zero(self):
         # s exactly 2r puts the crossing at the edge of the interval

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import final_state
 from qgames import eisert, tensor
-from qgames.eisert import C, D, Q, entangler, extended_matrix, strategy_operator
+from qgames.eisert import D, Q, entangler, strategy_operator
 from qgames.errors import ConsistencyError
 
 I2 = np.eye(2, dtype=complex)
@@ -67,13 +67,13 @@ def test_apply_broadcasts_stacks():
             assert np.array_equal(out[k, i], entangler(g) @ v)
 
 
-def test_apply_flags_non_unitary_operator(monkeypatch):
+def test_apply_flags_non_unitary_operator():
     # the circuit's end-to-end norm check catches an operator that is not
-    # unitary, and names the gamma and the cell
-    monkeypatch.setattr(eisert, "strategy_operator", lambda theta, phi: 2.0 * I2)
-    template = eisert.PayoffTemplate(1.0, 0.0, 0.0, 0.0)
+    # unitary, and names the gamma and the cell; the products go straight
+    # in, so the cache of eisert._products never holds them
+    cells = np.broadcast_to(np.kron(2.0 * I2, 2.0 * I2), (2, 2, 4, 4))
     with pytest.raises(ConsistencyError, match=r"gamma=0\.5, cell \(0,0\)"):
-        extended_matrix(template, (C, D), np.array([0.5, 1.0]))
+        eisert._circuit(cells, np.array([0.5, 1.0]))
 
 
 def test_adjoint_identity():
