@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ising, oracle
 from .catalog import GAMES, Block, extract_block, quantized_game
-from .eisert import GAMMA_RANGE
+from .eisert import GAMMA_RANGE, check_gamma
 from .equilibrium import pure_nash
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 
@@ -137,8 +137,9 @@ def cmd_curve(args) -> int:
     if args.gamma_steps * len(betas) > MAX_CURVE_ROWS:
         raise ResourceLimitError(f"curve takes gamma steps x betas up to {MAX_CURVE_ROWS} rows, "
                                  f"got {args.gamma_steps} x {len(betas)}")
-    with np.errstate(all="ignore"):  # an infinite end gives NaNs, which extract_block rejects
-        grid = np.linspace(args.gamma_start, args.gamma_stop, args.gamma_steps)
+    # the ends the grid takes, named as given: linspace would turn an infinite one into NaNs
+    check_gamma([args.gamma_start, args.gamma_stop][: args.gamma_steps])
+    grid = np.linspace(args.gamma_start, args.gamma_stop, args.gamma_steps)
     stacked = extract_block(args.game, payoffs, args.block, grid)  # range-checks the grid
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("gamma grid must be strictly increasing")
@@ -232,16 +233,19 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The one `qgames` parser of this process, built on the first call.
 
-    Every later call returns the same object. Each `parse_args` fills a
-    fresh Namespace and the parser holds no mutable default, so reusing it
-    carries nothing from one `main` call to the next. Callers must not
-    mutate it.
+    Every later call returns the same object. Its `subcommands` maps each
+    subcommand name to that subcommand's own parser (the `choices` of the
+    subparsers action), which `main` hands a known subcommand's flags to
+    directly. Each parse fills a fresh Namespace and no parser holds a
+    mutable default, so reusing them carries nothing from one `main` call to
+    the next. Callers must not mutate them.
     """
     parser = _Parser(
         prog="qgames",
         description="Quantized 2x2 games mapped onto the 1-D Ising chain.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("quantize", help="3x3 bimatrix with the quantum strategy, plus Nash cells")
     _add_game_flags(p)
@@ -323,11 +327,30 @@ def _merge_config(argv):
     return rest[:1] + tokens + rest[1:]
 
 
+def _parse(argv):
+    """The namespace of argv, from one argparse pass.
+
+    A known subcommand's flags go straight to its own parser, and leftovers
+    to the top-level parser's "unrecognized arguments" error, as argparse
+    does through the top-level parser but without classifying every token
+    there first. No argument, -h or an unknown subcommand takes the
+    top-level parser; the namespace carries `subcommand` only from there.
+    """
+    parser = build_parser()
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_merge_config(argv))
+        args = _parse(_merge_config(argv))
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

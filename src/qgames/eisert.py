@@ -88,12 +88,9 @@ def strategy_operator(theta: float, phi: float) -> np.ndarray:
     return np.array([[ph * c, s], [-s, ph.conjugate() * c]], dtype=complex)
 
 
-def entangler(gamma) -> np.ndarray:
-    """The 4x4 entangling gate: cos(gamma/2) on the diagonal, +i sin(gamma/2)
-    linking |00> and |11>, -i sin(gamma/2) linking |01> and |10>.
-
-    A float gamma gives one (4, 4) gate, a 1-D gamma grid a (G, 4, 4) stack.
-    """
+def check_gamma(gamma) -> np.ndarray:
+    """A float gamma or a 1-D gamma grid as a float array, every value in
+    GAMMA_RANGE; the first value outside it is named in the ValidationError."""
     lo, hi = GAMMA_RANGE
     try:
         g = np.asarray(gamma, dtype=float)
@@ -104,6 +101,16 @@ def entangler(gamma) -> np.ndarray:
     bad = ~((g >= lo) & (g <= hi))  # NaN is out of range too
     if bad.any():
         raise ValidationError(f"gamma={float(g[bad][0])!r} outside [{lo!r}, {hi!r}]")
+    return g
+
+
+def entangler(gamma) -> np.ndarray:
+    """The 4x4 entangling gate: cos(gamma/2) on the diagonal, +i sin(gamma/2)
+    linking |00> and |11>, -i sin(gamma/2) linking |01> and |10>.
+
+    A float gamma gives one (4, 4) gate, a 1-D gamma grid a (G, 4, 4) stack.
+    """
+    g = check_gamma(gamma)
     c = np.cos(g / 2)
     s = np.sin(g / 2)
     lhat = np.zeros(g.shape + (4, 4), dtype=complex)

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
-from .catalog import GAMES, Block, StrategyBlock, extract_block
+from .catalog import GAMES, Block, ChickenPayoffs, PDPayoffs, StrategyBlock, extract_block
 from .eisert import GAMMA_RANGE
 from .errors import ConsistencyError, ValidationError
 
@@ -158,15 +159,36 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
     return 0.5 * (a + b)
 
 
+def _unit_scaled(payoffs):
+    """The payoffs times the power of two that puts the largest |payoff| in
+    [0.5, 1), or the payoffs as given where that scaling would round one.
+
+    gamma* depends only on payoff ratios, and an exact power-of-two scaling
+    keeps every ratio, so both routes see the same game at full precision
+    where subnormal payoffs would lose bits in every sum.
+    """
+    values = vars(payoffs)
+    shift = -math.frexp(max(abs(v) for v in values.values()))[1]
+    scaled = {k: math.ldexp(v, shift) for k, v in values.items()}
+    if any(math.ldexp(scaled[k], -shift) != v for k, v in values.items()):
+        return payoffs
+    with warnings.catch_warnings():  # chicken's s == r warned when the caller built it
+        warnings.simplefilter("ignore")
+        return type(payoffs)(**scaled)
+
+
 def phase_transition_gamma(game_kind, payoffs, block_id):
     """Entanglement value where the field (hence the magnetization) changes
     sign, as the pair (closed form, bisection), or (None, None) when there is
     no crossing.
 
-    The closed-form arccos value is cross-checked against bisection on the
-    circuit-derived field; disagreement raises ConsistencyError.
+    Both routes take the payoffs scaled by `_unit_scaled`. The closed-form
+    arccos value is cross-checked against bisection on the circuit-derived
+    field; disagreement raises ConsistencyError.
     """
     block_id = Block(block_id)
+    if isinstance(payoffs, (PDPayoffs, ChickenPayoffs)):  # anything else fails validation below
+        payoffs = _unit_scaled(payoffs)
     numeric = phase_transition_bisect(game_kind, payoffs, block_id)  # validates the inputs
     *_, sign_block, cos_2gamma = GAMES[game_kind]
     analytic = None

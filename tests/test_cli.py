@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,27 @@ class TestCurve:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: [^\n]*\n", err), err
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--gamma-start", "-1", "--gamma-stop", "-inf"), "-1.0"),
+        (("--gamma-stop", "inf"), "inf"),
+        (("--gamma-start", "-1.7e308", "--gamma-stop", "1.7e308"), "-1.7e+308"),
+        (("--gamma-steps", "1", "--gamma-start", "-1", "--gamma-stop", "-inf"), "-1.0"),
+        (("--gamma-stop", "3.5"), "3.5"),
+    ])
+    def test_an_end_outside_the_range_is_named_as_given(self, capsys, flags, named):
+        code, out, err = run(capsys, "curve", "--game", "chicken", "--r", "1", "--s", "2",
+                             "--block", "QvSwerve", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: gamma={named} outside [0.0, 1.5707963267948966]\n"
+
+    def test_one_step_takes_only_the_start(self, capsys):
+        # linspace's one point is the start; an out-of-range stop is never used
+        code, out, err = run(capsys, "curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
+                             "--p", "1", "--block", "QvD", "--beta", "1", "--gamma-steps", "1",
+                             "--gamma-start", "0.5", "--gamma-stop", "5")
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()] == ["gamma", "0.5"]
+
     @pytest.mark.parametrize("game, flags, block", [
         ("chicken", ("--r", "1e308", "--s", "1.5e308"), "QvStraight"),
         ("pd", ("--r", "1e308", "--t", "1.7e308", "--s", "-1.7e308", "--p", "0"), "QvD"),
@@ -462,6 +484,36 @@ class TestTransition:
         assert re.search(r"analytic gamma\*:\s+(\S+)", out).group(1) == analytic
         numeric = float(re.search(r"bisection gamma\*:\s+(\S+)", out).group(1))
         assert abs(float(analytic) - numeric) <= 1e-9
+
+
+    @pytest.mark.parametrize("flags, ratio, warned", [
+        (("--game", "pd", "--r", "3e-320", "--t", "5e-320", "--s", "0", "--p", "1e-320"),
+         lambda r, t, s, p: (r - p) / (t - s), 0),
+        (("--game", "pd", "--r", "3e-315", "--t", "5e-315", "--s", "0", "--p", "1e-315"),
+         lambda r, t, s, p: (r - p) / (t - s), 0),
+        (("--game", "chicken", "--r", "3e-320", "--s", "5e-320"), lambda r, s: s / r / 2, 0),
+        (("--game", "chicken", "--r", "5e-324", "--s", "5e-324"), lambda r, s: s / r / 2, 1),
+    ])
+    def test_subnormal_payoffs_agree(self, capsys, flags, ratio, warned):
+        # gamma* depends only on payoff ratios, which both routes read from payoffs scaled
+        # to order 1; from the subnormal payoffs themselves they missed the 1e-9 gate
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "transition", *flags)
+        assert (code, err) == (0, "")
+        assert len(caught) == warned  # chicken's s == r warns once, not again when scaled
+        analytic = float(re.search(r"analytic gamma\*:\s+(\S+)", out).group(1))
+        numeric = float(re.search(r"bisection gamma\*:\s+(\S+)", out).group(1))
+        exact = ratio(*(Fraction(float(v)) for v in flags[3::2]))
+        assert analytic == pytest.approx(0.5 * math.acos(exact), abs=1e-15)
+        assert abs(analytic - numeric) <= 1e-9
+
+    def test_payoffs_a_unit_scaling_would_round_are_used_as_given(self, capsys):
+        # p scaled with t to order 1 would round to s = 0 and break p > s
+        code, out, err = run(capsys, "transition", "--game", "pd", "--r", "1e300",
+                             "--t", "2e300", "--s", "0", "--p", "1e-320")
+        assert (code, err) == (0, "")
+        assert "analytic gamma*:  0.52359877559829893\n" in out
 
 
 class TestPayoffFlags:
@@ -1006,3 +1058,71 @@ class TestParserReuse:
         for _ in range(2):
             for name, argv in sorted(CASES.items()):
                 assert_golden(name, stdout_bytes(capsys, argv))
+
+
+PD_FLAGS = ("--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1")
+ORACLE_POINT = ("oracle", "--J", "0.1", "--h", "0.2", "--beta", "1", "--N", "8")
+
+
+class TestSubcommandParser:
+    """`main` hands a known subcommand's flags to that subcommand's parser;
+    each parse must give what the top-level parser gives: the namespace
+    (less `subcommand`, which only the top-level parser sets), the exit
+    code, stdout and stderr."""
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        try:
+            args, code = vars(parse(list(argv))), None
+            args.pop("subcommand", None)
+        except SystemExit as exc:
+            args, code = None, exc.code
+        captured = capsys.readouterr()
+        return args, code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv, code", [
+        ((), 2),
+        (("-h",), 0),
+        (("quantize", "-h"), 0),
+        (("curve", "--help"), 0),
+        (("quantize", "--he"), 0),                                    # abbreviates --help
+        (("nonsense",), 2),
+        (("nonsense", "--game", "pd"), 2),
+        (("quantize", *PD_FLAGS, "--gamma", "1", "--bogus"), 2),
+        (("quantize", *PD_FLAGS, "--gamma", "1", "extra", "--bogus", "x"), 2),
+        (("oracle", "--J", "x", "--h", "1", "--beta", "1", "--N", "8"), 2),
+        (("curve", *PD_FLAGS, "--block", "QvX"), 2),
+        (("curve", *PD_FLAGS), 2),                                    # --block missing
+        (("curve", "--game"), 2),
+        (("quantize", *PD_FLAGS, "--gam", "1"), 2),                   # ambiguous
+        (("quantize", *PD_FLAGS, "--gamma-d", "45"), None),
+        (("oracle", "--J", "0.1", "--h", "0.2", "--be", "1", "--N", "8", "--no-m"), None),
+        (("quantize", *PD_FLAGS, "--", "--gamma", "1"), 2),
+        (("quantize", *PD_FLAGS, "--gamma", "1", "--"), 2),
+        (("quantize", "--", *PD_FLAGS, "--gamma", "1"), 2),
+        ((*ORACLE_POINT, "--no-metropolis", "--no-metropolis"), None),
+        (("oracle", "--N=8", "--J", "0.1", "--h", "0.2", "--beta", "1", "--N=9"), None),
+        (("quantize", "--game", "pd", "--r", "3", "--t", "5", "--s", "-2e-05", "--p", "1",
+          "--gamma", "-inf"), None),
+        (("transition", *PD_FLAGS), None),
+    ])
+    def test_parses_as_the_top_level_parser(self, capsys, argv, code):
+        want = self.outcome(capsys, cli.build_parser().parse_args, argv)
+        assert want[1] == code
+        assert self.outcome(capsys, cli._parse, argv) == want
+
+    def test_config_switch_under_curve_parses_as_the_top_level_parser(self, capsys, tmp_path):
+        cfg = tmp_path / "curve.cfg"
+        cfg.write_text("no_metropolis=true\n")
+        argv = cli._merge_config(["curve", *PD_FLAGS, "--block", "QvD", "--config", str(cfg)])
+        want = self.outcome(capsys, cli.build_parser().parse_args, argv)
+        assert want[1] == 2
+        assert "unrecognized arguments: --no-metropolis true" in want[3]
+        assert self.outcome(capsys, cli._parse, argv) == want
+
+    def test_a_known_subcommand_skips_the_top_level_parse(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser classified a known subcommand's flags")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+        assert_golden("quantize_pd.txt", stdout_bytes(capsys, CASES["quantize_pd.txt"]))

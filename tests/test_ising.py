@@ -603,6 +603,30 @@ class TestPhaseTransition:
             want = mpmath.mpf(c.s) / (2 * mpmath.mpf(c.r))
             assert abs(chicken_form(c) - want) <= 2 * sys.float_info.epsilon
 
+    @pytest.mark.parametrize("kind, values", [
+        ("pd", (3e-320, 5e-320, 0.0, 1e-320)),
+        ("pd", (3e-315, 5e-315, 0.0, 1e-315)),
+        ("chicken", (3e-320, 5e-320)),
+        ("chicken", (5e-324, 5e-324)),
+    ])
+    def test_subnormal_payoffs_give_the_result_of_their_game_scaled_to_order_1(
+            self, kind, values):
+        # an exact power-of-two scaling keeps every payoff ratio, so both routes agree
+        payoff_type, *_, block, _ = GAMES[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # chicken's s == r
+            tiny = payoff_type(*values)
+            scaled = payoff_type(*(math.ldexp(v, 1070) for v in values))
+        want = phase_transition_gamma(kind, scaled, block)
+        assert phase_transition_gamma(kind, tiny, block) == want
+
+    def test_payoffs_a_unit_scaling_would_round_are_used_as_given(self):
+        pd = PDPayoffs(1e300, 2e300, 0.0, 1e-320)  # p would round to s = 0
+        assert ising._unit_scaled(pd) is pd
+        analytic, numeric = phase_transition_gamma("pd", pd, Block.QVD)
+        assert analytic == pytest.approx(math.pi / 6, abs=1e-15)
+        assert abs(analytic - numeric) <= 1e-9
+
     def test_boundary_transition_at_gamma_zero(self):
         # s exactly 2r puts the crossing at the edge of the interval
         ch = ChickenPayoffs(1.0, 2.0)
