@@ -11,6 +11,11 @@ Subcommands:
 Exit codes: 0 success, 2 validation error, 3 internal consistency failure.
 All numeric CSV fields carry 17 significant digits so they re-parse to the
 exact binary values that produced them.
+
+Flags are declared once, in argparse (`build_parser`). Well-formed flags of
+a known subcommand are read straight from its parser's option table
+(`_read`); help, abbreviations and every malformed argv go through argparse
+itself, so each usage line, message and exit code is argparse's.
 """
 
 from __future__ import annotations
@@ -228,6 +233,13 @@ class _Parser(argparse.ArgumentParser):
             r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
         )
 
+    def _get_values(self, action, arg_strings):
+        # Python 3.11 drops `--` as an explicit value (--r=--) and would store [];
+        # a one-value flag then has no value
+        if action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -235,10 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     Every later call returns the same object. Its `subcommands` maps each
     subcommand name to that subcommand's own parser (the `choices` of the
-    subparsers action), which `main` hands a known subcommand's flags to
-    directly. Each parse fills a fresh Namespace and no parser holds a
-    mutable default, so reusing them carries nothing from one `main` call to
-    the next. Callers must not mutate them.
+    subparsers action), whose option table `main` reads a known
+    subcommand's flags from, falling back to that parser's own parse. Each
+    parse fills a fresh Namespace and no parser holds a mutable default, so
+    reusing them carries nothing from one `main` call to the next. Callers
+    must not mutate them.
     """
     parser = _Parser(
         prog="qgames",
@@ -327,22 +340,86 @@ def _merge_config(argv):
     return rest[:1] + tokens + rest[1:]
 
 
-def _parse(argv):
-    """The namespace of argv, from one argparse pass.
+def _read(parser, args):
+    """The Namespace `parser.parse_known_args(args)` returns with no leftovers,
+    read straight from the parser's option table, or None where argparse
+    must decide.
 
-    A known subcommand's flags go straight to its own parser, and leftovers
-    to the top-level parser's "unrecognized arguments" error, as argparse
-    does through the top-level parser but without classifying every token
-    there first. No argument, -h or an unknown subcommand takes the
-    top-level parser; the namespace carries `subcommand` only from there.
+    Only exact `--flag value`, `--flag=value` and store-const switches are
+    read, each value converted by the flag's `type` and checked against its
+    `choices`; unseen flags take their defaults (a string one through `type`,
+    as argparse does) and `func` comes from the parser's defaults. Help, an
+    abbreviation, a value argparse would take for an option, a missing or
+    `--` value, an unknown token, an absent required flag and a type or
+    choice failure all give None.
+    """
+    table = parser._option_string_actions
+    number = parser._negative_number_matcher.match
+    given = {}
+    i = 0
+    try:
+        while i < len(args):
+            action = table.get(args[i])
+            if isinstance(action, argparse._StoreConstAction):
+                given[action.dest] = action.const
+                i += 1
+                continue
+            if action is not None:
+                if i + 1 == len(args):
+                    return None
+                text = args[i + 1]
+                if text.startswith("-") and text != "-" and not number(text):
+                    return None
+                i += 2
+            else:
+                flag, eq, text = args[i].partition("=")
+                action = table.get(flag) if eq else None
+                i += 1
+            if (text == "--" or not isinstance(action, argparse._StoreAction)
+                    or action.nargs is not None):
+                return None
+            value = text if action.type is None else action.type(text)
+            if action.choices is not None and value not in action.choices:
+                return None
+            given[action.dest] = value
+        for action in parser._actions:
+            if action.dest in given:
+                continue
+            if action.required:
+                return None
+            default = action.default
+            if default is argparse.SUPPRESS:
+                continue
+            if isinstance(default, str) and action.type is not None:
+                default = action.type(default)
+            given[action.dest] = default
+    except (TypeError, ValueError):
+        return None
+    for dest, value in parser._defaults.items():
+        given.setdefault(dest, value)
+    return argparse.Namespace(**given)
+
+
+def _parse(argv):
+    """The namespace of argv, read from a known subcommand's option table
+    when it is well formed, or else from one argparse pass.
+
+    Argv the table cannot settle goes to the subcommand's own parser, and
+    its leftovers to the top-level parser's "unrecognized arguments" error,
+    as argparse does through the top-level parser but without classifying
+    every token there first. No argument, -h or an unknown subcommand takes
+    the top-level parser; the namespace carries `subcommand` only from
+    there.
     """
     parser = build_parser()
     subparser = parser.subcommands.get(argv[0]) if argv else None
     if subparser is None:
         return parser.parse_args(argv)
-    args, extras = subparser.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+    args = _read(subparser, argv[1:])
+    if args is None:
+        args, extras = subparser.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     return args
 
 

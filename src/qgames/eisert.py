@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -34,11 +35,33 @@ NORM_DRIFT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Strategy:
-    """A named point of the strategy family O(theta, phi)."""
+    """A named point of the strategy family O(theta, phi).
+
+    The label is a str and each angle is stored as a float: a real scalar
+    (a 0-d array included) is converted, anything else raises
+    ValidationError naming the field.
+    """
 
     label: str
     theta: float
     phi: float
+
+    def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValidationError(f"strategy label must be a str, got {self.label!r}")
+        for name in ("theta", "phi"):
+            value = getattr(self, name)
+            scalar = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+            try:
+                angle = float(scalar) if isinstance(scalar, numbers.Real) else None
+            except OverflowError:  # an int beyond the float range
+                angle = None
+            if angle is None:
+                raise ValidationError(
+                    f"strategy {self.label!r}: {name} must be a real scalar within the float "
+                    f"range, got {value!r}"
+                )
+            object.__setattr__(self, name, angle)
 
 
 # The five named strategies the games use.  "Defect"/"straight" is O(pi, 0),
@@ -166,7 +189,10 @@ def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
     players, so in a symmetric game the column player's payoffs are this
     array with its last two axes swapped.
     """
+    strategies = tuple(strategies)
     if not strategies:
         raise ValidationError("need at least one strategy")
-    _, probs = _circuit(_products(tuple(strategies)), gamma)
+    if not all(isinstance(s, Strategy) for s in strategies):
+        raise ValidationError(f"strategies must be Strategy instances, got {strategies!r}")
+    _, probs = _circuit(_products(strategies), gamma)
     return probs @ template.weights

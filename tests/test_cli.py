@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     classical_magnetization,
@@ -23,6 +28,7 @@ from qgames import Block, cli, extract_block
 from qgames.catalog import _BLOCK_STRATEGIES, GAMES
 from qgames.cli import main
 from test_golden import CASES, assert_golden, stdout_bytes
+from test_perfbench import perfbench  # noqa: F401  (fixture)
 
 GAMMA_HALF_PI = "1.5707963"
 
@@ -1064,21 +1070,29 @@ PD_FLAGS = ("--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1")
 ORACLE_POINT = ("oracle", "--J", "0.1", "--h", "0.2", "--beta", "1", "--N", "8")
 
 
-class TestSubcommandParser:
-    """`main` hands a known subcommand's flags to that subcommand's parser;
-    each parse must give what the top-level parser gives: the namespace
-    (less `subcommand`, which only the top-level parser sets), the exit
-    code, stdout and stderr."""
-
-    @staticmethod
-    def outcome(capsys, parse, argv):
+def outcome(parse, argv):
+    """What parsing argv gives: the namespace less `subcommand` (which only
+    the top-level parser sets), each value by its repr so that NaN and -0.0
+    compare too, the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            args, code = vars(parse(list(argv))), None
-            args.pop("subcommand", None)
+            args = parse(list(argv))
+            args, code = {k: repr(v) for k, v in vars(args).items() if k != "subcommand"}, None
         except SystemExit as exc:
             args, code = None, exc.code
-        captured = capsys.readouterr()
-        return args, code, captured.out, captured.err
+    return args, code, out.getvalue(), err.getvalue()
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("argparse parsed an argv that the option table reads")
+
+
+class TestSubcommandParser:
+    """`main` reads a known subcommand's well-formed flags from that
+    subcommand's option table and hands the rest to its parser; each parse
+    must give what the top-level parser gives: the namespace (less
+    `subcommand`), the exit code, stdout and stderr."""
 
     @pytest.mark.parametrize("argv, code", [
         ((), 2),
@@ -1105,24 +1119,147 @@ class TestSubcommandParser:
         (("quantize", "--game", "pd", "--r", "3", "--t", "5", "--s", "-2e-05", "--p", "1",
           "--gamma", "-inf"), None),
         (("transition", *PD_FLAGS), None),
+        (("quantize", *PD_FLAGS, "--gamma", "1", "--output="), None),
+        (("quantize", "--game", "pd", "--r=", "--t", "5", "--s", "0", "--p", "1",
+          "--gamma", "1"), 2),
+        ((*ORACLE_POINT, "--no-metropolis=true"), 2),
+        (("quantize", *PD_FLAGS, "--gamma", "- 1"), 2),              # a value, not a float
+        (("quantize", "--game", "pd", "--r", "3", "--t", "5", "--s", "\u0661", "--p", "1",
+          "--gamma", "1"), None),                                     # Arabic-Indic one
+        (("quantize", "--game", "pd", "--r", "3", "--t", "5", "--s", "-\u0661", "--p", "1",
+          "--gamma", "1"), None),
+        (("curve", *PD_FLAGS, "--block", "QvD", "--gamma-steps", "1_0"), None),
+        (("quantize", *PD_FLAGS, "--gamma", "1", "--gamma=2"), None),
+        (("quantize", *PD_FLAGS, "--gamma=1", "--gamma", "2"), None),
+        (("quantize", *PD_FLAGS, "--gamma", "1", "--help"), 0),
+        (("quantize", *PD_FLAGS, "--gamma", "1", "--output=--"), 2),
     ])
-    def test_parses_as_the_top_level_parser(self, capsys, argv, code):
-        want = self.outcome(capsys, cli.build_parser().parse_args, argv)
+    def test_parses_as_the_top_level_parser(self, argv, code):
+        want = outcome(cli.build_parser().parse_args, argv)
         assert want[1] == code
-        assert self.outcome(capsys, cli._parse, argv) == want
+        assert outcome(cli._parse, argv) == want
 
-    def test_config_switch_under_curve_parses_as_the_top_level_parser(self, capsys, tmp_path):
+    def test_config_switch_under_curve_parses_as_the_top_level_parser(self, tmp_path):
         cfg = tmp_path / "curve.cfg"
         cfg.write_text("no_metropolis=true\n")
         argv = cli._merge_config(["curve", *PD_FLAGS, "--block", "QvD", "--config", str(cfg)])
-        want = self.outcome(capsys, cli.build_parser().parse_args, argv)
+        want = outcome(cli.build_parser().parse_args, argv)
         assert want[1] == 2
         assert "unrecognized arguments: --no-metropolis true" in want[3]
-        assert self.outcome(capsys, cli._parse, argv) == want
+        assert outcome(cli._parse, argv) == want
 
     def test_a_known_subcommand_skips_the_top_level_parse(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the top-level parser classified a known subcommand's flags")
-
         monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
         assert_golden("quantize_pd.txt", stdout_bytes(capsys, CASES["quantize_pd.txt"]))
+
+    @pytest.mark.parametrize("argv", [
+        ("quantize", "--game=--", "--r", "3", "--t", "5", "--s", "0", "--p", "1", "--gamma", "1"),
+        ("quantize", *PD_FLAGS, "--r=--", "--gamma", "1"),
+        ("oracle", "--J=--", "--h", "1", "--beta", "1", "--N", "8"),
+        ("curve", *PD_FLAGS, "--block", "QvD", "--beta=--"),
+        (*ORACLE_POINT, "--output=--"),
+        (*ORACLE_POINT[:-2], "--N=--"),
+        ("curve", *PD_FLAGS, "--block=--"),
+    ])
+    def test_a_dash_dash_value_is_a_missing_value(self, capsys, argv):
+        flag = next(tok for tok in argv if tok.endswith("=--"))[:-3]
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            f"qgames {argv[0]}: error: argument {flag}: expected one argument"
+        ]
+        spaced = [tok for tok in argv if not tok.endswith("=--")] + [flag, "--"]
+        assert outcome(cli._parse, spaced)[1:] == (2, "", captured.err)
+
+
+# Templates of valid argv, as (flag, value) pieces (a switch has no value),
+# and the values the fuzz below mixes in: each form argparse classifies or
+# converts in its own way.
+ARGV_TEMPLATES = {
+    "quantize": (("--game", "pd"), ("--r", "3"), ("--t", "5"), ("--s", "0"), ("--p", "1"),
+                 ("--gamma", "1")),
+    "curve": (("--game", "chicken"), ("--r", "3"), ("--s", "4"), ("--block", "QvStraight"),
+              ("--gamma-steps", "3"), ("--beta", "1,2")),
+    "transition": (("--game", "pd"), ("--r", "3"), ("--t", "5"), ("--s", "0"), ("--p", "1")),
+    "oracle": (("--J", "0.1"), ("--h", "-0.2"), ("--beta", "1"), ("--N", "8"),
+               ("--no-metropolis", None)),
+}
+FUZZ_VALUES = ("3", "0", "8", "-8", "-2e-05", ".5", "1e400", "-inf", "-NaN", "-infinity", "0x10",
+               "1_0", " 8 ", "\u0661", "-\u0661", "- 1", "-1=2", "-1\n", "-", "--", "-x", "",
+               "pd", "chicken", "QvD", "QvX", "true", "x=1", "--gamma", "-h")
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand's template argv with pieces dropped, added and reordered,
+    each drawn as `--flag value`, `--flag=value`, a bare flag or a bare value;
+    flags come from the subcommand's own table, some cut short."""
+    name = draw(st.sampled_from(sorted(ARGV_TEMPLATES)))
+    known = sorted(cli.build_parser().subcommands[name]._option_string_actions)
+    flag = st.sampled_from(known) | st.sampled_from(known).map(lambda f: f[:-1])
+    value = st.sampled_from(FUZZ_VALUES) | st.text(alphabet="-=.e1 x", max_size=3)
+    pieces = list(ARGV_TEMPLATES[name])
+    if draw(st.booleans()):
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    pieces += draw(st.lists(st.tuples(flag | st.none(), value | st.none()), max_size=3))
+    argv = [name]
+    for f, v in draw(st.permutations(pieces)):
+        if f is not None and v is not None and draw(st.booleans()):
+            argv.append(f"{f}={v}")
+        else:
+            argv += [tok for tok in (f, v) if tok is not None]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fuzzed_argv())
+def test_fuzzed_argv_parses_as_the_top_level_parser(argv):
+    assert outcome(cli._parse, argv) == outcome(cli.build_parser().parse_args, argv)
+
+
+def readme_invocations():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = re.findall(r"qgames ((?:quantize|curve|transition|oracle) [^`\n]*)",
+                          readme.replace("\\\n", " "))
+    return [shlex.split(command) for command in commands if "..." not in command]
+
+
+def test_well_formed_argv_is_read_without_argparse(perfbench, capsys, monkeypatch, tmp_path):
+    """With argparse's parse refused, every README invocation, the benchmark's
+    `--name=value` requests and two --config expansions print what they
+    print through argparse's parse, and the goldens."""
+    _, workloads = perfbench
+    argvs = readme_invocations()
+    assert len(argvs) == 7
+    for name, wl in workloads.WORKLOADS.items():
+        for i, row in enumerate(wl.inputs(np.random.default_rng([201, 0]), 2)):
+            req = wl.prepare(row, i)
+            argvs += req["argvs"] if "argvs" in req else [req["argv"]]
+    (tmp_path / "curve.cfg").write_text("game=pd\nr=3\nt=5\ns=-2e-05\np=-1\nblock=QvD\n")
+    (tmp_path / "oracle.cfg").write_text("J=0.2\nh=-0.5\nbeta=1\nN=8\nno_metropolis=true\n")
+    argvs += [["curve", "--config", str(tmp_path / "curve.cfg"), "--gamma-steps", "5"],
+              ["oracle", f"--config={tmp_path / 'oracle.cfg'}", "--seed", "3"]]
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+
+    def invoke(argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(list(argv))
+        files = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        for p in run_dir.iterdir():
+            p.unlink()
+        return code, capsys.readouterr(), [str(w.message) for w in caught], files
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read", lambda parser, args: None)
+        want = [invoke(argv) for argv in argvs]
+    monkeypatch.setattr(cli._Parser, "parse_known_args", refuse)
+    assert [invoke(argv) for argv in argvs] == want
+    assert_golden("curve_pd_qvd.sha256", want[1][3]["pd_qvd.csv"])
+    for name, argv in CASES.items():
+        assert_golden(name, stdout_bytes(capsys, argv))

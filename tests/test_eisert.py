@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -305,6 +306,44 @@ class TestProductCache:
             eisert._products.cache_clear()
 
 
+class TestStrategyAngles:
+    """A Strategy keeps a str label and stores each angle as a float, so the
+    product cache can hash it; anything else is refused by name."""
+
+    @pytest.mark.parametrize("theta", [
+        np.array(0.5), np.float64(0.5), np.float32(0.5), np.array(3), np.int64(3), 3,
+        Fraction(1, 2), np.array(-0.0),
+    ], ids=repr)
+    def test_real_scalars_become_floats_and_keep_every_payoff_bit(self, theta):
+        s = Strategy("X", theta, np.array(0.25))
+        assert type(s.theta) is float and type(s.phi) is float
+        assert (s.theta, s.phi) == (float(theta), 0.25)
+        for gamma in (0.3, CACHE_GAMMAS[-1]):
+            got = extended_matrix(PD_ROW, (s, D), gamma)
+            want = uncached_extended_matrix(PD_ROW, (Strategy("X", float(theta), 0.25), D), gamma)
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("field", ["theta", "phi"])
+    @pytest.mark.parametrize("value", [
+        [0.5], np.array([0.5]), np.zeros((1, 1)), "0.5", np.array("0.5"), 0.5j, None,
+        np.bool_(True), 10**400,
+    ], ids=lambda value: repr(value)[:16])
+    def test_other_angles_are_a_validation_error_naming_the_field(self, field, value):
+        angles = {"theta": 0.0, "phi": 0.0, field: value}
+        with pytest.raises(ValidationError, match=f"strategy 'X': {field} must be a real scalar"):
+            Strategy("X", **angles)
+
+    @pytest.mark.parametrize("label", [["X"], None, b"X"], ids=repr)
+    def test_a_label_that_is_not_a_str_is_a_validation_error(self, label):
+        with pytest.raises(ValidationError, match="label must be a str"):
+            Strategy(label, 0.0, 0.0)
+
+    @pytest.mark.parametrize("entry", ["D", None, (math.pi, 0.0)], ids=repr)
+    def test_an_entry_that_is_not_a_strategy_is_a_validation_error(self, entry):
+        with pytest.raises(ValidationError, match="Strategy instances"):
+            extended_matrix(PD_ROW, (C, entry), 0.3)
+
+
 KERNEL_NAMES = ("C", "D", "Q", "STRAIGHT", "SWERVE", "Strategy", "PayoffTemplate",
                 "entangler", "strategy_operator", "extended_matrix")
 
@@ -326,10 +365,11 @@ def test_package_exports_the_pipeline_and_not_the_circuit_kernel():
     lambda: ChickenPayoffs(1, 10**400),
     lambda: PayoffTemplate(10**400, 0, 0, 0),
     lambda: strategy_operator(10**400, 0),
+    lambda: Strategy("X", 10**400, 0),
     lambda: entangler(10**400),
     lambda: extract_block(PD, PD_3501, Block.QVD, gamma=10**400),
 ], ids=["IsingParams", "PDPayoffs", "ChickenPayoffs", "PayoffTemplate", "strategy_operator",
-        "entangler", "extract_block"])
+        "Strategy", "entangler", "extract_block"])
 def test_int_beyond_the_float_range_is_a_validation_error(call):
     with pytest.raises(ValidationError):
         call()
