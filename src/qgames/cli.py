@@ -12,10 +12,11 @@ Exit codes: 0 success, 2 validation error, 3 internal consistency failure.
 All numeric CSV fields carry 17 significant digits so they re-parse to the
 exact binary values that produced them.
 
-Flags are declared once, in argparse (`build_parser`). Well-formed flags of
-a known subcommand are read straight from its parser's option table
-(`_read`); help, abbreviations and every malformed argv go through argparse
-itself, so each usage line, message and exit code is argparse's.
+Flags are declared once, in argparse (`build_parser`). A known subcommand's
+well-formed argv is read straight from its parser's option table (`_read`);
+everything else (help, abbreviations, an unknown subcommand, malformed argv)
+takes one top-level argparse pass, so each usage line, message and exit code
+is argparse's.
 """
 
 from __future__ import annotations
@@ -142,9 +143,10 @@ def cmd_curve(args) -> int:
     if args.gamma_steps * len(betas) > MAX_CURVE_ROWS:
         raise ResourceLimitError(f"curve takes gamma steps x betas up to {MAX_CURVE_ROWS} rows, "
                                  f"got {args.gamma_steps} x {len(betas)}")
-    # the ends the grid takes, named as given: linspace would turn an infinite one into NaNs
-    check_gamma([args.gamma_start, args.gamma_stop][: args.gamma_steps])
-    grid = np.linspace(args.gamma_start, args.gamma_stop, args.gamma_steps)
+    # the ends the grid takes, named as given: linspace would turn an infinite one into NaNs,
+    # and a one-step grid is its start alone, whatever the stop
+    ends = check_gamma([args.gamma_start, args.gamma_stop][: args.gamma_steps])
+    grid = np.linspace(ends[0], ends[-1], args.gamma_steps)
     stacked = extract_block(args.game, payoffs, args.block, grid)  # range-checks the grid
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("gamma grid must be strictly increasing")
@@ -247,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     Every later call returns the same object. Its `subcommands` maps each
     subcommand name to that subcommand's own parser (the `choices` of the
-    subparsers action), whose option table `main` reads a known
-    subcommand's flags from, falling back to that parser's own parse. Each
-    parse fills a fresh Namespace and no parser holds a mutable default, so
+    subparsers action), whose option table `main` reads a well-formed argv
+    from; any other argv takes this parser's own `parse_args`. Each parse
+    fills a fresh Namespace and no parser holds a mutable default, so
     reusing them carries nothing from one `main` call to the next. Callers
     must not mutate them.
     """
@@ -324,9 +326,9 @@ def _merge_config(argv):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
+                key, eq, value = (part.strip() for part in line.partition("="))
+                if not (eq and key):  # an empty key would become `--`, ending the options
                     raise ValidationError(f"{path}:{ln}: expected key=value, got {line!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
                 flag = "--" + key.replace("_", "-")
                 if flag not in switches:
                     tokens += [flag, value]
@@ -341,17 +343,15 @@ def _merge_config(argv):
 
 
 def _read(parser, args):
-    """The Namespace `parser.parse_known_args(args)` returns with no leftovers,
-    read straight from the parser's option table, or None where argparse
-    must decide.
+    """The Namespace `parser.parse_args(args)` returns, read straight from the
+    parser's option table, or None where argparse must decide.
 
     Only exact `--flag value`, `--flag=value` and store-const switches are
     read, each value converted by the flag's `type` and checked against its
-    `choices`; unseen flags take their defaults (a string one through `type`,
-    as argparse does) and `func` comes from the parser's defaults. Help, an
-    abbreviation, a value argparse would take for an option, a missing or
-    `--` value, an unknown token, an absent required flag and a type or
-    choice failure all give None.
+    `choices`; unseen flags take their defaults and `func` comes from the
+    parser's defaults. Help, an abbreviation, a value argparse would take
+    for an option, a missing or `--` value, an unknown token, an absent
+    required flag and a type or choice failure all give None.
     """
     table = parser._option_string_actions
     number = parser._negative_number_matcher.match
@@ -375,52 +375,37 @@ def _read(parser, args):
                 flag, eq, text = args[i].partition("=")
                 action = table.get(flag) if eq else None
                 i += 1
-            if (text == "--" or not isinstance(action, argparse._StoreAction)
-                    or action.nargs is not None):
+            if text == "--" or not isinstance(action, argparse._StoreAction):
                 return None
             value = text if action.type is None else action.type(text)
             if action.choices is not None and value not in action.choices:
                 return None
             given[action.dest] = value
-        for action in parser._actions:
-            if action.dest in given:
-                continue
+    except ValueError:
+        return None
+    for action in parser._actions:
+        if action.dest not in given:
             if action.required:
                 return None
-            default = action.default
-            if default is argparse.SUPPRESS:
-                continue
-            if isinstance(default, str) and action.type is not None:
-                default = action.type(default)
-            given[action.dest] = default
-    except (TypeError, ValueError):
-        return None
+            if action.default is not argparse.SUPPRESS:
+                given[action.dest] = action.default
     for dest, value in parser._defaults.items():
         given.setdefault(dest, value)
     return argparse.Namespace(**given)
 
 
 def _parse(argv):
-    """The namespace of argv, read from a known subcommand's option table
-    when it is well formed, or else from one argparse pass.
+    """The namespace of argv: read from a known subcommand's option table
+    when it is well formed, or else from one top-level argparse pass.
 
-    Argv the table cannot settle goes to the subcommand's own parser, and
-    its leftovers to the top-level parser's "unrecognized arguments" error,
-    as argparse does through the top-level parser but without classifying
-    every token there first. No argument, -h or an unknown subcommand takes
-    the top-level parser; the namespace carries `subcommand` only from
-    there.
+    Help, abbreviations, an unknown subcommand and every malformed argv
+    take `build_parser().parse_args`, so each usage line, message and exit
+    code is argparse's; only that namespace carries `subcommand`.
     """
     parser = build_parser()
     subparser = parser.subcommands.get(argv[0]) if argv else None
-    if subparser is None:
-        return parser.parse_args(argv)
-    args = _read(subparser, argv[1:])
-    if args is None:
-        args, extras = subparser.parse_known_args(argv[1:])
-        if extras:
-            parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    args = None if subparser is None else _read(subparser, argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -391,11 +391,12 @@ class TestCurve:
         assert (code, out) == (2, "")
         assert err == f"error: gamma={named} outside [0.0, 1.5707963267948966]\n"
 
-    def test_one_step_takes_only_the_start(self, capsys):
-        # linspace's one point is the start; an out-of-range stop is never used
+    @pytest.mark.parametrize("stop", ["5", "inf", "-inf", "nan", "1e400"])
+    def test_one_step_takes_only_the_start(self, capsys, stop):
+        # a one-step grid is its start; an out-of-range stop, even a non-finite one, is never used
         code, out, err = run(capsys, "curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
                              "--p", "1", "--block", "QvD", "--beta", "1", "--gamma-steps", "1",
-                             "--gamma-start", "0.5", "--gamma-stop", "5")
+                             "--gamma-start", "0.5", "--gamma-stop", stop)
         assert (code, err) == (0, "")
         assert [line.split(",")[0] for line in out.splitlines()] == ["gamma", "0.5"]
 
@@ -893,6 +894,16 @@ class TestConfigFile:
         assert code == 2
         assert "key=value" in err
 
+    @pytest.mark.parametrize("line", ["=3", " = 3"])
+    def test_an_empty_key_exits_2_and_keeps_the_explicit_flags(self, tmp_path, capsys, line):
+        # an empty key would become `--`, and the explicit flags after it would be positionals
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "oracle", "--J", "0.1", "--h", "0.2", "--beta", "1",
+                             "--N", "4", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:1: expected key=value, got {line.strip()!r}\n"
+
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run(capsys, "curve", "--config", "/nonexistent.cfg")
         assert code == 2
@@ -1089,10 +1100,10 @@ def refuse(*args, **kwargs):
 
 
 class TestSubcommandParser:
-    """`main` reads a known subcommand's well-formed flags from that
-    subcommand's option table and hands the rest to its parser; each parse
-    must give what the top-level parser gives: the namespace (less
-    `subcommand`), the exit code, stdout and stderr."""
+    """`main` reads a known subcommand's well-formed argv from that
+    subcommand's option table and hands everything else to one top-level
+    argparse pass; each parse must give what the top-level parser gives:
+    the namespace (less `subcommand`), the exit code, stdout and stderr."""
 
     @pytest.mark.parametrize("argv, code", [
         ((), 2),
