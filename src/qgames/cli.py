@@ -12,11 +12,11 @@ Exit codes: 0 success, 2 validation error, 3 internal consistency failure.
 All numeric CSV fields carry 17 significant digits so they re-parse to the
 exact binary values that produced them.
 
-Flags are declared once, in argparse (`build_parser`). A known subcommand's
-well-formed argv is read straight from its parser's option table (`_read`);
-everything else (help, abbreviations, an unknown subcommand, malformed argv)
-takes one top-level argparse pass, so each usage line, message and exit code
-is argparse's.
+Flags are declared once, in `build_parser`; `--config` reads each one's kind there.
+A known subcommand's well-formed argv is read from its parser's option table
+(`_read`); anything else takes one top-level argparse pass, so each usage line,
+message and exit code is argparse's. On both routes a dash-led token is a value
+when float() reads each of its comma items (`_is_value`).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import dataclasses
 import functools
 import math
 import os
-import re
 import sys
+import types
 
 import numpy as np
 
@@ -41,9 +41,6 @@ DEFAULT_BETAS = (0.5, 1.0, 2.0, 5.0)
 DEFAULT_GAMMA_STEPS = 200
 MAX_CURVE_ROWS = 1 << 20  # gamma steps x betas: about 300 MB at ~290 B a row
 _PIPE_BUF = 4096  # the POSIX minimum of PIPE_BUF, in characters of the ASCII output
-
-# on/off flags per subcommand; a --config file gives them as key=true or key=false
-_SWITCHES = {"oracle": ("--no-enumeration", "--no-metropolis")}
 
 # disagreement gates for the oracle subcommand (exit code 3 when exceeded)
 ENUM_VS_TRANSFER_TOL = 1e-10
@@ -62,6 +59,14 @@ def _parse_betas(text: str):
     if not betas:
         raise ValidationError("beta list is empty")
     return betas
+
+
+def _is_value(token: str) -> bool:
+    """Whether `_parse_betas` reads token: float() reads each non-empty comma item."""
+    try:
+        return bool(_parse_betas(token))
+    except ValidationError:
+        return False
 
 
 def _payoffs_from(args):
@@ -223,17 +228,14 @@ def cmd_oracle(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's negative-number pattern lacks the exponent form and the
-    non-finite words, so it would read `--s -2e-05` or `--J -inf` as two
-    options; this pattern takes any negative float literal, and `-inf`,
-    `-infinity` and `-nan` in any case, as float() does, so that validation
-    reports them.  Subcommand parsers are built from the same class."""
+    """argparse reads a dash-led token as an option unless its negative-number
+    matcher, which it only ever calls as `.match(token)`, accepts it; here that
+    is `_is_value`, so `--s -2e-05`, `--J -inf`, `--s -1_0` and `--beta -0.0,1`
+    reach validation.  Subcommand parsers are built from the same class."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
-        )
+        self._negative_number_matcher = types.SimpleNamespace(match=_is_value)
 
     def _get_values(self, action, arg_strings):
         # Python 3.11 drops `--` as an explicit value (--r=--) and would store [];
@@ -266,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_game_flags(p)
     p.add_argument("--gamma", type=float, help="entanglement angle in radians")
     p.add_argument("--gamma-degrees", type=float, help="entanglement angle in degrees")
-    p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("curve", help="CSV magnetization sweep over gamma")
@@ -277,14 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-start", type=float, default=GAMMA_RANGE[0])
     p.add_argument("--gamma-stop", type=float, default=GAMMA_RANGE[1])
     p.add_argument("--gamma-steps", type=int, default=DEFAULT_GAMMA_STEPS)
-    p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("transition", help="locate the magnetization sign change")
     _add_game_flags(p)
     defaults = ", ".join(f"{row[3].value} for {kind}" for kind, row in GAMES.items())
     p.add_argument("--block", choices=[b.value for b in Block], help=f"defaults to {defaults}")
-    p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("oracle", help="cross-check the chain oracles at one point")
@@ -295,18 +294,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweeps", type=int, default=100_000)
     p.add_argument("--burn-in", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    for flag in _SWITCHES["oracle"]:
-        p.add_argument(flag, action="store_true")
-    p.add_argument("--output", default="-")
+    p.add_argument("--no-enumeration", action="store_true")
+    p.add_argument("--no-metropolis", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default="-")
     return parser
 
 
 def _merge_config(argv):
     """Expand --config FILE (or --config=FILE) into key=value flags placed
     before the explicit ones, so explicit command-line flags win on conflict.
-    A switch takes key=true (the flag is given) or key=false (it is not)."""
+    A switch (a store-const flag) takes key=true (given) or key=false (not)."""
     argv = list(argv)
     at = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
     if at is None:
@@ -318,7 +318,7 @@ def _merge_config(argv):
         raise ValidationError("--config must follow the subcommand")
     path = argv[at + 1]
     rest = argv[:at] + argv[at + 2 :]
-    switches = _SWITCHES.get(rest[0], ())
+    table = getattr(build_parser().subcommands.get(rest[0]), "_option_string_actions", {})
     tokens = []
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -330,7 +330,7 @@ def _merge_config(argv):
                 if not (eq and key):  # an empty key would become `--`, ending the options
                     raise ValidationError(f"{path}:{ln}: expected key=value, got {line!r}")
                 flag = "--" + key.replace("_", "-")
-                if flag not in switches:
+                if not isinstance(table.get(flag), argparse._StoreConstAction):
                     tokens += [flag, value]
                 elif value == "true":
                     tokens.append(flag)
@@ -349,12 +349,11 @@ def _read(parser, args):
     Only exact `--flag value`, `--flag=value` and store-const switches are
     read, each value converted by the flag's `type` and checked against its
     `choices`; unseen flags take their defaults and `func` comes from the
-    parser's defaults. Help, an abbreviation, a value argparse would take
-    for an option, a missing or `--` value, an unknown token, an absent
-    required flag and a type or choice failure all give None.
+    parser's defaults. Help, an abbreviation, a dash-led value `_is_value`
+    refuses, a missing or `--` value, an unknown token, an absent required
+    flag and a type or choice failure all give None.
     """
     table = parser._option_string_actions
-    number = parser._negative_number_matcher.match
     given = {}
     i = 0
     try:
@@ -368,7 +367,7 @@ def _read(parser, args):
                 if i + 1 == len(args):
                     return None
                 text = args[i + 1]
-                if text.startswith("-") and text != "-" and not number(text):
+                if text.startswith("-") and text != "-" and not _is_value(text):
                     return None
                 i += 2
             else:

@@ -606,6 +606,25 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert "J, h, beta must be finite" in err
 
+    @pytest.mark.parametrize("argv, code, rows", [
+        # every sweep reads 1/3, whose mean of 50 rounds one ulp low: the spread is 0, not
+        # 7.9e-18, so the gate allows one flipped spin
+        (("--J", "-948723544382.9526", "--h", "71694418.66267477", "--beta", "3", "--N", "3",
+          "--sweeps", "50", "--burn-in", "0", "--seed", "3"), 0,
+         "3,enumeration,0.33333333333333331,\n3,transfer_matrix,0.33333333333333337,\n"
+         "3,metropolis,0.33333333333333326,0\ninf,closed_form,0,\n"),
+        # a chain frozen in the wrong domain is still a failure
+        (("--J", "355.00764493198", "--h", "2", "--beta", "1.5707963267948968", "--N", "4",
+          "--sweeps", "2000", "--burn-in", "10", "--seed", "2", "--no-enumeration"), 3,
+         "4,transfer_matrix,0.9999999999756769,\n4,metropolis,-1,0\ninf,closed_form,1,\n"),
+    ], ids=["ground-state", "wrong-domain"])
+    def test_a_frozen_run_has_no_standard_error(self, capsys, argv, code, rows):
+        got = run(capsys, "oracle", *argv)
+        assert got[:2] == (code, "N,method,m,std_error\n" + rows)
+        assert got[2] == ("" if code == 0 else
+                          "internal consistency failure: metropolis -1.0 (standard error 0.0) is "
+                          "more than 0.5 from the transfer matrix 0.9999999999756769\n")
+
     def test_strong_antiferromagnet_is_finite(self, capsys):
         # e^{-4 beta J} = e^{4e6} overflows float64 at this point
         code, out, err = run(
@@ -1144,11 +1163,28 @@ class TestSubcommandParser:
         (("quantize", *PD_FLAGS, "--gamma=1", "--gamma", "2"), None),
         (("quantize", *PD_FLAGS, "--gamma", "1", "--help"), 0),
         (("quantize", *PD_FLAGS, "--gamma", "1", "--output=--"), 2),
+        (("curve", *PD_FLAGS, "--block", "QvD", "--gamma-steps", "2", "--beta", "-0.0,1"), None),
+        (("quantize", "--game", "pd", "--r", "3", "--t", "5", "--s", "-1_0", "--p", "1",
+          "--gamma", "1"), None),
+        (("quantize", "--game", "pd", "--r", "-1,2", "--t", "5", "--s", "0", "--p", "1",
+          "--gamma", "1"), 2),                                        # invalid float value
+        (("curve", *PD_FLAGS, "--block", "QvD", "--gamma-steps", "-1_0"), None),  # -10
     ])
     def test_parses_as_the_top_level_parser(self, argv, code):
         want = outcome(cli.build_parser().parse_args, argv)
         assert want[1] == code
         assert outcome(cli._parse, argv) == want
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("curve", *PD_FLAGS, "--block", "QvD", "--gamma-steps", "2"), "--beta", "-0.0,1"),
+        (("quantize", "--game", "pd", "--r", "3", "--t", "5", "--p", "1", "--gamma", "1"),
+         "--s", "-1_0"),
+    ])
+    def test_a_dash_led_value_float_reads_is_a_value_after_a_space(self, capsys, argv, flag,
+                                                                    value):
+        spaced = run(capsys, *argv, flag, value)
+        assert spaced[0] == 0
+        assert spaced == run(capsys, *argv, f"{flag}={value}")
 
     def test_config_switch_under_curve_parses_as_the_top_level_parser(self, tmp_path):
         cfg = tmp_path / "curve.cfg"
@@ -1188,7 +1224,9 @@ class TestSubcommandParser:
 
 # Templates of valid argv, as (flag, value) pieces (a switch has no value),
 # and the values the fuzz below mixes in: each form argparse classifies or
-# converts in its own way.
+# converts in its own way. The derandomized examples pick a value by its index
+# and leave some indices unused, so each value is also given after every kind
+# of value flag by the test that follows the fuzz.
 ARGV_TEMPLATES = {
     "quantize": (("--game", "pd"), ("--r", "3"), ("--t", "5"), ("--s", "0"), ("--p", "1"),
                  ("--gamma", "1")),
@@ -1200,7 +1238,8 @@ ARGV_TEMPLATES = {
 }
 FUZZ_VALUES = ("3", "0", "8", "-8", "-2e-05", ".5", "1e400", "-inf", "-NaN", "-infinity", "0x10",
                "1_0", " 8 ", "\u0661", "-\u0661", "- 1", "-1=2", "-1\n", "-", "--", "-x", "",
-               "pd", "chicken", "QvD", "QvX", "true", "x=1", "--gamma", "-h")
+               "pd", "chicken", "QvD", "QvX", "true", "x=1", "--gamma", "-h",
+               "-0.0,1", "-1,2", "-1,", "-1_0")
 
 
 @st.composite
@@ -1229,6 +1268,23 @@ def fuzzed_argv(draw):
 @given(fuzzed_argv())
 def test_fuzzed_argv_parses_as_the_top_level_parser(argv):
     assert outcome(cli._parse, argv) == outcome(cli.build_parser().parse_args, argv)
+
+
+# one flag of each kind a value can go to: float, int, choice, and a str
+# (`--beta`, `--output`) read later or not at all
+VALUE_FLAGS = (("quantize", "--s"), ("curve", "--gamma-steps"), ("curve", "--block"),
+               ("curve", "--beta"), ("oracle", "--N"), ("transition", "--output"))
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES)
+def test_each_fuzz_value_after_a_value_flag_parses_as_the_top_level_parser(value):
+    argvs = []
+    for name, flag in VALUE_FLAGS:
+        rest = [tok for piece in ARGV_TEMPLATES[name] if piece[0] != flag
+                for tok in piece if tok is not None]
+        argvs += [[name, flag, value, *rest], [name, f"{flag}={value}", *rest]]
+    for argv in argvs:
+        assert outcome(cli._parse, argv) == outcome(cli.build_parser().parse_args, argv), argv
 
 
 def readme_invocations():
