@@ -1,13 +1,15 @@
 """Validated payoffs of the two games and extraction of the 2x2
 classical-vs-quantum strategy blocks.
 
-Blocks are always produced by running the quantization circuit, never by
-transcribing closed-form matrices; the test suite holds the closed forms and
-cross-checks the circuit against them.
+Blocks come from the quantization circuit, never from closed-form matrices (the
+tests hold those).  A game's 3x3 payoffs at a scalar gamma run once per (kind, payoff
+bits, gamma bits) into a bounded cache of read-only arrays; blocks are sliced from them.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
 import sys
 import warnings
 from dataclasses import dataclass
@@ -149,26 +151,49 @@ def _template_for(game_kind: str, payoffs) -> PayoffTemplate:
     return template(payoffs)
 
 
+# Flat indices for `take` of the whole 3x3 table, and of each block's cells in its game's table.
+_GAME_CELLS = np.arange(9).reshape(3, 3)
+_BLOCK_CELLS = {block: _GAME_CELLS[np.ix_(cells, cells)]
+                for block, (kind, strategies) in _BLOCK_STRATEGIES.items()
+                for cells in [[GAMES[kind][2].index(s) for s in strategies]]}
+
+
+@functools.lru_cache(maxsize=16)
+def _game_table(game_kind: str, bits: bytes) -> np.ndarray:
+    """A game's read-only 3x3 row payoffs at one gamma, keyed on float bits: -0.0 is not 0.0."""
+    *template, gamma = struct.unpack("5d", bits)
+    # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
+    row = eisert.extended_matrix(PayoffTemplate(*template), strategies=GAMES[game_kind][2],
+                                 gamma=gamma)
+    row.flags.writeable = False
+    return row
+
+
+def _row_payoffs(game_kind: str, template: PayoffTemplate, strategies, gamma, cells):
+    """`cells` of the game's cached table at a float gamma, else one pass over `strategies`."""
+    if not isinstance(gamma, float):
+        # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
+        return eisert.extended_matrix(template, strategies=strategies, gamma=gamma)
+    return _game_table(game_kind, struct.pack("5d", *vars(template).values(), gamma)).take(cells)
+
+
 def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
     """Full 3x3 bimatrix over the classical pair plus the quantum strategy."""
     template = _template_for(game_kind, payoffs)
-    strategies = GAMES[game_kind][2]
-    # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
-    row = eisert.extended_matrix(template, strategies=strategies, gamma=gamma)
-    return BimatrixGame(row, row.swapaxes(-1, -2), tuple(s.label for s in strategies))
+    row = _row_payoffs(game_kind, template, GAMES[game_kind][2], gamma, _GAME_CELLS)
+    return BimatrixGame(row, row.swapaxes(-1, -2), tuple(s.label for s in GAMES[game_kind][2]))
 
 
 def extract_block(game_kind: str, payoffs, block_id, gamma):
     """Row-player 2x2 block for one strategy pairing, computed by the circuit.
 
-    A float gamma gives a (2, 2) block; a 1-D gamma grid gives one block
-    stacked along the grid, (G, 2, 2), from one pass of the circuit.
+    A float gamma gives a (2, 2) slice of the game's cached 3x3 table; a 1-D gamma
+    grid gives the blocks stacked, (G, 2, 2), from one pass over the block's pair.
     """
     block_id = Block(block_id)
     kind_required, strategies = _BLOCK_STRATEGIES[block_id]
     if game_kind != kind_required:
         raise ValidationError(f"block {block_id.value} belongs to game kind {kind_required!r}")
     template = _template_for(game_kind, payoffs)
-    # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
-    row = eisert.extended_matrix(template, strategies=strategies, gamma=gamma)
+    row = _row_payoffs(game_kind, template, strategies, gamma, _BLOCK_CELLS[block_id])
     return StrategyBlock(row, block_id)

@@ -112,13 +112,13 @@ def strategy_operator(theta: float, phi: float) -> np.ndarray:
 
 
 def check_gamma(gamma) -> np.ndarray:
-    """A float gamma or a 1-D gamma grid as a float array, every value in
-    GAMMA_RANGE; the first value outside it is named in the ValidationError."""
+    """A float gamma or a 1-D gamma grid as a float array, every value in GAMMA_RANGE;
+    a gamma not read as real, or its first value outside, is named in the ValidationError."""
     lo, hi = GAMMA_RANGE
     try:
         g = np.asarray(gamma, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        raise ValidationError(f"gamma={gamma!r} outside [{lo!r}, {hi!r}]") from None
+    except (OverflowError, TypeError, ValueError):  # an int beyond the float range, or not real
+        raise ValidationError(f"gamma={gamma!r} is not a real float or a 1-D grid") from None
     if g.ndim > 1:
         raise ValidationError(f"gamma must be a float or a 1-D grid, got shape {g.shape}")
     bad = ~((g >= lo) & (g <= hi))  # NaN is out of range too

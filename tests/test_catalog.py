@@ -23,7 +23,10 @@ from qgames import (
     phase_transition_gamma,
     quantized_game,
 )
-from qgames.errors import ValidationError
+from qgames import catalog, eisert
+from qgames.catalog import _BLOCK_STRATEGIES, GAMES
+from qgames.eisert import D, Q
+from qgames.errors import ConsistencyError, ValidationError
 
 
 class TestPDPayoffs:
@@ -224,3 +227,153 @@ def test_unknown_block_id_is_a_validation_error(call):
     message = f"unknown block 'nope'; expected one of {[b.value for b in Block]}"
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+_RNG = np.random.default_rng(32)
+# ints above 2**63: the template's weights are an object array
+BIG_INT_PD = PDPayoffs(2**64 + 1, 2**65 + 3, -(2**70), 2**63 + 5)
+SLICE_PAYOFFS = [
+    *(("pd", random_pd(_RNG)) for _ in range(3)),
+    *(("chicken", random_chicken(_RNG)) for _ in range(3)),
+    ("pd", PDPayoffs(3, 5, 0, 1)),
+    ("chicken", ChickenPayoffs(3, 4)),
+    ("pd", BIG_INT_PD),
+    ("chicken", ChickenPayoffs(2**64 + 1, 2**66)),
+    ("pd", PDPayoffs(0.0, 1.0, -2.0, -1.0)),
+    ("pd", PDPayoffs(-0.0, 1.0, -2.0, -1.0)),
+    ("pd", PDPayoffs(2.0, 3.0, -0.0, 1.0)),
+]
+# 0.0 before -0.0, so a cache keyed on == would hand -0.0 the entry of 0.0
+SLICE_GAMMAS = [0.0, -0.0, 5e-324, math.pi / 2, *_RNG.uniform(0.0, math.pi / 2, 2),
+                float(_RNG.uniform(0.0, math.pi / 2)),
+                np.array([0.3]), np.array([0.0, -0.0, 5e-324, *_RNG.uniform(0.0, math.pi / 2, 4)]),
+                np.linspace(0.0, math.pi / 2, 200)]
+
+
+@pytest.fixture
+def circuit_runs(monkeypatch):
+    """The (args, kwargs, payoffs) of every circuit run, with the game cache
+    empty before and after the test."""
+    runs = []
+    run = eisert.extended_matrix
+
+    def counted(*args, **kwargs):
+        runs.append((args, kwargs, run(*args, **kwargs)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(eisert, "extended_matrix", counted)
+    catalog._game_table.cache_clear()
+    yield runs
+    catalog._game_table.cache_clear()
+
+
+class TestBlockIsItsGameSlice:
+    """A circuit cell depends only on its own strategy pair, so every block,
+    at a scalar gamma or along a grid, is its game's slice bit for bit."""
+
+    @pytest.mark.parametrize("kind,payoffs", SLICE_PAYOFFS, ids=repr)
+    def test_every_block_keeps_every_bit(self, circuit_runs, kind, payoffs):
+        template, order = GAMES[kind][1](payoffs), GAMES[kind][2]
+        for block_id, (block_kind, strategies) in _BLOCK_STRATEGIES.items():
+            if block_kind != kind:
+                continue
+            cells = np.array([order.index(s) for s in strategies])
+            for gamma in SLICE_GAMMAS:
+                want = eisert.extended_matrix(template, strategies, gamma)
+                got = extract_block(kind, payoffs, block_id, gamma).row_payoffs
+                if np.ndim(gamma) == 0:
+                    game = quantized_game(kind, payoffs, gamma).row
+                else:
+                    game = eisert.extended_matrix(template, order, gamma)
+                assert np.array_equal(bits(got), bits(want)), (block_id, gamma)
+                assert np.array_equal(bits(game[..., cells[:, None], cells]), bits(want))
+
+    def test_big_ints_take_the_object_weights(self):
+        assert GAMES["pd"][1](BIG_INT_PD).weights.dtype == object
+
+
+class TestGameCache:
+    """At a float gamma, a game's 3x3 payoffs run once per (kind, payoff
+    bits, gamma bits) into a bounded cache of read-only arrays."""
+
+    @pytest.mark.parametrize("kind,payoffs", [("pd", PDPayoffs(3, 5, 0, 1)),
+                                              ("chicken", ChickenPayoffs(3, 4))])
+    def test_a_game_and_its_three_blocks_run_the_circuit_once(self, circuit_runs, kind,
+                                                              payoffs):
+        quantized_game(kind, payoffs, 0.7)
+        for block_id, (block_kind, _) in _BLOCK_STRATEGIES.items():
+            if block_kind == kind:
+                extract_block(kind, payoffs, block_id, np.float64(0.7))
+        assert [kwargs["strategies"] for _, kwargs, _ in circuit_runs] == [GAMES[kind][2]]
+
+    def test_a_grid_runs_the_blocks_own_pair_and_checks_it_once(self, circuit_runs,
+                                                                monkeypatch):
+        checks = []
+        check = eisert.check_gamma
+        monkeypatch.setattr(eisert, "check_gamma", lambda g: checks.append(g) or check(g))
+        grid = np.linspace(0.0, 1.0, 7)
+        extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, grid)
+        assert [kwargs["strategies"] for _, kwargs, _ in circuit_runs] == [(Q, D)]
+        assert len(checks) == 1
+        assert catalog._game_table.cache_info().currsize == 0
+
+    def test_the_cache_is_bounded_and_its_arrays_read_only(self, circuit_runs):
+        maxsize = catalog._game_table.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 16
+        payoffs = PDPayoffs(3, 5, 0, 1)
+        gammas = np.linspace(0.0, 1.0, maxsize + 4)
+        for gamma in gammas:
+            quantized_game("pd", payoffs, gamma)
+        assert catalog._game_table.cache_info().currsize == maxsize
+        assert len(circuit_runs) == len(gammas)
+        quantized_game("pd", payoffs, gammas[0])  # evicted: runs again
+        assert len(circuit_runs) == len(gammas) + 1
+        for _, _, table in circuit_runs:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+    def test_writing_into_a_result_leaves_the_next_call_unchanged(self, circuit_runs):
+        payoffs = PDPayoffs(3, 5, 0, 1)
+        game = quantized_game("pd", payoffs, 0.4)
+        block = extract_block("pd", payoffs, Block.QVC, 0.4)
+        want_game, want_block = game.row.copy(), block.row_payoffs.copy()
+        game.row[...] = 99.0
+        block.row_payoffs[...] = -99.0
+        assert np.array_equal(bits(quantized_game("pd", payoffs, 0.4).row), bits(want_game))
+        assert np.array_equal(bits(extract_block("pd", payoffs, Block.QVC, 0.4).row_payoffs),
+                              bits(want_block))
+        assert len(circuit_runs) == 1
+
+    def test_a_consistency_error_is_not_cached(self, circuit_runs, monkeypatch):
+        run = eisert.extended_matrix
+
+        def fails_once(*args, **kwargs):
+            monkeypatch.setattr(eisert, "extended_matrix", run)
+            run(*args, **kwargs)
+            raise ConsistencyError("state norm drifted")
+
+        monkeypatch.setattr(eisert, "extended_matrix", fails_once)
+        with pytest.raises(ConsistencyError):
+            extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, 0.9)
+        got = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, 0.9).row_payoffs
+        assert len(circuit_runs) == 2
+        grid = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, np.array([0.9]))
+        assert np.array_equal(bits(got), bits(grid.row_payoffs[0]))
+
+    @pytest.mark.parametrize("first", ["positive zero", "negative zero"])
+    def test_negative_zero_never_shares_the_entry_of_zero(self, circuit_runs, first):
+        calls = [(PDPayoffs(0.0, 1.0, -2.0, -1.0), 0.0), (PDPayoffs(-0.0, 1.0, -2.0, -1.0), 0.0),
+                 (PDPayoffs(0.0, 1.0, -2.0, -1.0), -0.0)]
+        if first == "negative zero":
+            calls.reverse()
+        for payoffs, gamma in calls:
+            quantized_game("pd", payoffs, gamma)
+        assert len(circuit_runs) == 3
+        signs = [(math.copysign(1.0, args[0].v00), math.copysign(1.0, kwargs["gamma"]))
+                 for args, kwargs, _ in circuit_runs]
+        assert sorted(signs) == [(-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -1225,8 +1225,9 @@ class TestSubcommandParser:
 # Templates of valid argv, as (flag, value) pieces (a switch has no value),
 # and the values the fuzz below mixes in: each form argparse classifies or
 # converts in its own way. The derandomized examples pick a value by its index
-# and leave some indices unused, so each value is also given after every kind
-# of value flag by the test that follows the fuzz.
+# and leave some indices unused, so the fuzz also runs one explicit example per
+# value (`mixed_argv`), and the test that follows it gives each value after
+# every kind of value flag.
 ARGV_TEMPLATES = {
     "quantize": (("--game", "pd"), ("--r", "3"), ("--t", "5"), ("--s", "0"), ("--p", "1"),
                  ("--gamma", "1")),
@@ -1264,8 +1265,28 @@ def fuzzed_argv(draw):
     return argv
 
 
+def mixed_argv(k, value):
+    """The k-th template in turn, with its k-th piece dropped and its last
+    kept piece repeated, then `value` after its longest flag cut short: after
+    a space, or after `=` for every other turn through the templates."""
+    name = sorted(ARGV_TEMPLATES)[k % len(ARGV_TEMPLATES)]
+    pieces = list(ARGV_TEMPLATES[name])
+    cut = max((flag for flag, _ in pieces), key=len)[:-1]
+    del pieces[k % len(pieces)]
+    kept = [tok for piece in pieces + pieces[-1:] for tok in piece if tok is not None]
+    return [name, *kept, *([f"{cut}={value}"] if k // len(ARGV_TEMPLATES) % 2 else [cut, value])]
+
+
+def with_each_fuzz_value(test):
+    """One explicit example per FUZZ_VALUES entry, whatever the draws reach."""
+    for k, value in enumerate(FUZZ_VALUES):
+        test = example(mixed_argv(k, value))(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(fuzzed_argv())
+@with_each_fuzz_value
 def test_fuzzed_argv_parses_as_the_top_level_parser(argv):
     assert outcome(cli._parse, argv) == outcome(cli.build_parser().parse_args, argv)
 
