@@ -113,10 +113,10 @@ class StrategyBlock:
         return tuple(s.label for s in _BLOCK_STRATEGIES[self.block_id][1])
 
     def as_game(self) -> BimatrixGame:
-        """The block as a symmetric two-player game (column = row transposed)."""
+        """The block as a symmetric two-player game."""
         if self.row_payoffs.ndim != 2:
             raise ValidationError("as_game takes one 2x2 block, not a stack along gamma")
-        return BimatrixGame(self.row_payoffs, self.row_payoffs.T, self.labels)
+        return BimatrixGame(self.row_payoffs, self.labels)
 
 
 def _pd_cos_2gamma(p: PDPayoffs) -> float:
@@ -128,8 +128,8 @@ def _pd_cos_2gamma(p: PDPayoffs) -> float:
 
 
 # One row per game kind: payoff type, the row player's outcome template (|0> cooperate or
-# swerve, |1> defect or straight; the column player's payoffs are the transpose), 3x3 order,
-# block whose field changes sign, and cos(2 gamma*) there in closed form, the bisection's check.
+# swerve, |1> defect or straight), 3x3 order, block whose field changes sign, and
+# cos(2 gamma*) there in closed form, the bisection's check.
 # Chicken's s / (2 r) is formed as (s / r) / 2: the same bits where 2 r is finite, and finite
 # where it is not.
 GAMES = {
@@ -181,7 +181,7 @@ def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
     """Full 3x3 bimatrix over the classical pair plus the quantum strategy."""
     template = _template_for(game_kind, payoffs)
     row = _row_payoffs(game_kind, template, GAMES[game_kind][2], gamma, _GAME_CELLS)
-    return BimatrixGame(row, row.swapaxes(-1, -2), tuple(s.label for s in GAMES[game_kind][2]))
+    return BimatrixGame(row, tuple(s.label for s in GAMES[game_kind][2]))
 
 
 def extract_block(game_kind: str, payoffs, block_id, gamma):

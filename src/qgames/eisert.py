@@ -116,7 +116,10 @@ def check_gamma(gamma) -> np.ndarray:
     a gamma not read as real, or its first value outside, is named in the ValidationError."""
     lo, hi = GAMMA_RANGE
     try:
-        g = np.asarray(gamma, dtype=float)
+        g = np.asarray(gamma)
+        if g.dtype.kind == "c":  # a cast to float would only warn and drop the imaginary part
+            raise TypeError
+        g = g.astype(float, copy=False)
     except (OverflowError, TypeError, ValueError):  # an int beyond the float range, or not real
         raise ValidationError(f"gamma={gamma!r} is not a real float or a 1-D grid") from None
     if g.ndim > 1:
@@ -186,8 +189,8 @@ def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
     """Row player's expected payoffs over every ordered strategy pair, shape
     (n, n) for a float gamma and (G, n, n) for a 1-D gamma grid, from one
     pass of the circuit.  The protocol is symmetric under swapping the
-    players, so in a symmetric game the column player's payoffs are this
-    array with its last two axes swapped.
+    players, so a symmetric template gives a symmetric game, which this
+    one table defines (`equilibrium.BimatrixGame`).
     """
     strategies = tuple(strategies)
     if not strategies:

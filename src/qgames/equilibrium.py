@@ -1,6 +1,5 @@
-"""Finite bimatrix games and the two equilibrium notions the analysis needs:
-weak pure-Nash enumeration and the interior mixed point of a symmetric 2x2
-game."""
+"""Finite symmetric games and the two equilibrium notions the analysis needs:
+weak pure-Nash enumeration and the interior mixed point of a 2x2 game."""
 
 from __future__ import annotations
 
@@ -19,29 +18,29 @@ BEST_RESPONSE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BimatrixGame:
-    """An n-strategy-per-player game: row/col payoff matrices plus labels."""
+    """A symmetric n-strategy-per-player game: the row player's payoff matrix plus labels."""
 
     row: np.ndarray
-    col: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
         row = np.asarray(self.row, dtype=float)
-        col = np.asarray(self.col, dtype=float)
         object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
         object.__setattr__(self, "labels", tuple(self.labels))
         n = len(self.labels)
         if n < 2:
             raise ValidationError("a game needs at least 2 strategies")
         if len(set(self.labels)) != n:
             raise ValidationError(f"strategy labels must be distinct, got {self.labels}")
-        if row.shape != (n, n) or col.shape != (n, n):
-            raise ValidationError(
-                f"payoff matrices must be {n}x{n}, got {row.shape} and {col.shape}"
-            )
-        if not (np.isfinite(row).all() and np.isfinite(col).all()):
+        if row.shape != (n, n):
+            raise ValidationError(f"payoff matrix must be {n}x{n}, got {row.shape}")
+        if not np.isfinite(row).all():
             raise ValidationError("payoffs must be finite")
+
+    @property
+    def col(self) -> np.ndarray:
+        """The column player's payoffs, col[i, j] = row[j, i]: the players swap roles."""
+        return self.row.T
 
     @property
     def n(self) -> int:
@@ -58,15 +57,10 @@ def pure_nash(game: BimatrixGame):
     Ties within BEST_RESPONSE_TOL count as best responses, so degenerate
     games report every tied cell rather than none.
     """
-    r, c = game.row, game.col
-    rbest = r.max(axis=0) - BEST_RESPONSE_TOL  # best row payoff per column, less the tie margin
-    cbest = c.max(axis=1) - BEST_RESPONSE_TOL  # best column payoff per row, less the tie margin
-    out = []
-    for i in range(game.n):
-        for j in range(game.n):
-            if r[i, j] >= rbest[j] and c[i, j] >= cbest[i]:
-                out.append((i, j))
-    return out
+    # best[i, j]: row i is a best response to column j; best.T the same for the column player
+    best = game.row >= game.row.max(axis=0) - BEST_RESPONSE_TOL
+    i, j = np.nonzero(best & best.T)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 @dataclass(frozen=True)
@@ -87,12 +81,7 @@ def mixed_nash_symmetric_2x2(game: BimatrixGame):
     """
     if game.n != 2:
         raise ValidationError("mixed solver handles 2x2 games only")
-    row, col = game.row.tolist(), game.col.tolist()
-    # np.allclose(col, row.T, rtol=0.0, atol=BEST_RESPONSE_TOL) without its NumPy
-    # overhead; payoffs are finite, so this is the same decision
-    if any(abs(col[i][j] - row[j][i]) > BEST_RESPONSE_TOL for i in (0, 1) for j in (0, 1)):
-        raise ValidationError("game is not symmetric (col payoffs != row payoffs transposed)")
-    (a, b), (c, d) = row
+    (a, b), (c, d) = game.row.tolist()
     den = (a - c) + (d - b)
     if not math.isfinite(den):  # overflowed; a quarter of each payoff is exact and p is scale-free
         a, b, c, d = (0.25 * x for x in (a, b, c, d))

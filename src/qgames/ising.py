@@ -36,9 +36,11 @@ class IsingParams:
     beta: float
 
     def __post_init__(self):
-        big = sys.float_info.max  # NaN and +-inf fail too; an int beyond it does not raise
-        if not (abs(self.J) <= big and abs(self.h) <= big and abs(self.beta) <= big):
-            raise ValidationError("J, h, beta must be finite")
+        try:  # an int beyond the float range overflows, and a complex value is a TypeError
+            if not (math.isfinite(self.J) and math.isfinite(self.h) and math.isfinite(self.beta)):
+                raise TypeError
+        except (OverflowError, TypeError):
+            raise ValidationError("J, h, beta must be finite") from None
         if self.beta < 0:
             raise ValidationError(f"beta must be >= 0, got {self.beta}")
 

@@ -53,16 +53,15 @@ def classical_chicken_matrix(c: ChickenPayoffs) -> np.ndarray:
 
 
 def classical_pd_game(p: PDPayoffs) -> BimatrixGame:
-    """Classical prisoner's dilemma over (C, D); the column player's table
-    is the row player's transposed."""
+    """Classical prisoner's dilemma over (C, D)."""
     m = classical_pd_matrix(p)
-    return BimatrixGame(m, m.T, ("C", "D"))
+    return BimatrixGame(m, ("C", "D"))
 
 
 def classical_chicken_game(c: ChickenPayoffs) -> BimatrixGame:
     """Classical chicken over (straight, swerve)."""
     m = classical_chicken_matrix(c)
-    return BimatrixGame(m, m.T, ("straight", "swerve"))
+    return BimatrixGame(m, ("straight", "swerve"))
 
 
 def final_state(s1, s2, gamma) -> np.ndarray:

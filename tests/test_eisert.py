@@ -376,14 +376,18 @@ def test_int_beyond_the_float_range_is_a_validation_error(call):
         call()
 
 
-@pytest.mark.parametrize("gamma", [[[0.1], [0.2, 0.3]], [0.1, "x"], 1j, 0.5 + 0j, {"a": 1}], ids=repr)
+@pytest.mark.parametrize("gamma", [
+    [[0.1], [0.2, 0.3]], [0.1, "x"], 1j, 0.5 + 0j, {"a": 1},
+    np.complex128(0.5 + 1j), np.complex128(0.5), np.array(0.5 + 1j), np.array([0.5 + 1j]),
+], ids=repr)
 @pytest.mark.parametrize("call", [
     entangler,
     lambda gamma: extract_block(PD, PD_3501, Block.QVD, gamma),
     lambda gamma: qgames.quantized_game(PD, PD_3501, gamma),
 ], ids=["entangler", "extract_block", "quantized_game"])
 def test_a_gamma_that_is_not_real_is_a_validation_error_naming_it(call, gamma):
-    """Ragged or non-numeric grids (NumPy's ValueError) and complex or other
-    objects (its TypeError) are refused like an out-of-range gamma."""
+    """Ragged or non-numeric grids (NumPy's ValueError), complex or other
+    objects (its TypeError) and NumPy complex values, which a float cast
+    would read as their real part, are refused like an out-of-range gamma."""
     with pytest.raises(ValidationError, match=re.escape(f"gamma={gamma!r}")):
         call(gamma)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classical_chicken_game, classical_pd_game
+from conftest import classical_chicken_game, classical_pd_game, random_chicken, random_pd
 from qgames import Block, ChickenPayoffs, PDPayoffs, extract_block, quantized_game
+from qgames.catalog import _BLOCK_STRATEGIES, CHICKEN, PD
 from qgames.equilibrium import (
     BEST_RESPONSE_TOL,
     BimatrixGame,
@@ -56,25 +57,79 @@ class TestPureNash:
 
 @settings(max_examples=80, deadline=None)
 @given(
-    data=st.lists(st.integers(-80, 80), min_size=8, max_size=8),
+    data=st.lists(st.integers(-80, 80), min_size=4, max_size=4),
     lam=st.integers(-160, 160),
     mu=st.integers(-160, 160),
 )
 def test_pure_nash_invariant_under_column_shifts(data, lam, mu):
-    """Adding a constant to a column of the row matrix (and the mirrored row
-    of the column matrix) never changes best responses.
+    """Adding a constant to a column of the row matrix (which adds it to the
+    mirrored row of the column player's) never changes best responses.
 
     Dyadic payoffs keep the shifted sums exact, so tie sets cannot flip
     through rounding at the tolerance boundary.
     """
-    row = np.array(data[:4], dtype=float).reshape(2, 2) / 8
-    col = np.array(data[4:], dtype=float).reshape(2, 2) / 8
+    row = np.array(data, dtype=float).reshape(2, 2) / 8
     lam, mu = lam / 8, mu / 8
-    g = BimatrixGame(row, col, ("a", "b"))
-    shifted_row = row + np.array([[lam, mu], [lam, mu]])  # per-column shift for row player
-    shifted_col = col + np.array([[lam, lam], [mu, mu]])  # per-row shift for column player
-    g2 = BimatrixGame(shifted_row, shifted_col, ("a", "b"))
+    g = BimatrixGame(row, ("a", "b"))
+    g2 = BimatrixGame(row + np.array([[lam, mu], [lam, mu]]), ("a", "b"))  # per-column shift
+    assert np.array_equal(g2.col, g.col + np.array([[lam, lam], [mu, mu]]))
     assert pure_nash(g) == pure_nash(g2)
+
+
+def two_table_pure_nash(row, col):
+    """The explicit double loop over both players' tables, as pure_nash read
+    them when a game stored its column player's table apart."""
+    rbest = row.max(axis=0) - BEST_RESPONSE_TOL
+    cbest = col.max(axis=1) - BEST_RESPONSE_TOL
+    return [(i, j) for i in range(len(row)) for j in range(len(row))
+            if row[i, j] >= rbest[j] and col[i, j] >= cbest[i]]
+
+
+class TestPureNashMatchesTheTwoTableLoop:
+    """pure_nash's one best-response matrix picks the cells of the double loop
+    over (row, row.T), as the same list of (int, int) in row-major order."""
+
+    @staticmethod
+    def assert_same_cells(row, labels):
+        got = pure_nash(BimatrixGame(row, labels))
+        assert got == two_table_pure_nash(row, row.T), row
+        assert all(type(c) is tuple and [type(k) for k in c] == [int, int] for c in got)
+        return got
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dyadic_games_with_entries_at_the_tie_margin(self, n):
+        # below each column's maximum by exactly BEST_RESPONSE_TOL and one ulp either side
+        # of it: the cells where a best-response decision turns
+        rng = np.random.default_rng(n)
+        labels = tuple("abcd"[:n])
+        decided = set()
+        for _ in range(400):
+            row = rng.integers(-8, 9, size=(n, n)) / 4.0
+            edge = row.max(axis=0) - BEST_RESPONSE_TOL
+            edges = np.stack([np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)])
+            pick = rng.integers(0, 3, size=(n, n))
+            moved = (rng.random((n, n)) < 0.5) & (row < row.max(axis=0))
+            row = np.where(moved, edges[pick, np.arange(n)], row)
+            cells = self.assert_same_cells(row, labels)
+            decided |= {(int(pick[i, j]), (i, j) in cells)
+                        for i, j in zip(*np.nonzero(moved & moved.T))}
+        # an entry one ulp below the margin is never a best response, the other two can be
+        assert decided == {(0, False), (1, False), (1, True), (2, False), (2, True)}
+
+    @pytest.mark.parametrize("kind", [PD, CHICKEN])
+    def test_quantized_games_and_their_blocks(self, kind):
+        rng = np.random.default_rng(len(kind))
+        grid = np.linspace(0.0, math.pi / 2, 33)
+        blocks = [b for b, (k, _) in _BLOCK_STRATEGIES.items() if k == kind]
+        for _ in range(20):
+            payoffs = random_pd(rng) if kind == PD else random_chicken(rng)
+            for gamma in [0.0, math.pi / 4, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 5)]:
+                game = quantized_game(kind, payoffs, float(gamma))
+                self.assert_same_cells(game.row, game.labels)
+            for block_id in blocks:
+                stack = extract_block(kind, payoffs, block_id, grid)
+                for row in stack.row_payoffs:
+                    self.assert_same_cells(row, stack.labels)
 
 
 class TestMixedNash:
@@ -102,39 +157,6 @@ class TestMixedNash:
         # dominant strategy: indifference point falls outside (0, 1)
         assert mixed_nash_symmetric_2x2(g) is None
 
-    def test_rejects_non_symmetric_game(self):
-        g = BimatrixGame([[1, 0], [0, 1]], [[2, 5], [7, 3]], ("a", "b"))
-        with pytest.raises(ValidationError, match="symmetric"):
-            mixed_nash_symmetric_2x2(g)
-
-    def test_symmetry_check_decides_as_numpy_allclose(self):
-        # offsets at the tolerance and one ulp either side of it, on exact
-        # (0, dyadic) and random payoffs
-        tol = BEST_RESPONSE_TOL
-        edges = [0.0, tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0), 2 * tol, 1e-3]
-        rng = np.random.default_rng(12)
-        seen = set()
-        for k in range(3000):
-            row = rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-3, 4)
-            if k % 3 == 0:
-                row = rng.integers(-4, 5, size=(2, 2)) / 4.0
-            if k % 5 == 0:
-                row[:] = 0.0
-            offsets = rng.choice(edges, size=(2, 2)) * rng.choice((-1.0, 1.0), size=(2, 2))
-            offsets[rng.random((2, 2)) < 0.5] = 0.0
-            g = BimatrixGame(row, row.T + offsets, ("a", "b"))
-            symmetric = bool(np.allclose(g.col, g.row.T, rtol=0.0, atol=tol))
-            seen.add(symmetric)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # degenerate games warn by design
-                try:
-                    mixed_nash_symmetric_2x2(g)
-                    accepted = True
-                except ValidationError:
-                    accepted = False
-            assert accepted == symmetric, (row, offsets)
-        assert seen == {True, False}
-
     @pytest.mark.parametrize("row, p", [
         ([[1e308, -1e308], [-1e308, 1e308]], 0.5),
         ([[1.7e308, -1.7e308], [-1.7e308, 1.0]], 0.33333333333333337),
@@ -144,13 +166,13 @@ class TestMixedNash:
         scaled = [[x * 2.0**-4 for x in r] for r in row]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = mixed_nash_symmetric_2x2(BimatrixGame(row, np.transpose(row), ("a", "b")))
-            small = mixed_nash_symmetric_2x2(BimatrixGame(scaled, np.transpose(scaled), ("a", "b")))
+            got = mixed_nash_symmetric_2x2(BimatrixGame(row, ("a", "b")))
+            small = mixed_nash_symmetric_2x2(BimatrixGame(scaled, ("a", "b")))
         assert got.p == small.p == p
         assert type(got.p) is float
 
     def test_boundary_warning_prints_a_plain_float(self):
-        g = BimatrixGame([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], ("a", "b"))
+        g = BimatrixGame([[1.0, 0.0], [0.0, 0.0]], ("a", "b"))
         with pytest.warns(UserWarning) as record:
             assert mixed_nash_symmetric_2x2(g) is None
         assert [str(w.message) for w in record] == [
@@ -164,13 +186,13 @@ class TestMixedNash:
 
 def test_bimatrix_validation():
     with pytest.raises(ValidationError):
-        BimatrixGame([[1, 2]], [[1, 2]], ("a", "b"))
+        BimatrixGame([[1, 2]], ("a", "b"))
     with pytest.raises(ValidationError):
-        BimatrixGame([[1]], [[1]], ("a",))
+        BimatrixGame([[1]], ("a",))
     with pytest.raises(ValidationError):
-        BimatrixGame([[np.inf, 0], [0, 1]], [[1, 0], [0, 1]], ("a", "b"))
+        BimatrixGame([[np.inf, 0], [0, 1]], ("a", "b"))
 
 
 def test_bimatrix_rejects_duplicate_labels():
     with pytest.raises(ValidationError, match="distinct"):
-        BimatrixGame(np.eye(3), np.eye(3), ("C", "C", "Q"))
+        BimatrixGame(np.eye(3), ("C", "C", "Q"))

@@ -136,6 +136,12 @@ class TestToIsing:
         with pytest.raises(ValidationError, match="J, h, beta must be finite"):
             IsingParams(math.nan, 0, 1)
 
+    @pytest.mark.parametrize("args", [(1j, 1.0, 1.0), (1.0, 1j, 1.0), (1.0, 1.0, 1j),
+                                      (1.0, 0.5 + 0j, 1.0), (1.0, np.array(1j), 1.0)], ids=repr)
+    def test_complex_params_rejected(self, args):
+        with pytest.raises(ValidationError, match="J, h, beta must be finite"):
+            IsingParams(*args)
+
 
 SIX_BLOCKS = [("pd", b) for b in (Block.QVC, Block.QVD, Block.CLASSICAL_PD)] + [
     ("chicken", b) for b in (Block.QVSWERVE, Block.QVSTRAIGHT, Block.CLASSICAL_CHICKEN)
