@@ -84,7 +84,8 @@ class PayoffTemplate:
     v11: float
 
     def __post_init__(self):
-        if not all(abs(v) <= sys.float_info.max for v in (self.v00, self.v10, self.v01, self.v11)):
+        values = (self.v00, self.v10, self.v01, self.v11)
+        if not all(abs(v) <= sys.float_info.max for v in values) or isinstance(sum(values), complex):
             raise ValidationError("payoff template entries must be finite")
 
     @property

@@ -22,7 +22,6 @@ from .eisert import GAMMA_RANGE
 from .errors import ConsistencyError, ValidationError
 
 _BISECT_TOL = 1e-10
-_TREE_DEPTH = 5  # bisection levels evaluated per circuit pass
 _CROSSCHECK_TOL = 1e-9
 
 
@@ -36,8 +35,9 @@ class IsingParams:
     beta: float
 
     def __post_init__(self):
-        try:  # an int beyond the float range overflows, and a complex value is a TypeError
-            if not (math.isfinite(self.J) and math.isfinite(self.h) and math.isfinite(self.beta)):
+        try:  # an int beyond the float range overflows; a complex value, NumPy's too, is refused
+            if isinstance(self.J + self.h + self.beta, complex) or not (
+                    math.isfinite(self.J) and math.isfinite(self.h) and math.isfinite(self.beta)):
                 raise TypeError
         except (OverflowError, TypeError):
             raise ValidationError("J, h, beta must be finite") from None
@@ -125,9 +125,8 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
     change brackets exactly one root.  Blocks with h identically zero have
     no sign change and return None.
 
-    The loop reads each field from a cache that a miss fills with one circuit
-    pass over the 2**_TREE_DEPTH - 1 midpoints of the next _TREE_DEPTH levels
-    below the bracket, each formed as 0.5*(lo + hi) as the loop forms it.
+    A miss of the field cache runs one circuit pass over the midpoints the loop
+    visits if h is affine in cos(2*gamma) on its bracket; a wrong guess costs a pass.
     """
     a, b = GAMMA_RANGE
     fa = to_ising(extract_block(game_kind, payoffs, block_id, a), 1.0).h
@@ -144,11 +143,12 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
     while b - a > _BISECT_TOL:
         mid = 0.5 * (a + b)
         if mid not in fields:
-            spans, mids = [(a, b)], []
-            for lo, hi in spans:  # breadth first
-                mids.append(0.5 * (lo + hi))
-                if len(spans) < 2**_TREE_DEPTH - 1:
-                    spans += [(lo, mids[-1]), (mids[-1], hi)]
+            ca, cb = math.cos(2.0 * a), math.cos(2.0 * b)
+            root = ca + (cb - ca) / (1.0 - fb / fa)  # cos(2*gamma*); fb/fa < 0, so never NaN
+            lo, hi, mids = a, b, []
+            while hi - lo > _BISECT_TOL:  # cos(2*gamma) falls on [0, pi/2]
+                mids.append(m := 0.5 * (lo + hi))
+                lo, hi = (m, hi) if math.cos(2.0 * m) > root else (lo, m)
             pairs = couplings(extract_block(game_kind, payoffs, block_id, mids))
             fields.update((m, h) for m, (_, h) in zip(mids, pairs))
         fm = fields[mid]
@@ -157,7 +157,7 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
         if (fm > 0) == (fa > 0):
             a, fa = mid, fm
         else:
-            b = mid
+            b, fb = mid, fm
     return 0.5 * (a + b)
 
 

@@ -148,7 +148,8 @@ def _field_at(game_kind, payoffs, block_id, gamma):
 
 def reference_bisect(game_kind, payoffs, block_id):
     """phase_transition_bisect as a loop of one scalar circuit run per
-    midpoint: the reference for the bits of the tree bisection."""
+    midpoint: the reference for the bits of the bisection whose circuit
+    passes run the midpoints of a predicted path."""
     a, b = GAMMA_RANGE
     fa = _field_at(game_kind, payoffs, block_id, a)
     fb = _field_at(game_kind, payoffs, block_id, b)

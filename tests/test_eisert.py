@@ -131,6 +131,14 @@ class TestPayoff:
         with pytest.raises(ValidationError, match="payoff template entries must be finite"):
             PayoffTemplate(math.nan, 0, 0, 0)
 
+    @pytest.mark.parametrize("entries", [
+        (1j, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.5 + 0j), (3.0, np.complex128(5.0), 0.0, 1.0),
+        (3.0, 5.0, np.complex128(1j), 1.0), (3.0, 5.0, 0.0, np.array(1 + 0j)),
+    ], ids=repr)
+    def test_complex_template_entry_rejected(self, entries):
+        with pytest.raises(ValidationError, match="payoff template entries must be finite"):
+            extended_matrix(PayoffTemplate(*entries), (C, D), 0.5)
+
     def test_pure_00_state_pays_the_00_entry(self):
         chi = np.array([1, 0, 0, 0], dtype=complex)
         assert payoff(chi, PD_ROW) == pytest.approx(3.0, abs=1e-12)

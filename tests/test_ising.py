@@ -137,7 +137,10 @@ class TestToIsing:
             IsingParams(math.nan, 0, 1)
 
     @pytest.mark.parametrize("args", [(1j, 1.0, 1.0), (1.0, 1j, 1.0), (1.0, 1.0, 1j),
-                                      (1.0, 0.5 + 0j, 1.0), (1.0, np.array(1j), 1.0)], ids=repr)
+                                      (1.0, 0.5 + 0j, 1.0), (1.0, np.array(1j), 1.0),
+                                      (np.complex128(1.0), 1.0, 1.0),
+                                      (1.0, np.complex128(0.5 + 1j), 1.0),
+                                      (1.0, 1.0, np.complex128(2.0 + 0j))], ids=repr)
     def test_complex_params_rejected(self, args):
         with pytest.raises(ValidationError, match="J, h, beta must be finite"):
             IsingParams(*args)
@@ -639,20 +642,28 @@ class TestPhaseTransition:
         assert phase_transition_gamma("chicken", ch, Block.QVSTRAIGHT)[0] == pytest.approx(0.0, abs=1e-9)
 
 
-class TestTreeBisection:
-    """phase_transition_bisect evaluates several bisection levels per circuit
-    pass; conftest's reference_bisect runs one scalar circuit per midpoint.
-    Both must return the same float."""
+def _field_block(field):
+    """An extract_block stand-in whose block has J = 0 and h = field(gamma)
+    exactly: [[f, f], [-f, -f]], read from quarter payoffs where a sum overflows."""
+    def extract(game_kind, payoffs, block_id, gamma):
+        f = field(np.asarray(gamma, dtype=float))
+        return StrategyBlock(np.stack([np.stack([f, f], -1), np.stack([-f, -f], -1)], -2), block_id)
+    return extract
 
-    @pytest.mark.parametrize("depth", [1, 3, 5, 6])
+
+class TestPredictedPathBisection:
+    """phase_transition_bisect evaluates, per circuit pass, the midpoints its
+    loop visits if h is affine in cos(2*gamma); conftest's reference_bisect
+    runs one scalar circuit per midpoint.  Both must return the same float,
+    whether the prediction holds or not."""
+
     @pytest.mark.parametrize("kind,block_id", SIX_BLOCKS)
-    def test_equals_the_one_midpoint_loop(self, monkeypatch, depth, kind, block_id):
-        monkeypatch.setattr(ising, "_TREE_DEPTH", depth)
+    def test_equals_the_one_midpoint_loop(self, kind, block_id):
         rng = np.random.default_rng(1500 + list(Block).index(block_id))
         outcomes = set()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # s == r chicken draws
-            for _ in range(8):
+            for _ in range(40):
                 payoffs = random_pd(rng) if kind == "pd" else random_chicken(rng, allow_equal=True)
                 got = phase_transition_bisect(kind, payoffs, block_id)
                 want = reference_bisect(kind, payoffs, block_id)
@@ -677,40 +688,45 @@ class TestTreeBisection:
         math.pi / 2,                          # the right endpoint
     ])
     def test_exact_zero_at_a_midpoint_is_returned(self, monkeypatch, root):
-        def field_minus_root(game_kind, payoffs, block_id, gamma):
-            # [[2f, 2f], [0, 0]] has J = 0 and h = f exactly
-            f = np.asarray(gamma, dtype=float) - root
-            rows = np.zeros(f.shape + (2, 2))
-            rows[..., 0, 0] = rows[..., 0, 1] = 2.0 * f
-            return StrategyBlock(rows, block_id)
-
-        monkeypatch.setattr(ising, "extract_block", field_minus_root)
+        monkeypatch.setattr(ising, "extract_block", _field_block(lambda g: g - root))
         got = phase_transition_bisect("pd", PD_3501, Block.QVD)
         assert got == root
         assert got == reference_bisect("pd", PD_3501, Block.QVD)
 
+    @pytest.mark.parametrize("field", [
+        lambda g, r: (g - r) ** 3,
+        lambda g, r: np.tanh(40.0 * (r - g)),
+        lambda g, r: g - r,
+        # |fa| + |fb| beyond the float range, where the root is away from the ends
+        lambda g, r: (g - r) / max(r, math.pi / 2 - r) * 1.7e308,
+    ], ids=["cubic", "steep-tanh", "gamma-minus-root", "huge-linear"])
+    @pytest.mark.parametrize("root", [1e-6, 0.3, 0.7853981, 1.2, 1.5707])
+    def test_a_field_not_affine_in_cos_2gamma_keeps_the_reference_bits(
+            self, monkeypatch, field, root):
+        extract = _field_block(lambda g: field(g, root))
+        got, runs = self._counted(monkeypatch, "pd", PD_3501, Block.QVD, extract)
+        assert got == reference_bisect("pd", PD_3501, Block.QVD)
+        assert abs(got - root) <= 1e-10
+        # 2 endpoints and more than one pass: a wrong prediction was mended, and each
+        # re-prediction from the current bracket's two fields needs at most 12 passes here
+        assert 3 < runs <= 14
+
     @staticmethod
-    def _circuit_runs(monkeypatch, kind, payoffs, block_id):
+    def _counted(monkeypatch, kind, payoffs, block_id, extract=extract_block):
+        """The bisection's result and the number of circuit runs it made."""
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return extract_block(*args)
+            return extract(*args)
 
         monkeypatch.setattr(ising, "extract_block", counted)
-        phase_transition_bisect(kind, payoffs, block_id)
-        return len(calls)
+        return phase_transition_bisect(kind, payoffs, block_id), len(calls)
 
     @pytest.mark.parametrize("kind,payoffs,block_id,runs", [
-        ("pd", PD_3501, Block.QVD, 9),                                  # a crossing
+        ("pd", PD_3501, Block.QVD, 3),                                  # a crossing
         ("chicken", ChickenPayoffs(1, 3), Block.QVSTRAIGHT, 2),         # no sign change
         ("pd", PD_3501, Block.QVC, 2),                                  # h identically zero
     ])
     def test_circuit_runs_per_bisection(self, monkeypatch, kind, payoffs, block_id, runs):
-        assert self._circuit_runs(monkeypatch, kind, payoffs, block_id) == runs
-
-    # a crossing: 2 endpoints, then one pass per `depth` of its 34 midpoints
-    @pytest.mark.parametrize("depth,runs", [(1, 36), (3, 14), (5, 9), (6, 8)])
-    def test_circuit_runs_per_tree_depth(self, monkeypatch, depth, runs):
-        monkeypatch.setattr(ising, "_TREE_DEPTH", depth)
-        assert self._circuit_runs(monkeypatch, "pd", PD_3501, Block.QVD) == runs
+        assert self._counted(monkeypatch, kind, payoffs, block_id)[1] == runs
