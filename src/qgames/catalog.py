@@ -20,7 +20,7 @@ import numpy as np
 from . import eisert
 from .eisert import C, D, Q, STRAIGHT, SWERVE, PayoffTemplate
 from .equilibrium import BimatrixGame
-from .errors import ValidationError
+from .errors import ValidationError, finite, real_array
 
 PD = "pd"
 CHICKEN = "chicken"
@@ -37,8 +37,7 @@ class PDPayoffs:
     p: float
 
     def __post_init__(self):
-        vals = (self.r, self.t, self.s, self.p)
-        if not all(abs(v) <= sys.float_info.max for v in vals):
+        if not finite(self.r, self.t, self.s, self.p):
             raise ValidationError("payoffs must be finite")
         if not self.t > self.r:
             raise ValidationError(f"t > r violated (t={self.t}, r={self.r})")
@@ -57,7 +56,7 @@ class ChickenPayoffs:
     s: float
 
     def __post_init__(self):
-        if not (abs(self.r) <= sys.float_info.max and abs(self.s) <= sys.float_info.max):
+        if not finite(self.r, self.s):
             raise ValidationError("payoffs must be finite")
         if not self.r > 0:
             raise ValidationError(f"r > 0 violated (r={self.r})")
@@ -101,10 +100,10 @@ class StrategyBlock:
     block_id: Block
 
     def __post_init__(self):
-        m = np.asarray(self.row_payoffs, dtype=float)
+        m = real_array(self.row_payoffs)
         object.__setattr__(self, "row_payoffs", m)
         object.__setattr__(self, "block_id", Block(self.block_id))
-        if m.shape[-2:] != (2, 2) or m.ndim > 3 or not np.isfinite(m).all():
+        if m is None or m.shape[-2:] != (2, 2) or m.ndim > 3 or not np.isfinite(m).all():
             raise ValidationError("block must be a finite 2x2 matrix or a stack of them")
 
     @property

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, finite, real, real_array
 
 #: Allowed parameter ranges of the two-parameter strategy family.
 THETA_RANGE = (0.0, math.pi)
@@ -37,9 +35,8 @@ NORM_DRIFT_TOL = 1e-10
 class Strategy:
     """A named point of the strategy family O(theta, phi).
 
-    The label is a str and each angle is stored as a float: a real scalar
-    (a 0-d array included) is converted, anything else raises
-    ValidationError naming the field.
+    The label is a str and each angle is stored as the float of a real
+    scalar (`errors.real`); anything else raises ValidationError naming the field.
     """
 
     label: str
@@ -51,12 +48,7 @@ class Strategy:
             raise ValidationError(f"strategy label must be a str, got {self.label!r}")
         for name in ("theta", "phi"):
             value = getattr(self, name)
-            scalar = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
-            try:
-                angle = float(scalar) if isinstance(scalar, numbers.Real) else None
-            except OverflowError:  # an int beyond the float range
-                angle = None
-            if angle is None:
+            if (angle := real(value)) is None:
                 raise ValidationError(
                     f"strategy {self.label!r}: {name} must be a real scalar within the float "
                     f"range, got {value!r}"
@@ -84,8 +76,7 @@ class PayoffTemplate:
     v11: float
 
     def __post_init__(self):
-        values = (self.v00, self.v10, self.v01, self.v11)
-        if not all(abs(v) <= sys.float_info.max for v in values) or isinstance(sum(values), complex):
+        if not finite(self.v00, self.v10, self.v01, self.v11):
             raise ValidationError("payoff template entries must be finite")
 
     @property
@@ -95,7 +86,7 @@ class PayoffTemplate:
 
 
 def _check_range(name, value, lo, hi):
-    if not (lo <= value <= hi):  # NaN fails too
+    if (x := real(value)) is None or not (lo <= x <= hi):  # NaN fails too
         raise ValidationError(f"{name}={value!r} outside [{lo:.6g}, {hi:.6g}]")
 
 
@@ -116,13 +107,8 @@ def check_gamma(gamma) -> np.ndarray:
     """A float gamma or a 1-D gamma grid as a float array, every value in GAMMA_RANGE;
     a gamma not read as real, or its first value outside, is named in the ValidationError."""
     lo, hi = GAMMA_RANGE
-    try:
-        g = np.asarray(gamma)
-        if g.dtype.kind == "c":  # a cast to float would only warn and drop the imaginary part
-            raise TypeError
-        g = g.astype(float, copy=False)
-    except (OverflowError, TypeError, ValueError):  # an int beyond the float range, or not real
-        raise ValidationError(f"gamma={gamma!r} is not a real float or a 1-D grid") from None
+    if (g := real_array(gamma)) is None:
+        raise ValidationError(f"gamma={gamma!r} is not a real float or a 1-D grid")
     if g.ndim > 1:
         raise ValidationError(f"gamma must be a float or a 1-D grid, got shape {g.shape}")
     bad = ~((g >= lo) & (g <= hi))  # NaN is out of range too

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real_array
 
 # Payoffs downstream are products of trig factors, so best-response ties are
 # detected with a tolerance rather than exact comparison.
@@ -24,7 +24,7 @@ class BimatrixGame:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        row = np.asarray(self.row, dtype=float)
+        row = real_array(self.row)
         object.__setattr__(self, "row", row)
         object.__setattr__(self, "labels", tuple(self.labels))
         n = len(self.labels)
@@ -32,9 +32,9 @@ class BimatrixGame:
             raise ValidationError("a game needs at least 2 strategies")
         if len(set(self.labels)) != n:
             raise ValidationError(f"strategy labels must be distinct, got {self.labels}")
-        if row.shape != (n, n):
+        if row is not None and row.shape != (n, n):
             raise ValidationError(f"payoff matrix must be {n}x{n}, got {row.shape}")
-        if not np.isfinite(row).all():
+        if row is None or not np.isfinite(row).all():
             raise ValidationError("payoffs must be finite")
 
     @property

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for a real number input."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -14,3 +19,32 @@ class ResourceLimitError(ValidationError):
 class ConsistencyError(RuntimeError):
     """Two redundant computation paths disagree beyond their documented
     tolerance.  This signals an internal defect, not bad input."""
+
+
+def real(value):
+    """The float of a numbers.Real within the float range or of a 0-d array of one, else None."""
+    value = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    try:  # float tested first, since the numbers.Real ABC test is slow
+        return float(value) if isinstance(value, (float, numbers.Real)) else None
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
+def finite(*values) -> bool:
+    """Whether every value is a real scalar (see `real`) of finite float."""
+    for v in values:
+        if type(v) is not float and (v := real(v)) is None or not math.isfinite(v):
+            return False
+    return True
+
+
+def real_array(value):
+    """`value` as a float array, or None for a complex, str or bytes dtype, ragged
+    nesting, or an object element that `real` refuses."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    if a.dtype.kind == "O":  # element by element; one that `real` refuses leaves it object
+        a = np.array([real(x) for x in a.flat]).reshape(a.shape)
+    return a.astype(float, copy=False) if a.dtype.kind in "biuf" else None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .catalog import GAMES, Block, ChickenPayoffs, PDPayoffs, StrategyBlock, extract_block
 from .eisert import GAMMA_RANGE
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, finite, real
 
 _BISECT_TOL = 1e-10
 _CROSSCHECK_TOL = 1e-9
@@ -35,12 +35,8 @@ class IsingParams:
     beta: float
 
     def __post_init__(self):
-        try:  # an int beyond the float range overflows; a complex value, NumPy's too, is refused
-            if isinstance(self.J + self.h + self.beta, complex) or not (
-                    math.isfinite(self.J) and math.isfinite(self.h) and math.isfinite(self.beta)):
-                raise TypeError
-        except (OverflowError, TypeError):
-            raise ValidationError("J, h, beta must be finite") from None
+        if not finite(self.J, self.h, self.beta):
+            raise ValidationError("J, h, beta must be finite")
         if self.beta < 0:
             raise ValidationError(f"beta must be >= 0, got {self.beta}")
 
@@ -76,7 +72,7 @@ def to_ising(block, beta: float) -> IsingParams:
     if block.row_payoffs.ndim != 2:
         raise ValidationError("to_ising takes one 2x2 block, not a stack along gamma")
     (J, h), = pairs
-    return IsingParams(J=J, h=h, beta=float(beta))
+    return IsingParams(J=J, h=h, beta=real(beta))  # None fails IsingParams' check
 
 
 _LN2 = math.log(2.0)

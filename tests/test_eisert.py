@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,9 @@ from conftest import (
 )
 import qgames
 from qgames import CHICKEN, PD, Block, ChickenPayoffs, IsingParams, PDPayoffs, extract_block
+from qgames import BimatrixGame, magnetization, phase_transition_gamma, to_ising
 from qgames import eisert, tensor
-from qgames.catalog import _BLOCK_STRATEGIES, GAMES
+from qgames.catalog import _BLOCK_STRATEGIES, GAMES, StrategyBlock
 from qgames.eisert import (
     C,
     D,
@@ -26,6 +28,7 @@ from qgames.eisert import (
     SWERVE,
     PayoffTemplate,
     Strategy,
+    check_gamma,
     entangler,
     extended_matrix,
     strategy_operator,
@@ -315,14 +318,18 @@ class TestProductCache:
             eisert._products.cache_clear()
 
 
+# real scalars that are not Python floats: each must read as its float, bit for bit
+REAL_SCALARS = [
+    np.array(0.5), np.float64(0.5), np.float32(0.5), np.array(3), np.int64(3), 3,
+    Fraction(1, 2), np.array(-0.0),
+]
+
+
 class TestStrategyAngles:
     """A Strategy keeps a str label and stores each angle as a float, so the
     product cache can hash it; anything else is refused by name."""
 
-    @pytest.mark.parametrize("theta", [
-        np.array(0.5), np.float64(0.5), np.float32(0.5), np.array(3), np.int64(3), 3,
-        Fraction(1, 2), np.array(-0.0),
-    ], ids=repr)
+    @pytest.mark.parametrize("theta", REAL_SCALARS, ids=repr)
     def test_real_scalars_become_floats_and_keep_every_payoff_bit(self, theta):
         s = Strategy("X", theta, np.array(0.25))
         assert type(s.theta) is float and type(s.phi) is float
@@ -368,20 +375,75 @@ def test_package_exports_the_pipeline_and_not_the_circuit_kernel():
         assert hasattr(qgames.eisert, name)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: IsingParams(10**400, 0, 1),
-    lambda: PDPayoffs(10**400, 10**401, 0, 1),
-    lambda: ChickenPayoffs(1, 10**400),
-    lambda: PayoffTemplate(10**400, 0, 0, 0),
-    lambda: strategy_operator(10**400, 0),
-    lambda: Strategy("X", 10**400, 0),
-    lambda: entangler(10**400),
-    lambda: extract_block(PD, PD_3501, Block.QVD, gamma=10**400),
-], ids=["IsingParams", "PDPayoffs", "ChickenPayoffs", "PayoffTemplate", "strategy_operator",
-        "Strategy", "entangler", "extract_block"])
-def test_int_beyond_the_float_range_is_a_validation_error(call):
-    with pytest.raises(ValidationError):
-        call()
+@pytest.mark.parametrize("value", REAL_SCALARS, ids=repr)
+def test_a_real_scalar_beta_or_payoff_reads_as_its_float(value):
+    """to_ising's beta and a payoff given as any real scalar give the m and
+    the payoff bits of float(value), at a float gamma and along a grid."""
+    block = extract_block(PD, PD_3501, Block.QVD, 0.3)
+    ip, ip_float = to_ising(block, value), to_ising(block, float(value))
+    assert type(ip.beta) is float and ip == ip_float
+    assert bits(magnetization(ip)) == bits(magnetization(ip_float))
+    payoffs, floats = PDPayoffs(4, 5, -1, value), PDPayoffs(4, 5, -1, float(value))
+    for gamma in (0.3, CACHE_GAMMAS[-1]):
+        got = extract_block(PD, payoffs, Block.QVD, gamma).row_payoffs
+        want = extract_block(PD, floats, Block.QVD, gamma).row_payoffs
+        assert np.array_equal(bits(got), bits(want))
+    transition = phase_transition_gamma(PD, payoffs, Block.QVD)
+    assert transition == phase_transition_gamma(PD, floats, Block.QVD)
+
+
+NOT_REAL = [None, "3", b"3", [1.0], np.array([1.0]), 1j, np.complex64(1), np.clongdouble(1),
+            np.array(1j), Decimal(1), 10**400]
+SITES = {
+    "IsingParams": (lambda v: IsingParams(v, 0, 1), "J, h, beta must be finite"),
+    "to_ising": (lambda v: to_ising(extract_block(PD, PD_3501, Block.QVD, 0.3), v),
+                 "J, h, beta must be finite"),
+    "PDPayoffs": (lambda v: PDPayoffs(v, 5, 0, 1), "payoffs must be finite"),
+    "ChickenPayoffs": (lambda v: ChickenPayoffs(1, v), "payoffs must be finite"),
+    "PayoffTemplate": (lambda v: PayoffTemplate(v, 0, 0, 0),
+                       "payoff template entries must be finite"),
+    "strategy_operator": (lambda v: strategy_operator(v, 0), "theta=.* outside"),
+    "Strategy": (lambda v: Strategy("X", v, 0), "strategy 'X': theta must be a real scalar"),
+    "StrategyBlock": (lambda v: StrategyBlock([[v, 0.0], [0.0, 0.0]], Block.QVD),
+                      "block must be a finite 2x2 matrix"),
+    "BimatrixGame": (lambda v: BimatrixGame([[v, 0.0], [0.0, 0.0]], ("a", "b")),
+                     "payoffs must be finite"),
+    "entangler": (entangler, GAMMA_NOT_REAL := "is not a real float or a 1-D grid"),
+    "extract_block": (lambda v: extract_block(PD, PD_3501, Block.QVD, gamma=v), GAMMA_NOT_REAL),
+    "check_gamma": (check_gamma, GAMMA_NOT_REAL),
+}
+
+
+# A one-element list or array is a valid 1-D gamma grid, so the gamma sites do not take those two.
+@pytest.mark.parametrize("call,message,value", [
+    pytest.param(call, message, value, id=f"{site}-{repr(value)[:16]}")
+    for site, (call, message) in SITES.items() for value in NOT_REAL
+    if not (message == GAMMA_NOT_REAL and np.ndim(value) == 1)
+])
+def test_int_beyond_the_float_range_is_a_validation_error(call, message, value):
+    """An int beyond the float range, and every other value that is not a real
+    scalar (`errors.real`), is refused with the site's own message."""
+    with pytest.raises(ValidationError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("bad", [np.array([3.0]), np.complex64(3.0), np.complex128(3.0)], ids=repr)
+@pytest.mark.parametrize("kind,block,payoffs", [
+    (PD, Block.QVD, lambda v: PDPayoffs(v, 5, 0, 1)),
+    (CHICKEN, Block.QVSTRAIGHT, lambda v: ChickenPayoffs(1, v)),
+], ids=[PD, CHICKEN])
+@pytest.mark.parametrize("run", [
+    lambda kind, block, p: qgames.quantized_game(kind, p, 0.5),
+    lambda kind, block, p: extract_block(kind, p, block, 0.5),
+    lambda kind, block, p: extract_block(kind, p, block, [0.1, 0.5]),
+    lambda kind, block, p: phase_transition_gamma(kind, p, block),
+], ids=["quantized_game", "extract_block-float", "extract_block-grid", "phase_transition_gamma"])
+def test_a_payoff_that_is_not_a_real_scalar_stops_the_pipeline(run, kind, block, payoffs, bad):
+    """A one-element array or a NumPy complex payoff is refused where the payoffs
+    are built, so no stage downstream meets it (such payoffs once constructed and
+    then failed with struct.error, ValueError, TypeError or a ComplexWarning)."""
+    with pytest.raises(ValidationError, match="payoffs must be finite"):
+        run(kind, block, payoffs(bad))
 
 
 @pytest.mark.parametrize("gamma", [
