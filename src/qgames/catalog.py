@@ -2,8 +2,9 @@
 classical-vs-quantum strategy blocks.
 
 Blocks come from the quantization circuit, never from closed-form matrices (the
-tests hold those).  A game's 3x3 payoffs at a scalar gamma run once per (kind, payoff
-bits, gamma bits) into a bounded cache of read-only arrays; blocks are sliced from them.
+tests hold those).  A game's 3x3 payoffs at a scalar gamma are weighed once per (kind,
+payoff bits, gamma bits) into a bounded cache of 16 read-only tables; blocks are sliced
+from them.  The circuit runs behind both, cached per strategy set and gamma in `eisert`.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ are the measurement probabilities weighted by the row player's payoff template.
 gamma=0 reproduces the classical game, gamma=pi/2 is maximal entanglement.
 
 The circuit runs as one vectorized pass over every ordered strategy pair
-and, when gamma is a 1-D grid, over every gamma of the grid.  It returns
-payoff arrays; `catalog` wraps them into games and blocks.
+and, when gamma is a 1-D grid, over every gamma of the grid.  No payoff enters
+its probabilities, so `_probs` caches them per strategy set and gamma bits (16 runs
+of at most _CACHED_CELLS cells at 32 bytes: 4.7 MB), and each call weighs them with
+its payoffs into a fresh array; `catalog` wraps those into games and blocks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ GAMMA_RANGE = (0.0, math.pi / 2)
 #: A final state whose norm drifts further from 1 means a non-unitary
 #: operator slipped into the circuit: an internal defect.
 NORM_DRIFT_TOL = 1e-10
+
+#: A run of more cells (strategy pairs x gammas) than a 1024-gamma 3x3 game is not cached.
+_CACHED_CELLS = 9 * 1024
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,10 @@ def entangler(gamma) -> np.ndarray:
 
     A float gamma gives one (4, 4) gate, a 1-D gamma grid a (G, 4, 4) stack.
     """
-    g = check_gamma(gamma)
+    return _entangler(check_gamma(gamma))
+
+
+def _entangler(g: np.ndarray) -> np.ndarray:
     c = np.cos(g / 2)
     s = np.sin(g / 2)
     lhat = np.zeros(g.shape + (4, 4), dtype=complex)
@@ -149,33 +157,38 @@ def _products(strategies) -> np.ndarray:
     return cells
 
 
-def _circuit(cells, gamma):
+def _circuit(cells, g):
     """Final states L^dag (O_i (x) O_j) L |00> for every product of `cells`
-    (as `_products` gives them), and their squared amplitudes: shape
-    (n, n, 4) each for a float gamma and (G, n, n, 4) for a 1-D grid.
+    (as `_products` gives them), and their squared amplitudes, read-only: shape
+    (n, n, 4) each for a 0-d and (G, n, n, 4) for a 1-D `check_gamma` array.
 
     One norm check covers every final state; drift (or NaN) means a
     non-unitary operator slipped in and raises ConsistencyError.
     """
-    lhat = entangler(gamma)[..., None, None, :, :]
+    lhat = _entangler(g)[..., None, None, :, :]
     psi0 = lhat[..., :, 0]  # L|00> is the first column of L
     chi = tensor.apply(tensor.adjoint(lhat), tensor.apply(cells, psi0))
     probs = (chi.conj() * chi).real
+    probs.flags.writeable = False
     norm = probs.sum(axis=-1)
     drift = ~(np.abs(norm - 1.0) <= NORM_DRIFT_TOL)
     if drift.any():
         at = tuple(int(k) for k in np.argwhere(drift)[0])
-        g = float(np.asarray(gamma, dtype=float)[at[:-2]])
-        raise ConsistencyError(
-            f"gamma={g!r}, cell ({at[-2]},{at[-1]}): state norm drifted to {float(norm[at])!r}"
-        )
+        raise ConsistencyError(f"gamma={float(g[at[:-2]])!r}, cell ({at[-2]},{at[-1]}): "
+                               f"state norm drifted to {float(norm[at])!r}")
     return chi, probs
+
+
+@functools.lru_cache(maxsize=16)
+def _probs(strategies, bits: bytes, shape) -> np.ndarray:
+    """`_circuit`'s probabilities at the gamma of float64 `bits` and `shape`."""
+    return _circuit(_products(strategies), np.frombuffer(bits).reshape(shape))[1]
 
 
 def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
     """Row player's expected payoffs over every ordered strategy pair, shape
     (n, n) for a float gamma and (G, n, n) for a 1-D gamma grid, from one
-    pass of the circuit.  The protocol is symmetric under swapping the
+    cached pass of the circuit.  The protocol is symmetric under swapping the
     players, so a symmetric template gives a symmetric game, which this
     one table defines (`equilibrium.BimatrixGame`).
     """
@@ -184,5 +197,6 @@ def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
         raise ValidationError("need at least one strategy")
     if not all(isinstance(s, Strategy) for s in strategies):
         raise ValidationError(f"strategies must be Strategy instances, got {strategies!r}")
-    _, probs = _circuit(_products(strategies), gamma)
-    return probs @ template.weights
+    g = check_gamma(gamma)
+    run = _probs if g.size * len(strategies) ** 2 <= _CACHED_CELLS else _probs.__wrapped__
+    return run(strategies, g.tobytes(), g.shape) @ template.weights

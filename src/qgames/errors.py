@@ -39,12 +39,14 @@ def finite(*values) -> bool:
 
 
 def real_array(value):
-    """`value` as a float array, or None for a complex, str or bytes dtype, ragged
-    nesting, or an object element that `real` refuses."""
+    """`value` as a float array, or None for a bool, complex, str or bytes dtype, ragged
+    nesting, or an object element that `real` refuses.  A float64 ndarray is returned as it is."""
+    if type(value) is np.ndarray and value.dtype == float:
+        return value
     try:
         a = np.asarray(value)
     except ValueError:  # ragged nesting
         return None
     if a.dtype.kind == "O":  # element by element; one that `real` refuses leaves it object
         a = np.array([real(x) for x in a.flat]).reshape(a.shape)
-    return a.astype(float, copy=False) if a.dtype.kind in "biuf" else None
+    return a.astype(float, copy=False) if a.dtype.kind in "iuf" else None

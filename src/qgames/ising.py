@@ -25,7 +25,7 @@ _BISECT_TOL = 1e-10
 _CROSSCHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IsingParams:
     """Chain coupling J, external field h, inverse temperature beta
     (Boltzmann constant absorbed into beta)."""
@@ -34,11 +34,12 @@ class IsingParams:
     h: float
     beta: float
 
-    def __post_init__(self):
-        if not finite(self.J, self.h, self.beta):
+    def __init__(self, J: float, h: float, beta: float):
+        if not finite(J, h, beta):
             raise ValidationError("J, h, beta must be finite")
-        if self.beta < 0:
-            raise ValidationError(f"beta must be >= 0, got {self.beta}")
+        if beta < 0:
+            raise ValidationError(f"beta must be >= 0, got {beta}")
+        self.__dict__.update(J=J, h=h, beta=beta)  # one write past the frozen __setattr__
 
 
 def couplings(block: StrategyBlock) -> list[tuple[float, float]]:
@@ -99,18 +100,19 @@ def magnetization(ip: IsingParams) -> float:
     before either can overflow, so a balanced pair gives t of order 1
     without cancelling two huge exponents.
     """
-    x = ip.beta * ip.h
+    beta, J, h = ip.beta, ip.J, ip.h
+    x = beta * h
     if x == 0.0:
         # signed zero keeps sign(m) == sign(h) even when beta*h underflows
         # or beta is -0.0
-        return math.copysign(0.0, ip.h)
+        return math.copysign(0.0, h)
     if abs(x) < 20.0:
         log_s = math.log(math.sinh(abs(x)))
         # beta*J first: -4*beta alone overflows from beta ~ 4.5e307
-        log_den = 0.5 * _logaddexp(2.0 * log_s, -4.0 * (ip.beta * ip.J))
+        log_den = 0.5 * _logaddexp(2.0 * log_s, -4.0 * (beta * J))
         return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
     # log sinh|x| = |x| - log 2 + log1p(-e^{-2|x|})
-    t = 4.0 * (ip.beta * (-ip.J - 0.5 * abs(ip.h))) + 2.0 * (_LN2 - math.log1p(-math.exp(-2.0 * abs(x))))
+    t = 4.0 * (beta * (-J - 0.5 * abs(h))) + 2.0 * (_LN2 - math.log1p(-math.exp(-2.0 * abs(x))))
     return math.copysign(math.exp(-0.5 * _logaddexp(0.0, t)), x)
 
 
@@ -121,8 +123,9 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
     change brackets exactly one root.  Blocks with h identically zero have
     no sign change and return None.
 
-    A miss of the field cache runs one circuit pass over the midpoints the loop
-    visits if h is affine in cos(2*gamma) on its bracket; a wrong guess costs a pass.
+    The endpoints read the games' cached circuit runs at 0 and pi/2.  A miss of the field
+    cache runs one circuit pass over the midpoints the loop visits if h is affine in
+    cos(2*gamma) on its bracket; a wrong guess costs a pass.
     """
     a, b = GAMMA_RANGE
     fa = to_ising(extract_block(game_kind, payoffs, block_id, a), 1.0).h

@@ -1,5 +1,6 @@
 """Shared test oracles: closed-form block matrices, the classical games,
-the circuit's final state of one strategy pair, NumPy-scalar references for
+the circuit's final state of one strategy pair, its payoffs built without a
+cache, a fixture that counts circuit runs, NumPy-scalar references for
 the block -> (J, h, m) step, logit play of a block on a ring of players,
 the finite chain's magnetization at 60 digits, the one-midpoint-at-a-time
 bisection, and payoff generators.
@@ -12,9 +13,12 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 
-from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, ising
-from qgames.eisert import GAMMA_RANGE, _circuit, _products
+from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, catalog, eisert, ising, tensor
+from qgames.eisert import (
+    GAMMA_RANGE, _circuit, _products, check_gamma, entangler, strategy_operator,
+)
 
 
 def qvc_closed_form(p: PDPayoffs, gamma: float) -> np.ndarray:
@@ -67,8 +71,38 @@ def classical_chicken_game(c: ChickenPayoffs) -> BimatrixGame:
 def final_state(s1, s2, gamma) -> np.ndarray:
     """L^dag (O1 (x) O2) L |00> for two strategies through the library's
     circuit; a 1-D gamma grid gives one state per gamma."""
-    chi, _ = _circuit(_products((s1, s2)), gamma)
+    chi, _ = _circuit(_products((s1, s2)), check_gamma(gamma))
     return chi[..., 0, 1, :]
+
+
+def uncached_extended_matrix(template, strategies, gamma):
+    """extended_matrix without its caches: the operators and their products
+    built on this call, and the final state squared here."""
+    ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
+    n = len(ops)
+    cells = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(n, n, 4, 4)
+    lhat = entangler(gamma)[..., None, None, :, :]
+    chi = tensor.apply(tensor.adjoint(lhat), tensor.apply(cells, lhat[..., :, 0]))
+    return (chi.conj() * chi).real @ template.weights
+
+
+@pytest.fixture
+def circuit_passes(monkeypatch):
+    """The checked gamma of every run of eisert._circuit, with the probability
+    and game caches empty before and after the test."""
+    passes = []
+    run = eisert._circuit
+
+    def counted(cells, g):
+        passes.append(g)
+        return run(cells, g)
+
+    monkeypatch.setattr(eisert, "_circuit", counted)
+    eisert._probs.cache_clear()
+    catalog._game_table.cache_clear()
+    yield passes
+    eisert._probs.cache_clear()
+    catalog._game_table.cache_clear()
 
 
 def classical_magnetization(beta: float, J: float, h: float) -> float:

@@ -13,6 +13,7 @@ from conftest import (
     qvswerve_closed_form,
     random_chicken,
     random_pd,
+    uncached_extended_matrix,
 )
 from qgames import (
     Block,
@@ -23,7 +24,7 @@ from qgames import (
     phase_transition_gamma,
     quantized_game,
 )
-from qgames import catalog, eisert
+from qgames import catalog, cli, eisert
 from qgames.catalog import _BLOCK_STRATEGIES, GAMES
 from qgames.eisert import D, Q
 from qgames.errors import ConsistencyError, ValidationError
@@ -267,8 +268,10 @@ def circuit_runs(monkeypatch):
 
     monkeypatch.setattr(eisert, "extended_matrix", counted)
     catalog._game_table.cache_clear()
+    eisert._probs.cache_clear()
     yield runs
     catalog._game_table.cache_clear()
+    eisert._probs.cache_clear()
 
 
 class TestBlockIsItsGameSlice:
@@ -294,6 +297,43 @@ class TestBlockIsItsGameSlice:
 
     def test_big_ints_take_the_object_weights(self):
         assert GAMES["pd"][1](BIG_INT_PD).weights.dtype == object
+
+
+class TestProbabilityCache:
+    """Under the game cache, eisert caches the circuit's probabilities per strategy
+    set and gamma, so new payoffs at a gamma met before run no circuit."""
+
+    @pytest.mark.parametrize("kind,payoffs", SLICE_PAYOFFS, ids=repr)
+    def test_every_cached_result_keeps_the_uncached_bits(self, circuit_passes, kind, payoffs):
+        template = GAMES[kind][1](payoffs)
+        sets = [GAMES[kind][2], *(pair for k, pair in _BLOCK_STRATEGIES.values() if k == kind)]
+        for strategies in sets:
+            for gamma in SLICE_GAMMAS:
+                want = uncached_extended_matrix(template, strategies, gamma)
+                for _ in range(2):  # a miss, then a hit
+                    got = eisert.extended_matrix(template, strategies, gamma)
+                    assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want))
+
+    def test_a_sweep_runs_no_circuit_per_curve_and_one_per_transition(self, circuit_passes,
+                                                                       capsys):
+        requests = [("pd", "QvD", ["--r", "3", "--t", "5", "--s", "0", "--p", "1"]),
+                    ("chicken", "QvStraight", ["--r", "3", "--s", "4"]),
+                    ("pd", "QvD", ["--r", "4", "--t", "6", "--s", "-1", "--p", "2"]),
+                    ("chicken", "QvStraight", ["--r", "2", "--s", "3"])]
+        runs = []
+        for game, block, flags in requests:
+            for argv in (["curve", "--game", game, *flags, "--block", block, "--output", "-"],
+                         ["transition", "--game", game, *flags, "--output", "-"]):
+                before = len(circuit_passes)
+                assert cli.main(argv) == 0
+                runs.append([g.shape for g in circuit_passes[before:]])
+        capsys.readouterr()
+        # cold: the curve's grid, then the game's two endpoints and one midpoint pass;
+        # warm: the midpoints of the new crossing alone
+        for curve, transition in (runs[0:2], runs[2:4]):
+            assert curve == [(200,)] and transition[:2] == [(), ()] and len(transition) == 3
+        for curve, transition in (runs[4:6], runs[6:8]):
+            assert curve == [] and len(transition) == 1 and len(transition[0]) == 1
 
 
 class TestGameCache:

@@ -1,11 +1,13 @@
+import functools
 import math
 import re
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -14,11 +16,12 @@ from conftest import (
     final_state,
     random_chicken,
     random_pd,
+    uncached_extended_matrix,
 )
 import qgames
 from qgames import CHICKEN, PD, Block, ChickenPayoffs, IsingParams, PDPayoffs, extract_block
 from qgames import BimatrixGame, magnetization, phase_transition_gamma, to_ising
-from qgames import eisert, tensor
+from qgames import eisert
 from qgames.catalog import _BLOCK_STRATEGIES, GAMES, StrategyBlock
 from qgames.eisert import (
     C,
@@ -33,7 +36,7 @@ from qgames.eisert import (
     extended_matrix,
     strategy_operator,
 )
-from qgames.errors import ValidationError
+from qgames.errors import ConsistencyError, ValidationError
 
 PD_3501 = PDPayoffs(3, 5, 0, 1)
 PD_ROW = GAMES[PD][1](PD_3501)
@@ -243,17 +246,6 @@ class TestExtendedMatrix:
             extended_matrix(PD_ROW, (), 0.5)
 
 
-def uncached_extended_matrix(template, strategies, gamma):
-    """extended_matrix without the product cache: the operators and their
-    products built on this call, and the final state squared here."""
-    ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
-    n = len(ops)
-    cells = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(n, n, 4, 4)
-    lhat = entangler(gamma)[..., None, None, :, :]
-    chi = tensor.apply(tensor.adjoint(lhat), tensor.apply(cells, lhat[..., :, 0]))
-    return (chi.conj() * chi).real @ template.weights
-
-
 def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
@@ -282,6 +274,7 @@ class TestProductCache:
 
     def test_interleaved_sets_leave_each_other_unchanged(self):
         eisert._products.cache_clear()
+        eisert._probs.cache_clear()  # so each set's first call builds its products
         grid = CACHE_GAMMAS[-1]
         first = {s: extended_matrix(PD_ROW, s, grid) for s in CACHED_SETS}
         order = [CACHED_SETS[k] for k in np.random.default_rng(5).permutation(len(CACHED_SETS))]
@@ -308,6 +301,7 @@ class TestProductCache:
         if first == "positive zero":
             calls.reverse()
         eisert._products.cache_clear()
+        eisert._probs.cache_clear()  # equal strategies share its entries too
         try:
             for strategies in calls:
                 for gamma in CACHE_GAMMAS:
@@ -316,6 +310,173 @@ class TestProductCache:
                     assert np.array_equal(bits(got), bits(want))
         finally:
             eisert._products.cache_clear()
+            eisert._probs.cache_clear()
+
+
+# big ints past int64 make the template's weights an object array
+BIG_INT_TEMPLATE = PayoffTemplate(2**64 + 1, 3, -(2**70), 1)
+
+
+def same_payoffs(got, want):
+    return got.dtype == want.dtype and np.array_equal(bits(got), bits(want))
+
+
+class TestProbabilityCache:
+    """eisert._probs holds the circuit's measured probabilities per strategy set,
+    gamma bits and shape: one run serves every payoff template, and each call
+    weighs them into a fresh array with every bit of the uncached circuit."""
+
+    def test_a_miss_and_a_hit_keep_every_bit(self, circuit_passes):
+        templates = [*CACHE_TEMPLATES, BIG_INT_TEMPLATE]
+        assert BIG_INT_TEMPLATE.weights.dtype == object
+        for strategies in CACHED_SETS:
+            for gamma in CACHE_GAMMAS:
+                for template in templates + templates:
+                    want = uncached_extended_matrix(template, strategies, gamma)
+                    assert same_payoffs(extended_matrix(template, strategies, gamma), want)
+        assert len(circuit_passes) == len(CACHED_SETS) * len(CACHE_GAMMAS)
+
+    @pytest.mark.parametrize("gamma", [0.7, np.linspace(0.0, 1.0, 9)], ids=["float", "grid"])
+    def test_a_second_payoff_set_at_the_same_gamma_runs_no_circuit(self, circuit_passes, gamma):
+        order = GAMES[PD][2]
+        extended_matrix(PD_ROW, order, gamma)
+        got = extended_matrix(BIG_INT_TEMPLATE, order, gamma)
+        assert same_payoffs(got, uncached_extended_matrix(BIG_INT_TEMPLATE, order, gamma))
+        assert len(circuit_passes) == 1
+
+    def test_negative_zero_and_zero_keep_separate_entries(self, circuit_passes):
+        gammas = [0.0, -0.0, np.array([0.0]), np.array([-0.0]), -0.0, np.array([0.0])]
+        for gamma in gammas:
+            got = extended_matrix(PD_ROW, (Q, D), gamma)
+            assert same_payoffs(got, uncached_extended_matrix(PD_ROW, (Q, D), gamma))
+        assert [(np.shape(g), math.copysign(1.0, g.flat[0])) for g in circuit_passes] == [
+            ((), 1.0), ((), -1.0), ((1,), 1.0), ((1,), -1.0)]
+        assert eisert._probs.cache_info().currsize == 4
+
+    def test_entries_are_read_only_and_each_result_is_fresh(self, circuit_passes):
+        for gamma in (0.4, np.linspace(0.0, 1.0, 5)):
+            want = uncached_extended_matrix(PD_ROW, (C, Q), gamma)
+            got = extended_matrix(PD_ROW, (C, Q), gamma)
+            got[...] = 99.0
+            again = extended_matrix(PD_ROW, (C, Q), gamma)
+            assert same_payoffs(again, want) and not np.shares_memory(again, got)
+            g = check_gamma(gamma)
+            entry = eisert._probs((C, Q), g.tobytes(), g.shape)  # a hit: the cached array
+            assert not entry.flags.writeable
+            with pytest.raises(ValueError):
+                entry[...] = 0.0
+        assert len(circuit_passes) == 2
+
+    def test_a_consistency_error_is_not_cached(self, circuit_passes, monkeypatch):
+        monkeypatch.setattr(eisert, "NORM_DRIFT_TOL", -1.0)  # every norm drifts
+        with pytest.raises(ConsistencyError, match="state norm drifted"):
+            extended_matrix(PD_ROW, (Q, D), 0.9)
+        assert eisert._probs.cache_info().currsize == 0
+        monkeypatch.setattr(eisert, "NORM_DRIFT_TOL", 1e-10)
+        for _ in range(2):
+            got = extended_matrix(PD_ROW, (Q, D), 0.9)
+            assert same_payoffs(got, uncached_extended_matrix(PD_ROW, (Q, D), 0.9))
+        assert len(circuit_passes) == 2
+
+    def test_the_cache_is_bounded_and_a_grid_above_the_cap_is_not_retained(self,
+                                                                           circuit_passes):
+        maxsize = eisert._probs.cache_info().maxsize
+        # every entry at the cap: 4 float64 probabilities per cell, at most about 5 MB
+        assert maxsize is not None and maxsize * eisert._CACHED_CELLS * 4 * 8 <= 5e6
+        for gamma in np.linspace(0.0, 1.0, maxsize + 4):
+            extended_matrix(PD_ROW, (C, D), gamma)
+        assert eisert._probs.cache_info().currsize == maxsize
+        eisert._probs.cache_clear()
+        at_cap = np.linspace(0.0, math.pi / 2, eisert._CACHED_CELLS // 4)  # 2x2 cells each
+        above = np.linspace(0.0, math.pi / 2, eisert._CACHED_CELLS // 4 + 1)
+        for grid, runs in ((at_cap, 1), (above, 2)):
+            before = len(circuit_passes)
+            for _ in range(2):
+                got = extended_matrix(PD_ROW, (Q, D), grid)
+                assert same_payoffs(got, uncached_extended_matrix(PD_ROW, (Q, D), grid))
+            assert len(circuit_passes) - before == runs
+        assert eisert._probs.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("gamma", [0.3, [0.1, 0.2], np.linspace(0.0, 1.0, 3000)],
+                             ids=["float", "list", "above-the-cap"])
+    def test_each_call_checks_gamma_once_on_a_miss_and_a_hit(self, circuit_passes,
+                                                             monkeypatch, gamma):
+        checks = []
+        check = eisert.check_gamma
+        monkeypatch.setattr(eisert, "check_gamma", lambda g: checks.append(g) or check(g))
+        for calls in (1, 2):
+            extended_matrix(PD_ROW, (Q, D), gamma)
+            assert len(checks) == calls
+
+
+MP_GAMMAS = (0.0, math.pi / 2, 1e-8, math.pi / 2 - 1e-8)
+
+
+def mp_kron(a, b):
+    return mpmath.matrix([[a[i // 2, k // 2] * b[i % 2, k % 2] for k in range(4)]
+                          for i in range(4)])
+
+
+@functools.lru_cache(maxsize=None)
+def mp_probabilities(strategies, gamma):
+    """|<k| L^dag (O_i (x) O_j) L |00>|^2 of every ordered pair at 50 digits, from the
+    float angles read exactly: L(gamma) = cos(gamma/2) + i sin(gamma/2) D (x) D with
+    D = O(pi, 0), the Eisert-Wilkens-Lewenstein entangler."""
+    with mpmath.workdps(50):
+        def operator(theta, phi):
+            c, s = mpmath.cos(mpmath.mpf(theta) / 2), mpmath.sin(mpmath.mpf(theta) / 2)
+            return mpmath.matrix([[mpmath.expj(phi) * c, s], [-s, mpmath.expj(-phi) * c]])
+
+        d = mpmath.matrix([[0, 1], [-1, 0]])
+        half = mpmath.mpf(gamma) / 2
+        ell = mpmath.cos(half) * mpmath.eye(4) + 1j * mpmath.sin(half) * mp_kron(d, d)
+        psi0 = ell * mpmath.matrix([1, 0, 0, 0])
+        ops = [operator(s.theta, s.phi) for s in strategies]
+        return [[[abs(x) ** 2 for x in ell.H * (mp_kron(a, b) * psi0)] for b in ops]
+                for a in ops]
+
+
+def mp_payoffs(kind, payoffs, gamma):
+    """The game's 3x3 row payoffs at 50 digits, in the order of GAMES[kind][2]."""
+    weights = [mpmath.mpf(w) for w in GAMES[kind][1](payoffs).weights.tolist()]
+    with mpmath.workdps(50):
+        return [[mpmath.fsum(p * w for p, w in zip(cell, weights)) for cell in row]
+                for row in mp_probabilities(GAMES[kind][2], gamma)]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@example(low=-1.0, gaps=[1.0, 1.0, 1.0, 1.0], exponent=307.0)  # payoffs up to 3e307
+@example(low=0.5, gaps=[0.01, 0.01, 0.01, 0.01], exponent=-300.0)
+@given(low=st.floats(-1.0, 1.0), gaps=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+       exponent=st.floats(-300.0, 307.0))
+def test_payoffs_and_couplings_are_within_4_ulps_of_a_50_digit_circuit(low, gaps, exponent):
+    """Every cell of both 3x3 games, and (J, h) of every block at a float gamma and
+    along the grid of the four gammas, lies within 4 ulps of the largest |payoff|
+    of the circuit run at 50 digits, at payoff scales 1e-300 to 1e307."""
+    scale = 10.0 ** exponent
+    s, p, r, t = (scale * x for x in np.cumsum([low, *gaps[:3]]).tolist())
+    games = {PD: PDPayoffs(r=r, t=t, s=s, p=p),
+             CHICKEN: ChickenPayoffs(scale * gaps[0], scale * (gaps[0] + gaps[3]))}
+    grid = np.array(MP_GAMMAS)
+    for kind, payoffs in games.items():
+        tol = 4.0 * math.ulp(max(abs(v) for v in vars(payoffs).values()))
+        order = GAMES[kind][2]
+        refs = [mp_payoffs(kind, payoffs, gamma) for gamma in MP_GAMMAS]
+        for gamma, ref in zip(MP_GAMMAS, refs):
+            row = qgames.quantized_game(kind, payoffs, gamma).row
+            assert all(abs(row[i, j] - ref[i][j]) <= tol for i in range(3) for j in range(3))
+        for block, (block_kind, pair) in _BLOCK_STRATEGIES.items():
+            if block_kind != kind:
+                continue
+            k, m = (order.index(x) for x in pair)
+            stacked = qgames.couplings(extract_block(kind, payoffs, block, grid))
+            for gamma, ref, pair_on_grid in zip(MP_GAMMAS, refs, stacked):
+                ip = to_ising(extract_block(kind, payoffs, block, gamma), 1.0)
+                (a, b), (c, d) = (ref[k][k], ref[k][m]), (ref[m][k], ref[m][m])
+                with mpmath.workdps(50):
+                    want = (((a - c) + (d - b)) / 4, ((a - c) + (b - d)) / 4)
+                for got in ((ip.J, ip.h), pair_on_grid):
+                    assert all(abs(x - y) <= tol for x, y in zip(got, want)), (block, gamma)
 
 
 # real scalars that are not Python floats: each must read as its float, bit for bit
@@ -414,15 +575,26 @@ SITES = {
 }
 
 
+BOOLEAN_TABLE = np.array([[True, False], [False, True]])
+
+
 # A one-element list or array is a valid 1-D gamma grid, so the gamma sites do not take those two.
 @pytest.mark.parametrize("call,message,value", [
     pytest.param(call, message, value, id=f"{site}-{repr(value)[:16]}")
     for site, (call, message) in SITES.items() for value in NOT_REAL
     if not (message == GAMMA_NOT_REAL and np.ndim(value) == 1)
+] + [
+    pytest.param(check_gamma, GAMMA_NOT_REAL, np.True_, id="check_gamma-np.True_"),
+    pytest.param(check_gamma, GAMMA_NOT_REAL, True, id="check_gamma-True"),
+    pytest.param(lambda t: StrategyBlock(t, Block.QVD), "block must be a finite 2x2 matrix",
+                 BOOLEAN_TABLE, id="StrategyBlock-boolean-table"),
+    pytest.param(lambda t: BimatrixGame(t, ("a", "b")), "payoffs must be finite",
+                 BOOLEAN_TABLE, id="BimatrixGame-boolean-table"),
 ])
 def test_int_beyond_the_float_range_is_a_validation_error(call, message, value):
-    """An int beyond the float range, and every other value that is not a real
-    scalar (`errors.real`), is refused with the site's own message."""
+    """An int beyond the float range, every other value that is not a real
+    scalar (`errors.real`), and a boolean gamma or table are refused with the
+    site's own message."""
     with pytest.raises(ValidationError, match=message):
         call(value)
 

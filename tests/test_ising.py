@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import sys
 import types
 import warnings
@@ -144,6 +146,22 @@ class TestToIsing:
     def test_complex_params_rejected(self, args):
         with pytest.raises(ValidationError, match="J, h, beta must be finite"):
             IsingParams(*args)
+
+    def test_params_keep_the_frozen_dataclass_protocol(self):
+        ip = IsingParams(-0.25, 0.37, beta=2.0)
+        assert ip == IsingParams(J=-0.25, h=0.37, beta=2.0) != IsingParams(-0.25, 0.37, 2.5)
+        assert hash(ip) == hash(IsingParams(-0.25, 0.37, 2.0))
+        assert repr(ip) == "IsingParams(J=-0.25, h=0.37, beta=2.0)"
+        assert [f.name for f in dataclasses.fields(ip)] == ["J", "h", "beta"]
+        assert dataclasses.astuple(ip) == (-0.25, 0.37, 2.0)
+        assert pickle.loads(pickle.dumps(ip)) == ip
+        assert dataclasses.replace(ip, beta=3.0) == IsingParams(-0.25, 0.37, 3.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ip.J = 1.0
+        with pytest.raises(ValidationError, match="beta must be >= 0, got -1.0"):
+            dataclasses.replace(ip, beta=-1.0)
+        with pytest.raises(TypeError):
+            IsingParams(0.0, 0.0)
 
 
 SIX_BLOCKS = [("pd", b) for b in (Block.QVC, Block.QVD, Block.CLASSICAL_PD)] + [
