@@ -2,15 +2,13 @@
 classical-vs-quantum strategy blocks.
 
 Blocks come from the quantization circuit, never from closed-form matrices (the
-tests hold those).  A game's 3x3 payoffs at a scalar gamma are weighed once per (kind,
-payoff bits, gamma bits) into a bounded cache of 16 read-only tables; blocks are sliced
-from them.  The circuit runs behind both, cached per strategy set and gamma in `eisert`.
+tests hold those).  Each call weighs its game's 3x3 table once, at any gamma, and a
+block is indexed from it; the circuit behind it is cached per strategy set and gamma
+in `eisert`, so the blocks of one game share its runs.
 """
 
 from __future__ import annotations
 
-import functools
-import struct
 import sys
 import warnings
 from dataclasses import dataclass
@@ -140,60 +138,40 @@ GAMES = {
 }
 
 
-def _template_for(game_kind: str, payoffs) -> PayoffTemplate:
+def _table(game_kind: str, payoffs, gamma) -> np.ndarray:
+    """The row player's payoffs over the game's 3x3 strategy order: (3, 3) for a float
+    gamma, (G, 3, 3) along a 1-D grid, fresh from one `extended_matrix` call."""
     if game_kind not in GAMES:
         raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {tuple(GAMES)}")
-    payoff_type, template, *_ = GAMES[game_kind]
+    payoff_type, template, order, *_ = GAMES[game_kind]
     if not isinstance(payoffs, payoff_type):
-        raise ValidationError(
-            f"{game_kind} needs {payoff_type.__name__}, got {type(payoffs).__name__}"
-        )
-    return template(payoffs)
+        raise ValidationError(f"{game_kind} needs {payoff_type.__name__}, "
+                              f"got {type(payoffs).__name__}")
+    # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
+    return eisert.extended_matrix(template(payoffs), strategies=order, gamma=gamma)
 
 
-# Flat indices for `take` of the whole 3x3 table, and of each block's cells in its game's table.
-_GAME_CELLS = np.arange(9).reshape(3, 3)
-_BLOCK_CELLS = {block: _GAME_CELLS[np.ix_(cells, cells)]
+# Each block's rows and columns in its game's table, for `table[..., i, j]`.
+_BLOCK_CELLS = {block: np.ix_(cells, cells)
                 for block, (kind, strategies) in _BLOCK_STRATEGIES.items()
                 for cells in [[GAMES[kind][2].index(s) for s in strategies]]}
 
 
-@functools.lru_cache(maxsize=16)
-def _game_table(game_kind: str, bits: bytes) -> np.ndarray:
-    """A game's read-only 3x3 row payoffs at one gamma, keyed on float bits: -0.0 is not 0.0."""
-    *template, gamma = struct.unpack("5d", bits)
-    # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
-    row = eisert.extended_matrix(PayoffTemplate(*template), strategies=GAMES[game_kind][2],
-                                 gamma=gamma)
-    row.flags.writeable = False
-    return row
-
-
-def _row_payoffs(game_kind: str, template: PayoffTemplate, strategies, gamma, cells):
-    """`cells` of the game's cached table at a float gamma, else one pass over `strategies`."""
-    if not isinstance(gamma, float):
-        # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
-        return eisert.extended_matrix(template, strategies=strategies, gamma=gamma)
-    return _game_table(game_kind, struct.pack("5d", *vars(template).values(), gamma)).take(cells)
-
-
 def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
     """Full 3x3 bimatrix over the classical pair plus the quantum strategy."""
-    template = _template_for(game_kind, payoffs)
-    row = _row_payoffs(game_kind, template, GAMES[game_kind][2], gamma, _GAME_CELLS)
-    return BimatrixGame(row, tuple(s.label for s in GAMES[game_kind][2]))
+    return BimatrixGame(_table(game_kind, payoffs, gamma), [s.label for s in GAMES[game_kind][2]])
 
 
 def extract_block(game_kind: str, payoffs, block_id, gamma):
     """Row-player 2x2 block for one strategy pairing, computed by the circuit.
 
-    A float gamma gives a (2, 2) slice of the game's cached 3x3 table; a 1-D gamma
-    grid gives the blocks stacked, (G, 2, 2), from one pass over the block's pair.
+    The block's cells of its game's table: (2, 2) for a float gamma, and for a 1-D
+    gamma grid the blocks stacked, (G, 2, 2).  A cell depends only on its own strategy
+    pair, so these are the bits of a circuit run over the block's pair alone.
     """
     block_id = Block(block_id)
-    kind_required, strategies = _BLOCK_STRATEGIES[block_id]
+    kind_required, _ = _BLOCK_STRATEGIES[block_id]
     if game_kind != kind_required:
         raise ValidationError(f"block {block_id.value} belongs to game kind {kind_required!r}")
-    template = _template_for(game_kind, payoffs)
-    row = _row_payoffs(game_kind, template, strategies, gamma, _BLOCK_CELLS[block_id])
-    return StrategyBlock(row, block_id)
+    i, j = _BLOCK_CELLS[block_id]
+    return StrategyBlock(_table(game_kind, payoffs, gamma)[..., i, j], block_id)

@@ -124,12 +124,9 @@ def cmd_quantize(args) -> int:
     width = 22
     header = " " * 10 + "".join(lab.ljust(width) for lab in game.labels)
     lines.append(header)
-    for i, lab in enumerate(game.labels):
+    for lab, row, col in zip(game.labels, game.row.tolist(), game.col.tolist()):
         # pad to one under the width, then one space, so a long cell still ends in a separator
-        cells = "".join(
-            f"({game.row[i, j]:.10g}, {game.col[i, j]:.10g})".ljust(width - 1) + " "
-            for j in range(game.n)
-        )
+        cells = "".join(f"({r:.10g}, {c:.10g})".ljust(width - 1) + " " for r, c in zip(row, col))
         lines.append(lab.ljust(10) + cells)
     if equilibria:
         named = ", ".join("(%s, %s)" % game.label_cell(c) for c in equilibria)

@@ -9,7 +9,7 @@ The circuit runs as one vectorized pass over every ordered strategy pair
 and, when gamma is a 1-D grid, over every gamma of the grid.  No payoff enters
 its probabilities, so `_probs` caches them per strategy set and gamma bits (16 runs
 of at most _CACHED_CELLS cells at 32 bytes: 4.7 MB), and each call weighs them with
-its payoffs into a fresh array; `catalog` wraps those into games and blocks.
+its payoffs into a fresh array.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ GAMMA_RANGE = (0.0, math.pi / 2)
 #: A final state whose norm drifts further from 1 means a non-unitary
 #: operator slipped into the circuit: an internal defect.
 NORM_DRIFT_TOL = 1e-10
+
+#: Weighed by probabilities that sum to 1 within NORM_DRIFT_TOL, payoffs this small cannot overflow.
+_SAFE_PAYOFF = 2.0**1023
 
 #: A run of more cells (strategy pairs x gammas) than a 1024-gamma 3x3 game is not cached.
 _CACHED_CELLS = 9 * 1024
@@ -116,9 +119,9 @@ def check_gamma(gamma) -> np.ndarray:
         raise ValidationError(f"gamma={gamma!r} is not a real float or a 1-D grid")
     if g.ndim > 1:
         raise ValidationError(f"gamma must be a float or a 1-D grid, got shape {g.shape}")
-    bad = ~((g >= lo) & (g <= hi))  # NaN is out of range too
-    if bad.any():
-        raise ValidationError(f"gamma={float(g[bad][0])!r} outside [{lo!r}, {hi!r}]")
+    ok = (g >= lo) & (g <= hi)  # NaN is out of range too
+    if not ok.all():
+        raise ValidationError(f"gamma={float(g[~ok][0])!r} outside [{lo!r}, {hi!r}]")
     return g
 
 
@@ -199,4 +202,10 @@ def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
         raise ValidationError(f"strategies must be Strategy instances, got {strategies!r}")
     g = check_gamma(gamma)
     run = _probs if g.size * len(strategies) ** 2 <= _CACHED_CELLS else _probs.__wrapped__
-    return run(strategies, g.tobytes(), g.shape) @ template.weights
+    probs, values = run(strategies, g.tobytes(), g.shape), vars(template).values()
+    if max(map(abs, values)) <= _SAFE_PAYOFF:
+        return probs @ template.weights
+    # a probability rounded above 1 can carry a payoff past the float max; the exact payoff
+    # is a mean of the template's, so it is clipped to their range
+    with np.errstate(over="ignore"):
+        return np.clip(probs @ template.weights, float(min(values)), float(max(values)))

@@ -24,8 +24,9 @@ class ConsistencyError(RuntimeError):
 def real(value):
     """The float of a numbers.Real within the float range or of a 0-d array of one, else None."""
     value = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
-    try:  # float tested first, since the numbers.Real ABC test is slow
-        return float(value) if isinstance(value, (float, numbers.Real)) else None
+    try:  # float tested first, since the numbers.Real ABC test is slow; a bool is refused
+        ok = isinstance(value, (float, numbers.Real)) and type(value) is not bool
+        return float(value) if ok else None
     except OverflowError:  # an int beyond the float range
         return None
 

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, catalog, eisert, ising, tensor
+from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, eisert, ising, tensor
 from qgames.eisert import (
     GAMMA_RANGE, _circuit, _products, check_gamma, entangler, strategy_operator,
 )
@@ -89,7 +89,7 @@ def uncached_extended_matrix(template, strategies, gamma):
 @pytest.fixture
 def circuit_passes(monkeypatch):
     """The checked gamma of every run of eisert._circuit, with the probability
-    and game caches empty before and after the test."""
+    cache empty before and after the test."""
     passes = []
     run = eisert._circuit
 
@@ -99,10 +99,8 @@ def circuit_passes(monkeypatch):
 
     monkeypatch.setattr(eisert, "_circuit", counted)
     eisert._probs.cache_clear()
-    catalog._game_table.cache_clear()
     yield passes
     eisert._probs.cache_clear()
-    catalog._game_table.cache_clear()
 
 
 def classical_magnetization(beta: float, J: float, h: float) -> float:

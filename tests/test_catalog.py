@@ -24,9 +24,8 @@ from qgames import (
     phase_transition_gamma,
     quantized_game,
 )
-from qgames import catalog, cli, eisert
+from qgames import cli, eisert
 from qgames.catalog import _BLOCK_STRATEGIES, GAMES
-from qgames.eisert import D, Q
 from qgames.errors import ConsistencyError, ValidationError
 
 
@@ -257,8 +256,8 @@ SLICE_GAMMAS = [0.0, -0.0, 5e-324, math.pi / 2, *_RNG.uniform(0.0, math.pi / 2, 
 
 @pytest.fixture
 def circuit_runs(monkeypatch):
-    """The (args, kwargs, payoffs) of every circuit run, with the game cache
-    empty before and after the test."""
+    """The (args, kwargs, payoffs) of every `extended_matrix` call, with the
+    probability cache empty before and after the test."""
     runs = []
     run = eisert.extended_matrix
 
@@ -267,10 +266,8 @@ def circuit_runs(monkeypatch):
         return runs[-1][2]
 
     monkeypatch.setattr(eisert, "extended_matrix", counted)
-    catalog._game_table.cache_clear()
     eisert._probs.cache_clear()
     yield runs
-    catalog._game_table.cache_clear()
     eisert._probs.cache_clear()
 
 
@@ -300,7 +297,7 @@ class TestBlockIsItsGameSlice:
 
 
 class TestProbabilityCache:
-    """Under the game cache, eisert caches the circuit's probabilities per strategy
+    """Under every game and block, eisert caches the circuit's probabilities per strategy
     set and gamma, so new payoffs at a gamma met before run no circuit."""
 
     @pytest.mark.parametrize("kind,payoffs", SLICE_PAYOFFS, ids=repr)
@@ -336,58 +333,71 @@ class TestProbabilityCache:
             assert curve == [] and len(transition) == 1 and len(transition[0]) == 1
 
 
-class TestGameCache:
-    """At a float gamma, a game's 3x3 payoffs run once per (kind, payoff
-    bits, gamma bits) into a bounded cache of read-only arrays."""
+class TestOneRoute:
+    """Every game and block call weighs its game's 3x3 table from one
+    `extended_matrix` call, at a float gamma or along a grid; circuit runs are
+    shared through eisert's probability cache alone."""
 
+    @pytest.mark.parametrize("gamma", [0.7, np.float64(0.7), np.array(0.7), [0.7],
+                                       np.linspace(0.0, 1.0, 7)],
+                             ids=["float", "float64", "0-d", "list", "grid"])
     @pytest.mark.parametrize("kind,payoffs", [("pd", PDPayoffs(3, 5, 0, 1)),
                                               ("chicken", ChickenPayoffs(3, 4))])
-    def test_a_game_and_its_three_blocks_run_the_circuit_once(self, circuit_runs, kind,
-                                                              payoffs):
-        quantized_game(kind, payoffs, 0.7)
+    def test_a_game_and_its_three_blocks_run_the_circuit_once(self, circuit_runs,
+                                                              circuit_passes, kind, payoffs,
+                                                              gamma):
+        calls = 1
+        if np.ndim(gamma) == 0:
+            quantized_game(kind, payoffs, gamma)
+        else:
+            calls = 0  # a grid is not a game
         for block_id, (block_kind, _) in _BLOCK_STRATEGIES.items():
             if block_kind == kind:
-                extract_block(kind, payoffs, block_id, np.float64(0.7))
-        assert [kwargs["strategies"] for _, kwargs, _ in circuit_runs] == [GAMES[kind][2]]
+                extract_block(kind, payoffs, block_id, gamma)
+                calls += 1
+        assert [kwargs["strategies"] for _, kwargs, _ in circuit_runs] == [GAMES[kind][2]] * calls
+        assert len(circuit_passes) == 1
 
-    def test_a_grid_runs_the_blocks_own_pair_and_checks_it_once(self, circuit_runs,
-                                                                monkeypatch):
+    @pytest.mark.parametrize("game,flags,blocks", [
+        ("pd", ["--r", "3", "--t", "5", "--s", "0", "--p", "1"], ["QvD", "QvC", "ClassicalPD"]),
+        ("chicken", ["--r", "3", "--s", "4"], ["QvStraight", "QvSwerve", "ClassicalChicken"]),
+    ])
+    def test_a_curve_after_another_block_of_its_game_runs_no_circuit(self, circuit_passes,
+                                                                     capsys, game, flags,
+                                                                     blocks):
+        runs = []
+        for block in blocks:
+            before = len(circuit_passes)
+            assert cli.main(["curve", "--game", game, *flags, "--block", block]) == 0
+            runs.append(len(circuit_passes) - before)
+        capsys.readouterr()
+        assert runs == [1, 0, 0]
+
+    def test_writing_into_a_result_leaves_the_next_call_unchanged(self, circuit_passes):
+        payoffs = PDPayoffs(3, 5, 0, 1)
+        grid = np.array([0.1, 0.4])
+        results = [lambda: quantized_game("pd", payoffs, 0.4).row,
+                   lambda: extract_block("pd", payoffs, Block.QVC, 0.4).row_payoffs,
+                   lambda: extract_block("pd", payoffs, Block.QVD, grid).row_payoffs]
+        for result in results:
+            first = result()
+            want = first.copy()
+            first[...] = 99.0
+            assert np.array_equal(bits(result()), bits(want))
+        assert len(circuit_passes) == 2  # one for the gamma 0.4, one for the grid
+
+    @pytest.mark.parametrize("gamma", [0.3, np.float64(0.3), np.linspace(0.0, 1.0, 7),
+                                       np.linspace(0.0, 1.0, 2000)],
+                             ids=["float", "float64", "grid", "uncached-grid"])
+    def test_each_extract_block_call_checks_gamma_once(self, circuit_passes, monkeypatch,
+                                                       gamma):
         checks = []
         check = eisert.check_gamma
         monkeypatch.setattr(eisert, "check_gamma", lambda g: checks.append(g) or check(g))
-        grid = np.linspace(0.0, 1.0, 7)
-        extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, grid)
-        assert [kwargs["strategies"] for _, kwargs, _ in circuit_runs] == [(Q, D)]
-        assert len(checks) == 1
-        assert catalog._game_table.cache_info().currsize == 0
-
-    def test_the_cache_is_bounded_and_its_arrays_read_only(self, circuit_runs):
-        maxsize = catalog._game_table.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 16
-        payoffs = PDPayoffs(3, 5, 0, 1)
-        gammas = np.linspace(0.0, 1.0, maxsize + 4)
-        for gamma in gammas:
-            quantized_game("pd", payoffs, gamma)
-        assert catalog._game_table.cache_info().currsize == maxsize
-        assert len(circuit_runs) == len(gammas)
-        quantized_game("pd", payoffs, gammas[0])  # evicted: runs again
-        assert len(circuit_runs) == len(gammas) + 1
-        for _, _, table in circuit_runs:
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0, 0] = 0.0
-
-    def test_writing_into_a_result_leaves_the_next_call_unchanged(self, circuit_runs):
-        payoffs = PDPayoffs(3, 5, 0, 1)
-        game = quantized_game("pd", payoffs, 0.4)
-        block = extract_block("pd", payoffs, Block.QVC, 0.4)
-        want_game, want_block = game.row.copy(), block.row_payoffs.copy()
-        game.row[...] = 99.0
-        block.row_payoffs[...] = -99.0
-        assert np.array_equal(bits(quantized_game("pd", payoffs, 0.4).row), bits(want_game))
-        assert np.array_equal(bits(extract_block("pd", payoffs, Block.QVC, 0.4).row_payoffs),
-                              bits(want_block))
-        assert len(circuit_runs) == 1
+        for _ in range(2):  # a miss, then a hit of the probability cache
+            extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, gamma)
+            extract_block("chicken", ChickenPayoffs(3, 4), Block.QVSWERVE, gamma)
+        assert len(checks) == 4
 
     def test_a_consistency_error_is_not_cached(self, circuit_runs, monkeypatch):
         run = eisert.extended_matrix
@@ -404,16 +414,3 @@ class TestGameCache:
         assert len(circuit_runs) == 2
         grid = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, np.array([0.9]))
         assert np.array_equal(bits(got), bits(grid.row_payoffs[0]))
-
-    @pytest.mark.parametrize("first", ["positive zero", "negative zero"])
-    def test_negative_zero_never_shares_the_entry_of_zero(self, circuit_runs, first):
-        calls = [(PDPayoffs(0.0, 1.0, -2.0, -1.0), 0.0), (PDPayoffs(-0.0, 1.0, -2.0, -1.0), 0.0),
-                 (PDPayoffs(0.0, 1.0, -2.0, -1.0), -0.0)]
-        if first == "negative zero":
-            calls.reverse()
-        for payoffs, gamma in calls:
-            quantized_game("pd", payoffs, gamma)
-        assert len(circuit_runs) == 3
-        signs = [(math.copysign(1.0, args[0].v00), math.copysign(1.0, kwargs["gamma"]))
-                 for args, kwargs, _ in circuit_runs]
-        assert sorted(signs) == [(-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]

@@ -1351,3 +1351,108 @@ def test_well_formed_argv_is_read_without_argparse(perfbench, capsys, monkeypatc
     assert_golden("curve_pd_qvd.sha256", want[1][3]["pd_qvd.csv"])
     for name, argv in CASES.items():
         assert_golden(name, stdout_bytes(capsys, argv))
+
+
+# Numeric flag values of the contract fuzz below: signed zeros, subnormals, the float
+# extremes, infinities, NaN and a literal beyond the float range, besides log-uniform
+# magnitudes of either sign and plain values.
+EDGE_NUMBERS = ("0", "-0.0", "5e-324", "-5e-324", "1e-310", "1e308", "-1e308",
+                "1.7976931348623157e308", "-1.7976931348623157e308", "inf", "-inf", "nan",
+                "1e400")
+FLOAT_MAX = sys.float_info.max
+SWAP_WARNING = re.compile(r"s == r == .*: strict ordering s > r relaxed")
+
+
+def number(lo, hi, valid=None):
+    """An edge value, a log-uniform magnitude of either sign, or (half the
+    draws) a plain value within [lo, hi]; with a `valid` range, only values
+    within it."""
+    log_uniform = st.builds(lambda sign, e: repr(sign * 10.0**e),
+                            st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 300.0))
+    inside = st.floats(lo, hi).map(repr)
+    values = st.one_of(st.sampled_from(EDGE_NUMBERS), log_uniform, inside, inside)
+    return values if valid is None else values.filter(lambda x: valid[0] <= float(x) <= valid[1])
+
+
+@st.composite
+def contract_argv(draw):
+    """A well-formed argv of any subcommand with every numeric flag drawn from
+    `number`. Half the argvs keep each value within its flag's documented
+    range, with distinct payoffs in their game's order; the chain and
+    Metropolis sizes stay small."""
+    name = draw(st.sampled_from(("quantize", "curve", "transition", "oracle")))
+    tame = draw(st.booleans())
+
+    def num(lo, hi, valid):
+        return number(lo, hi, valid if tame else None)
+
+    def pick(valid, wild):
+        return st.sampled_from(valid if tame else valid + wild)
+
+    if name == "oracle":
+        flags = {"--J": num(-3, 3, (-FLOAT_MAX, FLOAT_MAX)),
+                 "--h": num(-3, 3, (-FLOAT_MAX, FLOAT_MAX)),
+                 "--beta": num(0, 10, (0, FLOAT_MAX)),
+                 "--N": pick((2, 3, 8, 12), (1, -1)), "--sweeps": pick((60, 20), (1, 0, -1)),
+                 "--burn-in": pick((0, 10), (60, -1)),
+                 "--seed": st.integers(0, 2**64) if tame else st.integers(-1, 2**64)}
+        argv = [name, *(tok for flag, values in flags.items() for tok in (flag, str(draw(values))))]
+        return argv + [f for f in ("--no-enumeration", "--no-metropolis") if draw(st.booleans())]
+    game = draw(st.sampled_from(sorted(GAMES)))
+    ascending = ("--s", "--p", "--r", "--t") if game == "pd" else ("--r", "--s")
+    payoff = num(-5, 5, (-FLOAT_MAX, FLOAT_MAX) if game == "pd" else (5e-324, FLOAT_MAX))
+    values = draw(st.lists(payoff, min_size=len(ascending), max_size=len(ascending),
+                           unique_by=float))
+    if tame or draw(st.booleans()):
+        values.sort(key=float)
+    argv = [name, "--game", game, *(tok for pair in zip(ascending, values) for tok in pair)]
+    blocks = [b.value for b, (kind, _) in _BLOCK_STRATEGIES.items() if kind == game]
+    if name == "quantize":
+        flag, hi = draw(st.sampled_from((("--gamma", math.pi / 2), ("--gamma-degrees", 90.0))))
+        return argv + [flag, draw(num(0, hi, (0, hi)))]
+    if name == "transition":
+        return argv + draw(st.sampled_from([[], *(["--block", b] for b in blocks)]))
+    argv += ["--block", draw(st.sampled_from(blocks)),
+             "--beta", ",".join(draw(st.lists(num(0, 10, (0, FLOAT_MAX)), min_size=1,
+                                              max_size=3)))]
+    start, stop = (draw(num(0, 0.8, (0, 0.8))), draw(num(0.8, 1.5, (0.8, 1.5))))
+    for flag, value in (("--gamma-start", start), ("--gamma-stop", stop),
+                        ("--gamma-steps", str(draw(pick((1, 2, 5), (0, -1)))))):
+        if draw(st.booleans()):
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(contract_argv())
+def test_main_exits_0_2_or_3_with_one_error_line_and_finite_csv_fields(argv):
+    """Whatever numbers the flags carry, `main` returns 0, 2 or 3 (argparse's
+    exit 2 included) and raises nothing else; stderr is one `error:` or
+    `internal consistency failure:` line or argparse's usage and error, the
+    one warning is the documented s == r one, and every number a `curve` or
+    `oracle` CSV prints is finite."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    elif lines and lines[0].startswith("usage: "):
+        assert code == 2 and re.fullmatch(rf"qgames {argv[0]}: error: .+", lines[-1])
+    else:
+        prefix = "error: " if code == 2 else "internal consistency failure: "
+        assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert all(w.category is UserWarning and SWAP_WARNING.fullmatch(str(w.message))
+               for w in caught), [str(w.message) for w in caught]
+    if argv[0] in ("curve", "oracle") and out.getvalue():
+        header, *rows = (line.split(",") for line in out.getvalue().splitlines())
+        numeric = range(len(header)) if argv[0] == "curve" else (2, 3)
+        for row in rows:
+            fields = [row[k] for k in numeric if row[k]]  # an oracle row's empty std_error
+            assert all(math.isfinite(float(x)) for x in fields), row

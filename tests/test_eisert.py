@@ -20,7 +20,7 @@ from conftest import (
 )
 import qgames
 from qgames import CHICKEN, PD, Block, ChickenPayoffs, IsingParams, PDPayoffs, extract_block
-from qgames import BimatrixGame, magnetization, phase_transition_gamma, to_ising
+from qgames import BimatrixGame, magnetization, phase_transition_gamma, quantized_game, to_ising
 from qgames import eisert
 from qgames.catalog import _BLOCK_STRATEGIES, GAMES, StrategyBlock
 from qgames.eisert import (
@@ -244,6 +244,29 @@ class TestExtendedMatrix:
     def test_rejects_empty_strategy_list(self):
         with pytest.raises(ValidationError):
             extended_matrix(PD_ROW, (), 0.5)
+
+    @pytest.mark.parametrize("kind,payoffs", [
+        (CHICKEN, ChickenPayoffs(1.0, 1.7976931348623157e308)),
+        (PD, PDPayoffs(1.0, 1.7976931348623157e308, -1.7976931348623157e308, 0.0)),
+        (PD, PDPayoffs(9e307, 1e308, -9e307, 0.0)),
+    ], ids=["chicken-max", "pd-max", "pd-above-half-max"])
+    def test_a_payoff_near_the_float_max_stays_in_the_payoffs_range(self, kind, payoffs):
+        """Classical cells have probabilities 1 + 2 ulps on 8 of the 200 default gammas; weighed
+        with a payoff near the float max they once overflowed to -inf with a RuntimeWarning,
+        failing `quantize` and each block that holds such a cell.  The exact payoff is a mean of the
+        template's, so each cell is clipped to their range; other cells keep their bits."""
+        _, template, strategies, *_ = GAMES[kind]
+        row_t, grid = template(payoffs), np.linspace(0.0, math.pi / 2, 200)
+        with np.errstate(over="ignore"):
+            plain = uncached_extended_matrix(row_t, strategies, grid)
+        values = [float(v) for v in vars(row_t).values()]
+        inside = (plain >= min(values)) & (plain <= max(values))
+        assert not inside.all()  # the rounding this guards against
+        got = extended_matrix(row_t, strategies, grid)
+        assert got.min() == min(values) and got.max() <= max(values)
+        assert np.array_equal(bits(got[inside]), bits(plain[inside]))
+        for k, gamma in enumerate(grid):
+            assert np.array_equal(bits(quantized_game(kind, payoffs, gamma).row), bits(got[k]))
 
 
 def bits(a):
@@ -584,8 +607,11 @@ BOOLEAN_TABLE = np.array([[True, False], [False, True]])
     for site, (call, message) in SITES.items() for value in NOT_REAL
     if not (message == GAMMA_NOT_REAL and np.ndim(value) == 1)
 ] + [
+    pytest.param(call, message, value, id=f"{site}-{value!r}")
+    for site, (call, message) in SITES.items() for value in (True, False)
+    if site not in ("StrategyBlock", "BimatrixGame")  # NumPy reads a bool in a list as float
+] + [
     pytest.param(check_gamma, GAMMA_NOT_REAL, np.True_, id="check_gamma-np.True_"),
-    pytest.param(check_gamma, GAMMA_NOT_REAL, True, id="check_gamma-True"),
     pytest.param(lambda t: StrategyBlock(t, Block.QVD), "block must be a finite 2x2 matrix",
                  BOOLEAN_TABLE, id="StrategyBlock-boolean-table"),
     pytest.param(lambda t: BimatrixGame(t, ("a", "b")), "payoffs must be finite",
@@ -593,8 +619,8 @@ BOOLEAN_TABLE = np.array([[True, False], [False, True]])
 ])
 def test_int_beyond_the_float_range_is_a_validation_error(call, message, value):
     """An int beyond the float range, every other value that is not a real
-    scalar (`errors.real`), and a boolean gamma or table are refused with the
-    site's own message."""
+    scalar (`errors.real`), a bool at a scalar site, and a boolean gamma or
+    table are refused with the site's own message."""
     with pytest.raises(ValidationError, match=message):
         call(value)
 
