@@ -19,7 +19,7 @@ import numpy as np
 from . import eisert
 from .eisert import C, D, Q, STRAIGHT, SWERVE, PayoffTemplate
 from .equilibrium import BimatrixGame
-from .errors import ValidationError, finite, real_array
+from .errors import ValidationError, finite, real_array, unchecked
 
 PD = "pd"
 CHICKEN = "chicken"
@@ -111,10 +111,10 @@ class StrategyBlock:
         return tuple(s.label for s in _BLOCK_STRATEGIES[self.block_id][1])
 
     def as_game(self) -> BimatrixGame:
-        """The block as a symmetric two-player game."""
+        """The block as a symmetric two-player game, of payoffs and labels it has checked."""
         if self.row_payoffs.ndim != 2:
             raise ValidationError("as_game takes one 2x2 block, not a stack along gamma")
-        return BimatrixGame(self.row_payoffs, self.labels)
+        return unchecked(BimatrixGame, row=self.row_payoffs, labels=self.labels)
 
 
 def _pd_cos_2gamma(p: PDPayoffs) -> float:
@@ -139,8 +139,8 @@ GAMES = {
 
 
 def _table(game_kind: str, payoffs, gamma) -> np.ndarray:
-    """The row player's payoffs over the game's 3x3 strategy order: (3, 3) for a float
-    gamma, (G, 3, 3) along a 1-D grid, fresh from one `extended_matrix` call."""
+    """The row player's payoffs over the game's 3x3 strategy order: (3, 3) for a float gamma,
+    (G, 3, 3) along a 1-D grid, fresh from one `extended_matrix` call, finite, as float64."""
     if game_kind not in GAMES:
         raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {tuple(GAMES)}")
     payoff_type, template, order, *_ = GAMES[game_kind]
@@ -148,7 +148,8 @@ def _table(game_kind: str, payoffs, gamma) -> np.ndarray:
         raise ValidationError(f"{game_kind} needs {payoff_type.__name__}, "
                               f"got {type(payoffs).__name__}")
     # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
-    return eisert.extended_matrix(template(payoffs), strategies=order, gamma=gamma)
+    table = eisert.extended_matrix(template(payoffs), strategies=order, gamma=gamma)
+    return table.astype(float, copy=False)  # big-int payoffs weigh as an object array
 
 
 # Each block's rows and columns in its game's table, for `table[..., i, j]`.
@@ -174,4 +175,5 @@ def extract_block(game_kind: str, payoffs, block_id, gamma):
     if game_kind != kind_required:
         raise ValidationError(f"block {block_id.value} belongs to game kind {kind_required!r}")
     i, j = _BLOCK_CELLS[block_id]
-    return StrategyBlock(_table(game_kind, payoffs, gamma)[..., i, j], block_id)
+    return unchecked(StrategyBlock, row_payoffs=_table(game_kind, payoffs, gamma)[..., i, j],
+                     block_id=block_id)  # a table of the shape and values it checks

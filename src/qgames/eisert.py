@@ -119,6 +119,8 @@ def check_gamma(gamma) -> np.ndarray:
         raise ValidationError(f"gamma={gamma!r} is not a real float or a 1-D grid")
     if g.ndim > 1:
         raise ValidationError(f"gamma must be a float or a 1-D grid, got shape {g.shape}")
+    if g.ndim == 0 and lo <= g.item() <= hi:  # one float compare, not four NumPy calls
+        return g
     ok = (g >= lo) & (g <= hi)  # NaN is out of range too
     if not ok.all():
         raise ValidationError(f"gamma={float(g[~ok][0])!r} outside [{lo!r}, {hi!r}]")

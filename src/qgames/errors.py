@@ -51,3 +51,9 @@ def real_array(value):
     if a.dtype.kind == "O":  # element by element; one that `real` refuses leaves it object
         a = np.array([real(x) for x in a.flat]).reshape(a.shape)
     return a.astype(float, copy=False) if a.dtype.kind in "iuf" else None
+
+
+def unchecked(cls, **fields):
+    """A frozen dataclass `cls` holding `fields` as given, its checks not run."""
+    vars(obj := object.__new__(cls)).update(fields)  # past the frozen __setattr__
+    return obj

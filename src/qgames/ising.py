@@ -76,6 +76,21 @@ def to_ising(block, beta: float) -> IsingParams:
     return IsingParams(J=J, h=h, beta=real(beta))  # None fails IsingParams' check
 
 
+def curve_rows(block: StrategyBlock, betas) -> tuple[list[tuple[float, float]], list[float]]:
+    """`couplings(block)`, and m at each (gamma, beta) row, gamma-major, one `magnetization`
+    call a row. Each beta passes IsingParams' check once, in order, and each row's params,
+    finite by construction, are `errors.unchecked` inline (a call would cost as much)."""
+    pairs, ms = couplings(block), []
+    for beta in betas:
+        IsingParams(0.0, 0.0, beta)  # the first bad beta raises its message
+    for J, h in pairs:
+        for beta in betas:
+            ip = object.__new__(IsingParams)
+            ip.__dict__.update(J=J, h=h, beta=beta)
+            ms.append(magnetization(ip))
+    return pairs, ms
+
+
 _LN2 = math.log(2.0)
 
 

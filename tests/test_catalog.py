@@ -295,6 +295,14 @@ class TestBlockIsItsGameSlice:
     def test_big_ints_take_the_object_weights(self):
         assert GAMES["pd"][1](BIG_INT_PD).weights.dtype == object
 
+    @pytest.mark.parametrize("gamma", [0.4, np.array([0.1, 0.4])], ids=["float", "grid"])
+    def test_a_big_int_block_is_float64(self, gamma):
+        # the object table is converted once, where the block is built unchecked
+        block = extract_block("pd", BIG_INT_PD, Block.QVD, gamma)
+        assert block.row_payoffs.dtype == np.float64
+        if np.ndim(gamma) == 0:
+            assert block.as_game().row.dtype == np.float64
+
 
 class TestProbabilityCache:
     """Under every game and block, eisert caches the circuit's probabilities per strategy

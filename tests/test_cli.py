@@ -24,9 +24,11 @@ from conftest import (
     random_chicken,
     random_pd,
 )
-from qgames import Block, cli, extract_block
+from qgames import Block, IsingParams, cli, couplings, extract_block, magnetization
 from qgames.catalog import _BLOCK_STRATEGIES, GAMES
 from qgames.cli import main
+from qgames.eisert import check_gamma
+from qgames.errors import ResourceLimitError, ValidationError
 from test_golden import CASES, assert_golden, stdout_bytes
 from test_perfbench import perfbench  # noqa: F401  (fixture)
 
@@ -413,6 +415,80 @@ class TestCurve:
         assert len(rows) == 3 * len(cli.DEFAULT_BETAS)
         assert all(math.isfinite(x) for row in rows for x in row)
         assert all(-1.0 <= row[4] <= 1.0 for row in rows)
+
+
+def reference_curve(args) -> int:
+    """`cli.cmd_curve` with the row loop it had before `ising.curve_rows`: one checked
+    IsingParams, one `magnetization` call and one f-string per row."""
+    payoffs = cli._payoffs_from(args)
+    betas = cli._parse_betas(args.beta)
+    if args.gamma_steps < 1:
+        raise ValidationError("--gamma-steps must be >= 1")
+    if args.gamma_steps * len(betas) > cli.MAX_CURVE_ROWS:
+        raise ResourceLimitError(f"curve takes gamma steps x betas up to {cli.MAX_CURVE_ROWS} "
+                                 f"rows, got {args.gamma_steps} x {len(betas)}")
+    ends = check_gamma([args.gamma_start, args.gamma_stop][: args.gamma_steps])
+    grid = np.linspace(ends[0], ends[-1], args.gamma_steps)
+    stacked = extract_block(args.game, payoffs, args.block, grid)
+    if not np.all(np.diff(grid) > 0):
+        raise ValidationError("gamma grid must be strictly increasing")
+    lines = ["gamma,beta,J,h,m"]
+    beta_cols = [(b, f"{b:.17g}") for b in betas]
+    for g, (J, h) in zip(grid.tolist(), couplings(stacked)):
+        gamma_col, jh_cols = f"{g:.17g}", f"{J:.17g},{h:.17g}"
+        for b, beta_col in beta_cols:
+            m = magnetization(IsingParams(J, h, b))
+            lines.append(f"{gamma_col},{beta_col},{jh_cols},{m:.17g}")
+    cli._emit(args.output, lines)
+    return 0
+
+
+def main_outputs(argv):
+    """Exit code, stdout and stderr of one in-process `qgames` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+CURVE_PAYOFFS = {
+    "pd": [("3", "5", "0", "1"), ("0.3", "2.5", "-1", "0"), ("1e308", "1.7e308", "-1.7e308", "0")],
+    "chicken": [("3", "4"), ("1", "1e300"), ("1e308", "1.5e308")],
+}
+EDGE_BETAS = ["-0.0", "0", "5e-324", "1e-300", "0.5", "1", "20", "1e300",
+              "1.7976931348623157e+308", "nan", "inf", "-inf", "-1"]
+
+
+@st.composite
+def curve_argvs(draw):
+    game = draw(st.sampled_from(sorted(GAMES)))
+    names = [f.name for f in dataclasses.fields(GAMES[game][0])]
+    payoffs = draw(st.sampled_from(CURVE_PAYOFFS[game]))
+    block = draw(st.sampled_from([b.value for b, (kind, _) in _BLOCK_STRATEGIES.items()
+                                  if kind == game]))
+    # one or two of the last eight betas (half of them bad) among good ones, so a bad beta
+    # is often not first and two bad ones must raise the message of the first
+    betas = draw(st.lists(st.sampled_from(EDGE_BETAS[:9]), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 2))):
+        betas.insert(draw(st.integers(0, len(betas))), draw(st.sampled_from(EDGE_BETAS[5:])))
+    ends = draw(st.sampled_from([("0", "1.5707963267948966"), ("0.3", "0.31"), ("0", "0"),
+                                 ("1e-300", "1"), ("1.2", "0.4")]))
+    steps = draw(st.sampled_from(["1", "2", "3", "17"]))
+    return (["curve", "--game", game, *(f"--{k}={v}" for k, v in zip(names, payoffs)),
+             "--block", block, "--beta=" + ",".join(betas), "--gamma-start", ends[0],
+             "--gamma-stop", ends[1], "--gamma-steps", steps])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(curve_argvs())
+@example(["curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1",
+          "--block", "QvD"])
+def test_curve_bytes_match_the_row_loop(argv):
+    got = main_outputs(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(cli.build_parser().subcommands["curve"]._defaults, "func", reference_curve)
+        want = main_outputs(argv)
+    assert got == want
 
 
 class TestTransition:

@@ -100,6 +100,25 @@ class TestEntangler:
         with pytest.raises(ValidationError):
             entangler(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.0, 5e-324, 0.7, math.pi / 2, 1, np.float64(0.7),
+                                       np.float32(0.5), np.array(0.7)], ids=repr)
+    def test_check_gamma_returns_a_scalar_as_its_0d_float64_array(self, gamma):
+        g = check_gamma(gamma)
+        assert (type(g), g.shape, g.dtype) == (np.ndarray, (), np.float64)
+        assert g.tobytes() == np.float64(gamma).tobytes()  # the probability cache's key
+        if type(gamma) is np.ndarray:
+            assert g is gamma
+
+    @pytest.mark.parametrize("gamma, named", [
+        (-5e-324, "-5e-324"), (-0.1, "-0.1"), (1.5707963267948968, "1.5707963267948968"),
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (np.array(2.0), "2.0"),
+        (np.float64(math.nan), "nan"),
+    ], ids=repr)
+    def test_check_gamma_names_a_scalar_outside_the_range(self, gamma, named):
+        with pytest.raises(ValidationError) as err:
+            check_gamma(gamma)
+        assert str(err.value) == f"gamma={named} outside [0.0, 1.5707963267948966]"
+
     def test_grid_gives_a_stack_of_the_single_gates(self):
         grid = np.linspace(0, math.pi / 2, 9)
         stack = entangler(grid)

@@ -539,6 +539,35 @@ class TestCurve:
             with pytest.raises(ValidationError, match=match):
                 self.sweep(tmp_path, "QvD", 1.0, *flags)
 
+    def test_one_magnetization_call_per_row_on_the_checked_params(self, monkeypatch, capsys):
+        seen = []
+        run = ising.magnetization
+        monkeypatch.setattr(ising, "magnetization", lambda ip: seen.append(ip) or run(ip))
+        betas = (0.5, -0.0, 3.0)
+        assert cli.main(["curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
+                         "--p", "1", "--block", "QvD", "--gamma-stop", "1",
+                         "--gamma-steps", "7", "--beta=0.5,-0.0,3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        stacked = extract_block("pd", PD_3501, Block.QVD, np.linspace(0.0, 1.0, 7))
+        want = [IsingParams(J, h, b) for J, h in couplings(stacked) for b in betas]
+        assert len(seen) == len(rows) == 21
+        assert seen == want and [hash(ip) for ip in seen] == [hash(ip) for ip in want]
+        assert all(type(ip) is IsingParams and vars(ip) == vars(w) for ip, w in zip(seen, want))
+
+    @pytest.mark.parametrize("betas, message", [
+        ((1.0, -1.0), "beta must be >= 0, got -1.0"),
+        ((2.0, math.nan, -1.0), "J, h, beta must be finite"),
+        ((0.0, -math.inf, math.inf), "J, h, beta must be finite"),
+        ((-2.0, math.nan), "beta must be >= 0, got -2.0"),
+    ])
+    def test_the_first_bad_beta_raises_its_message_before_any_row(self, monkeypatch, betas,
+                                                                  message):
+        monkeypatch.setattr(ising, "magnetization", lambda ip: pytest.fail("a row ran"))
+        stacked = extract_block("pd", PD_3501, Block.QVD, np.linspace(0.0, 1.0, 3))
+        with pytest.raises(ValidationError) as err:
+            ising.curve_rows(stacked, betas)
+        assert str(err.value) == message
+
 
 class TestPhaseTransition:
     def test_pd_reference_point(self):
