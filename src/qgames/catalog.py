@@ -160,7 +160,10 @@ _BLOCK_CELLS = {block: np.ix_(cells, cells)
 
 def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
     """Full 3x3 bimatrix over the classical pair plus the quantum strategy."""
-    return BimatrixGame(_table(game_kind, payoffs, gamma), [s.label for s in GAMES[game_kind][2]])
+    table = _table(game_kind, payoffs, gamma)
+    if table.ndim != 2:
+        raise ValidationError("quantized_game takes one gamma, not a grid")
+    return unchecked(BimatrixGame, row=table, labels=tuple(s.label for s in GAMES[game_kind][2]))
 
 
 def extract_block(game_kind: str, payoffs, block_id, gamma):

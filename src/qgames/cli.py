@@ -138,10 +138,15 @@ def cmd_quantize(args) -> int:
 
 
 def _curve_lines(gammas, pairs, ms, betas) -> list[str]:
-    """The CSV lines: each column in one %-format (`_fmt`'s bytes), freed before `_emit`."""
-    gammas, Js, hs, beta_cols, m_cols = (("%.17g\n" * len(c) % tuple(c)).splitlines()
-                                         for c in (gammas, *zip(*pairs), betas, ms))
-    m = iter(m_cols)
+    """The CSV lines: each column in one %-format (`_fmt`'s bytes), freed before `_emit`.
+    J is formatted once per bit pattern (a sign block's J does not move with gamma); a key
+    on the value would print -0.0 as 0."""
+    Js, hs = zip(*pairs)
+    bits, at = np.unique(np.array(Js).view(np.int64), return_inverse=True)
+    gammas, J_strs, hs, beta_cols, m_cols = (("%.17g\n" * len(c) % tuple(c)).splitlines()
+                                             for c in (gammas, bits.view(float).tolist(), hs,
+                                                       betas, ms))
+    Js, m = [J_strs[i] for i in at.tolist()], iter(m_cols)
     return ["gamma,beta,J,h,m"] + [f"{g},{b},{J},{h},{next(m)}"
                                    for g, J, h in zip(gammas, Js, hs) for b in beta_cols]
 

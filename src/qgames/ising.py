@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 from .catalog import GAMES, Block, ChickenPayoffs, PDPayoffs, StrategyBlock, extract_block
 from .eisert import GAMMA_RANGE
-from .errors import ConsistencyError, ValidationError, finite, real
+from .errors import ConsistencyError, ValidationError, finite, real, unchecked
 
 _BISECT_TOL = 1e-10
 _CROSSCHECK_TOL = 1e-9
@@ -85,8 +84,8 @@ def curve_rows(block: StrategyBlock, betas) -> tuple[list[tuple[float, float]], 
         IsingParams(0.0, 0.0, beta)  # the first bad beta raises its message
     for J, h in pairs:
         for beta in betas:
-            ip = object.__new__(IsingParams)
-            ip.__dict__.update(J=J, h=h, beta=beta)
+            d = (ip := object.__new__(IsingParams)).__dict__
+            d["J"], d["h"], d["beta"] = J, h, beta
             ms.append(magnetization(ip))
     return pairs, ms
 
@@ -121,13 +120,22 @@ def magnetization(ip: IsingParams) -> float:
         # signed zero keeps sign(m) == sign(h) even when beta*h underflows
         # or beta is -0.0
         return math.copysign(0.0, h)
-    if abs(x) < 20.0:
-        log_s = math.log(math.sinh(abs(x)))
-        # beta*J first: -4*beta alone overflows from beta ~ 4.5e307
-        log_den = 0.5 * _logaddexp(2.0 * log_s, -4.0 * (beta * J))
-        return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
+    ax = abs(x)
+    if ax < 20.0:
+        log_s = math.log(math.sinh(ax))
+        # _logaddexp(a, b) inline, its operations in its order; beta*J first: -4*beta alone
+        # overflows from beta ~ 4.5e307
+        a, b = 2.0 * log_s, -4.0 * (beta * J)
+        if a == b:
+            lse = a + _LN2
+        elif (d := a - b) > 0:
+            lse = a + math.log1p(math.exp(-d))
+        else:
+            lse = b + math.log1p(math.exp(d))
+        # lse >= a = 2 log_s under monotone rounding, so m <= 1 needs no clamp
+        return math.copysign(math.exp(log_s - 0.5 * lse), x)
     # log sinh|x| = |x| - log 2 + log1p(-e^{-2|x|})
-    t = 4.0 * (beta * (-J - 0.5 * abs(h))) + 2.0 * (_LN2 - math.log1p(-math.exp(-2.0 * abs(x))))
+    t = 4.0 * (beta * (-J - 0.5 * abs(h))) + 2.0 * (_LN2 - math.log1p(-math.exp(-2.0 * ax)))
     return math.copysign(math.exp(-0.5 * _logaddexp(0.0, t)), x)
 
 
@@ -188,9 +196,8 @@ def _unit_scaled(payoffs):
     scaled = {k: math.ldexp(v, shift) for k, v in values.items()}
     if any(math.ldexp(scaled[k], -shift) != v for k, v in values.items()):
         return payoffs
-    with warnings.catch_warnings():  # chicken's s == r warned when the caller built it
-        warnings.simplefilter("ignore")
-        return type(payoffs)(**scaled)
+    # exact, so the checks the caller's payoffs passed hold (and chicken's s == r warns once)
+    return unchecked(type(payoffs), **scaled)
 
 
 def phase_transition_gamma(game_kind, payoffs, block_id):

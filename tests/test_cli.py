@@ -479,6 +479,20 @@ def curve_argvs(draw):
              "--gamma-stop", ends[1], "--gamma-steps", steps])
 
 
+def test_curve_lines_print_each_J_as_fmt_does():
+    # J is formatted once per bit pattern: a memo keyed on the value would print -0.0 as 0
+    Js = [0.0, -0.0, -0.25, 0.0, -0.0, -0.25, 0.1, math.nextafter(0.1, 1.0), -0.0, 5e-324,
+          -5e-324, 0.1, -0.25, 1e300]
+    pairs = [(J, k / 3) for k, J in enumerate(Js)]
+    gammas, betas = [k / 7 for k in range(len(Js))], (0.5, -0.0, 2.0)
+    ms = [k / 11 - 1 for k in range(len(Js) * len(betas))]
+    lines = cli._curve_lines(gammas, pairs, ms, betas)
+    assert [line.split(",")[2] for line in lines[1:]] == [cli._fmt(J) for J in Js for _ in betas]
+    m = iter(ms)
+    assert lines == ["gamma,beta,J,h,m"] + [",".join(map(cli._fmt, (g, b, J, h, next(m))))
+                                            for g, (J, h) in zip(gammas, pairs) for b in betas]
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(curve_argvs())
 @example(["curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1",

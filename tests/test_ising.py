@@ -483,6 +483,46 @@ class TestLogaddexp:
         ]
 
 
+_ASINH_1 = 0.881373587019543  # sinh of it is 1.0 exactly, so log sinh is +0.0
+_UNDER_20 = math.nextafter(20.0, 0.0)
+
+
+class TestWeakFieldEdges:
+    """`magnetization` below beta*|h| = 20 runs `_logaddexp`'s steps inline; at each edge
+    of that branch it must keep the bits of the np.logaddexp form."""
+
+    @pytest.mark.parametrize("J, h, beta", [
+        # the tie 2 log sinh|beta h| == -4 beta J, at log sinh below and above 0
+        (-math.log(math.sinh(0.5)) / 2, 0.5, 1.0),
+        (-math.log(math.sinh(3.0)) / 2, -3.0, 1.0),
+        # the same tie at signed zeros: a = +0.0 against b = -0.0 or +0.0
+        (0.0, _ASINH_1, 1.0), (-0.0, _ASINH_1, 1.0), (0.0, -_ASINH_1, 1.0),
+        # e^{-4 beta J} lost against sinh^2: the exponent is exactly 0, m exactly 1
+        (50.0, 1.0, 1.0), (50.0, -1.0, 1.0),
+        # beta*|h| one ulp under 20, either sign of h and of the exponent difference
+        (-10.0, _UNDER_20, 1.0), (0.3, _UNDER_20, 1.0), (10.0, -_UNDER_20, 1.0),
+        (-10.0, _UNDER_20 / 2, 2.0), (-9.7, -_UNDER_20, 1.0),
+        # negative h
+        (0.4, -0.7, 1.3), (-0.4, -0.7, 1.3), (1.0, -5e-324, 1.0), (-2.0, -1e-300, 1e300),
+        # beta = -0.0: the signed zero of m follows h
+        (2.0, 1.5, -0.0), (-2.0, -1.5, -0.0),
+        # beta*J near +-1e300, where e^{+-4 beta J} is far out of range
+        (1e300, 1.0, 1.0), (-1e300, 1.0, 1.0), (1.0, 1e-300, 1e300), (-1.0, -1e-300, 1e300),
+        (1e-8, 1e-308, 1e308), (-1e-8, 1e-308, 1e308),
+    ])
+    def test_edges_keep_the_numpy_bits(self, J, h, beta):
+        x = beta * h
+        assert x == 0.0 or abs(x) < 20.0
+        assert_same_bits(magnetization(IsingParams(J, h, beta)), numpy_magnetization(J, h, beta))
+
+    def test_the_edges_are_the_ones_named(self):
+        log_s = math.log(math.sinh(0.5))
+        assert 2.0 * log_s == -4.0 * (-log_s / 2)
+        assert math.log(math.sinh(_ASINH_1)) == 0.0
+        assert magnetization(IsingParams(50.0, 1.0, 1.0)) == 1.0
+        assert 20.0 - _UNDER_20 == 2.0 ** -48  # one ulp of numbers in [16, 32)
+
+
 class TestCurve:
     """The gamma sweep, which `cli.cmd_curve` runs over to_ising and
     magnetization; each case reads the columns back from its CSV."""
@@ -682,6 +722,25 @@ class TestPhaseTransition:
         analytic, numeric = phase_transition_gamma("pd", pd, Block.QVD)
         assert analytic == pytest.approx(math.pi / 6, abs=1e-15)
         assert abs(analytic - numeric) <= 1e-9
+
+    def test_unit_scaled_payoffs_are_the_ones_a_checked_rebuild_gives(self):
+        # built unchecked: the scaling is exact, so every ordering the payoffs passed holds
+        rng = np.random.default_rng(3907)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # s == r chicken draws
+            for _ in range(300):
+                scale = 10.0 ** rng.uniform(-300, 300)
+                for p in (random_pd(rng), random_chicken(rng, allow_equal=True)):
+                    p = type(p)(**{k: scale * v for k, v in vars(p).items()})
+                    got = ising._unit_scaled(p)
+                    assert type(got) is type(p) and vars(got) == vars(type(p)(**vars(got)))
+
+    def test_chicken_s_equal_r_warns_once(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["transition", "--game", "chicken", "--r", "4", "--s", "4"]) == 0
+        assert [str(w.message) for w in caught] == ["s == r == 4.0: strict ordering s > r relaxed"]
+        assert "analytic gamma*:  0.52359877559829" in capsys.readouterr().out
 
     def test_boundary_transition_at_gamma_zero(self):
         # s exactly 2r puts the crossing at the edge of the interval
