@@ -19,7 +19,6 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 import struct
 from dataclasses import dataclass
 
@@ -223,6 +222,10 @@ def transfer_matrix_finite(spec: ChainSpec) -> float:
     return f.imag / _EPS + (s if gap >= 0.0 else 0.0)
 
 
+# a run's full and last block formats; struct.unpack's cache keeps 100, each up to 0.8 MB
+_unpacker = functools.lru_cache(maxsize=2)(struct.Struct)
+
+
 def _metropolis_sweeps(bits, us, accept, out):
     """Run one uniform block of sweeps; record mean spin per sweep, return the new state.
 
@@ -241,10 +244,18 @@ def _metropolis_sweeps(bits, us, accept, out):
     constant at or before k fixes the value.
 
     The chain state `bits` and the scan are N-bit Python ints, bit k for
-    site k (1 = up).  The flip masks are packed once per block, and only for
-    the classes with 0 < accept < 1: the draws lie in [0, 1), so a class
-    with accept >= 1 flips every site and one with accept <= 0 none.  Per
-    sweep, bitwise selects give every site's map, and one add carries each
+    site k (1 = up).  With f[c] the mask of sites whose draw flips them
+    under accept[c], a site with own bit b and neighbour-sum index i (left +
+    right, in bits) takes f[i] if b = 0 and ~f[3+i] if b = 1, that is
+    p[i] ^ (x[i] & bits) with p[i] = f[i] and x[i] = f[i] XNOR f[3+i].  Each
+    column of p and x marks the draws u with (u < lo) == (u < hi), for
+    acceptances lo <= hi clipped to [0, 1] (hi = 1 for p).  The draws lie in
+    [0, 1), so lo = hi marks every site and (0, 1) none; only the other
+    pairs are compared against the draws and packed, once per block.  On
+    the sampler's own tables a class and its partner 3+i have opposite
+    costs, so these are just the classes with 0 < accept < 1.  Per sweep,
+    the three new-value masks n[i] give the new values under a down and an
+    up left neighbour, n[right] and n[right + 1], and one add carries each
     constant's gauged value up its run of copies; the carry stops at the
     next constant, whose bit is clear in the addend.  The gauge mask (0, or
     the odd sites when negations occur) is XORed in before the add and out
@@ -264,31 +275,30 @@ def _metropolis_sweeps(bits, us, accept, out):
         gauge = full // 3 << (1 - n % 2)  # the odd sites 1, 3, 5, ...
     else:
         raise ConsistencyError(f"acceptance is not monotone in the neighbour sum: {probs}")
-    nbytes = (n + 7) // 8
-    # cols[c] yields per sweep t the mask with bit k set where draw t, k flips under accept[c]
-    cols = [itertools.repeat(full if a >= 1.0 else 0, sweeps) for a in probs]
-    live = [c for c, a in enumerate(probs) if 0.0 < a < 1.0]
-    data = np.packbits(us < accept[live, None, None], axis=-1, bitorder="little").tobytes()
-    # data is laid out (live class, sweep, byte): one lazy C-level pipeline
-    # turns it into ints, and each live class takes the next `sweeps` of them
-    masks = map(int.from_bytes,
-                map(operator.itemgetter(0), struct.iter_unpack(f"{nbytes}s", data)),
-                itertools.repeat("little"))
-    for c in live:
-        cols[c] = list(itertools.islice(masks, sweeps))
+    clip = [min(max(a, 0.0), 1.0) for a in probs]
+    keys = [(a, 1.0) for a in clip[:3]] + [tuple(sorted(pair)) for pair in zip(clip, clip[3:])]
+    live = list(dict.fromkeys(k for k in keys if k[0] < k[1] and k != (0.0, 1.0)))
+    lo, hi = np.array(live).reshape(-1, 2).T[..., None, None]
+    # hi < 1 (an XNOR or a negated column) never occurs on the sampler's own tables
+    data = np.packbits((us < lo) | (us >= hi) if (hi < 1.0).any() else us < lo,
+                       axis=-1, bitorder="little").tobytes()
+    # data is laid out (column, sweep, byte): one unpack and one lazy map turn
+    # it into ints, and each live column takes the next `sweeps` of them
+    fmt = f"{(n + 7) // 8}s" * (len(live) * sweeps)
+    masks = map(int.from_bytes, _unpacker(fmt).unpack(data), itertools.repeat("little"))
+    packed = {k: list(itertools.islice(masks, sweeps)) for k in live}
+    cols = [packed[k] if k in packed else itertools.repeat(full if k[0] == k[1] else 0, sweeps)
+            for k in keys]
 
     counts = []
-    for f in zip(*cols):
+    for p0, p1, p2, x0, x1, x2 in zip(*cols):
+        # the new value of every site under neighbour-sum index 0, 1 and 2
+        n0, n1, n2 = p0 ^ (x0 & bits), p1 ^ (x1 & bits), p2 ^ (x2 & bits)
         # site 0 sees the old values of both neighbours
-        own = bits & 1
-        first = own ^ (f[3 * own + (bits >> top) + ((bits >> 1) & 1)] & 1)
+        first = (n0, n1, n2)[(bits >> top) + ((bits >> 1) & 1)] & 1
         right = (bits >> 1) | (first << top)
-        # the new value when the left neighbour is down, and when it is up:
-        # own ^ f[3*own + right] and own ^ f[3*own + right + 1], bit by bit
-        lo, hi = f[0] ^ ((f[0] ^ f[1]) & right), f[3] ^ ((f[3] ^ f[4]) & right)
-        down = bits ^ lo ^ ((lo ^ hi) & bits)
-        lo, hi = f[1] ^ ((f[1] ^ f[2]) & right), f[4] ^ ((f[4] ^ f[5]) & right)
-        up = bits ^ lo ^ ((lo ^ hi) & bits)
+        down = n0 ^ ((n0 ^ n1) & right)  # the new value under a down left neighbour
+        up = n1 ^ ((n1 ^ n2) & right)  # and under an up one
         free = (down ^ up) & rest  # copy or negation
         const = free ^ rest  # constant, besides site 0
         # each constant's gauged value, carried up its run of copies by one

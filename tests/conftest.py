@@ -169,7 +169,8 @@ def numpy_magnetization(J: float, h: float, beta: float) -> float:
         log_s = math.log(math.sinh(t))
     else:
         log_s = t - math.log(2.0) + math.log1p(-math.exp(-2.0 * t))
-    log_den = 0.5 * float(np.logaddexp(2.0 * log_s, -4.0 * beta * J))
+    # -4 (beta J), as ising forms it: (-4 beta) J is -inf times 0 at beta = 1e308, J = 0
+    log_den = 0.5 * float(np.logaddexp(2.0 * log_s, -4.0 * (beta * J)))
     return math.copysign(math.exp(min(log_s - log_den, 0.0)), x)
 
 

@@ -522,6 +522,14 @@ class TestWeakFieldEdges:
         assert magnetization(IsingParams(50.0, 1.0, 1.0)) == 1.0
         assert 20.0 - _UNDER_20 == 2.0 ** -48  # one ulp of numbers in [16, 32)
 
+    @pytest.mark.parametrize("J, h", [(0.0, 1e-308), (-0.0, 1e-308), (0.0, -1e-308), (-0.0, -1e-308)])
+    def test_zero_coupling_at_the_largest_beta_keeps_the_numpy_bits(self, J, h):
+        # -4 beta overflows to -inf at beta = 1e308, and -inf times J = 0 is
+        # nan; -4 (beta J) is -0.0 or 0.0, so m is tanh(beta h), finite
+        got = magnetization(IsingParams(J, h, 1e308))
+        assert_same_bits(got, numpy_magnetization(J, h, 1e308))
+        assert_same_bits(got, math.copysign(0.7615941559557649, h))
+
 
 class TestCurve:
     """The gamma sweep, which `cli.cmd_curve` runs over to_ising and

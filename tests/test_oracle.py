@@ -560,6 +560,22 @@ class TestMetropolis:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_runs_of_many_lengths_keep_only_two_unpack_formats(self):
+        # each run length gives its own unpack format, compiled to about 32
+        # bytes a mask (about 20 KB here); keeping every one would hold
+        # about 0.7 MB after these 32 runs
+        s = spec(8, -0.3, 1.2, 1.0)
+        metropolis_magnetization(s, 200, 10, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for sweeps in range(201, 233):
+                metropolis_magnetization(s, sweeps, 10, 1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 17
+
     def test_overflowing_energy_at_zero_beta_accepts_every_flip(self, monkeypatch):
         # delta E = inf and beta = 0: exp(-beta * delta E) would be exp(nan)
         seen = record_acceptance(monkeypatch)
@@ -693,6 +709,46 @@ class TestMetropolisMatchesSequentialSweeps:
                 up = up[::-1]
             accept = np.concatenate([down, up])
             us = rng.random((int(rng.integers(1, 30)), n))
+            bits = int(rng.integers(0, 2, n) @ (1 << np.arange(n, dtype=object)))
+            out, ref_out = np.empty(len(us)), np.empty(len(us))
+            got = oracle._metropolis_sweeps(bits, us, accept, out)
+            assert got == reference_kernel(bits, us, accept, ref_out)
+            assert np.array_equal(out, ref_out)
+
+    # (accept[k], accept[3 + k]) of one neighbour-sum index k: a class
+    # strictly between 0 and 1 (live) against 1.0 or 0.0, two live classes,
+    # tied or not, and every pair of constants
+    COLUMN_CASES = {
+        "live-1": (0.37, 1.0), "1-live": (1.0, 0.37), "live-0": (0.37, 0.0), "0-live": (0.0, 0.37),
+        "live-live-tie": (0.37, 0.37), "live-live": (0.21, 0.64),
+        "0-0": (0.0, 0.0), "0-1": (0.0, 1.0), "1-0": (1.0, 0.0), "1-1": (1.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("negations", [False, True], ids=["copies", "negations"])
+    @pytest.mark.parametrize("n", [2, 8, 64, 65, 129])
+    @pytest.mark.parametrize("case", list(COLUMN_CASES))
+    def test_kernel_equals_reference_on_each_column_case(self, case, n, negations):
+        a, b = self.COLUMN_CASES[case]
+        rng = np.random.default_rng(n)
+
+        def rising(v, k):  # three acceptances rising with the neighbour sum, v at index k
+            return [*sorted(v * rng.random(k)), v, *sorted(v + (1 - v) * rng.random(2 - k))]
+
+        for k in range(3):
+            # the other classes keep the table monotone: for copies accept
+            # rises with the neighbour sum for a down spin and falls for an
+            # up one, for negations the reverse
+            if negations:
+                down, up = rising(a, 2 - k)[::-1], rising(b, k)
+            else:
+                down, up = rising(a, k), rising(b, 2 - k)[::-1]
+            accept = np.array(down + up)
+            assert (accept[k], accept[3 + k]) == (a, b)
+            us = rng.random((12, n))
+            # some draws equal to a class's acceptance, where u < accept is false
+            ties = [v for v in accept if v < 1.0]
+            at = rng.random(us.shape) < 0.2
+            us[at] = rng.choice(ties, at.sum())
             bits = int(rng.integers(0, 2, n) @ (1 << np.arange(n, dtype=object)))
             out, ref_out = np.empty(len(us)), np.empty(len(us))
             got = oracle._metropolis_sweeps(bits, us, accept, out)
