@@ -127,16 +127,10 @@ def check_gamma(gamma) -> np.ndarray:
     return g
 
 
-def entangler(gamma) -> np.ndarray:
-    """The 4x4 entangling gate: cos(gamma/2) on the diagonal, +i sin(gamma/2)
-    linking |00> and |11>, -i sin(gamma/2) linking |01> and |10>.
-
-    A float gamma gives one (4, 4) gate, a 1-D gamma grid a (G, 4, 4) stack.
-    """
-    return _entangler(check_gamma(gamma))
-
-
 def _entangler(g: np.ndarray) -> np.ndarray:
+    """The 4x4 entangling gate at a checked gamma: cos(gamma/2) on the diagonal,
+    +i sin(gamma/2) linking |00> and |11>, -i sin(gamma/2) linking |01> and |10>.
+    A 0-d gamma gives one (4, 4) gate, a 1-D gamma grid a (G, 4, 4) stack."""
     c = np.cos(g / 2)
     s = np.sin(g / 2)
     lhat = np.zeros(g.shape + (4, 4), dtype=complex)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .ising import IsingParams
 
 MAX_ENUM_SITES = 24
@@ -229,33 +229,31 @@ _unpacker = functools.lru_cache(maxsize=2)(struct.Struct)
 def _metropolis_sweeps(bits, us, accept, out):
     """Run one uniform block of sweeps; record mean spin per sweep, return the new state.
 
-    accept[(s+1)//2 * 3 + (left+right+2)//2] is the acceptance probability
-    for flipping a spin of value s with the given neighbour sum.  Sites are
-    updated in order 0..N-1, so site k >= 1 sees the new value of its left
-    neighbour.  Given its draw, its old value and its right neighbour (old,
-    or the new site 0 for k = N-1), its new value is one of four maps of the
-    left value: constant down, constant up, copy or negation.  Acceptance
-    is monotone in the neighbour sum, so a sweep's other maps are all
-    copies (as for J >= 0) or all negations (J < 0); a table monotone in
-    neither direction raises ConsistencyError.  Flipping the odd sites, the
-    sublattice gauge transformation, turns each negation into a copy, since
-    sites k-1 and k lie on different sublattices (site 0, which sees the old
-    site N-1, is even).  A sweep then resolves as a prefix scan: the last
-    constant at or before k fixes the value.
+    accept is the sampler's table: accept[(s+1)//2 * 3 + (left+right+2)//2]
+    is the acceptance probability for flipping a spin of value s with the
+    given neighbour sum.  Sites are updated in order 0..N-1, so site k >= 1
+    sees the new value of its left neighbour.  Given its draw, its old value
+    and its right neighbour (old, or the new site 0 for k = N-1), its new
+    value is one of four maps of the left value: constant down, constant up,
+    copy or negation.  Acceptance is monotone in the neighbour sum, so a
+    sweep's other maps are all copies (J >= 0) or all negations (J < 0).
+    Flipping the odd sites, the sublattice gauge transformation, turns each
+    negation into a copy, since sites k-1 and k lie on different sublattices
+    (site 0, which sees the old site N-1, is even).  A sweep then resolves
+    as a prefix scan: the last constant at or before k fixes the value.
 
     The chain state `bits` and the scan are N-bit Python ints, bit k for
-    site k (1 = up).  With f[c] the mask of sites whose draw flips them
-    under accept[c], a site with own bit b and neighbour-sum index i (left +
+    site k (1 = up).  With f[c] the mask of sites whose draw u flips them,
+    u < accept[c], a site with own bit b and neighbour-sum index i (left +
     right, in bits) takes f[i] if b = 0 and ~f[3+i] if b = 1, that is
-    p[i] ^ (x[i] & bits) with p[i] = f[i] and x[i] = f[i] XNOR f[3+i].  Each
-    column of p and x marks the draws u with (u < lo) == (u < hi), for
-    acceptances lo <= hi clipped to [0, 1] (hi = 1 for p).  The draws lie in
-    [0, 1), so lo = hi marks every site and (0, 1) none; only the other
-    pairs are compared against the draws and packed, once per block.  On
-    the sampler's own tables a class and its partner 3+i have opposite
-    costs, so these are just the classes with 0 < accept < 1.  Per sweep,
-    the three new-value masks n[i] give the new values under a down and an
-    up left neighbour, n[right] and n[right + 1], and one add carries each
+    p[i] ^ (x[i] & bits) with p[i] = f[i] and x[i] = f[i] XNOR f[3+i].  A
+    class i and its partner 3+i have opposite costs, so one of them accepts
+    1.0, every draw flips it, and x[i] marks the draws below the other's
+    acceptance: u < min(accept[i], accept[3+i]).  A column whose key is 0.0
+    or 1.0 marks no site or every site; only the keys strictly between are
+    compared against the draws and packed, once per block.  Per sweep, the
+    three new-value masks n[i] give the new values under a down and an up
+    left neighbour, n[right] and n[right + 1], and one add carries each
     constant's gauged value up its run of copies; the carry stops at the
     next constant, whose bit is clear in the addend.  The gauge mask (0, or
     the odd sites when negations occur) is XORed in before the add and out
@@ -267,28 +265,19 @@ def _metropolis_sweeps(bits, us, accept, out):
     top = n - 1
     full = (1 << n) - 1
     rest = full ^ 1  # every site but 0, whose left neighbour is the old site N-1
-    probs = accept.tolist()
-    a0, a1, a2, a3, a4, a5 = probs
-    if a0 <= a1 <= a2 and a3 >= a4 >= a5:  # no negation can occur
-        gauge = 0
-    elif a0 >= a1 >= a2 and a3 <= a4 <= a5:
-        gauge = full // 3 << (1 - n % 2)  # the odd sites 1, 3, 5, ...
-    else:
-        raise ConsistencyError(f"acceptance is not monotone in the neighbour sum: {probs}")
-    clip = [min(max(a, 0.0), 1.0) for a in probs]
-    keys = [(a, 1.0) for a in clip[:3]] + [tuple(sorted(pair)) for pair in zip(clip, clip[3:])]
-    live = list(dict.fromkeys(k for k in keys if k[0] < k[1] and k != (0.0, 1.0)))
-    lo, hi = np.array(live).reshape(-1, 2).T[..., None, None]
-    # hi < 1 (an XNOR or a negated column) never occurs on the sampler's own tables
-    data = np.packbits((us < lo) | (us >= hi) if (hi < 1.0).any() else us < lo,
-                       axis=-1, bitorder="little").tobytes()
+    a = accept.tolist()
+    # only J < 0, where negations occur, has a down spin's acceptance falling
+    # with the neighbour sum or an up spin's rising
+    gauge = 0 if a[0] <= a[2] and a[3] >= a[5] else full // 3 << (1 - n % 2)  # odd sites
+    keys = a[:3] + [min(pair) for pair in zip(a, a[3:])]
+    live = list(dict.fromkeys(k for k in keys if 0.0 < k < 1.0))
+    data = np.packbits(us < np.array(live)[:, None, None], axis=-1, bitorder="little").tobytes()
     # data is laid out (column, sweep, byte): one unpack and one lazy map turn
     # it into ints, and each live column takes the next `sweeps` of them
     fmt = f"{(n + 7) // 8}s" * (len(live) * sweeps)
     masks = map(int.from_bytes, _unpacker(fmt).unpack(data), itertools.repeat("little"))
     packed = {k: list(itertools.islice(masks, sweeps)) for k in live}
-    cols = [packed[k] if k in packed else itertools.repeat(full if k[0] == k[1] else 0, sweeps)
-            for k in keys]
+    cols = [packed[k] if k in packed else itertools.repeat(full if k else 0, sweeps) for k in keys]
 
     counts = []
     for p0, p1, p2, x0, x1, x2 in zip(*cols):

@@ -17,7 +17,7 @@ import pytest
 
 from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, eisert, ising, tensor
 from qgames.eisert import (
-    GAMMA_RANGE, _circuit, _products, check_gamma, entangler, strategy_operator,
+    GAMMA_RANGE, _circuit, _entangler, _products, check_gamma, strategy_operator,
 )
 
 
@@ -66,6 +66,12 @@ def classical_chicken_game(c: ChickenPayoffs) -> BimatrixGame:
     """Classical chicken over (straight, swerve)."""
     m = classical_chicken_matrix(c)
     return BimatrixGame(m, ("straight", "swerve"))
+
+
+def entangler(gamma) -> np.ndarray:
+    """The entangling gate at a float gamma or a 1-D gamma grid, range-checked
+    as the circuit checks it."""
+    return _entangler(check_gamma(gamma))
 
 
 def final_state(s1, s2, gamma) -> np.ndarray:

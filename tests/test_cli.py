@@ -24,7 +24,7 @@ from conftest import (
     random_chicken,
     random_pd,
 )
-from qgames import Block, IsingParams, cli, couplings, extract_block, magnetization
+from qgames import Block, IsingParams, cli, couplings, extract_block, magnetization, oracle
 from qgames.catalog import _BLOCK_STRATEGIES, GAMES
 from qgames.cli import main
 from qgames.eisert import check_gamma
@@ -911,6 +911,42 @@ class TestOracle:
         run(capsys, *args, "--output", str(f1))
         run(capsys, *args, "--output", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestOracleGates:
+    """Each cross-check gate of `qgames oracle` at its tolerance: one route is patched to
+    sit just past and just inside the gate, at a well-mixed point far from a frozen chain."""
+
+    POINT = ("--J", "0.3", "--h", "0.2", "--beta", "1", "--N", "12")
+    ROWS = "N,method,m,std_error\n"
+
+    @staticmethod
+    def transfer():
+        return oracle.transfer_matrix_finite(oracle.ChainSpec(12, IsingParams(0.3, 0.2, 1.0)))
+
+    @pytest.mark.parametrize("sigmas, code", [(5.5, 3), (-5.5, 3), (4.5, 0), (-4.5, 0)])
+    def test_metropolis_gate_is_five_standard_errors(self, capsys, monkeypatch, sigmas, code):
+        tm, se = self.transfer(), 1e-3
+        est = oracle.SampledEstimate(mean=tm + sigmas * se, std_error=se, samples=900, seed=0)
+        monkeypatch.setattr(cli.oracle, "metropolis_magnetization", lambda *a, **k: est)
+        got = run(capsys, "oracle", *self.POINT, "--no-enumeration")
+        assert got[:2] == (code, self.ROWS + f"12,transfer_matrix,{cli._fmt(tm)},\n"
+                           f"12,metropolis,{cli._fmt(est.mean)},{cli._fmt(se)}\n"
+                           f"inf,closed_form,{cli._fmt(magnetization(IsingParams(0.3, 0.2, 1.0)))},\n")
+        assert got[2] == ("" if code == 0 else
+                          f"internal consistency failure: metropolis {est.mean!r} (standard error "
+                          f"{se!r}) is more than {5 * se!r} from the transfer matrix {tm!r}\n")
+
+    @pytest.mark.parametrize("offset, code", [(2e-10, 3), (-2e-10, 3), (5e-11, 0), (-5e-11, 0)])
+    def test_enumeration_gate_is_1e_10(self, capsys, monkeypatch, offset, code):
+        tm = self.transfer()
+        monkeypatch.setattr(cli.oracle, "enumerate_magnetization", lambda spec: tm + offset)
+        code_got, out, err = run(capsys, "oracle", *self.POINT, "--no-metropolis")
+        assert code_got == code
+        assert out.startswith(self.ROWS + f"12,enumeration,{cli._fmt(tm + offset)},\n")
+        assert err == ("" if code == 0 else
+                       f"internal consistency failure: enumeration {tm + offset!r} vs transfer "
+                       f"matrix {tm!r} differ beyond 1e-10\n")
 
 
 class TestRejectedFlags:

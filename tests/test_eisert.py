@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     classical_chicken_matrix,
     classical_pd_matrix,
+    entangler,
     final_state,
     random_chicken,
     random_pd,
@@ -32,7 +33,6 @@ from qgames.eisert import (
     PayoffTemplate,
     Strategy,
     check_gamma,
-    entangler,
     extended_matrix,
     strategy_operator,
 )
@@ -564,7 +564,7 @@ class TestStrategyAngles:
 
 
 KERNEL_NAMES = ("C", "D", "Q", "STRAIGHT", "SWERVE", "Strategy", "PayoffTemplate",
-                "entangler", "strategy_operator", "extended_matrix")
+                "strategy_operator", "extended_matrix")
 
 
 def test_package_exports_the_pipeline_and_not_the_circuit_kernel():

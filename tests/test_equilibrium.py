@@ -49,6 +49,15 @@ class TestPureNash:
         g = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVC, 0.9).as_game()
         assert [g.label_cell(c) for c in pure_nash(g)] == [("C", "C"), ("Q", "Q")]
 
+    @pytest.mark.parametrize("gap, cells", [
+        (5e-10, [(0, 0), (0, 1), (1, 0), (1, 1)]),  # within 1e-9: the off-diagonal cells tie
+        (2e-9, [(0, 0), (1, 1)]),
+    ])
+    def test_best_response_tie_tolerance_is_1e_9(self, gap, cells):
+        # against the first column, the second row falls short of the best by `gap`
+        g = BimatrixGame(np.array([[1.0, 0.0], [1.0 - gap, 0.0]]), ("a", "b"))
+        assert pure_nash(g) == cells
+
     def test_degenerate_tie_reports_every_cell(self):
         # at gamma=0 the quantum row/column duplicates cooperate: all cells tie
         g = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVC, 0.0).as_game()

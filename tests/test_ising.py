@@ -436,32 +436,8 @@ def assert_same_bits(got, want):
     assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
-class TestLogaddexp:
-    """The libm form must return np.logaddexp's bits, or the CSV changes."""
-
-    def test_random_pairs_over_wide_magnitudes(self):
-        rng = np.random.default_rng(77)
-        signs = rng.choice([-1.0, 1.0], size=(20000, 2))
-        xy = signs * 10.0 ** rng.uniform(-320, 308, size=(20000, 2))
-        # close pairs, where log1p(exp(-|x - y|)) carries the most bits
-        close = xy[:, 0] * (1.0 + rng.uniform(-1e-3, 1e-3, size=20000))
-        for (x, y), z in zip(xy.tolist(), close.tolist()):
-            assert_same_bits(ising._logaddexp(x, y), float(np.logaddexp(x, y)))
-            assert_same_bits(ising._logaddexp(x, z), float(np.logaddexp(x, z)))
-
-    @pytest.mark.parametrize(
-        "x,y",
-        [
-            (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (3.5, 3.5), (-700.0, -700.0),
-            (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0), (1.0, -math.inf),
-            (math.inf, math.inf), (-math.inf, -math.inf),
-            (math.inf, -math.inf), (-math.inf, math.inf),
-            (41.0, 0.0), (0.0, 41.0), (-3.0, 60.0), (800.0, -1e300), (1e300, 1e300 - 1e285),
-            (5e-324, 0.0), (-5e-324, 5e-324), (2.2e-308, 1e-310), (1e-310, -1e-320),
-        ],
-    )
-    def test_edges(self, x, y):
-        assert_same_bits(ising._logaddexp(x, y), float(np.logaddexp(x, y)))
+class TestNumpyForm:
+    """`magnetization` must return the np.logaddexp form's bits, or the CSV changes."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -488,8 +464,8 @@ _UNDER_20 = math.nextafter(20.0, 0.0)
 
 
 class TestWeakFieldEdges:
-    """`magnetization` below beta*|h| = 20 runs `_logaddexp`'s steps inline; at each edge
-    of that branch it must keep the bits of the np.logaddexp form."""
+    """`magnetization` below beta*|h| = 20 runs npy_logaddexp's steps on libm; at each
+    edge of that branch it must keep the bits of the np.logaddexp form."""
 
     @pytest.mark.parametrize("J, h, beta", [
         # the tie 2 log sinh|beta h| == -4 beta J, at log sinh below and above 0
@@ -529,6 +505,63 @@ class TestWeakFieldEdges:
         got = magnetization(IsingParams(J, h, 1e308))
         assert_same_bits(got, numpy_magnetization(J, h, 1e308))
         assert_same_bits(got, math.copysign(0.7615941559557649, h))
+
+
+def strong_field_reference(J, h, beta):
+    """m from beta*|h| = 20 on, copysign(exp(-0.5 * np.logaddexp(0.0, t)), x), with t
+    formed as `ising` forms it, its log1p term (under half an ulp there) kept: the
+    form whose bits the strong-field tail keeps."""
+    x = beta * h
+    t = 4.0 * (beta * (-J - 0.5 * abs(h))) + 2.0 * (math.log(2.0) - math.log1p(-math.exp(-2.0 * abs(x))))
+    return math.copysign(math.exp(-0.5 * float(np.logaddexp(0.0, t))), x)
+
+
+def zero_t_point(h):
+    """(J, beta) at which t is exactly 0.0, found by solving beta*(-J - |h|/2) = -log(2)/2."""
+    half_ln2 = -math.log(2.0) / 2.0
+    J = -(half_ln2 + 0.5 * abs(h))
+    return J, half_ln2 / (-J - 0.5 * abs(h))
+
+
+class TestStrongFieldTail:
+    """From beta*|h| = 20 on, `magnetization` shares the weak-field branch's log-add-exp;
+    it must keep the bits of np.logaddexp(0.0, t)."""
+
+    @pytest.mark.parametrize("J, h, beta", [
+        # beta*|h| = 20 exactly, either sign of h and of J
+        (0.3, 20.0, 1.0), (-0.3, -20.0, 1.0), (2.0, 10.0, 2.0), (-7.0, -40.0, 0.5),
+        (0.0, 20.0, 1.0), (-0.0, -20.0, 1.0),
+        # J = -|h|/2: the balanced pair, where t is 2 log 2 less a log1p
+        (-10.0, 20.0, 1.0), (-10.0, -20.0, 1.0), (-20.0, 40.0, 3.0), (-0.5e300, 1e300, 1.0),
+        # t = 0: a = b, the tie of the log-add-exp
+        (*zero_t_point(40.0)[:1], 40.0, zero_t_point(40.0)[1]),
+        (*zero_t_point(20.0)[:1], -20.0, zero_t_point(20.0)[1]),
+        # t of either sign far out, and overflowing to +-inf
+        (-50.0, 20.0, 1.0), (50.0, -20.0, 1.0), (1e308, 1e308, 1.0), (-1e308, -1e-300, 1e308),
+    ])
+    def test_edges_keep_the_logaddexp_bits(self, J, h, beta):
+        assert abs(beta * h) >= 20.0
+        assert_same_bits(magnetization(IsingParams(J, h, beta)), strong_field_reference(J, h, beta))
+
+    def test_the_t_zero_points_are_ties(self):
+        for h in (40.0, 20.0):
+            J, beta = zero_t_point(h)
+            assert abs(beta * h) >= 20.0
+            t = 4.0 * (beta * (-J - 0.5 * h)) + 2.0 * (math.log(2.0) - math.log1p(-math.exp(-2.0 * h * beta)))
+            assert t == 0.0
+
+    def test_random_draws_over_wide_magnitudes(self):
+        rng = np.random.default_rng(41)
+        signs = rng.choice([-1.0, 1.0], size=(20000, 2)).tolist()
+        powers = rng.uniform([-300, 0, -16], [300, 8, 3], size=(20000, 3)).tolist()
+        for (s_h, s_j), (p_h, p_beta, p_j) in zip(signs, powers):
+            h = s_h * 10.0 ** p_h
+            beta = min(20.0 / abs(h) * 10.0 ** p_beta, 1.7e308)
+            # J on both sides of -|h|/2, near it and far from it
+            J = -0.5 * abs(h) * (1.0 + s_j * 10.0 ** p_j)
+            if abs(beta * h) < 20.0 or not math.isfinite(J):
+                continue
+            assert_same_bits(magnetization(IsingParams(J, h, beta)), strong_field_reference(J, h, beta))
 
 
 class TestCurve:
@@ -665,6 +698,22 @@ class TestPhaseTransition:
     def test_pair_without_transition(self):
         got = phase_transition_gamma("pd", PD_3501, Block.QVC)
         assert got == (None, None)
+
+    @pytest.mark.parametrize("offset, fails", [(2e-9, True), (-2e-9, True), (5e-10, False),
+                                               (-5e-10, False)])
+    def test_cross_check_gate_is_1e_9(self, monkeypatch, capsys, offset, fails):
+        # the bisection patched to sit off the closed form by just past or just inside the gate
+        analytic, _ = phase_transition_gamma("pd", PD_3501, Block.QVD)
+        monkeypatch.setattr(ising, "phase_transition_bisect", lambda *args: analytic + offset)
+        argv = ["transition", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1"]
+        if fails:
+            with pytest.raises(ConsistencyError, match="transition mismatch for QvD"):
+                phase_transition_gamma("pd", PD_3501, Block.QVD)
+            assert cli.main(argv) == 3
+            assert capsys.readouterr().err.startswith("internal consistency failure: transition")
+        else:
+            assert phase_transition_gamma("pd", PD_3501, Block.QVD) == (analytic, analytic + offset)
+            assert cli.main(argv) == 0
 
     def test_closed_form_off_the_circuit_is_a_consistency_error(self, monkeypatch, capsys):
         # the row's closed form puts gamma* at pi/6, the circuit at acos(2/5)/2

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import classical_magnetization, mpmath_finite_magnetization
 from qgames import IsingParams, magnetization, oracle
-from qgames.errors import ConsistencyError, ResourceLimitError, ValidationError
+from qgames.errors import ResourceLimitError, ValidationError
 from qgames.oracle import (
     ChainSpec,
     enumerate_magnetization,
@@ -690,63 +690,47 @@ class TestMetropolisMatchesSequentialSweeps:
         fast, slow = self.both(monkeypatch, spec(n, J, h, beta), 300, 30, 7)
         assert fast == slow
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 17, 63, 64, 65, 129])
-    def test_kernel_equals_reference_on_monotone_tables(self, n):
-        # random tables monotone in the neighbour sum, in either order: with
-        # ties, exact 0.0 and 1.0 entries and 1 to 6 classes strictly between
-        rng = np.random.default_rng(300 + n)
-        for i in range(60):
-            live = 1 + i % 6
-            values = rng.uniform(0.0, 1.0, live)
-            if i % 3 == 0:  # ties among the undecided classes
-                values = rng.choice(values[: max(1, live // 2)], live)
-            table = np.concatenate([values, rng.choice([0.0, 1.0], 6 - live)])
-            rng.shuffle(table)
-            down, up = np.sort(table[:3]), np.sort(table[3:])
-            if i % 2:  # negations: accept falls for a down spin, rises for an up one
-                down = down[::-1]
-            else:
-                up = up[::-1]
-            accept = np.concatenate([down, up])
-            us = rng.random((int(rng.integers(1, 30)), n))
-            bits = int(rng.integers(0, 2, n) @ (1 << np.arange(n, dtype=object)))
-            out, ref_out = np.empty(len(us)), np.empty(len(us))
-            got = oracle._metropolis_sweeps(bits, us, accept, out)
-            assert got == reference_kernel(bits, us, accept, ref_out)
-            assert np.array_equal(out, ref_out)
-
-    # (accept[k], accept[3 + k]) of one neighbour-sum index k: a class
-    # strictly between 0 and 1 (live) against 1.0 or 0.0, two live classes,
-    # tied or not, and every pair of constants
-    COLUMN_CASES = {
-        "live-1": (0.37, 1.0), "1-live": (1.0, 0.37), "live-0": (0.37, 0.0), "0-live": (0.0, 0.37),
-        "live-live-tie": (0.37, 0.37), "live-live": (0.21, 0.64),
-        "0-0": (0.0, 0.0), "0-1": (0.0, 1.0), "1-0": (1.0, 0.0), "1-1": (1.0, 1.0),
+    # (J, h, beta) where the sampler's table has a corner: every class
+    # accepting 1.0, constant classes, exact zeros, and J < 0 with one side
+    # of the table flat, where only the other side calls for the gauge
+    CORNERS = {
+        "beta0-overflow": (1e308, 1e308, 0.0),  # beta * inf is NaN: every class flips
+        "beta0-overflow-afm": (-1e308, 1e308, 0.0),
+        "h0": (0.7, 0.0, 1.2), "h0-afm": (-0.7, 0.0, 1.2),
+        "J0": (0.0, 0.4, 1.3), "J0-negative-h": (-0.0, -0.4, 1.3),
+        "underflow": (1.0, 0.5, 1e3), "underflow-afm": (-1.0, 0.5, 1e3),
+        "afm-h-over-2J": (-0.5, 1.5, 1.0), "afm-h-at-2J": (-0.5, 1.0, 1.0),
+        "afm-minus-h-over-2J": (-0.5, -1.5, 1.0), "afm-minus-h-at-2J": (-0.5, -1.0, 2.0),
     }
+    SITES = [2, 3, 8, 64, 65, 129]  # one byte, the byte and word boundaries
 
-    @pytest.mark.parametrize("negations", [False, True], ids=["copies", "negations"])
-    @pytest.mark.parametrize("n", [2, 8, 64, 65, 129])
-    @pytest.mark.parametrize("case", list(COLUMN_CASES))
-    def test_kernel_equals_reference_on_each_column_case(self, case, n, negations):
-        a, b = self.COLUMN_CASES[case]
+    @pytest.mark.parametrize("n", SITES)
+    @pytest.mark.parametrize("corner", list(CORNERS))
+    def test_corners_equal_reference(self, monkeypatch, corner, n):
+        fast, slow = self.both(monkeypatch, spec(n, *self.CORNERS[corner]), 40, 4, 3)
+        assert fast == slow
+
+    @pytest.mark.parametrize("draw", range(6))
+    @pytest.mark.parametrize("n", SITES)
+    def test_random_points_equal_reference(self, monkeypatch, n, draw):
+        # one random (J, h, beta) and seed per case, so a failure names its point
+        rng = np.random.default_rng([4100, n, draw])
+        J, h = rng.uniform(-2, 2, size=2).tolist()
+        s = spec(n, J, h, float(rng.uniform(0.0, 5.0)))
+        fast, slow = self.both(monkeypatch, s, 40, 4, int(rng.integers(1000)))
+        assert fast == slow
+
+    @pytest.mark.parametrize("n", SITES)
+    def test_kernel_equals_reference_on_sampler_tables_with_tied_draws(self, monkeypatch, n):
+        # draws equal to a class's acceptance, where u < accept is false
+        seen = record_acceptance(monkeypatch)
+        for J, h, beta in [*self.CORNERS.values(), (0.4, -0.3, 1.1), (-0.9, 0.2, 0.8)]:
+            metropolis_magnetization(spec(n, J, h, beta), 2, 1, 0)
+        monkeypatch.undo()
         rng = np.random.default_rng(n)
-
-        def rising(v, k):  # three acceptances rising with the neighbour sum, v at index k
-            return [*sorted(v * rng.random(k)), v, *sorted(v + (1 - v) * rng.random(2 - k))]
-
-        for k in range(3):
-            # the other classes keep the table monotone: for copies accept
-            # rises with the neighbour sum for a down spin and falls for an
-            # up one, for negations the reverse
-            if negations:
-                down, up = rising(a, 2 - k)[::-1], rising(b, k)
-            else:
-                down, up = rising(a, k), rising(b, 2 - k)[::-1]
-            accept = np.array(down + up)
-            assert (accept[k], accept[3 + k]) == (a, b)
+        for accept in seen:
             us = rng.random((12, n))
-            # some draws equal to a class's acceptance, where u < accept is false
-            ties = [v for v in accept if v < 1.0]
+            ties = [v for v in accept if v < 1.0] or [0.5]
             at = rng.random(us.shape) < 0.2
             us[at] = rng.choice(ties, at.sum())
             bits = int(rng.integers(0, 2, n) @ (1 << np.arange(n, dtype=object)))
@@ -754,12 +738,6 @@ class TestMetropolisMatchesSequentialSweeps:
             got = oracle._metropolis_sweeps(bits, us, accept, out)
             assert got == reference_kernel(bits, us, accept, ref_out)
             assert np.array_equal(out, ref_out)
-
-    def test_kernel_refuses_a_table_monotone_in_neither_order(self):
-        # rising for a down spin, as with J > 0, but also rising for an up one
-        accept = np.array([0.1, 0.5, 0.9, 0.2, 0.4, 0.6])
-        with pytest.raises(ConsistencyError, match="not monotone"):
-            oracle._metropolis_sweeps(5, np.full((3, 4), 0.5), accept, np.empty(3))
 
     def test_zero_acceptance_point_has_exact_zeros(self, monkeypatch):
         seen = record_acceptance(monkeypatch)

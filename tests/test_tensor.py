@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import final_state
+from conftest import entangler, final_state
 from qgames import eisert, tensor
-from qgames.eisert import D, Q, entangler, strategy_operator
+from qgames.eisert import D, Q, strategy_operator
 from qgames.errors import ConsistencyError
 
 I2 = np.eye(2, dtype=complex)
