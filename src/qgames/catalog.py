@@ -19,7 +19,7 @@ import numpy as np
 from . import eisert
 from .eisert import C, D, Q, STRAIGHT, SWERVE, PayoffTemplate
 from .equilibrium import BimatrixGame
-from .errors import ValidationError, finite, real_array, unchecked
+from .errors import ValidationError, check_floats, real_array, unchecked
 
 PD = "pd"
 CHICKEN = "chicken"
@@ -28,7 +28,7 @@ CHICKEN = "chicken"
 @dataclass(frozen=True)
 class PDPayoffs:
     """Prisoner's dilemma payoffs: reward r, temptation t, sucker s,
-    punishment p, with t > r > p > s."""
+    punishment p, stored as floats (`errors.check_floats`), with t > r > p > s."""
 
     r: float
     t: float
@@ -36,8 +36,7 @@ class PDPayoffs:
     p: float
 
     def __post_init__(self):
-        if not finite(self.r, self.t, self.s, self.p):
-            raise ValidationError("payoffs must be finite")
+        check_floats(self, "payoffs must be finite")
         if not self.t > self.r:
             raise ValidationError(f"t > r violated (t={self.t}, r={self.r})")
         if not self.r > self.p:
@@ -48,15 +47,14 @@ class PDPayoffs:
 
 @dataclass(frozen=True)
 class ChickenPayoffs:
-    """Chicken payoffs: reputation r, injury cost s.  Nominally s > r > 0;
+    """Chicken payoffs: reputation r, injury cost s, stored as floats.  Nominally s > r > 0;
     s == r is accepted with a warning so equal-payoff sweeps stay runnable."""
 
     r: float
     s: float
 
     def __post_init__(self):
-        if not finite(self.r, self.s):
-            raise ValidationError("payoffs must be finite")
+        check_floats(self, "payoffs must be finite")
         if not self.r > 0:
             raise ValidationError(f"r > 0 violated (r={self.r})")
         if not self.s >= self.r:
@@ -140,7 +138,7 @@ GAMES = {
 
 def _table(game_kind: str, payoffs, gamma) -> np.ndarray:
     """The row player's payoffs over the game's 3x3 strategy order: (3, 3) for a float gamma,
-    (G, 3, 3) along a 1-D grid, fresh from one `extended_matrix` call, finite, as float64."""
+    (G, 3, 3) along a 1-D grid, fresh from one `extended_matrix` call: float64 of float payoffs."""
     if game_kind not in GAMES:
         raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {tuple(GAMES)}")
     payoff_type, template, order, *_ = GAMES[game_kind]
@@ -148,8 +146,7 @@ def _table(game_kind: str, payoffs, gamma) -> np.ndarray:
         raise ValidationError(f"{game_kind} needs {payoff_type.__name__}, "
                               f"got {type(payoffs).__name__}")
     # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
-    table = eisert.extended_matrix(template(payoffs), strategies=order, gamma=gamma)
-    return table.astype(float, copy=False)  # big-int payoffs weigh as an object array
+    return eisert.extended_matrix(template(payoffs), strategies=order, gamma=gamma)
 
 
 # Each block's rows and columns in its game's table, for `table[..., i, j]`.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .errors import ConsistencyError, ValidationError, finite, real, real_array
+from .errors import ConsistencyError, ValidationError, check_floats, real, real_array
 
 #: Allowed parameter ranges of the two-parameter strategy family.
 THETA_RANGE = (0.0, math.pi)
@@ -76,7 +76,7 @@ STRAIGHT = Strategy("straight", math.pi, 0.0)
 
 @dataclass(frozen=True)
 class PayoffTemplate:
-    """One player's payoff for each measured two-qubit outcome."""
+    """One player's payoff for each measured two-qubit outcome, stored as floats."""
 
     v00: float
     v10: float
@@ -84,8 +84,7 @@ class PayoffTemplate:
     v11: float
 
     def __post_init__(self):
-        if not finite(self.v00, self.v10, self.v01, self.v11):
-            raise ValidationError("payoff template entries must be finite")
+        check_floats(self, "payoff template entries must be finite")
 
     @property
     def weights(self) -> np.ndarray:
@@ -204,4 +203,4 @@ def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
     # a probability rounded above 1 can carry a payoff past the float max; the exact payoff
     # is a mean of the template's, so it is clipped to their range
     with np.errstate(over="ignore"):
-        return np.clip(probs @ template.weights, float(min(values)), float(max(values)))
+        return np.clip(probs @ template.weights, min(values), max(values))

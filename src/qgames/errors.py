@@ -31,12 +31,14 @@ def real(value):
         return None
 
 
-def finite(*values) -> bool:
-    """Whether every value is a real scalar (see `real`) of finite float."""
-    for v in values:
+def check_floats(obj, message: str) -> None:
+    """Store each field of the frozen dataclass `obj` as the float `real` reads, past the frozen
+    __setattr__; a field `real` refuses, or one not finite, raises ValidationError(message)."""
+    fields = vars(obj)
+    for name, v in fields.items():
         if type(v) is not float and (v := real(v)) is None or not math.isfinite(v):
-            return False
-    return True
+            raise ValidationError(message)
+        fields[name] = v
 
 
 def real_array(value):

@@ -18,27 +18,25 @@ from dataclasses import dataclass
 
 from .catalog import GAMES, Block, ChickenPayoffs, PDPayoffs, StrategyBlock, extract_block
 from .eisert import GAMMA_RANGE
-from .errors import ConsistencyError, ValidationError, finite, real, unchecked
+from .errors import ConsistencyError, ValidationError, check_floats, unchecked
 
 _BISECT_TOL = 1e-10
 _CROSSCHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class IsingParams:
-    """Chain coupling J, external field h, inverse temperature beta
-    (Boltzmann constant absorbed into beta)."""
+    """Chain coupling J, external field h, inverse temperature beta (Boltzmann constant
+    absorbed into beta), stored as floats, so every route reads the same numbers."""
 
     J: float
     h: float
     beta: float
 
-    def __init__(self, J: float, h: float, beta: float):
-        if not finite(J, h, beta):
-            raise ValidationError("J, h, beta must be finite")
-        if beta < 0:
-            raise ValidationError(f"beta must be >= 0, got {beta}")
-        self.__dict__.update(J=J, h=h, beta=beta)  # one write past the frozen __setattr__
+    def __post_init__(self):
+        check_floats(self, "J, h, beta must be finite")
+        if self.beta < 0:
+            raise ValidationError(f"beta must be >= 0, got {self.beta}")
 
 
 def couplings(block: StrategyBlock) -> list[tuple[float, float]]:
@@ -72,16 +70,15 @@ def to_ising(block, beta: float) -> IsingParams:
     if block.row_payoffs.ndim != 2:
         raise ValidationError("to_ising takes one 2x2 block, not a stack along gamma")
     (J, h), = pairs
-    return IsingParams(J=J, h=h, beta=real(beta))  # None fails IsingParams' check
+    return IsingParams(J=J, h=h, beta=beta)
 
 
 def curve_rows(block: StrategyBlock, betas) -> tuple[list[tuple[float, float]], list[float]]:
     """`couplings(block)`, and m at each (gamma, beta) row, gamma-major, one `magnetization`
-    call a row. Each beta passes IsingParams' check once, in order, and each row's params,
-    finite by construction, are `errors.unchecked` inline (a call would cost as much)."""
+    call a row. Each beta passes IsingParams' check once, in order, and each row's params
+    hold the floats it stores, `errors.unchecked` inline (a call would cost as much)."""
     pairs, ms = couplings(block), []
-    for beta in betas:
-        IsingParams(0.0, 0.0, beta)  # the first bad beta raises its message
+    betas = [IsingParams(0.0, 0.0, beta).beta for beta in betas]
     for J, h in pairs:
         for beta in betas:
             d = (ip := object.__new__(IsingParams)).__dict__

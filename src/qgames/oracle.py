@@ -80,8 +80,8 @@ def enumerate_magnetization(spec: ChainSpec) -> float:
         raise ResourceLimitError(
             f"exact enumeration needs 2**N states; N={n} exceeds the limit of {MAX_ENUM_SITES}"
         )
-    bj = float(spec.params.beta) * float(spec.params.J)
-    bh = float(spec.params.beta) * float(spec.params.h)
+    bj = spec.params.beta * spec.params.J
+    bh = spec.params.beta * spec.params.h
     if not math.isfinite(2 * n * (abs(bj) + abs(bh))):  # the largest offset exponent
         raise ValidationError(f"enumeration overflows float64: beta*J={bj!r}, beta*h={bh!r}, N={n}")
     alt, odd = n - 4 * (n // 2), n % 2
@@ -206,7 +206,7 @@ def transfer_matrix_finite(spec: ChainSpec) -> float:
     value; a ring past 2**1000 sites is taken as one of 2**1000 or
     2**1000 + 1, by parity.
     """
-    beta, J, h = float(spec.params.beta), float(spec.params.J), float(spec.params.h)
+    beta, J, h = spec.params.beta, spec.params.J, spec.params.h
     x0 = beta * h
     if x0 == 0.0:  # Z is even in beta*h, so m = 0 there, beta = 0 included
         return 0.0

@@ -1,6 +1,6 @@
 """Shared test oracles: closed-form block matrices, the classical games,
 the circuit's final state of one strategy pair, its payoffs built without a
-cache, a fixture that counts circuit runs, NumPy-scalar references for
+cache (and with exact int weights), a fixture that counts circuit runs, NumPy-scalar references for
 the block -> (J, h, m) step, logit play of a block on a ring of players,
 the finite chain's magnetization at 60 digits, the one-midpoint-at-a-time
 bisection, and payoff generators.
@@ -10,6 +10,7 @@ blocks are always checked against an independent route.
 """
 
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -90,6 +91,14 @@ def uncached_extended_matrix(template, strategies, gamma):
     lhat = entangler(gamma)[..., None, None, :, :]
     chi = tensor.apply(tensor.adjoint(lhat), tensor.apply(cells, lhat[..., :, 0]))
     return (chi.conj() * chi).real @ template.weights
+
+
+def object_weighed(exact, strategies, gamma):
+    """The payoffs of exact int template entries, in the basis order |00>, |01>, |10>, |11>,
+    as an object-array weighing gives them (each product and sum rounded by Python), as
+    float64: how int payoffs beyond int64 were once weighed."""
+    weights = types.SimpleNamespace(weights=np.array(exact, dtype=object))
+    return uncached_extended_matrix(weights, strategies, gamma).astype(float)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     classical_chicken_matrix,
     classical_pd_matrix,
+    object_weighed,
     qvc_closed_form,
     qvd_closed_form,
     qvstraight_closed_form,
@@ -234,7 +235,7 @@ def bits(a):
 
 
 _RNG = np.random.default_rng(32)
-# ints above 2**63: the template's weights are an object array
+# ints above 2**63, stored as the floats the circuit weighs
 BIG_INT_PD = PDPayoffs(2**64 + 1, 2**65 + 3, -(2**70), 2**63 + 5)
 SLICE_PAYOFFS = [
     *(("pd", random_pd(_RNG)) for _ in range(3)),
@@ -292,8 +293,17 @@ class TestBlockIsItsGameSlice:
                 assert np.array_equal(bits(got), bits(want)), (block_id, gamma)
                 assert np.array_equal(bits(game[..., cells[:, None], cells]), bits(want))
 
-    def test_big_ints_take_the_object_weights(self):
-        assert GAMES["pd"][1](BIG_INT_PD).weights.dtype == object
+    @pytest.mark.parametrize("gamma", [0.4, np.array([0.1, 0.4]), SLICE_GAMMAS[-1]],
+                             ids=["float", "grid", "200-grid"])
+    def test_big_ints_weigh_as_float64_with_the_object_weighing_bits(self, gamma):
+        """The payoffs hold floats, so the weights are float64, and the blocks keep the
+        bits the exact ints gave when they weighed as an object array."""
+        assert GAMES["pd"][1](BIG_INT_PD).weights.dtype == np.float64
+        exact = [2**64 + 1, -(2**70), 2**65 + 3, 2**63 + 5]  # BIG_INT_PD's r, s, t, p
+        for block_id in (Block.QVC, Block.QVD, Block.CLASSICAL_PD):
+            got = extract_block("pd", BIG_INT_PD, block_id, gamma).row_payoffs
+            want = object_weighed(exact, _BLOCK_STRATEGIES[block_id][1], gamma)
+            assert got.dtype == np.float64 and np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("gamma", [0.4, np.array([0.1, 0.4])], ids=["float", "grid"])
     def test_a_big_int_block_is_float64(self, gamma):

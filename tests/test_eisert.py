@@ -15,6 +15,7 @@ from conftest import (
     classical_pd_matrix,
     entangler,
     final_state,
+    object_weighed,
     random_chicken,
     random_pd,
     uncached_extended_matrix,
@@ -36,7 +37,10 @@ from qgames.eisert import (
     extended_matrix,
     strategy_operator,
 )
-from qgames.errors import ConsistencyError, ValidationError
+from qgames.errors import ConsistencyError, ValidationError, real
+from qgames.oracle import (
+    ChainSpec, enumerate_magnetization, metropolis_magnetization, transfer_matrix_finite,
+)
 
 PD_3501 = PDPayoffs(3, 5, 0, 1)
 PD_ROW = GAMES[PD][1](PD_3501)
@@ -355,8 +359,9 @@ class TestProductCache:
             eisert._probs.cache_clear()
 
 
-# big ints past int64 make the template's weights an object array
+# big ints past int64, stored as floats
 BIG_INT_TEMPLATE = PayoffTemplate(2**64 + 1, 3, -(2**70), 1)
+BIG_INT_WEIGHTS = [2**64 + 1, -(2**70), 3, 1]  # its exact entries in the basis order
 
 
 def same_payoffs(got, want):
@@ -370,12 +375,15 @@ class TestProbabilityCache:
 
     def test_a_miss_and_a_hit_keep_every_bit(self, circuit_passes):
         templates = [*CACHE_TEMPLATES, BIG_INT_TEMPLATE]
-        assert BIG_INT_TEMPLATE.weights.dtype == object
+        assert BIG_INT_TEMPLATE.weights.dtype == np.float64
         for strategies in CACHED_SETS:
             for gamma in CACHE_GAMMAS:
                 for template in templates + templates:
                     want = uncached_extended_matrix(template, strategies, gamma)
                     assert same_payoffs(extended_matrix(template, strategies, gamma), want)
+                # the bits the exact ints gave when they weighed as an object array
+                want = object_weighed(BIG_INT_WEIGHTS, strategies, gamma)
+                assert same_payoffs(extended_matrix(BIG_INT_TEMPLATE, strategies, gamma), want)
         assert len(circuit_passes) == len(CACHED_SETS) * len(CACHE_GAMMAS)
 
     @pytest.mark.parametrize("gamma", [0.7, np.linspace(0.0, 1.0, 9)], ids=["float", "grid"])
@@ -595,6 +603,111 @@ def test_a_real_scalar_beta_or_payoff_reads_as_its_float(value):
     assert transition == phase_transition_gamma(PD, floats, Block.QVD)
 
 
+# REAL_SCALARS, an int a float holds only rounded, and one near the top of the float range
+STORED_SCALARS = [*REAL_SCALARS, 2**64 + 1, 10**300]
+
+
+def scalar_id(value):
+    return f"int-{value:.3g}" if type(value) is int and value > 2**63 else repr(value)
+PD_RANKS = {"t": 3, "r": 2, "p": 1, "s": 0}
+
+
+def pd_around(value, field):
+    """PDPayoffs arguments with `value` at `field` and floats spaced max(1, |x|) apart in
+    the order t > r > p > s around x = real(value) at the others."""
+    x = real(value)
+    unit = max(1.0, abs(x))
+    return {k: value if k == field else x + (rank - PD_RANKS[field]) * unit
+            for k, rank in PD_RANKS.items()}
+
+
+# site: (the value type built around a real scalar, the fields holding it, whether a
+# scalar that is not above 0 fits there)
+STORE_SITES = {
+    "IsingParams": (lambda v: IsingParams(v, v, v), ("J", "h", "beta"), True),
+    "PayoffTemplate": (lambda v: PayoffTemplate(v, v, v, v), ("v00", "v10", "v01", "v11"), True),
+    **{f"PDPayoffs-{f}": (lambda v, f=f: PDPayoffs(**pd_around(v, f)), (f,), True)
+       for f in PD_RANKS},
+    "ChickenPayoffs-r": (lambda v: ChickenPayoffs(r=v, s=2.0 * real(v)), ("r",), False),
+    "ChickenPayoffs-s": (lambda v: ChickenPayoffs(r=real(v) / 2.0, s=v), ("s",), False),
+}
+
+
+@pytest.mark.parametrize("site,value", [
+    pytest.param(site, value, id=f"{site}-{scalar_id(value)}")
+    for site, (_, _, any_sign) in STORE_SITES.items() for value in STORED_SCALARS
+    if any_sign or real(value) > 0
+])
+def test_a_value_type_stores_each_real_scalar_as_the_float_real_reads(site, value):
+    """Every field of IsingParams, the payoffs and a template is a float, and a field
+    given a real scalar holds the bits of `errors.real` of it."""
+    build, fields, _ = STORE_SITES[site]
+    obj = build(value)
+    assert all(type(v) is float for v in vars(obj).values())
+    for name in fields:
+        assert bits(getattr(obj, name)) == bits(real(value))
+
+
+CHAIN_ROUTES = {
+    "magnetization": magnetization,
+    "transfer_matrix_finite": lambda ip: transfer_matrix_finite(ChainSpec(9, ip)),
+    "enumerate_magnetization": lambda ip: enumerate_magnetization(ChainSpec(9, ip)),
+    "metropolis_magnetization": lambda ip: metropolis_magnetization(ChainSpec(9, ip), 200, 40, 7),
+}
+
+
+def outcome(route, args):
+    """repr of what a route gives on IsingParams(*args), every bit of each float kept,
+    or the error it raises."""
+    try:
+        return repr(route(IsingParams(*args)))
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("route", CHAIN_ROUTES.values(), ids=CHAIN_ROUTES)
+@pytest.mark.parametrize("fields", [(0,), (1,), (2,), (0, 1, 2)], ids=["J", "h", "beta", "all"])
+@pytest.mark.parametrize("value", STORED_SCALARS, ids=scalar_id)
+def test_every_chain_route_reads_a_real_scalar_param_as_its_float(route, fields, value):
+    """A real scalar J, h or beta, or all three, gives each route the bits (or the error)
+    of its float: the routes compute on the params' floats, not in the caller's type, and
+    a warning (an overflow in float32, say) fails the suite."""
+    args, floats = [0.2, -0.3, 0.7], [0.2, -0.3, 0.7]
+    for k in fields:
+        args[k], floats[k] = value, real(value)
+    assert outcome(route, args) == outcome(route, floats)
+
+
+class TestParamsOfAnotherRealType:
+    """Named cases of params given as NumPy float32 or as ints, each once computed in the
+    caller's type."""
+
+    def test_int_params_whose_products_leave_the_float_range_give_the_m_of_their_floats(self):
+        # int * int stayed exact, and its float overflowed: OverflowError
+        assert magnetization(IsingParams(0, 10**300, 10**300)) == 1.0
+
+    def test_float32_params_give_the_m_the_oracles_read(self):
+        # in float32 arithmetic: 0.9906495086064117
+        args = tuple(map(np.float32, (0.3, 0.7, 2.1)))
+        m = magnetization(IsingParams(*args))
+        assert m == magnetization(IsingParams(*map(float, args))) == 0.9906495100271981
+
+    def test_a_float32_beta_of_1e37_does_not_overflow(self):
+        # float32 products overflowed, with a RuntimeWarning
+        args = tuple(map(np.float32, (30.0, 70.0, 1e37)))
+        ip, floats = IsingParams(*args), IsingParams(*map(float, args))
+        assert bits(magnetization(ip)) == bits(magnetization(floats))
+        spec, float_spec = ChainSpec(8, ip), ChainSpec(8, floats)
+        assert metropolis_magnetization(spec, 50, 10, 3) == metropolis_magnetization(
+            float_spec, 50, 10, 3)
+
+    def test_int_payoffs_that_round_to_one_float_fail_the_ordering_check(self):
+        # t = 2**53 + 1 rounds to 2**53 = r, so the circuit's game would have t == r
+        with pytest.raises(ValidationError, match=re.escape(
+                "t > r violated (t=9007199254740992.0, r=9007199254740992.0)")):
+            PDPayoffs(2**53, 2**53 + 1, 0, 1)
+
+
 NOT_REAL = [None, "3", b"3", [1.0], np.array([1.0]), 1j, np.complex64(1), np.clongdouble(1),
             np.array(1j), Decimal(1), 10**400]
 SITES = {
@@ -611,8 +724,8 @@ SITES = {
                       "block must be a finite 2x2 matrix"),
     "BimatrixGame": (lambda v: BimatrixGame([[v, 0.0], [0.0, 0.0]], ("a", "b")),
                      "payoffs must be finite"),
-    "entangler": (entangler, GAMMA_NOT_REAL := "is not a real float or a 1-D grid"),
-    "extract_block": (lambda v: extract_block(PD, PD_3501, Block.QVD, gamma=v), GAMMA_NOT_REAL),
+    "extract_block": (lambda v: extract_block(PD, PD_3501, Block.QVD, gamma=v),
+                      GAMMA_NOT_REAL := "is not a real float or a 1-D grid"),
     "check_gamma": (check_gamma, GAMMA_NOT_REAL),
 }
 
@@ -668,10 +781,10 @@ def test_a_payoff_that_is_not_a_real_scalar_stops_the_pipeline(run, kind, block,
     np.complex128(0.5 + 1j), np.complex128(0.5), np.array(0.5 + 1j), np.array([0.5 + 1j]),
 ], ids=repr)
 @pytest.mark.parametrize("call", [
-    entangler,
+    check_gamma,
     lambda gamma: extract_block(PD, PD_3501, Block.QVD, gamma),
     lambda gamma: qgames.quantized_game(PD, PD_3501, gamma),
-], ids=["entangler", "extract_block", "quantized_game"])
+], ids=["check_gamma", "extract_block", "quantized_game"])
 def test_a_gamma_that_is_not_real_is_a_validation_error_naming_it(call, gamma):
     """Ragged or non-numeric grids (NumPy's ValueError), complex or other
     objects (its TypeError) and NumPy complex values, which a float cast

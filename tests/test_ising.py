@@ -649,6 +649,18 @@ class TestCurve:
             ising.curve_rows(stacked, betas)
         assert str(err.value) == message
 
+    def test_rows_take_the_float_of_a_real_scalar_beta(self, monkeypatch):
+        seen = []
+        run = ising.magnetization
+        monkeypatch.setattr(ising, "magnetization", lambda ip: seen.append(ip) or run(ip))
+        stacked = extract_block("pd", PD_3501, Block.QVD, np.linspace(0.0, 1.0, 3))
+        betas = (np.float32(2.1), 3, np.array(0.5))
+        pairs, ms = ising.curve_rows(stacked, betas)
+        floats = [float(b) for b in betas]
+        assert [vars(ip)["beta"] for ip in seen] == floats * 3
+        assert all(type(v) is float for ip in seen for v in vars(ip).values())
+        assert ms == [run(IsingParams(J, h, b)) for J, h in pairs for b in floats]
+
 
 class TestPhaseTransition:
     def test_pd_reference_point(self):
