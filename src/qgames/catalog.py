@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import eisert
-from .eisert import C, D, Q, STRAIGHT, SWERVE, PayoffTemplate
+from .eisert import C, D, Q, STRAIGHT, SWERVE
 from .equilibrium import BimatrixGame
 from .errors import ValidationError, check_floats, real_array, unchecked
 
@@ -123,30 +123,29 @@ def _pd_cos_2gamma(p: PDPayoffs) -> float:
     return (p.r / 2 - p.p / 2) / (p.t / 2 - p.s / 2)
 
 
-# One row per game kind: payoff type, the row player's outcome template (|0> cooperate or
-# swerve, |1> defect or straight), 3x3 order, block whose field changes sign, and
-# cos(2 gamma*) there in closed form, the bisection's check.
+# One row per game kind: payoff type, the row player's weights of the outcomes |00>, |01>,
+# |10>, |11> (|0> cooperate or swerve, |1> defect or straight), 3x3 order, block whose field
+# changes sign, and cos(2 gamma*) there in closed form, the bisection's check.
 # Chicken's s / (2 r) is formed as (s / r) / 2: the same bits where 2 r is finite, and finite
 # where it is not.
 GAMES = {
-    PD: (PDPayoffs, lambda p: PayoffTemplate(v00=p.r, v10=p.t, v01=p.s, v11=p.p), (C, D, Q),
-         Block.QVD, _pd_cos_2gamma),
-    CHICKEN: (ChickenPayoffs, lambda c: PayoffTemplate(v00=0.0, v10=c.r, v01=-c.r, v11=-c.s),
-              (SWERVE, STRAIGHT, Q), Block.QVSTRAIGHT, lambda c: c.s / c.r / 2.0),
+    PD: (PDPayoffs, lambda p: (p.r, p.s, p.t, p.p), (C, D, Q), Block.QVD, _pd_cos_2gamma),
+    CHICKEN: (ChickenPayoffs, lambda c: (0.0, -c.r, c.r, -c.s), (SWERVE, STRAIGHT, Q),
+              Block.QVSTRAIGHT, lambda c: c.s / c.r / 2.0),
 }
 
 
 def _table(game_kind: str, payoffs, gamma) -> np.ndarray:
     """The row player's payoffs over the game's 3x3 strategy order: (3, 3) for a float gamma,
-    (G, 3, 3) along a 1-D grid, fresh from one `extended_matrix` call: float64 of float payoffs."""
+    (G, 3, 3) along a 1-D grid, fresh from one `extended_matrix` call on the payoffs' weights."""
     if game_kind not in GAMES:
         raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {tuple(GAMES)}")
-    payoff_type, template, order, *_ = GAMES[game_kind]
+    payoff_type, weights, order, *_ = GAMES[game_kind]
     if not isinstance(payoffs, payoff_type):
         raise ValidationError(f"{game_kind} needs {payoff_type.__name__}, "
                               f"got {type(payoffs).__name__}")
     # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
-    return eisert.extended_matrix(template(payoffs), strategies=order, gamma=gamma)
+    return eisert.extended_matrix(weights(payoffs), strategies=order, gamma=gamma)
 
 
 # Each block's rows and columns in its game's table, for `table[..., i, j]`.

@@ -2,8 +2,9 @@
 
 The protocol: entangle |00> with a gate L(gamma), let each player act with a
 local unitary O(theta, phi), disentangle with L^dag, and measure.  Payoffs
-are the measurement probabilities weighted by the row player's payoff template.
-gamma=0 reproduces the classical game, gamma=pi/2 is maximal entanglement.
+are the measurement probabilities weighted by the row player's payoffs of the
+outcomes |00>, |01>, |10>, |11>, in that basis order.  gamma=0 reproduces the
+classical game, gamma=pi/2 is maximal entanglement.
 
 The circuit runs as one vectorized pass over every ordered strategy pair
 and, when gamma is a 1-D grid, over every gamma of the grid.  No payoff enters
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .errors import ConsistencyError, ValidationError, check_floats, real, real_array
+from .errors import ConsistencyError, ValidationError, real, real_array
 
 #: Allowed parameter ranges of the two-parameter strategy family.
 THETA_RANGE = (0.0, math.pi)
@@ -72,24 +73,6 @@ D = Strategy("D", math.pi, 0.0)
 Q = Strategy("Q", 0.0, math.pi / 2)
 SWERVE = Strategy("swerve", 0.0, 0.0)
 STRAIGHT = Strategy("straight", math.pi, 0.0)
-
-
-@dataclass(frozen=True)
-class PayoffTemplate:
-    """One player's payoff for each measured two-qubit outcome, stored as floats."""
-
-    v00: float
-    v10: float
-    v01: float
-    v11: float
-
-    def __post_init__(self):
-        check_floats(self, "payoff template entries must be finite")
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The payoffs in the basis order |00>, |01>, |10>, |11> of a state."""
-        return np.array([self.v00, self.v01, self.v10, self.v11])
 
 
 def _check_range(name, value, lo, hi):
@@ -183,13 +166,21 @@ def _probs(strategies, bits: bytes, shape) -> np.ndarray:
     return _circuit(_products(strategies), np.frombuffer(bits).reshape(shape))[1]
 
 
-def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
+def extended_matrix(weights, strategies, gamma) -> np.ndarray:
     """Row player's expected payoffs over every ordered strategy pair, shape
     (n, n) for a float gamma and (G, n, n) for a 1-D gamma grid, from one
-    cached pass of the circuit.  The protocol is symmetric under swapping the
-    players, so a symmetric template gives a symmetric game, which this
-    one table defines (`equilibrium.BimatrixGame`).
+    cached pass of the circuit.  `weights` are the row player's payoffs of the
+    outcomes |00>, |01>, |10>, |11>: four real scalars (`errors.real`), all finite.
+    The protocol is symmetric under swapping the players, so the weights of a
+    symmetric game give a symmetric game, which this one table defines
+    (`equilibrium.BimatrixGame`).
     """
+    try:
+        w = [real(v) for v in weights]
+    except TypeError:  # not iterable
+        w = None
+    if w is None or len(w) != 4 or None in w or not all(map(math.isfinite, w)):
+        raise ValidationError(f"weights must be 4 finite real scalars, got {weights!r}")
     strategies = tuple(strategies)
     if not strategies:
         raise ValidationError("need at least one strategy")
@@ -197,10 +188,10 @@ def extended_matrix(template: PayoffTemplate, strategies, gamma) -> np.ndarray:
         raise ValidationError(f"strategies must be Strategy instances, got {strategies!r}")
     g = check_gamma(gamma)
     run = _probs if g.size * len(strategies) ** 2 <= _CACHED_CELLS else _probs.__wrapped__
-    probs, values = run(strategies, g.tobytes(), g.shape), vars(template).values()
-    if max(map(abs, values)) <= _SAFE_PAYOFF:
-        return probs @ template.weights
+    probs = run(strategies, g.tobytes(), g.shape)
+    if max(map(abs, w)) <= _SAFE_PAYOFF:
+        return probs @ np.array(w)
     # a probability rounded above 1 can carry a payoff past the float max; the exact payoff
-    # is a mean of the template's, so it is clipped to their range
+    # is a mean of the weights, so it is clipped to their range
     with np.errstate(over="ignore"):
-        return np.clip(probs @ template.weights, min(values), max(values))
+        return np.clip(probs @ np.array(w), min(w), max(w))

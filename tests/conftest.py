@@ -10,7 +10,6 @@ blocks are always checked against an independent route.
 """
 
 import math
-import types
 
 import mpmath
 import numpy as np
@@ -82,23 +81,22 @@ def final_state(s1, s2, gamma) -> np.ndarray:
     return chi[..., 0, 1, :]
 
 
-def uncached_extended_matrix(template, strategies, gamma):
-    """extended_matrix without its caches: the operators and their products
-    built on this call, and the final state squared here."""
+def uncached_extended_matrix(weights, strategies, gamma):
+    """extended_matrix without its caches or its checks: the operators and their products
+    built on this call, the final state squared here and weighed by `np.array(weights)`."""
     ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
     n = len(ops)
     cells = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(n, n, 4, 4)
     lhat = entangler(gamma)[..., None, None, :, :]
     chi = tensor.apply(tensor.adjoint(lhat), tensor.apply(cells, lhat[..., :, 0]))
-    return (chi.conj() * chi).real @ template.weights
+    return (chi.conj() * chi).real @ np.array(weights)
 
 
 def object_weighed(exact, strategies, gamma):
-    """The payoffs of exact int template entries, in the basis order |00>, |01>, |10>, |11>,
+    """The payoffs of exact int weights, in the basis order |00>, |01>, |10>, |11>,
     as an object-array weighing gives them (each product and sum rounded by Python), as
     float64: how int payoffs beyond int64 were once weighed."""
-    weights = types.SimpleNamespace(weights=np.array(exact, dtype=object))
-    return uncached_extended_matrix(weights, strategies, gamma).astype(float)
+    return uncached_extended_matrix(np.array(exact, dtype=object), strategies, gamma).astype(float)
 
 
 @pytest.fixture

@@ -31,7 +31,6 @@ from qgames.eisert import (
     Q,
     STRAIGHT,
     SWERVE,
-    PayoffTemplate,
     Strategy,
     check_gamma,
     extended_matrix,
@@ -46,18 +45,19 @@ PD_3501 = PDPayoffs(3, 5, 0, 1)
 PD_ROW = GAMES[PD][1](PD_3501)
 
 
-def swapped(template):
-    """The players-swapped template: the column player's payoffs of a symmetric game."""
-    return PayoffTemplate(v00=template.v00, v10=template.v01, v01=template.v10, v11=template.v11)
+def swapped(weights):
+    """The players-swapped weights: the column player's payoffs of a symmetric game."""
+    w00, w01, w10, w11 = weights
+    return w00, w10, w01, w11
 
 
 def probs(state):
     return (state.conj() * state).real
 
 
-def payoff(chi, template):
-    """Expected payoff: squared amplitudes weighted by the outcome template."""
-    return float(probs(chi) @ template.weights)
+def payoff(chi, weights):
+    """Expected payoff: squared amplitudes weighted by the outcomes' payoffs in basis order."""
+    return float(probs(chi) @ np.array(weights))
 
 
 class TestStrategyOperator:
@@ -155,18 +155,30 @@ class TestFinalState:
         assert all(np.array_equal(states[k], final_state(D, Q, g)) for k, g in enumerate(grid))
 
 
-class TestPayoff:
-    def test_non_finite_template_entry_rejected(self):
-        with pytest.raises(ValidationError, match="payoff template entries must be finite"):
-            PayoffTemplate(math.nan, 0, 0, 0)
+WEIGHTS_NOT_VALID = "weights must be 4 finite real scalars"
 
-    @pytest.mark.parametrize("entries", [
+
+def with_weight(value, k):
+    """PD_ROW's weights with `value` at basis position k."""
+    return tuple(value if i == k else w for i, w in enumerate(PD_ROW))
+
+
+class TestPayoff:
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, np.True_, [1.0]],
+                             ids=repr)
+    def test_a_weight_not_finite_real_is_rejected_at_each_position(self, value, k):
+        with pytest.raises(ValidationError, match=WEIGHTS_NOT_VALID):
+            extended_matrix(with_weight(value, k), (C, D), 0.5)
+
+    @pytest.mark.parametrize("weights", [
         (1j, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.5 + 0j), (3.0, np.complex128(5.0), 0.0, 1.0),
         (3.0, 5.0, np.complex128(1j), 1.0), (3.0, 5.0, 0.0, np.array(1 + 0j)),
+        (3.0, 0.0, 5.0), (3.0, 0.0, 5.0, 1.0, 1.0), (), 3.0, np.array(3.0), None,
     ], ids=repr)
-    def test_complex_template_entry_rejected(self, entries):
-        with pytest.raises(ValidationError, match="payoff template entries must be finite"):
-            extended_matrix(PayoffTemplate(*entries), (C, D), 0.5)
+    def test_complex_or_not_four_weights_rejected(self, weights):
+        with pytest.raises(ValidationError, match=WEIGHTS_NOT_VALID):
+            extended_matrix(weights, (C, D), 0.5)
 
     def test_pure_00_state_pays_the_00_entry(self):
         chi = np.array([1, 0, 0, 0], dtype=complex)
@@ -184,8 +196,8 @@ class TestPayoff:
         gamma=st.floats(0, math.pi / 2),
     )
     def test_payoff_is_convex_combination(self, t1, p1, t2, p2, gamma):
-        template = PayoffTemplate(v00=3.0, v10=5.0, v01=0.0, v11=1.0)
-        val = payoff(final_state(Strategy("1", t1, p1), Strategy("2", t2, p2), gamma), template)
+        weights = (3.0, 0.0, 5.0, 1.0)
+        val = payoff(final_state(Strategy("1", t1, p1), Strategy("2", t2, p2), gamma), weights)
         assert 0.0 - 1e-9 <= val <= 5.0 + 1e-9
 
 
@@ -240,17 +252,17 @@ class TestExtendedMatrix:
             assert ch_row[2, 1] == pytest.approx(-ch.r * math.cos(2 * gamma), abs=1e-12)
             assert ch_row[1, 2] == pytest.approx(ch.r * math.cos(2 * gamma), abs=1e-12)
 
-    def test_symmetric_templates_give_symmetric_game(self):
+    def test_symmetric_weights_give_symmetric_game(self):
         # the column player's payoffs are the row player's with the last two axes swapped,
         # bit for bit: quantized_game builds them that way
         rng = np.random.default_rng(22)
         grid = np.linspace(0, math.pi / 2, 52)
         for game_kind, draw in ((PD, random_pd), (CHICKEN, random_chicken)):
-            _, template, strategies, *_ = GAMES[game_kind]
+            _, weights, strategies, *_ = GAMES[game_kind]
             for _ in range(50):
-                row_t = template(draw(rng))
-                row = extended_matrix(row_t, strategies, grid)
-                col = extended_matrix(swapped(row_t), strategies, grid)
+                row_w = weights(draw(rng))
+                row = extended_matrix(row_w, strategies, grid)
+                col = extended_matrix(swapped(row_w), strategies, grid)
                 assert np.array_equal(col, row.swapaxes(-1, -2))
 
     def test_grid_gives_one_game_per_gamma(self):
@@ -277,15 +289,14 @@ class TestExtendedMatrix:
         """Classical cells have probabilities 1 + 2 ulps on 8 of the 200 default gammas; weighed
         with a payoff near the float max they once overflowed to -inf with a RuntimeWarning,
         failing `quantize` and each block that holds such a cell.  The exact payoff is a mean of the
-        template's, so each cell is clipped to their range; other cells keep their bits."""
-        _, template, strategies, *_ = GAMES[kind]
-        row_t, grid = template(payoffs), np.linspace(0.0, math.pi / 2, 200)
+        weights, so each cell is clipped to their range; other cells keep their bits."""
+        _, weights, strategies, *_ = GAMES[kind]
+        values, grid = weights(payoffs), np.linspace(0.0, math.pi / 2, 200)
         with np.errstate(over="ignore"):
-            plain = uncached_extended_matrix(row_t, strategies, grid)
-        values = [float(v) for v in vars(row_t).values()]
+            plain = uncached_extended_matrix(values, strategies, grid)
         inside = (plain >= min(values)) & (plain <= max(values))
         assert not inside.all()  # the rounding this guards against
-        got = extended_matrix(row_t, strategies, grid)
+        got = extended_matrix(values, strategies, grid)
         assert got.min() == min(values) and got.max() <= max(values)
         assert np.array_equal(bits(got[inside]), bits(plain[inside]))
         for k, gamma in enumerate(grid):
@@ -302,8 +313,8 @@ CACHED_SETS = sorted({pair for _, pair in _BLOCK_STRATEGIES.values()}
                      | {row[2] for row in GAMES.values()}, key=lambda s: [x.label for x in s])
 CACHE_GAMMAS = [0.0, math.pi / 2, 5e-324, *_RNG.uniform(0.0, math.pi / 2, 5),
                 np.linspace(0.0, math.pi / 2, 200)]
-CACHE_TEMPLATES = [PD_ROW, GAMES[CHICKEN][1](ChickenPayoffs(3, 4)),
-                   *(PayoffTemplate(*_RNG.normal(0.0, 10.0, 4)) for _ in range(3))]
+CACHE_WEIGHTS = [PD_ROW, GAMES[CHICKEN][1](ChickenPayoffs(3, 4)),
+                 *(tuple(_RNG.normal(0.0, 10.0, 4).tolist()) for _ in range(3))]
 
 
 class TestProductCache:
@@ -312,10 +323,10 @@ class TestProductCache:
 
     def test_payoffs_keep_every_bit(self):
         for strategies in CACHED_SETS:
-            for template in CACHE_TEMPLATES:
+            for weights in CACHE_WEIGHTS:
                 for gamma in CACHE_GAMMAS:
-                    got = extended_matrix(template, strategies, gamma)
-                    want = uncached_extended_matrix(template, strategies, gamma)
+                    got = extended_matrix(weights, strategies, gamma)
+                    want = uncached_extended_matrix(weights, strategies, gamma)
                     assert np.array_equal(bits(got), bits(want))
 
     def test_interleaved_sets_leave_each_other_unchanged(self):
@@ -359,9 +370,9 @@ class TestProductCache:
             eisert._probs.cache_clear()
 
 
-# big ints past int64, stored as floats
-BIG_INT_TEMPLATE = PayoffTemplate(2**64 + 1, 3, -(2**70), 1)
-BIG_INT_WEIGHTS = [2**64 + 1, -(2**70), 3, 1]  # its exact entries in the basis order
+# big ints past int64 in the basis order, read as floats; the uncached reference is given
+# their floats, since the ints themselves weigh as an object array
+BIG_INT_WEIGHTS = (2**64 + 1, -(2**70), 3, 1)
 
 
 def same_payoffs(got, want):
@@ -370,28 +381,27 @@ def same_payoffs(got, want):
 
 class TestProbabilityCache:
     """eisert._probs holds the circuit's measured probabilities per strategy set,
-    gamma bits and shape: one run serves every payoff template, and each call
+    gamma bits and shape: one run serves every set of weights, and each call
     weighs them into a fresh array with every bit of the uncached circuit."""
 
     def test_a_miss_and_a_hit_keep_every_bit(self, circuit_passes):
-        templates = [*CACHE_TEMPLATES, BIG_INT_TEMPLATE]
-        assert BIG_INT_TEMPLATE.weights.dtype == np.float64
         for strategies in CACHED_SETS:
             for gamma in CACHE_GAMMAS:
-                for template in templates + templates:
-                    want = uncached_extended_matrix(template, strategies, gamma)
-                    assert same_payoffs(extended_matrix(template, strategies, gamma), want)
+                for weights in [*CACHE_WEIGHTS, BIG_INT_WEIGHTS] * 2:
+                    want = uncached_extended_matrix([float(w) for w in weights], strategies, gamma)
+                    assert same_payoffs(extended_matrix(weights, strategies, gamma), want)
                 # the bits the exact ints gave when they weighed as an object array
                 want = object_weighed(BIG_INT_WEIGHTS, strategies, gamma)
-                assert same_payoffs(extended_matrix(BIG_INT_TEMPLATE, strategies, gamma), want)
+                assert same_payoffs(extended_matrix(BIG_INT_WEIGHTS, strategies, gamma), want)
         assert len(circuit_passes) == len(CACHED_SETS) * len(CACHE_GAMMAS)
 
     @pytest.mark.parametrize("gamma", [0.7, np.linspace(0.0, 1.0, 9)], ids=["float", "grid"])
     def test_a_second_payoff_set_at_the_same_gamma_runs_no_circuit(self, circuit_passes, gamma):
         order = GAMES[PD][2]
         extended_matrix(PD_ROW, order, gamma)
-        got = extended_matrix(BIG_INT_TEMPLATE, order, gamma)
-        assert same_payoffs(got, uncached_extended_matrix(BIG_INT_TEMPLATE, order, gamma))
+        got = extended_matrix(BIG_INT_WEIGHTS, order, gamma)
+        floats = [float(w) for w in BIG_INT_WEIGHTS]
+        assert same_payoffs(got, uncached_extended_matrix(floats, order, gamma))
         assert len(circuit_passes) == 1
 
     def test_negative_zero_and_zero_keep_separate_entries(self, circuit_passes):
@@ -488,7 +498,7 @@ def mp_probabilities(strategies, gamma):
 
 def mp_payoffs(kind, payoffs, gamma):
     """The game's 3x3 row payoffs at 50 digits, in the order of GAMES[kind][2]."""
-    weights = [mpmath.mpf(w) for w in GAMES[kind][1](payoffs).weights.tolist()]
+    weights = [mpmath.mpf(w) for w in GAMES[kind][1](payoffs)]
     with mpmath.workdps(50):
         return [[mpmath.fsum(p * w for p, w in zip(cell, weights)) for cell in row]
                 for row in mp_probabilities(GAMES[kind][2], gamma)]
@@ -571,8 +581,8 @@ class TestStrategyAngles:
             extended_matrix(PD_ROW, (C, entry), 0.3)
 
 
-KERNEL_NAMES = ("C", "D", "Q", "STRAIGHT", "SWERVE", "Strategy", "PayoffTemplate",
-                "strategy_operator", "extended_matrix")
+KERNEL_NAMES = ("C", "D", "Q", "STRAIGHT", "SWERVE", "Strategy", "strategy_operator",
+                "extended_matrix")
 
 
 def test_package_exports_the_pipeline_and_not_the_circuit_kernel():
@@ -625,7 +635,6 @@ def pd_around(value, field):
 # scalar that is not above 0 fits there)
 STORE_SITES = {
     "IsingParams": (lambda v: IsingParams(v, v, v), ("J", "h", "beta"), True),
-    "PayoffTemplate": (lambda v: PayoffTemplate(v, v, v, v), ("v00", "v10", "v01", "v11"), True),
     **{f"PDPayoffs-{f}": (lambda v, f=f: PDPayoffs(**pd_around(v, f)), (f,), True)
        for f in PD_RANKS},
     "ChickenPayoffs-r": (lambda v: ChickenPayoffs(r=v, s=2.0 * real(v)), ("r",), False),
@@ -639,13 +648,25 @@ STORE_SITES = {
     if any_sign or real(value) > 0
 ])
 def test_a_value_type_stores_each_real_scalar_as_the_float_real_reads(site, value):
-    """Every field of IsingParams, the payoffs and a template is a float, and a field
+    """Every field of IsingParams and the payoffs is a float, and a field
     given a real scalar holds the bits of `errors.real` of it."""
     build, fields, _ = STORE_SITES[site]
     obj = build(value)
     assert all(type(v) is float for v in vars(obj).values())
     for name in fields:
         assert bits(getattr(obj, name)) == bits(real(value))
+
+
+@pytest.mark.parametrize("value", STORED_SCALARS, ids=scalar_id)
+def test_each_real_scalar_as_a_weight_gives_the_bits_of_its_float(value):
+    """A weight given a real scalar, at all four basis positions or at each one, weighs
+    as the float `errors.real` reads, at a float gamma and along a grid."""
+    for weights, floats in [((value,) * 4, (real(value),) * 4),
+                            *((with_weight(value, k), with_weight(real(value), k))
+                              for k in range(4))]:
+        for gamma in (0.3, CACHE_GAMMAS[-1]):
+            got = extended_matrix(weights, (C, D, Q), gamma)
+            assert same_payoffs(got, uncached_extended_matrix(floats, (C, D, Q), gamma))
 
 
 CHAIN_ROUTES = {
@@ -716,8 +737,8 @@ SITES = {
                  "J, h, beta must be finite"),
     "PDPayoffs": (lambda v: PDPayoffs(v, 5, 0, 1), "payoffs must be finite"),
     "ChickenPayoffs": (lambda v: ChickenPayoffs(1, v), "payoffs must be finite"),
-    "PayoffTemplate": (lambda v: PayoffTemplate(v, 0, 0, 0),
-                       "payoff template entries must be finite"),
+    "extended_matrix-weights": (lambda v: extended_matrix((v, 0, 0, 0), (C, D), 0.5),
+                                WEIGHTS_NOT_VALID),
     "strategy_operator": (lambda v: strategy_operator(v, 0), "theta=.* outside"),
     "Strategy": (lambda v: Strategy("X", v, 0), "strategy 'X': theta must be a real scalar"),
     "StrategyBlock": (lambda v: StrategyBlock([[v, 0.0], [0.0, 0.0]], Block.QVD),
