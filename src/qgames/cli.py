@@ -33,7 +33,7 @@ import numpy as np
 
 from . import ising, oracle
 from .catalog import GAMES, Block, extract_block, quantized_game
-from .eisert import GAMMA_RANGE, check_gamma
+from .eisert import _CACHED_CELLS, GAMMA_RANGE, check_gamma
 from .equilibrium import pure_nash
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 
@@ -137,21 +137,30 @@ def cmd_quantize(args) -> int:
     return 0
 
 
-def _curve_lines(gammas, pairs, ms, betas) -> list[str]:
-    """The CSV lines: each column in one %-format (`_fmt`'s bytes), freed before `_emit`.
-    J is formatted once per bit pattern (a sign block's J does not move with gamma); a key
-    on the value would print -0.0 as 0."""
+def _curve_lines(gamma_col, pairs, ms, betas) -> list[str]:
+    """The CSV lines from the gamma column as `_gamma_axis` formats it; every other column in
+    one %-format (`_fmt`'s bytes), freed before `_emit`. J is formatted once per bit pattern (a
+    sign block's J does not move with gamma); a key on the value would print -0.0 as 0."""
     Js, hs = zip(*pairs)
     bits, at = np.unique(np.array(Js).view(np.int64), return_inverse=True)
-    gammas, J_strs, hs, beta_cols, m_cols = (("%.17g\n" * len(c) % tuple(c)).splitlines()
-                                             for c in (gammas, bits.view(float).tolist(), hs,
-                                                       betas, ms))
+    J_strs, hs, beta_cols, m_cols = (("%.17g\n" * len(c) % tuple(c)).splitlines()
+                                     for c in (bits.view(float).tolist(), hs, betas, ms))
     Js, m = [J_strs[i] for i in at.tolist()], iter(m_cols)
     return ["gamma,beta,J,h,m"] + [f"{g},{b},{J},{h},{next(m)}"
-                                   for g, J, h in zip(gammas, Js, hs) for b in beta_cols]
+                                   for g, J, h in zip(gamma_col, Js, hs) for b in beta_cols]
+
+
+@functools.lru_cache(maxsize=16)
+def _gamma_axis(ends: bytes, steps: int):
+    """The read-only grid of `steps` gammas over the float64 `ends` (one step takes the start),
+    its `%.17g` column and whether it strictly increases; keyed on bits, so -0.0 is not 0.0."""
+    (grid := np.linspace(*np.frombuffer(ends)[[0, -1]], steps)).flags.writeable = False
+    column = ("%.17g\n" * steps % tuple(grid.tolist())).splitlines()
+    return grid, column, bool(np.all(np.diff(grid) > 0))
 
 
 def cmd_curve(args) -> int:
+    """CSV m over gamma x beta, the gamma axis cached per grid as long as eisert's 3x3 run is."""
     payoffs = _payoffs_from(args)
     betas = _parse_betas(args.beta)
     if args.gamma_steps < 1:
@@ -162,11 +171,12 @@ def cmd_curve(args) -> int:
     # the ends the grid takes, named as given: linspace would turn an infinite one into NaNs,
     # and a one-step grid is its start alone, whatever the stop
     ends = check_gamma([args.gamma_start, args.gamma_stop][: args.gamma_steps])
-    grid = np.linspace(ends[0], ends[-1], args.gamma_steps)
+    axis = _gamma_axis if args.gamma_steps <= _CACHED_CELLS // 9 else _gamma_axis.__wrapped__
+    grid, gamma_col, increasing = axis(ends.tobytes(), args.gamma_steps)
     stacked = extract_block(args.game, payoffs, args.block, grid)  # range-checks the grid
-    if not np.all(np.diff(grid) > 0):
+    if not increasing:
         raise ValidationError("gamma grid must be strictly increasing")
-    _emit(args.output, _curve_lines(grid.tolist(), *ising.curve_rows(stacked, betas), betas))
+    _emit(args.output, _curve_lines(gamma_col, *ising.curve_rows(stacked, betas), betas))
     return 0
 
 

@@ -451,6 +451,13 @@ def main_outputs(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def reference_outputs(argv):
+    """`main_outputs` of argv with `reference_curve` as the curve subcommand."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(cli.build_parser().subcommands["curve"]._defaults, "func", reference_curve)
+        return main_outputs(argv)
+
+
 CURVE_PAYOFFS = {
     "pd": [("3", "5", "0", "1"), ("0.3", "2.5", "-1", "0"), ("1e308", "1.7e308", "-1.7e308", "0")],
     "chicken": [("3", "4"), ("1", "1e300"), ("1e308", "1.5e308")],
@@ -486,7 +493,7 @@ def test_curve_lines_print_each_J_as_fmt_does():
     pairs = [(J, k / 3) for k, J in enumerate(Js)]
     gammas, betas = [k / 7 for k in range(len(Js))], (0.5, -0.0, 2.0)
     ms = [k / 11 - 1 for k in range(len(Js) * len(betas))]
-    lines = cli._curve_lines(gammas, pairs, ms, betas)
+    lines = cli._curve_lines([cli._fmt(g) for g in gammas], pairs, ms, betas)
     assert [line.split(",")[2] for line in lines[1:]] == [cli._fmt(J) for J in Js for _ in betas]
     m = iter(ms)
     assert lines == ["gamma,beta,J,h,m"] + [",".join(map(cli._fmt, (g, b, J, h, next(m))))
@@ -503,6 +510,62 @@ def test_curve_bytes_match_the_row_loop(argv):
         mp.setitem(cli.build_parser().subcommands["curve"]._defaults, "func", reference_curve)
         want = main_outputs(argv)
     assert got == want
+
+
+PD_CURVE = ("curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1")
+
+
+class TestGammaAxisCache:
+    """`cli._gamma_axis` holds each grid's axis for the process; every run, cold or warm,
+    prints the row loop's bytes and raises its errors in the row loop's order."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        cli._gamma_axis.cache_clear()
+        yield
+        cli._gamma_axis.cache_clear()
+
+    def assert_runs_match(self, *argvs):
+        for argv in argvs:
+            assert main_outputs(list(argv)) == reference_outputs(list(argv)), argv
+
+    def test_a_warm_curve_is_the_cold_one(self):
+        argv = PD_CURVE + ("--block", "QvD")
+        self.assert_runs_match(argv, argv)
+        assert cli._gamma_axis.cache_info()[:2] == (1, 1)  # hits, misses
+
+    @pytest.mark.parametrize("steps", ["1", "3", "200"])
+    @pytest.mark.parametrize("first, second", [("-0.0", "0.0"), ("0.0", "-0.0")])
+    def test_a_signed_zero_start_after_the_other(self, steps, first, second):
+        argv = PD_CURVE + ("--block", "QvC", "--beta", "1,-0.0", "--gamma-steps", steps)
+        self.assert_runs_match(*(argv + ("--gamma-start", start) for start in
+                                 (first, second, first, second)))
+
+    def test_a_one_step_grid_after_a_longer_one_from_the_same_ends(self):
+        argv = PD_CURVE + ("--block", "QvD", "--gamma-start", "0.5", "--gamma-stop", "1")
+        self.assert_runs_match(*(argv + ("--gamma-steps", steps) for steps in "21212"))
+
+    def test_a_decreasing_grid_raises_after_a_wrong_block_cold_and_warm(self):
+        grid = ("--gamma-start", "1", "--gamma-stop", "0.5", "--gamma-steps", "3")
+        wrong, right = (PD_CURVE + ("--block", block) + grid for block in ("QvSwerve", "QvD"))
+        self.assert_runs_match(wrong, right, wrong, right)
+        assert main_outputs(list(wrong))[::2] == (
+            2, "error: block QvSwerve belongs to game kind 'chicken'\n")
+        assert main_outputs(list(right))[::2] == (
+            2, "error: gamma grid must be strictly increasing\n")
+
+    def test_a_grid_above_the_cached_run_length_is_not_kept(self):
+        longest = cli._CACHED_CELLS // 9  # the longest grid eisert caches a 3x3 run of
+        argv = PD_CURVE + ("--block", "QvD", "--beta", "1")
+        self.assert_runs_match(argv + ("--gamma-steps", str(longest + 1)))
+        assert cli._gamma_axis.cache_info().currsize == 0
+        self.assert_runs_match(argv + ("--gamma-steps", str(longest)))
+        assert cli._gamma_axis.cache_info().currsize == 1
+
+    def test_the_cached_grid_is_read_only(self):
+        grid, column, increasing = cli._gamma_axis(np.array([0.0, 1.0]).tobytes(), 3)
+        assert not grid.flags.writeable
+        assert (column, increasing) == (["0", "0.5", "1"], True)
 
 
 class TestTransition:

@@ -387,6 +387,24 @@ class TestTransferMatrix:
                 assert abs(got - mpmath_finite_magnetization(n, J, h, beta)) <= 1e-13
                 assert abs(got - enumerate_magnetization(s)) <= 1e-10
 
+    @pytest.mark.parametrize("n, J, h, beta", [(3, 1e4, 1e-300, 2.0), (7, 0.6, -5e-324, 1e300)])
+    def test_tiny_field_on_a_ferromagnet_is_within_an_ulp_of_one(self, n, J, h, beta):
+        # m comes back as s + (m - s) with s = +-1, so a tiny m is lost to the ulp of 1 (the
+        # relative error is unbounded, an open defect); the absolute error stays at 2**-52
+        got = transfer_matrix_finite(spec(n, J, h, beta))
+        assert abs(got - mpmath_finite_magnetization(n, J, h, beta)) <= 2.0**-52
+
+    def test_tiny_field_on_random_ferromagnets_is_within_an_ulp_of_one(self):
+        rng = np.random.default_rng(2626)
+        for _ in range(400):
+            n, J = int(rng.integers(2, 600)), 10.0 ** rng.uniform(-4, 4)
+            beta = 10.0 ** rng.uniform(-3, 3)
+            h = math.copysign(10.0 ** rng.uniform(-320, -300.5) / beta, rng.uniform(-1, 1))
+            assert 0.0 < beta * abs(h) <= 1e-300
+            got = transfer_matrix_finite(spec(n, J, h, beta))
+            want = mpmath_finite_magnetization(n, J, h, beta)
+            assert abs(got - want) <= 2.0**-52, (n, J, h, beta)
+
     def test_golden_row_is_the_exact_value_rounded(self):
         golden = Path(__file__).parent / "golden" / "oracle.txt"
         row = next(r for r in golden.read_text().splitlines() if ",transfer_matrix," in r)
