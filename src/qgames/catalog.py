@@ -2,9 +2,9 @@
 classical-vs-quantum strategy blocks.
 
 Blocks come from the quantization circuit, never from closed-form matrices (the
-tests hold those).  Each call weighs its game's 3x3 table once, at any gamma, and a
-block is indexed from it; the circuit behind it is cached per strategy set and gamma
-in `eisert`, so the blocks of one game share its runs.
+tests hold those).  Each call weighs its game's payoffs over the one 3x3 strategy order
+once, at any gamma, and a block is indexed from that table; the circuit behind it is cached
+per strategy set and gamma in `eisert`, so the blocks of both games share its runs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import eisert
-from .eisert import C, D, Q, STRAIGHT, SWERVE
+from .eisert import C, D, Q
 from .equilibrium import BimatrixGame
 from .errors import ValidationError, check_floats, real_array, unchecked
 
@@ -78,14 +78,16 @@ class Block(str, Enum):
         raise ValidationError(f"unknown block {value!r}; expected one of {[b.value for b in cls]}")
 
 
-# Row/column ordering of each block, matching how the 3x3 tables are reduced.
-_BLOCK_STRATEGIES = {
-    Block.QVC: (PD, (C, Q)),
-    Block.QVD: (PD, (Q, D)),
-    Block.CLASSICAL_PD: (PD, (C, D)),
-    Block.QVSWERVE: (CHICKEN, (SWERVE, Q)),
-    Block.QVSTRAIGHT: (CHICKEN, (Q, STRAIGHT)),
-    Block.CLASSICAL_CHICKEN: (CHICKEN, (STRAIGHT, SWERVE)),
+# The 3x3 strategy order of both games (cooperate or swerve, defect or straight, quantum),
+# and each block's game and its row/column strategies as indices into that order.
+_STRATEGIES = (C, D, Q)
+_BLOCKS = {
+    Block.QVC: (PD, (0, 2)),
+    Block.QVD: (PD, (2, 1)),
+    Block.CLASSICAL_PD: (PD, (0, 1)),
+    Block.QVSWERVE: (CHICKEN, (0, 2)),
+    Block.QVSTRAIGHT: (CHICKEN, (2, 1)),
+    Block.CLASSICAL_CHICKEN: (CHICKEN, (1, 0)),
 }
 
 
@@ -106,7 +108,8 @@ class StrategyBlock:
     @property
     def labels(self) -> tuple[str, str]:
         """Row/column strategy labels, in the block's ordering."""
-        return tuple(s.label for s in _BLOCK_STRATEGIES[self.block_id][1])
+        kind, cells = _BLOCKS[self.block_id]
+        return tuple(GAMES[kind][2][i] for i in cells)
 
     def as_game(self) -> BimatrixGame:
         """The block as a symmetric two-player game, of payoffs and labels it has checked."""
@@ -124,42 +127,40 @@ def _pd_cos_2gamma(p: PDPayoffs) -> float:
 
 
 # One row per game kind: payoff type, the row player's weights of the outcomes |00>, |01>,
-# |10>, |11> (|0> cooperate or swerve, |1> defect or straight), 3x3 order, block whose field
-# changes sign, and cos(2 gamma*) there in closed form, the bisection's check.
+# |10>, |11> (|0> cooperate or swerve, |1> defect or straight), labels of _STRATEGIES, block
+# whose field changes sign, and cos(2 gamma*) there in closed form, the bisection's check.
 # Chicken's s / (2 r) is formed as (s / r) / 2: the same bits where 2 r is finite, and finite
 # where it is not.
 GAMES = {
-    PD: (PDPayoffs, lambda p: (p.r, p.s, p.t, p.p), (C, D, Q), Block.QVD, _pd_cos_2gamma),
-    CHICKEN: (ChickenPayoffs, lambda c: (0.0, -c.r, c.r, -c.s), (SWERVE, STRAIGHT, Q),
+    PD: (PDPayoffs, lambda p: (p.r, p.s, p.t, p.p), ("C", "D", "Q"), Block.QVD, _pd_cos_2gamma),
+    CHICKEN: (ChickenPayoffs, lambda c: (0.0, -c.r, c.r, -c.s), ("swerve", "straight", "Q"),
               Block.QVSTRAIGHT, lambda c: c.s / c.r / 2.0),
 }
 
 
 def _table(game_kind: str, payoffs, gamma) -> np.ndarray:
-    """The row player's payoffs over the game's 3x3 strategy order: (3, 3) for a float gamma,
+    """The row player's payoffs over the 3x3 strategy order _STRATEGIES: (3, 3) for a float gamma,
     (G, 3, 3) along a 1-D grid, fresh from one `extended_matrix` call on the payoffs' weights."""
     if game_kind not in GAMES:
         raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {tuple(GAMES)}")
-    payoff_type, weights, order, *_ = GAMES[game_kind]
+    payoff_type, weights, *_ = GAMES[game_kind]
     if not isinstance(payoffs, payoff_type):
         raise ValidationError(f"{game_kind} needs {payoff_type.__name__}, "
                               f"got {type(payoffs).__name__}")
     # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
-    return eisert.extended_matrix(weights(payoffs), strategies=order, gamma=gamma)
+    return eisert.extended_matrix(weights(payoffs), strategies=_STRATEGIES, gamma=gamma)
 
 
 # Each block's rows and columns in its game's table, for `table[..., i, j]`.
-_BLOCK_CELLS = {block: np.ix_(cells, cells)
-                for block, (kind, strategies) in _BLOCK_STRATEGIES.items()
-                for cells in [[GAMES[kind][2].index(s) for s in strategies]]}
+_BLOCK_CELLS = {block: np.ix_(cells, cells) for block, (_, cells) in _BLOCKS.items()}
 
 
 def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
     """Full 3x3 bimatrix over the classical pair plus the quantum strategy."""
-    table = _table(game_kind, payoffs, gamma)
-    if table.ndim != 2:
+    if (g := eisert.check_gamma(gamma)).ndim:  # refused before the circuit runs
         raise ValidationError("quantized_game takes one gamma, not a grid")
-    return unchecked(BimatrixGame, row=table, labels=tuple(s.label for s in GAMES[game_kind][2]))
+    table = _table(game_kind, payoffs, g)  # checks the game kind before GAMES is read
+    return unchecked(BimatrixGame, row=table, labels=GAMES[game_kind][2])
 
 
 def extract_block(game_kind: str, payoffs, block_id, gamma):
@@ -170,7 +171,7 @@ def extract_block(game_kind: str, payoffs, block_id, gamma):
     pair, so these are the bits of a circuit run over the block's pair alone.
     """
     block_id = Block(block_id)
-    kind_required, _ = _BLOCK_STRATEGIES[block_id]
+    kind_required, _ = _BLOCKS[block_id]
     if game_kind != kind_required:
         raise ValidationError(f"block {block_id.value} belongs to game kind {kind_required!r}")
     i, j = _BLOCK_CELLS[block_id]

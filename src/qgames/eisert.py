@@ -42,37 +42,27 @@ _CACHED_CELLS = 9 * 1024
 
 @dataclass(frozen=True)
 class Strategy:
-    """A named point of the strategy family O(theta, phi).
+    """A point O(theta, phi) of the strategy family, each angle stored as the float of a real
+    scalar (`errors.real`); anything else raises ValidationError naming the field."""
 
-    The label is a str and each angle is stored as the float of a real
-    scalar (`errors.real`); anything else raises ValidationError naming the field.
-    """
-
-    label: str
     theta: float
     phi: float
 
     def __post_init__(self):
-        if not isinstance(self.label, str):
-            raise ValidationError(f"strategy label must be a str, got {self.label!r}")
         for name in ("theta", "phi"):
             value = getattr(self, name)
             if (angle := real(value)) is None:
-                raise ValidationError(
-                    f"strategy {self.label!r}: {name} must be a real scalar within the float "
-                    f"range, got {value!r}"
-                )
+                raise ValidationError(f"strategy {name} must be a real scalar within the float "
+                                      f"range, got {value!r}")
             object.__setattr__(self, name, angle)
 
 
-# The five named strategies the games use.  "Defect"/"straight" is O(pi, 0),
-# i.e. [[0, 1], [-1, 0]]: the column-sign convention matters, a literal
-# Pauli X would give gamma-independent defect-vs-quantum payoffs.
-C = Strategy("C", 0.0, 0.0)
-D = Strategy("D", math.pi, 0.0)
-Q = Strategy("Q", 0.0, math.pi / 2)
-SWERVE = Strategy("swerve", 0.0, 0.0)
-STRAIGHT = Strategy("straight", math.pi, 0.0)
+# The three strategies of both games, cooperate read as swerve and defect as straight.
+# Defect is O(pi, 0), i.e. [[0, 1], [-1, 0]]: the column-sign convention matters, a
+# literal Pauli X would give gamma-independent defect-vs-quantum payoffs.
+C = Strategy(0.0, 0.0)
+D = Strategy(math.pi, 0.0)
+Q = Strategy(0.0, math.pi / 2)
 
 
 def _check_range(name, value, lo, hi):

@@ -26,7 +26,7 @@ from qgames import (
     quantized_game,
 )
 from qgames import cli, eisert
-from qgames.catalog import _BLOCK_STRATEGIES, GAMES
+from qgames.catalog import _BLOCKS, _STRATEGIES, GAMES
 from qgames.errors import ConsistencyError, ValidationError
 
 
@@ -168,6 +168,15 @@ class TestQuantizedGame:
         with pytest.raises(ValidationError):
             quantized_game("pd", PDPayoffs(3, 5, 0, 1), np.array([0.1, 0.5]))
 
+    @pytest.mark.parametrize("grid", [[0.7], np.array([0.1, 0.5]), np.linspace(0.0, 1.5, 1024)],
+                             ids=["list", "grid", "1024-grid"])
+    def test_a_grid_is_refused_before_the_circuit_runs(self, circuit_passes, grid):
+        # the gamma is checked first, so a grid is named before an unknown game kind
+        for kind in ("pd", "stag"):
+            with pytest.raises(ValidationError, match="quantized_game takes one gamma, not a grid"):
+                quantized_game(kind, PDPayoffs(3, 5, 0, 1), grid)
+        assert circuit_passes == [] and eisert._probs.cache_info().currsize == 0
+
     def test_game_kind_and_payoff_type_checked(self):
         with pytest.raises(ValidationError, match="unknown game kind 'stag'"):
             quantized_game("stag", PDPayoffs(3, 5, 0, 1), 0.5)
@@ -210,6 +219,27 @@ class TestEngineMatchesClosedForms:
         assert np.ptp(blk.row_payoffs) == 0.0
         blk = extract_block("chicken", ChickenPayoffs(3, 4), Block.QVSWERVE, 0.0)
         assert np.ptp(blk.row_payoffs) == 0.0
+
+
+@pytest.mark.parametrize("kind,block_id,labels", [
+    ("pd", None, ("C", "D", "Q")),
+    ("pd", Block.QVC, ("C", "Q")),
+    ("pd", Block.QVD, ("Q", "D")),
+    ("pd", Block.CLASSICAL_PD, ("C", "D")),
+    ("chicken", None, ("swerve", "straight", "Q")),
+    ("chicken", Block.QVSWERVE, ("swerve", "Q")),
+    ("chicken", Block.QVSTRAIGHT, ("Q", "straight")),
+    ("chicken", Block.CLASSICAL_CHICKEN, ("straight", "swerve")),
+], ids=str)
+def test_every_game_and_block_carries_its_strategy_labels(kind, block_id, labels):
+    """quantized_game (block None) and each block read their labels off their game's row."""
+    payoffs = {"pd": PDPayoffs(3, 5, 0, 1), "chicken": ChickenPayoffs(3, 4)}[kind]
+    if block_id is None:
+        assert quantized_game(kind, payoffs, 0.5).labels == labels
+        return
+    block = extract_block(kind, payoffs, block_id, 0.5)
+    assert block.labels == block.as_game().labels == labels
+    assert extract_block(kind, payoffs, block_id, np.array([0.1, 0.5])).labels == labels
 
 
 def test_block_as_game_is_symmetric():
@@ -278,11 +308,11 @@ class TestBlockIsItsGameSlice:
 
     @pytest.mark.parametrize("kind,payoffs", SLICE_PAYOFFS, ids=repr)
     def test_every_block_keeps_every_bit(self, circuit_runs, kind, payoffs):
-        weights, order = GAMES[kind][1](payoffs), GAMES[kind][2]
-        for block_id, (block_kind, strategies) in _BLOCK_STRATEGIES.items():
+        weights, order = GAMES[kind][1](payoffs), _STRATEGIES
+        for block_id, (block_kind, cells) in _BLOCKS.items():
             if block_kind != kind:
                 continue
-            cells = np.array([order.index(s) for s in strategies])
+            strategies, cells = tuple(order[i] for i in cells), np.array(cells)
             for gamma in SLICE_GAMMAS:
                 want = eisert.extended_matrix(weights, strategies, gamma)
                 got = extract_block(kind, payoffs, block_id, gamma).row_payoffs
@@ -302,7 +332,7 @@ class TestBlockIsItsGameSlice:
         exact = [2**64 + 1, -(2**70), 2**65 + 3, 2**63 + 5]  # BIG_INT_PD's r, s, t, p
         for block_id in (Block.QVC, Block.QVD, Block.CLASSICAL_PD):
             got = extract_block("pd", BIG_INT_PD, block_id, gamma).row_payoffs
-            want = object_weighed(exact, _BLOCK_STRATEGIES[block_id][1], gamma)
+            want = object_weighed(exact, [_STRATEGIES[i] for i in _BLOCKS[block_id][1]], gamma)
             assert got.dtype == np.float64 and np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("gamma", [0.4, np.array([0.1, 0.4])], ids=["float", "grid"])
@@ -321,7 +351,8 @@ class TestProbabilityCache:
     @pytest.mark.parametrize("kind,payoffs", SLICE_PAYOFFS, ids=repr)
     def test_every_cached_result_keeps_the_uncached_bits(self, circuit_passes, kind, payoffs):
         weights = GAMES[kind][1](payoffs)
-        sets = [GAMES[kind][2], *(pair for k, pair in _BLOCK_STRATEGIES.values() if k == kind)]
+        sets = [_STRATEGIES, *(tuple(_STRATEGIES[i] for i in cells)
+                               for k, cells in _BLOCKS.values() if k == kind)]
         for strategies in sets:
             for gamma in SLICE_GAMMAS:
                 want = uncached_extended_matrix(weights, strategies, gamma)
@@ -343,11 +374,11 @@ class TestProbabilityCache:
                 assert cli.main(argv) == 0
                 runs.append([g.shape for g in circuit_passes[before:]])
         capsys.readouterr()
-        # cold: the curve's grid, then the game's two endpoints and one midpoint pass;
-        # warm: the midpoints of the new crossing alone
-        for curve, transition in (runs[0:2], runs[2:4]):
-            assert curve == [(200,)] and transition[:2] == [(), ()] and len(transition) == 3
-        for curve, transition in (runs[4:6], runs[6:8]):
+        # cold: the curve's grid, then the two endpoints and one midpoint pass; both games
+        # weigh one strategy order, so every later curve runs no circuit and every later
+        # transition only the midpoints of its own crossing
+        assert runs[0] == [(200,)] and runs[1][:2] == [(), ()] and len(runs[1]) == 3
+        for curve, transition in (runs[2:4], runs[4:6], runs[6:8]):
             assert curve == [] and len(transition) == 1 and len(transition[0]) == 1
 
 
@@ -369,27 +400,32 @@ class TestOneRoute:
             quantized_game(kind, payoffs, gamma)
         else:
             calls = 0  # a grid is not a game
-        for block_id, (block_kind, _) in _BLOCK_STRATEGIES.items():
+        for block_id, (block_kind, _) in _BLOCKS.items():
             if block_kind == kind:
                 extract_block(kind, payoffs, block_id, gamma)
                 calls += 1
-        assert [kwargs["strategies"] for _, kwargs, _ in circuit_runs] == [GAMES[kind][2]] * calls
+        assert [kwargs["strategies"] for _, kwargs, _ in circuit_runs] == [_STRATEGIES] * calls
         assert len(circuit_passes) == 1
 
-    @pytest.mark.parametrize("game,flags,blocks", [
+    CURVES = [
         ("pd", ["--r", "3", "--t", "5", "--s", "0", "--p", "1"], ["QvD", "QvC", "ClassicalPD"]),
         ("chicken", ["--r", "3", "--s", "4"], ["QvStraight", "QvSwerve", "ClassicalChicken"]),
-    ])
+    ]
+
+    @pytest.mark.parametrize("game,flags,blocks", CURVES)
     def test_a_curve_after_another_block_of_its_game_runs_no_circuit(self, circuit_passes,
                                                                      capsys, game, flags,
                                                                      blocks):
+        """Nor after a block of the other game: both games weigh one strategy order."""
+        other = next((g, f, b) for g, f, b in self.CURVES if g != game)
         runs = []
-        for block in blocks:
-            before = len(circuit_passes)
-            assert cli.main(["curve", "--game", game, *flags, "--block", block]) == 0
-            runs.append(len(circuit_passes) - before)
+        for kind, kind_flags, kind_blocks in ((game, flags, blocks), other):
+            for block in kind_blocks:
+                before = len(circuit_passes)
+                assert cli.main(["curve", "--game", kind, *kind_flags, "--block", block]) == 0
+                runs.append(len(circuit_passes) - before)
         capsys.readouterr()
-        assert runs == [1, 0, 0]
+        assert runs == [1, 0, 0, 0, 0, 0]
 
     def test_writing_into_a_result_leaves_the_next_call_unchanged(self, circuit_passes):
         payoffs = PDPayoffs(3, 5, 0, 1)

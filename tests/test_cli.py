@@ -25,7 +25,7 @@ from conftest import (
     random_pd,
 )
 from qgames import Block, IsingParams, cli, couplings, extract_block, magnetization, oracle
-from qgames.catalog import _BLOCK_STRATEGIES, GAMES
+from qgames.catalog import _BLOCKS, GAMES
 from qgames.cli import main
 from qgames.eisert import check_gamma
 from qgames.errors import ResourceLimitError, ValidationError
@@ -471,7 +471,7 @@ def curve_argvs(draw):
     game = draw(st.sampled_from(sorted(GAMES)))
     names = [f.name for f in dataclasses.fields(GAMES[game][0])]
     payoffs = draw(st.sampled_from(CURVE_PAYOFFS[game]))
-    block = draw(st.sampled_from([b.value for b, (kind, _) in _BLOCK_STRATEGIES.items()
+    block = draw(st.sampled_from([b.value for b, (kind, _) in _BLOCKS.items()
                                   if kind == game]))
     # one or two of the last eight betas (half of them bad) among good ones, so a bad beta
     # is often not first and two bad ones must raise the message of the first
@@ -705,7 +705,7 @@ class TestPayoffFlags:
     @pytest.mark.parametrize("kind", tuple(GAMES))
     def test_each_games_row_fits_its_kind_and_the_cli_flags(self, kind):
         payoff_type, _, _, block, _ = GAMES[kind]
-        assert _BLOCK_STRATEGIES[block][0] == kind
+        assert _BLOCKS[block][0] == kind
         names = {f.name for f in dataclasses.fields(payoff_type)}
         assert names <= {"r", "t", "s", "p"}
         assert names <= vars(cli.build_parser().parse_args(["transition", "--game", kind])).keys()
@@ -1595,7 +1595,7 @@ def contract_argv(draw):
     if tame or draw(st.booleans()):
         values.sort(key=float)
     argv = [name, "--game", game, *(tok for pair in zip(ascending, values) for tok in pair)]
-    blocks = [b.value for b, (kind, _) in _BLOCK_STRATEGIES.items() if kind == game]
+    blocks = [b.value for b, (kind, _) in _BLOCKS.items() if kind == game]
     if name == "quantize":
         flag, hi = draw(st.sampled_from((("--gamma", math.pi / 2), ("--gamma-degrees", 90.0))))
         return argv + [flag, draw(num(0, hi, (0, hi)))]

@@ -24,13 +24,11 @@ import qgames
 from qgames import CHICKEN, PD, Block, ChickenPayoffs, IsingParams, PDPayoffs, extract_block
 from qgames import BimatrixGame, magnetization, phase_transition_gamma, quantized_game, to_ising
 from qgames import eisert
-from qgames.catalog import _BLOCK_STRATEGIES, GAMES, StrategyBlock
+from qgames.catalog import _BLOCKS, _STRATEGIES, GAMES, StrategyBlock
 from qgames.eisert import (
     C,
     D,
     Q,
-    STRAIGHT,
-    SWERVE,
     Strategy,
     check_gamma,
     extended_matrix,
@@ -197,7 +195,7 @@ class TestPayoff:
     )
     def test_payoff_is_convex_combination(self, t1, p1, t2, p2, gamma):
         weights = (3.0, 0.0, 5.0, 1.0)
-        val = payoff(final_state(Strategy("1", t1, p1), Strategy("2", t2, p2), gamma), weights)
+        val = payoff(final_state(Strategy(t1, p1), Strategy(t2, p2), gamma), weights)
         assert 0.0 - 1e-9 <= val <= 5.0 + 1e-9
 
 
@@ -219,8 +217,8 @@ class TestExtendedMatrix:
         ch = ChickenPayoffs(3, 4)
         row_t = GAMES[CHICKEN][1](ch)
         for gamma in (0.0, 0.5, 1.2, math.pi / 2):
-            row = extended_matrix(row_t, (SWERVE, STRAIGHT, Q), gamma)
-            col = extended_matrix(swapped(row_t), (SWERVE, STRAIGHT, Q), gamma)
+            row = extended_matrix(row_t, (C, D, Q), gamma)
+            col = extended_matrix(swapped(row_t), (C, D, Q), gamma)
             sw, q = 0, 2  # rows and columns in the order (swerve, straight, Q)
             expected = -ch.s * math.sin(gamma) ** 2
             assert row[sw, q] == pytest.approx(expected, abs=1e-12)
@@ -234,7 +232,7 @@ class TestExtendedMatrix:
         for gamma in np.linspace(0, math.pi / 2, 25):
             row = extended_matrix(PD_ROW, (C, D), gamma)
             assert np.max(np.abs(row - pd_expected)) <= 1e-12
-            row = extended_matrix(ch_row_t, (STRAIGHT, SWERVE), gamma)
+            row = extended_matrix(ch_row_t, (D, C), gamma)
             assert np.max(np.abs(row - ch_expected)) <= 1e-12
 
     def test_alpha_coefficient_identities_on_grid(self):
@@ -248,7 +246,7 @@ class TestExtendedMatrix:
             assert row[2, 0] == pytest.approx(r * cg2 + p * sg2, abs=1e-12)  # (Q,C)
             assert row[2, 1] == pytest.approx(t * sg2 + s * cg2, abs=1e-12)  # (Q,D)
             assert row[1, 2] == pytest.approx(t * cg2 + s * sg2, abs=1e-12)  # (D,Q)
-            ch_row = extended_matrix(ch_row_t, (SWERVE, STRAIGHT, Q), gamma)
+            ch_row = extended_matrix(ch_row_t, (C, D, Q), gamma)
             assert ch_row[2, 1] == pytest.approx(-ch.r * math.cos(2 * gamma), abs=1e-12)
             assert ch_row[1, 2] == pytest.approx(ch.r * math.cos(2 * gamma), abs=1e-12)
 
@@ -258,11 +256,11 @@ class TestExtendedMatrix:
         rng = np.random.default_rng(22)
         grid = np.linspace(0, math.pi / 2, 52)
         for game_kind, draw in ((PD, random_pd), (CHICKEN, random_chicken)):
-            _, weights, strategies, *_ = GAMES[game_kind]
+            weights = GAMES[game_kind][1]
             for _ in range(50):
                 row_w = weights(draw(rng))
-                row = extended_matrix(row_w, strategies, grid)
-                col = extended_matrix(swapped(row_w), strategies, grid)
+                row = extended_matrix(row_w, _STRATEGIES, grid)
+                col = extended_matrix(swapped(row_w), _STRATEGIES, grid)
                 assert np.array_equal(col, row.swapaxes(-1, -2))
 
     def test_grid_gives_one_game_per_gamma(self):
@@ -290,13 +288,12 @@ class TestExtendedMatrix:
         with a payoff near the float max they once overflowed to -inf with a RuntimeWarning,
         failing `quantize` and each block that holds such a cell.  The exact payoff is a mean of the
         weights, so each cell is clipped to their range; other cells keep their bits."""
-        _, weights, strategies, *_ = GAMES[kind]
-        values, grid = weights(payoffs), np.linspace(0.0, math.pi / 2, 200)
+        values, grid = GAMES[kind][1](payoffs), np.linspace(0.0, math.pi / 2, 200)
         with np.errstate(over="ignore"):
-            plain = uncached_extended_matrix(values, strategies, grid)
+            plain = uncached_extended_matrix(values, _STRATEGIES, grid)
         inside = (plain >= min(values)) & (plain <= max(values))
         assert not inside.all()  # the rounding this guards against
-        got = extended_matrix(values, strategies, grid)
+        got = extended_matrix(values, _STRATEGIES, grid)
         assert got.min() == min(values) and got.max() <= max(values)
         assert np.array_equal(bits(got[inside]), bits(plain[inside]))
         for k, gamma in enumerate(grid):
@@ -309,8 +306,8 @@ def bits(a):
 
 _RNG = np.random.default_rng(27)
 # every block's strategy pair and every game's 3x3 order
-CACHED_SETS = sorted({pair for _, pair in _BLOCK_STRATEGIES.values()}
-                     | {row[2] for row in GAMES.values()}, key=lambda s: [x.label for x in s])
+CACHED_SETS = sorted({tuple(_STRATEGIES[i] for i in cells) for _, cells in _BLOCKS.values()}
+                     | {_STRATEGIES}, key=lambda s: [(x.theta, x.phi) for x in s])
 CACHE_GAMMAS = [0.0, math.pi / 2, 5e-324, *_RNG.uniform(0.0, math.pi / 2, 5),
                 np.linspace(0.0, math.pi / 2, 200)]
 CACHE_WEIGHTS = [PD_ROW, GAMES[CHICKEN][1](ChickenPayoffs(3, 4)),
@@ -352,7 +349,7 @@ class TestProductCache:
 
     @pytest.mark.parametrize("first", ["negative zero", "positive zero"])
     def test_negative_zero_theta_shares_the_entry_and_every_bit(self, first):
-        c_neg = Strategy("C", -0.0, 0.0)
+        c_neg = Strategy(-0.0, 0.0)
         assert c_neg == C and hash(c_neg) == hash(C)
         calls = [(c_neg, D), (C, D)]
         if first == "positive zero":
@@ -397,11 +394,10 @@ class TestProbabilityCache:
 
     @pytest.mark.parametrize("gamma", [0.7, np.linspace(0.0, 1.0, 9)], ids=["float", "grid"])
     def test_a_second_payoff_set_at_the_same_gamma_runs_no_circuit(self, circuit_passes, gamma):
-        order = GAMES[PD][2]
-        extended_matrix(PD_ROW, order, gamma)
-        got = extended_matrix(BIG_INT_WEIGHTS, order, gamma)
+        extended_matrix(PD_ROW, _STRATEGIES, gamma)
+        got = extended_matrix(BIG_INT_WEIGHTS, _STRATEGIES, gamma)
         floats = [float(w) for w in BIG_INT_WEIGHTS]
-        assert same_payoffs(got, uncached_extended_matrix(floats, order, gamma))
+        assert same_payoffs(got, uncached_extended_matrix(floats, _STRATEGIES, gamma))
         assert len(circuit_passes) == 1
 
     def test_negative_zero_and_zero_keep_separate_entries(self, circuit_passes):
@@ -497,11 +493,11 @@ def mp_probabilities(strategies, gamma):
 
 
 def mp_payoffs(kind, payoffs, gamma):
-    """The game's 3x3 row payoffs at 50 digits, in the order of GAMES[kind][2]."""
+    """The game's 3x3 row payoffs at 50 digits, in the order of catalog._STRATEGIES."""
     weights = [mpmath.mpf(w) for w in GAMES[kind][1](payoffs)]
     with mpmath.workdps(50):
         return [[mpmath.fsum(p * w for p, w in zip(cell, weights)) for cell in row]
-                for row in mp_probabilities(GAMES[kind][2], gamma)]
+                for row in mp_probabilities(_STRATEGIES, gamma)]
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -520,15 +516,13 @@ def test_payoffs_and_couplings_are_within_4_ulps_of_a_50_digit_circuit(low, gaps
     grid = np.array(MP_GAMMAS)
     for kind, payoffs in games.items():
         tol = 4.0 * math.ulp(max(abs(v) for v in vars(payoffs).values()))
-        order = GAMES[kind][2]
         refs = [mp_payoffs(kind, payoffs, gamma) for gamma in MP_GAMMAS]
         for gamma, ref in zip(MP_GAMMAS, refs):
             row = qgames.quantized_game(kind, payoffs, gamma).row
             assert all(abs(row[i, j] - ref[i][j]) <= tol for i in range(3) for j in range(3))
-        for block, (block_kind, pair) in _BLOCK_STRATEGIES.items():
+        for block, (block_kind, (k, m)) in _BLOCKS.items():
             if block_kind != kind:
                 continue
-            k, m = (order.index(x) for x in pair)
             stacked = qgames.couplings(extract_block(kind, payoffs, block, grid))
             for gamma, ref, pair_on_grid in zip(MP_GAMMAS, refs, stacked):
                 ip = to_ising(extract_block(kind, payoffs, block, gamma), 1.0)
@@ -547,17 +541,17 @@ REAL_SCALARS = [
 
 
 class TestStrategyAngles:
-    """A Strategy keeps a str label and stores each angle as a float, so the
-    product cache can hash it; anything else is refused by name."""
+    """A Strategy stores each angle as a float, so the product cache can hash
+    it; anything else is refused by name."""
 
     @pytest.mark.parametrize("theta", REAL_SCALARS, ids=repr)
     def test_real_scalars_become_floats_and_keep_every_payoff_bit(self, theta):
-        s = Strategy("X", theta, np.array(0.25))
+        s = Strategy(theta, np.array(0.25))
         assert type(s.theta) is float and type(s.phi) is float
         assert (s.theta, s.phi) == (float(theta), 0.25)
         for gamma in (0.3, CACHE_GAMMAS[-1]):
             got = extended_matrix(PD_ROW, (s, D), gamma)
-            want = uncached_extended_matrix(PD_ROW, (Strategy("X", float(theta), 0.25), D), gamma)
+            want = uncached_extended_matrix(PD_ROW, (Strategy(float(theta), 0.25), D), gamma)
             assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("field", ["theta", "phi"])
@@ -567,13 +561,8 @@ class TestStrategyAngles:
     ], ids=lambda value: repr(value)[:16])
     def test_other_angles_are_a_validation_error_naming_the_field(self, field, value):
         angles = {"theta": 0.0, "phi": 0.0, field: value}
-        with pytest.raises(ValidationError, match=f"strategy 'X': {field} must be a real scalar"):
-            Strategy("X", **angles)
-
-    @pytest.mark.parametrize("label", [["X"], None, b"X"], ids=repr)
-    def test_a_label_that_is_not_a_str_is_a_validation_error(self, label):
-        with pytest.raises(ValidationError, match="label must be a str"):
-            Strategy(label, 0.0, 0.0)
+        with pytest.raises(ValidationError, match=f"strategy {field} must be a real scalar"):
+            Strategy(**angles)
 
     @pytest.mark.parametrize("entry", ["D", None, (math.pi, 0.0)], ids=repr)
     def test_an_entry_that_is_not_a_strategy_is_a_validation_error(self, entry):
@@ -581,8 +570,7 @@ class TestStrategyAngles:
             extended_matrix(PD_ROW, (C, entry), 0.3)
 
 
-KERNEL_NAMES = ("C", "D", "Q", "STRAIGHT", "SWERVE", "Strategy", "strategy_operator",
-                "extended_matrix")
+KERNEL_NAMES = ("C", "D", "Q", "Strategy", "strategy_operator", "extended_matrix")
 
 
 def test_package_exports_the_pipeline_and_not_the_circuit_kernel():
@@ -740,7 +728,7 @@ SITES = {
     "extended_matrix-weights": (lambda v: extended_matrix((v, 0, 0, 0), (C, D), 0.5),
                                 WEIGHTS_NOT_VALID),
     "strategy_operator": (lambda v: strategy_operator(v, 0), "theta=.* outside"),
-    "Strategy": (lambda v: Strategy("X", v, 0), "strategy 'X': theta must be a real scalar"),
+    "Strategy": (lambda v: Strategy(v, 0), "strategy theta must be a real scalar"),
     "StrategyBlock": (lambda v: StrategyBlock([[v, 0.0], [0.0, 0.0]], Block.QVD),
                       "block must be a finite 2x2 matrix"),
     "BimatrixGame": (lambda v: BimatrixGame([[v, 0.0], [0.0, 0.0]], ("a", "b")),

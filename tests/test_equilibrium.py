@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import classical_chicken_game, classical_pd_game, random_chicken, random_pd
 from qgames import Block, ChickenPayoffs, PDPayoffs, extract_block, quantized_game
-from qgames.catalog import _BLOCK_STRATEGIES, CHICKEN, PD
+from qgames.catalog import _BLOCKS, CHICKEN, PD
 from qgames.equilibrium import (
     BEST_RESPONSE_TOL,
     BimatrixGame,
@@ -129,7 +129,7 @@ class TestPureNashMatchesTheTwoTableLoop:
     def test_quantized_games_and_their_blocks(self, kind):
         rng = np.random.default_rng(len(kind))
         grid = np.linspace(0.0, math.pi / 2, 33)
-        blocks = [b for b, (k, _) in _BLOCK_STRATEGIES.items() if k == kind]
+        blocks = [b for b, (k, _) in _BLOCKS.items() if k == kind]
         for _ in range(20):
             payoffs = random_pd(rng) if kind == PD else random_chicken(rng)
             for gamma in [0.0, math.pi / 4, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 5)]:

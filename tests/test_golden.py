@@ -29,7 +29,7 @@ import pytest
 
 from conftest import random_chicken, random_pd
 from qgames import extract_block, magnetization, mixed_nash_symmetric_2x2, to_ising
-from qgames.catalog import _BLOCK_STRATEGIES, GAMES
+from qgames.catalog import _BLOCKS, GAMES
 from qgames.cli import main
 from qgames.eisert import GAMMA_RANGE
 
@@ -126,7 +126,7 @@ def invocation_digests():
 
         gamma, beta = rng.uniform(*GAMMA_RANGE), rng.uniform(0.5, 5.0)
         call("scan", "quantize", *flags, *number("gamma", gamma))
-        for block_id, (kind, _) in _BLOCK_STRATEGIES.items():
+        for block_id, (kind, _) in _BLOCKS.items():
             if kind == game:
                 block = extract_block(game, payoffs, block_id, gamma)
                 ip = to_ising(block, beta)
