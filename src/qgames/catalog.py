@@ -2,13 +2,15 @@
 classical-vs-quantum strategy blocks.
 
 Blocks come from the quantization circuit, never from closed-form matrices (the
-tests hold those).  Each call weighs its game's payoffs over the one 3x3 strategy order
-once, at any gamma, and a block is indexed from that table; the circuit behind it is cached
-per strategy set and gamma in `eisert`, so the blocks of both games share its runs.
+tests hold those).  Each call reads its game's payoffs weighed over the one 3x3 strategy order,
+kept per weights and real gamma (`_scalar_table`), and a block is indexed from that table; the
+circuit behind it is cached per strategy set and gamma in `eisert`, so both games share its runs.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
 import sys
 import warnings
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 from . import eisert
 from .eisert import C, D, Q
 from .equilibrium import BimatrixGame
-from .errors import ValidationError, check_floats, real_array, unchecked
+from .errors import ValidationError, check_floats, real, real_array, unchecked
 
 PD = "pd"
 CHICKEN = "chicken"
@@ -140,15 +142,28 @@ GAMES = {
 
 def _table(game_kind: str, payoffs, gamma) -> np.ndarray:
     """The row player's payoffs over the 3x3 strategy order _STRATEGIES: (3, 3) for a float gamma,
-    (G, 3, 3) along a 1-D grid, fresh from one `extended_matrix` call on the payoffs' weights."""
+    (G, 3, 3) along a 1-D grid, from one `extended_matrix` call on the payoffs' weights: shared
+    and read-only at a gamma `errors.real` reads (`_scalar_table`), fresh along a grid."""
     if game_kind not in GAMES:
         raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {tuple(GAMES)}")
     payoff_type, weights, *_ = GAMES[game_kind]
     if not isinstance(payoffs, payoff_type):
         raise ValidationError(f"{game_kind} needs {payoff_type.__name__}, "
                               f"got {type(payoffs).__name__}")
+    if (x := real(gamma)) is not None:  # keyed on float64 bits, so -0.0 and 0.0 stay apart
+        return _scalar_table(struct.pack("5d", *weights(payoffs), x))
     # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
     return eisert.extended_matrix(weights(payoffs), strategies=_STRATEGIES, gamma=gamma)
+
+
+@functools.lru_cache(maxsize=16)
+def _scalar_table(key: bytes) -> np.ndarray:
+    """The table at the four weights and the gamma whose float64 bits `key` packs, read-only; the
+    last 16 are kept, so a hit runs neither `extended_matrix` nor its gamma check."""
+    *w, x = struct.unpack("5d", key)
+    table = eisert.extended_matrix(w, strategies=_STRATEGIES, gamma=x)
+    table.flags.writeable = False
+    return table
 
 
 # Each block's rows and columns in its game's table, for `table[..., i, j]`.
@@ -156,18 +171,18 @@ _BLOCK_CELLS = {block: np.ix_(cells, cells) for block, (_, cells) in _BLOCKS.ite
 
 
 def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
-    """Full 3x3 bimatrix over the classical pair plus the quantum strategy."""
+    """Full 3x3 bimatrix over the classical pair plus the quantum strategy, in a fresh array."""
     if (g := eisert.check_gamma(gamma)).ndim:  # refused before the circuit runs
         raise ValidationError("quantized_game takes one gamma, not a grid")
     table = _table(game_kind, payoffs, g)  # checks the game kind before GAMES is read
-    return unchecked(BimatrixGame, row=table, labels=GAMES[game_kind][2])
+    return unchecked(BimatrixGame, row=table.copy(), labels=GAMES[game_kind][2])
 
 
 def extract_block(game_kind: str, payoffs, block_id, gamma):
     """Row-player 2x2 block for one strategy pairing, computed by the circuit.
 
-    The block's cells of its game's table: (2, 2) for a float gamma, and for a 1-D
-    gamma grid the blocks stacked, (G, 2, 2).  A cell depends only on its own strategy
+    The block's cells of its game's table, copied out fresh: (2, 2) for a float gamma, and
+    for a 1-D gamma grid the blocks stacked, (G, 2, 2).  A cell depends only on its own strategy
     pair, so these are the bits of a circuit run over the block's pair alone.
     """
     block_id = Block(block_id)

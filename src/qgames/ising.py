@@ -55,7 +55,7 @@ def couplings(block: StrategyBlock) -> list[tuple[float, float]]:
         raise ValidationError(f"couplings takes a StrategyBlock, got {type(block).__name__}")
     big = sys.float_info.max
     pairs = []
-    for (a, b), (c, d) in block.row_payoffs.reshape(-1, 2, 2).tolist():
+    for a, b, c, d in block.row_payoffs.reshape(-1, 4).tolist():
         J, h = ((a - c) + (d - b)) / 4.0, ((a - c) + (b - d)) / 4.0
         if not (abs(J) <= big and abs(h) <= big):
             a, b, c, d = (0.25 * x for x in (a, b, c, d))

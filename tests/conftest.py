@@ -1,6 +1,7 @@
 """Shared test oracles: closed-form block matrices, the classical games,
 the circuit's final state of one strategy pair, its payoffs built without a
-cache (and with exact int weights), a fixture that counts circuit runs, NumPy-scalar references for
+cache (and with exact int weights), a fixture that counts circuit runs with
+the caches emptied, NumPy-scalar references for
 the block -> (J, h, m) step, logit play of a block on a ring of players,
 the finite chain's magnetization at 60 digits, the one-midpoint-at-a-time
 bisection, and payoff generators.
@@ -15,7 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, eisert, ising, tensor
+from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, catalog, eisert, ising, tensor
 from qgames.eisert import (
     GAMMA_RANGE, _circuit, _entangler, _products, check_gamma, strategy_operator,
 )
@@ -99,10 +100,16 @@ def object_weighed(exact, strategies, gamma):
     return uncached_extended_matrix(np.array(exact, dtype=object), strategies, gamma).astype(float)
 
 
+def clear_circuit_caches():
+    """Empty eisert's probability cache and catalog's table cache."""
+    eisert._probs.cache_clear()
+    catalog._scalar_table.cache_clear()
+
+
 @pytest.fixture
 def circuit_passes(monkeypatch):
     """The checked gamma of every run of eisert._circuit, with the probability
-    cache empty before and after the test."""
+    and table caches empty before and after the test."""
     passes = []
     run = eisert._circuit
 
@@ -111,9 +118,9 @@ def circuit_passes(monkeypatch):
         return run(cells, g)
 
     monkeypatch.setattr(eisert, "_circuit", counted)
-    eisert._probs.cache_clear()
+    clear_circuit_caches()
     yield passes
-    eisert._probs.cache_clear()
+    clear_circuit_caches()
 
 
 def classical_magnetization(beta: float, J: float, h: float) -> float:

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     classical_chicken_matrix,
     classical_pd_matrix,
+    clear_circuit_caches,
     object_weighed,
     qvc_closed_form,
     qvd_closed_form,
@@ -288,7 +289,7 @@ SLICE_GAMMAS = [0.0, -0.0, 5e-324, math.pi / 2, *_RNG.uniform(0.0, math.pi / 2, 
 @pytest.fixture
 def circuit_runs(monkeypatch):
     """The (args, kwargs, payoffs) of every `extended_matrix` call, with the
-    probability cache empty before and after the test."""
+    probability and table caches empty before and after the test."""
     runs = []
     run = eisert.extended_matrix
 
@@ -297,9 +298,9 @@ def circuit_runs(monkeypatch):
         return runs[-1][2]
 
     monkeypatch.setattr(eisert, "extended_matrix", counted)
-    eisert._probs.cache_clear()
+    clear_circuit_caches()
     yield runs
-    eisert._probs.cache_clear()
+    clear_circuit_caches()
 
 
 class TestBlockIsItsGameSlice:
@@ -383,9 +384,10 @@ class TestProbabilityCache:
 
 
 class TestOneRoute:
-    """Every game and block call weighs its game's 3x3 table from one
-    `extended_matrix` call, at a float gamma or along a grid; circuit runs are
-    shared through eisert's probability cache alone."""
+    """Every game and block call reads its game's 3x3 table from one `extended_matrix`
+    call: at a float gamma the table is weighed once and kept by catalog's table cache,
+    along a grid it is weighed on every call; circuit runs are shared through eisert's
+    probability cache."""
 
     @pytest.mark.parametrize("gamma", [0.7, np.float64(0.7), np.array(0.7), [0.7],
                                        np.linspace(0.0, 1.0, 7)],
@@ -395,15 +397,14 @@ class TestOneRoute:
     def test_a_game_and_its_three_blocks_run_the_circuit_once(self, circuit_runs,
                                                               circuit_passes, kind, payoffs,
                                                               gamma):
-        calls = 1
         if np.ndim(gamma) == 0:
             quantized_game(kind, payoffs, gamma)
-        else:
-            calls = 0  # a grid is not a game
         for block_id, (block_kind, _) in _BLOCKS.items():
             if block_kind == kind:
                 extract_block(kind, payoffs, block_id, gamma)
-                calls += 1
+        # at a float gamma the game weighs its table and its blocks read it; a grid is not a
+        # game, and each block weighs it again
+        calls = 1 if np.ndim(gamma) == 0 else 3
         assert [kwargs["strategies"] for _, kwargs, _ in circuit_runs] == [_STRATEGIES] * calls
         assert len(circuit_passes) == 1
 
@@ -451,7 +452,9 @@ class TestOneRoute:
         for _ in range(2):  # a miss, then a hit of the probability cache
             extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, gamma)
             extract_block("chicken", ChickenPayoffs(3, 4), Block.QVSWERVE, gamma)
-        assert len(checks) == 4
+        # at a float gamma each game's first call weighs its table, checking the gamma inside
+        # extended_matrix, and its second reads the kept table; a grid is checked on each call
+        assert len(checks) == (2 if np.ndim(gamma) == 0 else 4)
 
     def test_a_consistency_error_is_not_cached(self, circuit_runs, monkeypatch):
         run = eisert.extended_matrix
@@ -464,7 +467,57 @@ class TestOneRoute:
         monkeypatch.setattr(eisert, "extended_matrix", fails_once)
         with pytest.raises(ConsistencyError):
             extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, 0.9)
-        got = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, 0.9).row_payoffs
+        got = [extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, 0.9).row_payoffs
+               for _ in range(2)]  # a miss, then a hit of the table cache
         assert len(circuit_runs) == 2
         grid = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, np.array([0.9]))
-        assert np.array_equal(bits(got), bits(grid.row_payoffs[0]))
+        assert all(np.array_equal(bits(g), bits(grid.row_payoffs[0])) for g in got)
+
+
+class TestTableCache:
+    """catalog keeps the last 16 tables at a real scalar gamma, keyed on the float64 bits of
+    the four weights and the gamma; a hit hands out the kept table's cells, never the table."""
+
+    def test_a_quantize_and_its_three_blocks_weigh_one_table(self, circuit_runs, capsys):
+        assert cli.main(["quantize", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
+                         "--p", "1", "--gamma", "0.7", "--output", "-"]) == 0
+        capsys.readouterr()
+        for block_id in (Block.QVC, Block.QVD, Block.CLASSICAL_PD):
+            block = extract_block("pd", PDPayoffs(3, 5, 0, 1), block_id, 0.7).row_payoffs
+            assert block.flags.writeable
+        assert [kwargs["gamma"] for _, kwargs, _ in circuit_runs] == [0.7]
+
+    def test_signed_zeros_of_gamma_and_of_a_weight_keep_separate_entries(self, circuit_runs):
+        # (sucker payoff, gamma): chicken's weights hold no signed zero (0.0, -r, r, -s with
+        # s >= r > 0), so the weight is the prisoner's dilemma's s
+        calls = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+        first = [quantized_game("pd", PDPayoffs(3, 5, s, 1), g).row for s, g in calls]
+        again = [quantized_game("pd", PDPayoffs(3, 5, s, 1), g).row for s, g in calls]
+        signs = [(math.copysign(1.0, args[0][1]), math.copysign(1.0, kwargs["gamma"]))
+                 for args, kwargs, _ in circuit_runs]
+        assert signs == [(math.copysign(1.0, s), math.copysign(1.0, g)) for s, g in calls]
+        for (s, g), got, hit in zip(calls, first, again):
+            want = uncached_extended_matrix((3.0, s, 5.0, 1.0), _STRATEGIES, g)
+            assert np.array_equal(bits(got), bits(want)) and np.array_equal(bits(hit), bits(want))
+
+    def test_a_hit_result_is_fresh_and_writable(self, circuit_runs):
+        payoffs = PDPayoffs(3, 5, 0, 1)
+        quantized_game("pd", payoffs, 0.4)
+        hit = quantized_game("pd", payoffs, 0.4).row
+        want = hit.copy()
+        hit[...] = 99.0
+        assert np.array_equal(bits(quantized_game("pd", payoffs, 0.4).row), bits(want))
+        assert len(circuit_runs) == 1 and not np.shares_memory(hit, circuit_runs[0][2])
+        assert not circuit_runs[0][2].flags.writeable  # the kept table
+
+    def test_a_one_gamma_grid_is_weighed_on_every_call(self, circuit_runs):
+        for _ in range(2):
+            block = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, [0.7])
+            assert block.row_payoffs.shape == (1, 2, 2)
+        assert [kwargs["gamma"] for _, kwargs, _ in circuit_runs] == [[0.7], [0.7]]
+
+    def test_a_17th_table_evicts_the_first(self, circuit_runs):
+        gammas = np.linspace(0.1, 1.5, 17).tolist()
+        for gamma in gammas + gammas[-16:] + gammas[:1]:  # 17 misses, 16 hits, one miss
+            extract_block("chicken", ChickenPayoffs(3, 4), Block.QVSWERVE, gamma)
+        assert [kwargs["gamma"] for _, kwargs, _ in circuit_runs] == gammas + gammas[:1]
