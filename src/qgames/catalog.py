@@ -2,9 +2,10 @@
 classical-vs-quantum strategy blocks.
 
 Blocks come from the quantization circuit, never from closed-form matrices (the
-tests hold those).  Each call reads its game's payoffs weighed over the one 3x3 strategy order,
-kept per weights and real gamma (`_scalar_table`), and a block is indexed from that table; the
-circuit behind it is cached per strategy set and gamma in `eisert`, so both games share its runs.
+tests hold those).  Each call reads its game's payoffs weighed over the one 3x3 strategy order
+(C, D, Q) of `eisert.Strategy`, kept per weights and real gamma (`_scalar_table`), and a block is
+indexed from that table; the circuit behind it reads eisert's import-time operator products and
+caches its probabilities per gamma, so both games share its runs.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ are the measurement probabilities weighted by the row player's payoffs of the
 outcomes |00>, |01>, |10>, |11>, in that basis order.  gamma=0 reproduces the
 classical game, gamma=pi/2 is maximal entanglement.
 
-The circuit runs as one vectorized pass over every ordered strategy pair
-and, when gamma is a 1-D grid, over every gamma of the grid.  No payoff enters
-its probabilities, so `_probs` caches them per strategy set and gamma bits (16 runs
-of at most _CACHED_CELLS cells at 32 bytes: 4.7 MB), and each call weighs them with
+Players pick from the paper's three strategies, the members C, D, Q of `Strategy`, whose
+operator products are built once at import (`_CELLS`).  The circuit runs as one vectorized pass
+over every ordered strategy pair and, when gamma is a 1-D grid, over every gamma of the grid.
+No payoff enters its probabilities, so `_probs` caches them per strategy tuple and gamma bits
+(16 runs of at most _CACHED_CELLS cells at 32 bytes: 4.7 MB), and each call weighs them with
 its payoffs into a fresh array.
 """
 
@@ -17,16 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
 from . import tensor
 from .errors import ConsistencyError, ValidationError, real, real_array
 
-#: Allowed parameter ranges of the two-parameter strategy family.
-THETA_RANGE = (0.0, math.pi)
-PHI_RANGE = (0.0, math.pi / 2)
 GAMMA_RANGE = (0.0, math.pi / 2)
 
 #: A final state whose norm drifts further from 1 means a non-unitary
@@ -40,47 +38,37 @@ _SAFE_PAYOFF = 2.0**1023
 _CACHED_CELLS = 9 * 1024
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """A point O(theta, phi) of the strategy family, each angle stored as the float of a real
-    scalar (`errors.real`); anything else raises ValidationError naming the field."""
+class Strategy(IntEnum):
+    """The strategies of both games, cooperate C = O(0, 0), defect D = O(pi, 0) and quantum
+    Q = O(0, pi/2), cooperate read as swerve and defect as straight; each is the index of its
+    operator in `_CELLS`."""
 
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        for name in ("theta", "phi"):
-            value = getattr(self, name)
-            if (angle := real(value)) is None:
-                raise ValidationError(f"strategy {name} must be a real scalar within the float "
-                                      f"range, got {value!r}")
-            object.__setattr__(self, name, angle)
+    C = 0
+    D = 1
+    Q = 2
 
 
-# The three strategies of both games, cooperate read as swerve and defect as straight.
-# Defect is O(pi, 0), i.e. [[0, 1], [-1, 0]]: the column-sign convention matters, a
-# literal Pauli X would give gamma-independent defect-vs-quantum payoffs.
-C = Strategy(0.0, 0.0)
-D = Strategy(math.pi, 0.0)
-Q = Strategy(0.0, math.pi / 2)
+C, D, Q = Strategy
 
 
-def _check_range(name, value, lo, hi):
-    if (x := real(value)) is None or not (lo <= x <= hi):  # NaN fails too
-        raise ValidationError(f"{name}={value!r} outside [{lo:.6g}, {hi:.6g}]")
-
-
-def strategy_operator(theta: float, phi: float) -> np.ndarray:
+def _strategy_operator(theta: float, phi: float) -> np.ndarray:
     """Local strategy unitary
     [[e^{i phi} cos(theta/2), sin(theta/2)],
      [-sin(theta/2),          e^{-i phi} cos(theta/2)]].
     """
-    _check_range("theta", theta, *THETA_RANGE)
-    _check_range("phi", phi, *PHI_RANGE)
     c = math.cos(theta / 2)
     s = math.sin(theta / 2)
     ph = complex(math.cos(phi), math.sin(phi))
     return np.array([[ph * c, s], [-s, ph.conjugate() * c]], dtype=complex)
+
+
+# In Strategy's order.  D is [[0, 1], [-1, 0]]: the column-sign convention matters, a literal
+# Pauli X would give gamma-independent defect-vs-quantum payoffs.
+_OPS = np.array([_strategy_operator(0.0, 0.0), _strategy_operator(math.pi, 0.0),
+                 _strategy_operator(0.0, math.pi / 2)])
+#: The products O_i (x) O_j of every ordered strategy pair, shape (3, 3, 4, 4), read-only.
+_CELLS = (_OPS[:, None, :, None, :, None] * _OPS[None, :, None, :, None, :]).reshape(3, 3, 4, 4)
+_CELLS.flags.writeable = False
 
 
 def check_gamma(gamma) -> np.ndarray:
@@ -112,26 +100,10 @@ def _entangler(g: np.ndarray) -> np.ndarray:
     return lhat
 
 
-@functools.lru_cache(maxsize=32)
-def _products(strategies) -> np.ndarray:
-    """The products O_i (x) O_j over every ordered pair of a strategy tuple,
-    shape (n, n, 4, 4), built once per tuple and process and read-only.
-
-    Strategies that compare equal share an entry, so a theta of -0.0 reads
-    the operators of 0.0: they differ only in the sign of a zero, which no
-    measured probability carries.
-    """
-    ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
-    n = len(ops)
-    cells = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(n, n, 4, 4)
-    cells.flags.writeable = False
-    return cells
-
-
 def _circuit(cells, g):
-    """Final states L^dag (O_i (x) O_j) L |00> for every product of `cells`
-    (as `_products` gives them), and their squared amplitudes, read-only: shape
-    (n, n, 4) each for a 0-d and (G, n, n, 4) for a 1-D `check_gamma` array.
+    """Final states L^dag (O_i (x) O_j) L |00> for every product of `cells`, an
+    (n, n, 4, 4) stack as `_CELLS` holds them, and their squared amplitudes, read-only:
+    shape (n, n, 4) each for a 0-d and (G, n, n, 4) for a 1-D `check_gamma` array.
 
     One norm check covers every final state; drift (or NaN) means a
     non-unitary operator slipped in and raises ConsistencyError.
@@ -152,8 +124,10 @@ def _circuit(cells, g):
 
 @functools.lru_cache(maxsize=16)
 def _probs(strategies, bits: bytes, shape) -> np.ndarray:
-    """`_circuit`'s probabilities at the gamma of float64 `bits` and `shape`."""
-    return _circuit(_products(strategies), np.frombuffer(bits).reshape(shape))[1]
+    """`_circuit`'s probabilities over the pairs of a `Strategy` tuple at the gamma of float64
+    `bits` and `shape`."""
+    i = np.array(strategies)  # two takes: half the time of _CELLS[i[:, None], i]
+    return _circuit(_CELLS.take(i, 0).take(i, 1), np.frombuffer(bits).reshape(shape))[1]
 
 
 def extended_matrix(weights, strategies, gamma) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared test oracles: closed-form block matrices, the classical games,
-the circuit's final state of one strategy pair, its payoffs built without a
-cache (and with exact int weights), a fixture that counts circuit runs with
-the caches emptied, NumPy-scalar references for
+the strategies' angles and operator products, the circuit's final state of
+one strategy pair, its payoffs built without a cache (and with exact int
+weights), a fixture that counts circuit runs with the caches emptied,
+NumPy-scalar references for
 the block -> (J, h, m) step, logit play of a block on a ring of players,
 the finite chain's magnetization at 60 digits, the one-midpoint-at-a-time
 bisection, and payoff generators.
@@ -18,7 +19,7 @@ import pytest
 
 from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, catalog, eisert, ising, tensor
 from qgames.eisert import (
-    GAMMA_RANGE, _circuit, _entangler, _products, check_gamma, strategy_operator,
+    GAMMA_RANGE, C, D, Q, _circuit, _entangler, _strategy_operator, check_gamma,
 )
 
 
@@ -75,19 +76,32 @@ def entangler(gamma) -> np.ndarray:
     return _entangler(check_gamma(gamma))
 
 
+#: (theta, phi) of each strategy, read here so the references build their operators
+#: apart from eisert's import-time product table.
+ANGLES = {C: (0.0, 0.0), D: (math.pi, 0.0), Q: (0.0, math.pi / 2)}
+
+
+def products(angles) -> np.ndarray:
+    """O_i (x) O_j over every ordered pair of a sequence of (theta, phi) angle pairs,
+    shape (n, n, 4, 4), each operator from eisert's formula."""
+    ops = np.array([_strategy_operator(theta, phi) for theta, phi in angles])
+    n = len(ops)
+    return (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(n, n, 4, 4)
+
+
 def final_state(s1, s2, gamma) -> np.ndarray:
-    """L^dag (O1 (x) O2) L |00> for two strategies through the library's
-    circuit; a 1-D gamma grid gives one state per gamma."""
-    chi, _ = _circuit(_products((s1, s2)), check_gamma(gamma))
+    """L^dag (O1 (x) O2) L |00> through the library's circuit for two strategies, each a
+    `Strategy` or a (theta, phi) pair of the strategy family; a 1-D gamma grid gives one
+    state per gamma."""
+    chi, _ = _circuit(products([ANGLES.get(s, s) for s in (s1, s2)]), check_gamma(gamma))
     return chi[..., 0, 1, :]
 
 
 def uncached_extended_matrix(weights, strategies, gamma):
     """extended_matrix without its caches or its checks: the operators and their products
-    built on this call, the final state squared here and weighed by `np.array(weights)`."""
-    ops = np.array([strategy_operator(s.theta, s.phi) for s in strategies])
-    n = len(ops)
-    cells = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(n, n, 4, 4)
+    built on this call from ANGLES, the final state squared here and weighed by
+    `np.array(weights)`."""
+    cells = products([ANGLES[s] for s in strategies])
     lhat = entangler(gamma)[..., None, None, :, :]
     chi = tensor.apply(tensor.adjoint(lhat), tensor.apply(cells, lhat[..., :, 0]))
     return (chi.conj() * chi).real @ np.array(weights)

@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ANGLES,
     classical_chicken_matrix,
     classical_pd_matrix,
     entangler,
     final_state,
     object_weighed,
+    products,
     random_chicken,
     random_pd,
     uncached_extended_matrix,
@@ -29,10 +31,9 @@ from qgames.eisert import (
     C,
     D,
     Q,
-    Strategy,
+    _strategy_operator,
     check_gamma,
     extended_matrix,
-    strategy_operator,
 )
 from qgames.errors import ConsistencyError, ValidationError, real
 from qgames.oracle import (
@@ -60,21 +61,16 @@ def payoff(chi, weights):
 
 class TestStrategyOperator:
     def test_cooperate_is_identity(self):
-        assert np.allclose(strategy_operator(0.0, 0.0), np.eye(2), atol=1e-12)
+        assert np.allclose(_strategy_operator(*ANGLES[C]), np.eye(2), atol=1e-12)
 
     def test_quantum_is_i_times_z(self):
         expected = np.array([[1j, 0], [0, -1j]])
-        assert np.allclose(strategy_operator(0.0, math.pi / 2), expected, atol=1e-12)
+        assert np.allclose(_strategy_operator(*ANGLES[Q]), expected, atol=1e-12)
 
     def test_defect_has_antisymmetric_off_diagonal(self):
         # theta=pi, phi=0 gives [[0, 1], [-1, 0]]
         expected = np.array([[0, 1], [-1, 0]], dtype=complex)
-        assert np.allclose(strategy_operator(math.pi, 0.0), expected, atol=1e-12)
-
-    @pytest.mark.parametrize("theta,phi", [(-0.1, 0.0), (3.2, 0.0), (0.0, -0.1), (0.0, 1.8)])
-    def test_rejects_out_of_range_angles(self, theta, phi):
-        with pytest.raises(ValidationError):
-            strategy_operator(theta, phi)
+        assert np.allclose(_strategy_operator(*ANGLES[D]), expected, atol=1e-12)
 
 
 class TestEntangler:
@@ -195,7 +191,7 @@ class TestPayoff:
     )
     def test_payoff_is_convex_combination(self, t1, p1, t2, p2, gamma):
         weights = (3.0, 0.0, 5.0, 1.0)
-        val = payoff(final_state(Strategy(t1, p1), Strategy(t2, p2), gamma), weights)
+        val = payoff(final_state((t1, p1), (t2, p2), gamma), weights)
         assert 0.0 - 1e-9 <= val <= 5.0 + 1e-9
 
 
@@ -278,6 +274,13 @@ class TestExtendedMatrix:
         with pytest.raises(ValidationError):
             extended_matrix(PD_ROW, (), 0.5)
 
+    # an int, a bool or a NumPy integer compares equal to a member but is not one
+    @pytest.mark.parametrize("entry", ["D", None, (math.pi, 0.0), 0, 1, True, np.int64(2)],
+                             ids=repr)
+    def test_an_entry_that_is_not_a_strategy_is_a_validation_error(self, entry):
+        with pytest.raises(ValidationError, match="Strategy instances"):
+            extended_matrix(PD_ROW, (C, entry), 0.3)
+
     @pytest.mark.parametrize("kind,payoffs", [
         (CHICKEN, ChickenPayoffs(1.0, 1.7976931348623157e308)),
         (PD, PDPayoffs(1.0, 1.7976931348623157e308, -1.7976931348623157e308, 0.0)),
@@ -305,18 +308,25 @@ def bits(a):
 
 
 _RNG = np.random.default_rng(27)
-# every block's strategy pair and every game's 3x3 order
+# every block's strategy pair, every game's 3x3 order, one strategy alone and a repeated one
 CACHED_SETS = sorted({tuple(_STRATEGIES[i] for i in cells) for _, cells in _BLOCKS.values()}
-                     | {_STRATEGIES}, key=lambda s: [(x.theta, x.phi) for x in s])
+                     | {_STRATEGIES, (Q,), (C, C, D)})
 CACHE_GAMMAS = [0.0, math.pi / 2, 5e-324, *_RNG.uniform(0.0, math.pi / 2, 5),
                 np.linspace(0.0, math.pi / 2, 200)]
 CACHE_WEIGHTS = [PD_ROW, GAMES[CHICKEN][1](ChickenPayoffs(3, 4)),
                  *(tuple(_RNG.normal(0.0, 10.0, 4).tolist()) for _ in range(3))]
 
 
-class TestProductCache:
-    """eisert._products builds each strategy set's products once; the
-    payoffs keep every bit of the uncached circuit."""
+class TestProductTable:
+    """Every strategy tuple reads its products from eisert._CELLS; the payoffs keep
+    every bit of the uncached circuit."""
+
+    def test_the_table_holds_each_pair_in_member_order_and_is_read_only(self):
+        cells = eisert._CELLS
+        assert np.array_equal(cells, products([ANGLES[s] for s in (C, D, Q)]))
+        assert not cells.flags.writeable
+        with pytest.raises(ValueError):
+            cells[0, 0, 0, 0] = 0.0
 
     def test_payoffs_keep_every_bit(self):
         for strategies in CACHED_SETS:
@@ -327,8 +337,7 @@ class TestProductCache:
                     assert np.array_equal(bits(got), bits(want))
 
     def test_interleaved_sets_leave_each_other_unchanged(self):
-        eisert._products.cache_clear()
-        eisert._probs.cache_clear()  # so each set's first call builds its products
+        eisert._probs.cache_clear()  # so each set's first call reads the table
         grid = CACHE_GAMMAS[-1]
         first = {s: extended_matrix(PD_ROW, s, grid) for s in CACHED_SETS}
         order = [CACHED_SETS[k] for k in np.random.default_rng(5).permutation(len(CACHED_SETS))]
@@ -338,33 +347,6 @@ class TestProductCache:
             got = extended_matrix(PD_ROW, strategies, 0.7)
             want = uncached_extended_matrix(PD_ROW, strategies, 0.7)
             assert np.array_equal(bits(got), bits(want))
-
-    def test_cached_products_are_read_only(self):
-        for strategies in CACHED_SETS:
-            cells = eisert._products(strategies)
-            assert not cells.flags.writeable
-            with pytest.raises(ValueError):
-                cells[0, 0, 0, 0] = 0.0
-        assert eisert._products.cache_info().maxsize is not None  # bounded
-
-    @pytest.mark.parametrize("first", ["negative zero", "positive zero"])
-    def test_negative_zero_theta_shares_the_entry_and_every_bit(self, first):
-        c_neg = Strategy(-0.0, 0.0)
-        assert c_neg == C and hash(c_neg) == hash(C)
-        calls = [(c_neg, D), (C, D)]
-        if first == "positive zero":
-            calls.reverse()
-        eisert._products.cache_clear()
-        eisert._probs.cache_clear()  # equal strategies share its entries too
-        try:
-            for strategies in calls:
-                for gamma in CACHE_GAMMAS:
-                    got = extended_matrix(PD_ROW, strategies, gamma)
-                    want = uncached_extended_matrix(PD_ROW, strategies, gamma)
-                    assert np.array_equal(bits(got), bits(want))
-        finally:
-            eisert._products.cache_clear()
-            eisert._probs.cache_clear()
 
 
 # big ints past int64 in the basis order, read as floats; the uncached reference is given
@@ -487,7 +469,7 @@ def mp_probabilities(strategies, gamma):
         half = mpmath.mpf(gamma) / 2
         ell = mpmath.cos(half) * mpmath.eye(4) + 1j * mpmath.sin(half) * mp_kron(d, d)
         psi0 = ell * mpmath.matrix([1, 0, 0, 0])
-        ops = [operator(s.theta, s.phi) for s in strategies]
+        ops = [operator(*ANGLES[s]) for s in strategies]
         return [[[abs(x) ** 2 for x in ell.H * (mp_kron(a, b) * psi0)] for b in ops]
                 for a in ops]
 
@@ -540,37 +522,7 @@ REAL_SCALARS = [
 ]
 
 
-class TestStrategyAngles:
-    """A Strategy stores each angle as a float, so the product cache can hash
-    it; anything else is refused by name."""
-
-    @pytest.mark.parametrize("theta", REAL_SCALARS, ids=repr)
-    def test_real_scalars_become_floats_and_keep_every_payoff_bit(self, theta):
-        s = Strategy(theta, np.array(0.25))
-        assert type(s.theta) is float and type(s.phi) is float
-        assert (s.theta, s.phi) == (float(theta), 0.25)
-        for gamma in (0.3, CACHE_GAMMAS[-1]):
-            got = extended_matrix(PD_ROW, (s, D), gamma)
-            want = uncached_extended_matrix(PD_ROW, (Strategy(float(theta), 0.25), D), gamma)
-            assert np.array_equal(bits(got), bits(want))
-
-    @pytest.mark.parametrize("field", ["theta", "phi"])
-    @pytest.mark.parametrize("value", [
-        [0.5], np.array([0.5]), np.zeros((1, 1)), "0.5", np.array("0.5"), 0.5j, None,
-        np.bool_(True), 10**400,
-    ], ids=lambda value: repr(value)[:16])
-    def test_other_angles_are_a_validation_error_naming_the_field(self, field, value):
-        angles = {"theta": 0.0, "phi": 0.0, field: value}
-        with pytest.raises(ValidationError, match=f"strategy {field} must be a real scalar"):
-            Strategy(**angles)
-
-    @pytest.mark.parametrize("entry", ["D", None, (math.pi, 0.0)], ids=repr)
-    def test_an_entry_that_is_not_a_strategy_is_a_validation_error(self, entry):
-        with pytest.raises(ValidationError, match="Strategy instances"):
-            extended_matrix(PD_ROW, (C, entry), 0.3)
-
-
-KERNEL_NAMES = ("C", "D", "Q", "Strategy", "strategy_operator", "extended_matrix")
+KERNEL_NAMES = ("C", "D", "Q", "Strategy", "extended_matrix")
 
 
 def test_package_exports_the_pipeline_and_not_the_circuit_kernel():
@@ -727,8 +679,6 @@ SITES = {
     "ChickenPayoffs": (lambda v: ChickenPayoffs(1, v), "payoffs must be finite"),
     "extended_matrix-weights": (lambda v: extended_matrix((v, 0, 0, 0), (C, D), 0.5),
                                 WEIGHTS_NOT_VALID),
-    "strategy_operator": (lambda v: strategy_operator(v, 0), "theta=.* outside"),
-    "Strategy": (lambda v: Strategy(v, 0), "strategy theta must be a real scalar"),
     "StrategyBlock": (lambda v: StrategyBlock([[v, 0.0], [0.0, 0.0]], Block.QVD),
                       "block must be a finite 2x2 matrix"),
     "BimatrixGame": (lambda v: BimatrixGame([[v, 0.0], [0.0, 0.0]], ("a", "b")),

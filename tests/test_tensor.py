@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import entangler, final_state
 from qgames import eisert, tensor
-from qgames.eisert import D, Q, strategy_operator
+from qgames.eisert import D, Q, _strategy_operator
 from qgames.errors import ConsistencyError
 
 I2 = np.eye(2, dtype=complex)
@@ -70,7 +70,7 @@ def test_apply_broadcasts_stacks():
 def test_apply_flags_non_unitary_operator():
     # the circuit's end-to-end norm check catches an operator that is not
     # unitary, and names the gamma and the cell; the products go straight
-    # in, so the cache of eisert._products never holds them
+    # in, so the cache of eisert._probs never holds them
     cells = np.broadcast_to(np.kron(2.0 * I2, 2.0 * I2), (2, 2, 4, 4))
     with pytest.raises(ConsistencyError, match=r"gamma=0\.5, cell \(0,0\)"):
         eisert._circuit(cells, np.array([0.5, 1.0]))
@@ -104,14 +104,14 @@ angles_gamma = st.floats(min_value=0.0, max_value=math.pi / 2)
 @settings(max_examples=60, deadline=None)
 @given(theta=angles_theta, phi=angles_phi, gamma=angles_gamma)
 def test_operators_are_unitary(theta, phi, gamma):
-    assert is_unitary(strategy_operator(theta, phi))
+    assert is_unitary(_strategy_operator(theta, phi))
     assert is_unitary(entangler(gamma))
 
 
 @settings(max_examples=60, deadline=None)
 @given(theta=angles_theta, phi=angles_phi, gamma=angles_gamma)
 def test_apply_preserves_norm(theta, phi, gamma):
-    m = np.kron(strategy_operator(theta, phi), IZ) @ entangler(gamma)
+    m = np.kron(_strategy_operator(theta, phi), IZ) @ entangler(gamma)
     v = np.array([0.5, -0.5j, 0.5, 0.5j])
     out = tensor.apply(m, v)
     assert abs(np.vdot(out, out).real - 1.0) <= 1e-12
