@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import re
 from decimal import Decimal
@@ -335,6 +336,17 @@ class TestProductTable:
                     got = extended_matrix(weights, strategies, gamma)
                     want = uncached_extended_matrix(weights, strategies, gamma)
                     assert np.array_equal(bits(got), bits(want))
+
+    # each order and each repeat slices _CELLS its own way; the 1025-gamma grid runs past the
+    # cache bound for the three-strategy tuples
+    @pytest.mark.parametrize("strategies", [
+        s for n in (1, 2, 3) for s in itertools.product((C, D, Q), repeat=n)
+    ], ids=lambda s: "-".join(x.name for x in s))
+    def test_every_tuple_of_up_to_three_strategies_keeps_every_bit(self, strategies):
+        for gamma in (0.0, -0.0, 5e-324, 0.7, math.pi / 2, np.linspace(0.0, math.pi / 2, 1025)):
+            got = extended_matrix(PD_ROW, strategies, gamma)
+            want = uncached_extended_matrix(PD_ROW, strategies, gamma)
+            assert np.array_equal(bits(got), bits(want))
 
     def test_interleaved_sets_leave_each_other_unchanged(self):
         eisert._probs.cache_clear()  # so each set's first call reads the table
@@ -679,6 +691,9 @@ SITES = {
     "ChickenPayoffs": (lambda v: ChickenPayoffs(1, v), "payoffs must be finite"),
     "extended_matrix-weights": (lambda v: extended_matrix((v, 0, 0, 0), (C, D), 0.5),
                                 WEIGHTS_NOT_VALID),
+    # a strategy slot of extended_matrix: only a member passes, not a bool or an int equal to one
+    "Strategy": (lambda v: extended_matrix(PD_ROW, (C, v), 0.5),
+                 "strategies must be Strategy instances"),
     "StrategyBlock": (lambda v: StrategyBlock([[v, 0.0], [0.0, 0.0]], Block.QVD),
                       "block must be a finite 2x2 matrix"),
     "BimatrixGame": (lambda v: BimatrixGame([[v, 0.0], [0.0, 0.0]], ("a", "b")),
