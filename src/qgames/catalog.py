@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import eisert
-from .eisert import C, D, Q
+from .eisert import _STRATEGIES, C, D, Q
 from .equilibrium import BimatrixGame
 from .errors import ValidationError, check_floats, real, real_array, unchecked
 
@@ -81,16 +81,15 @@ class Block(str, Enum):
         raise ValidationError(f"unknown block {value!r}; expected one of {[b.value for b in cls]}")
 
 
-# The 3x3 strategy order of both games (cooperate or swerve, defect or straight, quantum),
-# and each block's game and its row/column strategies as indices into that order.
-_STRATEGIES = (C, D, Q)
+# Each block's game and its row/column strategies, members of the one 3x3 order _STRATEGIES
+# (cooperate or swerve, defect or straight, quantum) and so their indices in it.
 _BLOCKS = {
-    Block.QVC: (PD, (0, 2)),
-    Block.QVD: (PD, (2, 1)),
-    Block.CLASSICAL_PD: (PD, (0, 1)),
-    Block.QVSWERVE: (CHICKEN, (0, 2)),
-    Block.QVSTRAIGHT: (CHICKEN, (2, 1)),
-    Block.CLASSICAL_CHICKEN: (CHICKEN, (1, 0)),
+    Block.QVC: (PD, (C, Q)),
+    Block.QVD: (PD, (Q, D)),
+    Block.CLASSICAL_PD: (PD, (C, D)),
+    Block.QVSWERVE: (CHICKEN, (C, Q)),
+    Block.QVSTRAIGHT: (CHICKEN, (Q, D)),
+    Block.CLASSICAL_CHICKEN: (CHICKEN, (D, C)),
 }
 
 

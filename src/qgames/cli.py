@@ -33,7 +33,7 @@ import numpy as np
 
 from . import ising, oracle
 from .catalog import GAMES, Block, extract_block, quantized_game
-from .eisert import _CACHED_CELLS, GAMMA_RANGE, check_gamma
+from .eisert import _CACHED_GAMMAS, GAMMA_RANGE, check_gamma
 from .equilibrium import pure_nash
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 
@@ -160,7 +160,7 @@ def _gamma_axis(ends: bytes, steps: int):
 
 
 def cmd_curve(args) -> int:
-    """CSV m over gamma x beta, the gamma axis cached per grid as long as eisert's 3x3 run is."""
+    """CSV m over gamma x beta, the gamma axis cached per grid as long as eisert caches a run."""
     payoffs = _payoffs_from(args)
     betas = _parse_betas(args.beta)
     if args.gamma_steps < 1:
@@ -171,7 +171,7 @@ def cmd_curve(args) -> int:
     # the ends the grid takes, named as given: linspace would turn an infinite one into NaNs,
     # and a one-step grid is its start alone, whatever the stop
     ends = check_gamma([args.gamma_start, args.gamma_stop][: args.gamma_steps])
-    axis = _gamma_axis if args.gamma_steps <= _CACHED_CELLS // 9 else _gamma_axis.__wrapped__
+    axis = _gamma_axis if args.gamma_steps <= _CACHED_GAMMAS else _gamma_axis.__wrapped__
     grid, gamma_col, increasing = axis(ends.tobytes(), args.gamma_steps)
     stacked = extract_block(args.game, payoffs, args.block, grid)  # range-checks the grid
     if not increasing:

@@ -8,10 +8,10 @@ classical game, gamma=pi/2 is maximal entanglement.
 
 Players pick from the paper's three strategies, the members C, D, Q of `Strategy`, whose
 operator products are built once at import (`_CELLS`).  The circuit runs as one vectorized pass
-over every ordered strategy pair and, when gamma is a 1-D grid, over every gamma of the grid.
-No payoff enters its probabilities, so `_probs` caches them per strategy tuple and gamma bits
-(16 runs of at most _CACHED_CELLS cells at 32 bytes: 4.7 MB), and each call weighs them with
-its payoffs into a fresh array.
+over the nine ordered pairs of the one order (C, D, Q) and, when gamma is a 1-D grid, over every
+gamma of the grid.  No payoff enters its probabilities, so `_probs` caches them per gamma bits
+(16 runs of at most _CACHED_GAMMAS gammas, 9 cells of 32 bytes each: 4.7 MB), and each call
+weighs them with its payoffs into a fresh array.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ NORM_DRIFT_TOL = 1e-10
 #: Weighed by probabilities that sum to 1 within NORM_DRIFT_TOL, payoffs this small cannot overflow.
 _SAFE_PAYOFF = 2.0**1023
 
-#: A run of more cells (strategy pairs x gammas) than a 1024-gamma 3x3 game is not cached.
-_CACHED_CELLS = 9 * 1024
+#: A run over a longer gamma grid is not cached.
+_CACHED_GAMMAS = 1024
 
 
 class Strategy(IntEnum):
@@ -48,7 +48,8 @@ class Strategy(IntEnum):
     Q = 2
 
 
-C, D, Q = Strategy
+#: The one strategy order of both games, rows and columns of every table.
+_STRATEGIES = C, D, Q = tuple(Strategy)
 
 
 def _strategy_operator(theta: float, phi: float) -> np.ndarray:
@@ -123,18 +124,16 @@ def _circuit(cells, g):
 
 
 @functools.lru_cache(maxsize=16)
-def _probs(strategies, bits: bytes, shape) -> np.ndarray:
-    """`_circuit`'s probabilities over the pairs of a `Strategy` tuple at the gamma of float64
-    `bits` and `shape`."""
-    i = np.array(strategies)  # two takes: half the time of _CELLS[i[:, None], i]
-    return _circuit(_CELLS.take(i, 0).take(i, 1), np.frombuffer(bits).reshape(shape))[1]
+def _probs(bits: bytes, shape) -> np.ndarray:
+    """`_circuit`'s probabilities over `_CELLS` at the gamma of float64 `bits` and `shape`."""
+    return _circuit(_CELLS, np.frombuffer(bits).reshape(shape))[1]
 
 
 def extended_matrix(weights, strategies, gamma) -> np.ndarray:
-    """Row player's expected payoffs over every ordered strategy pair, shape
-    (n, n) for a float gamma and (G, n, n) for a 1-D gamma grid, from one
-    cached pass of the circuit.  `weights` are the row player's payoffs of the
-    outcomes |00>, |01>, |10>, |11>: four real scalars (`errors.real`), all finite.
+    """Row player's expected payoffs over every ordered pair of `strategies`, which must be the
+    members C, D, Q in that order (`_STRATEGIES`): shape (3, 3) for a float gamma and (G, 3, 3)
+    for a 1-D gamma grid, from one cached pass of the circuit.  `weights` are the row player's
+    payoffs of the outcomes |00>, |01>, |10>, |11>: four real scalars (`errors.real`), all finite.
     The protocol is symmetric under swapping the players, so the weights of a
     symmetric game give a symmetric game, which this one table defines
     (`equilibrium.BimatrixGame`).
@@ -145,14 +144,13 @@ def extended_matrix(weights, strategies, gamma) -> np.ndarray:
         w = None
     if w is None or len(w) != 4 or None in w or not all(map(math.isfinite, w)):
         raise ValidationError(f"weights must be 4 finite real scalars, got {weights!r}")
-    strategies = tuple(strategies)
-    if not strategies:
-        raise ValidationError("need at least one strategy")
-    if not all(isinstance(s, Strategy) for s in strategies):
-        raise ValidationError(f"strategies must be Strategy instances, got {strategies!r}")
+    strategies = tuple(strategies) if np.iterable(strategies) else strategies  # read once
+    # by identity: an int, a bool or a NumPy integer compares equal to a member but is not one
+    if (not isinstance(strategies, tuple) or len(strategies) != 3
+            or any(s is not t for s, t in zip(strategies, _STRATEGIES))):
+        raise ValidationError(f"strategies must be (C, D, Q), got {strategies!r}")
     g = check_gamma(gamma)
-    run = _probs if g.size * len(strategies) ** 2 <= _CACHED_CELLS else _probs.__wrapped__
-    probs = run(strategies, g.tobytes(), g.shape)
+    probs = (_probs if g.size <= _CACHED_GAMMAS else _probs.__wrapped__)(g.tobytes(), g.shape)
     if max(map(abs, w)) <= _SAFE_PAYOFF:
         return probs @ np.array(w)
     # a probability rounded above 1 can carry a payoff past the float max; the exact payoff

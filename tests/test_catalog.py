@@ -309,18 +309,18 @@ class TestBlockIsItsGameSlice:
 
     @pytest.mark.parametrize("kind,payoffs", SLICE_PAYOFFS, ids=repr)
     def test_every_block_keeps_every_bit(self, circuit_runs, kind, payoffs):
-        weights, order = GAMES[kind][1](payoffs), _STRATEGIES
-        for block_id, (block_kind, cells) in _BLOCKS.items():
+        weights = GAMES[kind][1](payoffs)
+        for block_id, (block_kind, strategies) in _BLOCKS.items():
             if block_kind != kind:
                 continue
-            strategies, cells = tuple(order[i] for i in cells), np.array(cells)
+            cells = np.array(strategies)  # each member is its own index in _STRATEGIES
             for gamma in SLICE_GAMMAS:
-                want = eisert.extended_matrix(weights, strategies, gamma)
+                want = uncached_extended_matrix(weights, strategies, gamma)
                 got = extract_block(kind, payoffs, block_id, gamma).row_payoffs
                 if np.ndim(gamma) == 0:
                     game = quantized_game(kind, payoffs, gamma).row
                 else:
-                    game = eisert.extended_matrix(weights, order, gamma)
+                    game = eisert.extended_matrix(weights, _STRATEGIES, gamma)
                 assert np.array_equal(bits(got), bits(want)), (block_id, gamma)
                 assert np.array_equal(bits(game[..., cells[:, None], cells]), bits(want))
 
@@ -333,7 +333,7 @@ class TestBlockIsItsGameSlice:
         exact = [2**64 + 1, -(2**70), 2**65 + 3, 2**63 + 5]  # BIG_INT_PD's r, s, t, p
         for block_id in (Block.QVC, Block.QVD, Block.CLASSICAL_PD):
             got = extract_block("pd", BIG_INT_PD, block_id, gamma).row_payoffs
-            want = object_weighed(exact, [_STRATEGIES[i] for i in _BLOCKS[block_id][1]], gamma)
+            want = object_weighed(exact, _BLOCKS[block_id][1], gamma)
             assert got.dtype == np.float64 and np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("gamma", [0.4, np.array([0.1, 0.4])], ids=["float", "grid"])
@@ -346,20 +346,21 @@ class TestBlockIsItsGameSlice:
 
 
 class TestProbabilityCache:
-    """Under every game and block, eisert caches the circuit's probabilities per strategy
-    set and gamma, so new payoffs at a gamma met before run no circuit."""
+    """Under every game and block, eisert caches the circuit's probabilities per gamma, so
+    new payoffs at a gamma met before run no circuit."""
 
     @pytest.mark.parametrize("kind,payoffs", SLICE_PAYOFFS, ids=repr)
     def test_every_cached_result_keeps_the_uncached_bits(self, circuit_passes, kind, payoffs):
         weights = GAMES[kind][1](payoffs)
-        sets = [_STRATEGIES, *(tuple(_STRATEGIES[i] for i in cells)
-                               for k, cells in _BLOCKS.values() if k == kind)]
-        for strategies in sets:
-            for gamma in SLICE_GAMMAS:
-                want = uncached_extended_matrix(weights, strategies, gamma)
-                for _ in range(2):  # a miss, then a hit
-                    got = eisert.extended_matrix(weights, strategies, gamma)
-                    assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want))
+        sets = [_STRATEGIES, *(cells for k, cells in _BLOCKS.values() if k == kind)]
+        for gamma in SLICE_GAMMAS:
+            for _ in range(2):  # a miss, then a hit
+                got = eisert.extended_matrix(weights, _STRATEGIES, gamma)
+                for strategies in sets:
+                    want = uncached_extended_matrix(weights, strategies, gamma)
+                    i = np.array(strategies)  # each member is its own index in _STRATEGIES
+                    cells = got[..., i[:, None], i]
+                    assert cells.dtype == want.dtype and np.array_equal(bits(cells), bits(want))
 
     def test_a_sweep_runs_no_circuit_per_curve_and_one_per_transition(self, circuit_passes,
                                                                        capsys):

@@ -555,7 +555,7 @@ class TestGammaAxisCache:
             2, "error: gamma grid must be strictly increasing\n")
 
     def test_a_grid_above_the_cached_run_length_is_not_kept(self):
-        longest = cli._CACHED_CELLS // 9  # the longest grid eisert caches a 3x3 run of
+        longest = cli._CACHED_GAMMAS  # the longest grid eisert caches a run of
         argv = PD_CURVE + ("--block", "QvD", "--beta", "1")
         self.assert_runs_match(argv + ("--gamma-steps", str(longest + 1)))
         assert cli._gamma_axis.cache_info().currsize == 0

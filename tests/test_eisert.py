@@ -164,7 +164,7 @@ class TestPayoff:
                              ids=repr)
     def test_a_weight_not_finite_real_is_rejected_at_each_position(self, value, k):
         with pytest.raises(ValidationError, match=WEIGHTS_NOT_VALID):
-            extended_matrix(with_weight(value, k), (C, D), 0.5)
+            extended_matrix(with_weight(value, k), _STRATEGIES, 0.5)
 
     @pytest.mark.parametrize("weights", [
         (1j, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.5 + 0j), (3.0, np.complex128(5.0), 0.0, 1.0),
@@ -173,7 +173,7 @@ class TestPayoff:
     ], ids=repr)
     def test_complex_or_not_four_weights_rejected(self, weights):
         with pytest.raises(ValidationError, match=WEIGHTS_NOT_VALID):
-            extended_matrix(weights, (C, D), 0.5)
+            extended_matrix(weights, _STRATEGIES, 0.5)
 
     def test_pure_00_state_pays_the_00_entry(self):
         chi = np.array([1, 0, 0, 0], dtype=complex)
@@ -194,6 +194,21 @@ class TestPayoff:
         weights = (3.0, 0.0, 5.0, 1.0)
         val = payoff(final_state((t1, p1), (t2, p2), gamma), weights)
         assert 0.0 - 1e-9 <= val <= 5.0 + 1e-9
+
+
+STRATEGIES_NOT_VALID = "strategies must be (C, D, Q), got "
+REFUSED_ORDERS = {
+    "empty": (), "C": (C,), "C-D": (C, D), "Q-D": (Q, D), "D-C-Q": (D, C, Q), "Q-D-C": (Q, D, C),
+    "C-C-D": (C, C, D), "C-D-Q-Q": (C, D, Q, Q), "ints": (0, 1, 2), "bools": (False, True, 2),
+    "int64s": tuple(map(np.int64, range(3))), "a-member-alone": C, "names": "CDQ", "none": None,
+}
+
+
+def cells_of(table, strategies):
+    """The cells of a tuple of strategies, in its order, of a (..., 3, 3) table over
+    _STRATEGIES (each member is its own index)."""
+    i = np.array(strategies)
+    return table[..., i[:, None], i]
 
 
 class TestExtendedMatrix:
@@ -227,9 +242,9 @@ class TestExtendedMatrix:
         ch_expected = classical_chicken_matrix(ch)
         ch_row_t = GAMES[CHICKEN][1](ch)
         for gamma in np.linspace(0, math.pi / 2, 25):
-            row = extended_matrix(PD_ROW, (C, D), gamma)
+            row = cells_of(extended_matrix(PD_ROW, _STRATEGIES, gamma), (C, D))
             assert np.max(np.abs(row - pd_expected)) <= 1e-12
-            row = extended_matrix(ch_row_t, (D, C), gamma)
+            row = cells_of(extended_matrix(ch_row_t, _STRATEGIES, gamma), (D, C))
             assert np.max(np.abs(row - ch_expected)) <= 1e-12
 
     def test_alpha_coefficient_identities_on_grid(self):
@@ -271,16 +286,16 @@ class TestExtendedMatrix:
             assert np.array_equal(row[k], one_row)
             assert np.array_equal(col[k], one_col)
 
-    def test_rejects_empty_strategy_list(self):
-        with pytest.raises(ValidationError):
-            extended_matrix(PD_ROW, (), 0.5)
-
-    # an int, a bool or a NumPy integer compares equal to a member but is not one
-    @pytest.mark.parametrize("entry", ["D", None, (math.pi, 0.0), 0, 1, True, np.int64(2)],
-                             ids=repr)
-    def test_an_entry_that_is_not_a_strategy_is_a_validation_error(self, entry):
-        with pytest.raises(ValidationError, match="Strategy instances"):
-            extended_matrix(PD_ROW, (C, entry), 0.3)
+    # an int, a bool or a NumPy integer compares equal to a member but is not one; nor is
+    # any order of the members but (C, D, Q), whole or in part
+    @pytest.mark.parametrize("strategies", [
+        *(pytest.param((C, D, entry), id=repr(entry))
+          for entry in ["D", None, (math.pi, 0.0), 0, 1, True, np.int64(2)]),
+        *(pytest.param(order, id=f"order-{name}") for name, order in REFUSED_ORDERS.items()),
+    ])
+    def test_an_entry_that_is_not_a_strategy_is_a_validation_error(self, strategies):
+        with pytest.raises(ValidationError, match=re.escape(STRATEGIES_NOT_VALID)):
+            extended_matrix(PD_ROW, strategies, 0.3)
 
     @pytest.mark.parametrize("kind,payoffs", [
         (CHICKEN, ChickenPayoffs(1.0, 1.7976931348623157e308)),
@@ -310,8 +325,7 @@ def bits(a):
 
 _RNG = np.random.default_rng(27)
 # every block's strategy pair, every game's 3x3 order, one strategy alone and a repeated one
-CACHED_SETS = sorted({tuple(_STRATEGIES[i] for i in cells) for _, cells in _BLOCKS.values()}
-                     | {_STRATEGIES, (Q,), (C, C, D)})
+CELL_SETS = sorted({cells for _, cells in _BLOCKS.values()} | {_STRATEGIES, (Q,), (C, C, D)})
 CACHE_GAMMAS = [0.0, math.pi / 2, 5e-324, *_RNG.uniform(0.0, math.pi / 2, 5),
                 np.linspace(0.0, math.pi / 2, 200)]
 CACHE_WEIGHTS = [PD_ROW, GAMES[CHICKEN][1](ChickenPayoffs(3, 4)),
@@ -319,8 +333,8 @@ CACHE_WEIGHTS = [PD_ROW, GAMES[CHICKEN][1](ChickenPayoffs(3, 4)),
 
 
 class TestProductTable:
-    """Every strategy tuple reads its products from eisert._CELLS; the payoffs keep
-    every bit of the uncached circuit."""
+    """The table reads its products from eisert._CELLS; the cells of every strategy tuple
+    keep every bit of the uncached circuit run over that tuple alone."""
 
     def test_the_table_holds_each_pair_in_member_order_and_is_read_only(self):
         cells = eisert._CELLS
@@ -330,34 +344,32 @@ class TestProductTable:
             cells[0, 0, 0, 0] = 0.0
 
     def test_payoffs_keep_every_bit(self):
-        for strategies in CACHED_SETS:
-            for weights in CACHE_WEIGHTS:
-                for gamma in CACHE_GAMMAS:
-                    got = extended_matrix(weights, strategies, gamma)
+        for weights in CACHE_WEIGHTS:
+            for gamma in CACHE_GAMMAS:
+                table = extended_matrix(weights, _STRATEGIES, gamma)
+                for strategies in CELL_SETS:
                     want = uncached_extended_matrix(weights, strategies, gamma)
-                    assert np.array_equal(bits(got), bits(want))
+                    assert np.array_equal(bits(cells_of(table, strategies)), bits(want))
 
-    # each order and each repeat slices _CELLS its own way; the 1025-gamma grid runs past the
-    # cache bound for the three-strategy tuples
+    # each order and each repeat picks its cells its own way; the 1025-gamma grid runs past
+    # the cache bound
     @pytest.mark.parametrize("strategies", [
         s for n in (1, 2, 3) for s in itertools.product((C, D, Q), repeat=n)
     ], ids=lambda s: "-".join(x.name for x in s))
     def test_every_tuple_of_up_to_three_strategies_keeps_every_bit(self, strategies):
         for gamma in (0.0, -0.0, 5e-324, 0.7, math.pi / 2, np.linspace(0.0, math.pi / 2, 1025)):
-            got = extended_matrix(PD_ROW, strategies, gamma)
+            got = cells_of(extended_matrix(PD_ROW, _STRATEGIES, gamma), strategies)
             want = uncached_extended_matrix(PD_ROW, strategies, gamma)
             assert np.array_equal(bits(got), bits(want))
 
-    def test_interleaved_sets_leave_each_other_unchanged(self):
-        eisert._probs.cache_clear()  # so each set's first call reads the table
-        grid = CACHE_GAMMAS[-1]
-        first = {s: extended_matrix(PD_ROW, s, grid) for s in CACHED_SETS}
-        order = [CACHED_SETS[k] for k in np.random.default_rng(5).permutation(len(CACHED_SETS))]
-        for strategies in order + order[::-1]:
-            got = extended_matrix(PD_ROW, strategies, grid)
-            assert np.array_equal(bits(got), bits(first[strategies]))
-            got = extended_matrix(PD_ROW, strategies, 0.7)
-            want = uncached_extended_matrix(PD_ROW, strategies, 0.7)
+    def test_interleaved_gammas_leave_each_other_unchanged(self):
+        eisert._probs.cache_clear()  # so each gamma's first call runs the circuit
+        first = [extended_matrix(PD_ROW, _STRATEGIES, gamma) for gamma in CACHE_GAMMAS]
+        order = np.random.default_rng(5).permutation(len(CACHE_GAMMAS)).tolist()
+        for k in order + order[::-1]:
+            got = extended_matrix(PD_ROW, _STRATEGIES, CACHE_GAMMAS[k])
+            assert np.array_equal(bits(got), bits(first[k]))
+            want = uncached_extended_matrix(PD_ROW, _STRATEGIES, CACHE_GAMMAS[k])
             assert np.array_equal(bits(got), bits(want))
 
 
@@ -371,20 +383,25 @@ def same_payoffs(got, want):
 
 
 class TestProbabilityCache:
-    """eisert._probs holds the circuit's measured probabilities per strategy set,
-    gamma bits and shape: one run serves every set of weights, and each call
-    weighs them into a fresh array with every bit of the uncached circuit."""
+    """eisert._probs holds the circuit's measured probabilities per gamma bits and
+    shape: one run serves every set of weights, and each call weighs them into a
+    fresh array with every bit of the uncached circuit."""
 
     def test_a_miss_and_a_hit_keep_every_bit(self, circuit_passes):
-        for strategies in CACHED_SETS:
-            for gamma in CACHE_GAMMAS:
-                for weights in [*CACHE_WEIGHTS, BIG_INT_WEIGHTS] * 2:
-                    want = uncached_extended_matrix([float(w) for w in weights], strategies, gamma)
-                    assert same_payoffs(extended_matrix(weights, strategies, gamma), want)
-                # the bits the exact ints gave when they weighed as an object array
+        for gamma in CACHE_GAMMAS:
+            for weights in [*CACHE_WEIGHTS, BIG_INT_WEIGHTS] * 2:
+                floats = [float(w) for w in weights]
+                table = extended_matrix(weights, _STRATEGIES, gamma)
+                assert same_payoffs(table, uncached_extended_matrix(floats, _STRATEGIES, gamma))
+                for strategies in CELL_SETS:
+                    want = uncached_extended_matrix(floats, strategies, gamma)
+                    assert same_payoffs(cells_of(table, strategies), want)
+            # the bits the exact ints gave when they weighed as an object array
+            table = extended_matrix(BIG_INT_WEIGHTS, _STRATEGIES, gamma)
+            for strategies in CELL_SETS:
                 want = object_weighed(BIG_INT_WEIGHTS, strategies, gamma)
-                assert same_payoffs(extended_matrix(BIG_INT_WEIGHTS, strategies, gamma), want)
-        assert len(circuit_passes) == len(CACHED_SETS) * len(CACHE_GAMMAS)
+                assert same_payoffs(cells_of(table, strategies), want)
+        assert len(circuit_passes) == len(CACHE_GAMMAS)
 
     @pytest.mark.parametrize("gamma", [0.7, np.linspace(0.0, 1.0, 9)], ids=["float", "grid"])
     def test_a_second_payoff_set_at_the_same_gamma_runs_no_circuit(self, circuit_passes, gamma):
@@ -394,24 +411,33 @@ class TestProbabilityCache:
         assert same_payoffs(got, uncached_extended_matrix(floats, _STRATEGIES, gamma))
         assert len(circuit_passes) == 1
 
+    def test_one_gamma_holds_one_entry_whatever_the_weights(self, circuit_passes):
+        # the order may come as any iterable of C, D, Q, read once
+        for weights in [*CACHE_WEIGHTS, BIG_INT_WEIGHTS]:
+            for strategies in (_STRATEGIES, [C, D, Q], iter((C, D, Q))):
+                got = extended_matrix(weights, strategies, 0.7)
+                floats = [float(w) for w in weights]
+                assert same_payoffs(got, uncached_extended_matrix(floats, _STRATEGIES, 0.7))
+        assert eisert._probs.cache_info().currsize == 1 and len(circuit_passes) == 1
+
     def test_negative_zero_and_zero_keep_separate_entries(self, circuit_passes):
         gammas = [0.0, -0.0, np.array([0.0]), np.array([-0.0]), -0.0, np.array([0.0])]
         for gamma in gammas:
-            got = extended_matrix(PD_ROW, (Q, D), gamma)
-            assert same_payoffs(got, uncached_extended_matrix(PD_ROW, (Q, D), gamma))
+            got = extended_matrix(PD_ROW, _STRATEGIES, gamma)
+            assert same_payoffs(got, uncached_extended_matrix(PD_ROW, _STRATEGIES, gamma))
         assert [(np.shape(g), math.copysign(1.0, g.flat[0])) for g in circuit_passes] == [
             ((), 1.0), ((), -1.0), ((1,), 1.0), ((1,), -1.0)]
         assert eisert._probs.cache_info().currsize == 4
 
     def test_entries_are_read_only_and_each_result_is_fresh(self, circuit_passes):
         for gamma in (0.4, np.linspace(0.0, 1.0, 5)):
-            want = uncached_extended_matrix(PD_ROW, (C, Q), gamma)
-            got = extended_matrix(PD_ROW, (C, Q), gamma)
+            want = uncached_extended_matrix(PD_ROW, _STRATEGIES, gamma)
+            got = extended_matrix(PD_ROW, _STRATEGIES, gamma)
             got[...] = 99.0
-            again = extended_matrix(PD_ROW, (C, Q), gamma)
+            again = extended_matrix(PD_ROW, _STRATEGIES, gamma)
             assert same_payoffs(again, want) and not np.shares_memory(again, got)
             g = check_gamma(gamma)
-            entry = eisert._probs((C, Q), g.tobytes(), g.shape)  # a hit: the cached array
+            entry = eisert._probs(g.tobytes(), g.shape)  # a hit: the cached array
             assert not entry.flags.writeable
             with pytest.raises(ValueError):
                 entry[...] = 0.0
@@ -420,30 +446,31 @@ class TestProbabilityCache:
     def test_a_consistency_error_is_not_cached(self, circuit_passes, monkeypatch):
         monkeypatch.setattr(eisert, "NORM_DRIFT_TOL", -1.0)  # every norm drifts
         with pytest.raises(ConsistencyError, match="state norm drifted"):
-            extended_matrix(PD_ROW, (Q, D), 0.9)
+            extended_matrix(PD_ROW, _STRATEGIES, 0.9)
         assert eisert._probs.cache_info().currsize == 0
         monkeypatch.setattr(eisert, "NORM_DRIFT_TOL", 1e-10)
         for _ in range(2):
-            got = extended_matrix(PD_ROW, (Q, D), 0.9)
-            assert same_payoffs(got, uncached_extended_matrix(PD_ROW, (Q, D), 0.9))
+            got = extended_matrix(PD_ROW, _STRATEGIES, 0.9)
+            assert same_payoffs(got, uncached_extended_matrix(PD_ROW, _STRATEGIES, 0.9))
         assert len(circuit_passes) == 2
 
     def test_the_cache_is_bounded_and_a_grid_above_the_cap_is_not_retained(self,
                                                                            circuit_passes):
         maxsize = eisert._probs.cache_info().maxsize
-        # every entry at the cap: 4 float64 probabilities per cell, at most about 5 MB
-        assert maxsize is not None and maxsize * eisert._CACHED_CELLS * 4 * 8 <= 5e6
+        # every entry at the cap: 4 float64 probabilities per cell, 9 cells per gamma, at most
+        # about 5 MB
+        assert maxsize is not None and maxsize * eisert._CACHED_GAMMAS * 9 * 4 * 8 <= 5e6
         for gamma in np.linspace(0.0, 1.0, maxsize + 4):
-            extended_matrix(PD_ROW, (C, D), gamma)
+            extended_matrix(PD_ROW, _STRATEGIES, gamma)
         assert eisert._probs.cache_info().currsize == maxsize
         eisert._probs.cache_clear()
-        at_cap = np.linspace(0.0, math.pi / 2, eisert._CACHED_CELLS // 4)  # 2x2 cells each
-        above = np.linspace(0.0, math.pi / 2, eisert._CACHED_CELLS // 4 + 1)
+        at_cap = np.linspace(0.0, math.pi / 2, 1024)
+        above = np.linspace(0.0, math.pi / 2, 1025)
         for grid, runs in ((at_cap, 1), (above, 2)):
             before = len(circuit_passes)
             for _ in range(2):
-                got = extended_matrix(PD_ROW, (Q, D), grid)
-                assert same_payoffs(got, uncached_extended_matrix(PD_ROW, (Q, D), grid))
+                got = extended_matrix(PD_ROW, _STRATEGIES, grid)
+                assert same_payoffs(got, uncached_extended_matrix(PD_ROW, _STRATEGIES, grid))
             assert len(circuit_passes) - before == runs
         assert eisert._probs.cache_info().currsize == 1
 
@@ -455,7 +482,7 @@ class TestProbabilityCache:
         check = eisert.check_gamma
         monkeypatch.setattr(eisert, "check_gamma", lambda g: checks.append(g) or check(g))
         for calls in (1, 2):
-            extended_matrix(PD_ROW, (Q, D), gamma)
+            extended_matrix(PD_ROW, _STRATEGIES, gamma)
             assert len(checks) == calls
 
 
@@ -689,11 +716,11 @@ SITES = {
                  "J, h, beta must be finite"),
     "PDPayoffs": (lambda v: PDPayoffs(v, 5, 0, 1), "payoffs must be finite"),
     "ChickenPayoffs": (lambda v: ChickenPayoffs(1, v), "payoffs must be finite"),
-    "extended_matrix-weights": (lambda v: extended_matrix((v, 0, 0, 0), (C, D), 0.5),
+    "extended_matrix-weights": (lambda v: extended_matrix((v, 0, 0, 0), _STRATEGIES, 0.5),
                                 WEIGHTS_NOT_VALID),
-    # a strategy slot of extended_matrix: only a member passes, not a bool or an int equal to one
-    "Strategy": (lambda v: extended_matrix(PD_ROW, (C, v), 0.5),
-                 "strategies must be Strategy instances"),
+    # a strategy slot of extended_matrix: only Q passes there, not a bool or an int equal to it
+    "Strategy": (lambda v: extended_matrix(PD_ROW, (C, D, v), 0.5),
+                 re.escape(STRATEGIES_NOT_VALID)),
     "StrategyBlock": (lambda v: StrategyBlock([[v, 0.0], [0.0, 0.0]], Block.QVD),
                       "block must be a finite 2x2 matrix"),
     "BimatrixGame": (lambda v: BimatrixGame([[v, 0.0], [0.0, 0.0]], ("a", "b")),

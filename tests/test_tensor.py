@@ -69,8 +69,8 @@ def test_apply_broadcasts_stacks():
 
 def test_apply_flags_non_unitary_operator():
     # the circuit's end-to-end norm check catches an operator that is not
-    # unitary, and names the gamma and the cell; the products go straight
-    # in, so the cache of eisert._probs never holds them
+    # unitary, and names the gamma and the cell; eisert._probs runs only
+    # eisert's own products, so its cache never holds these
     cells = np.broadcast_to(np.kron(2.0 * I2, 2.0 * I2), (2, 2, 4, 4))
     with pytest.raises(ConsistencyError, match=r"gamma=0\.5, cell \(0,0\)"):
         eisert._circuit(cells, np.array([0.5, 1.0]))
