@@ -110,8 +110,7 @@ class StrategyBlock:
     @property
     def labels(self) -> tuple[str, str]:
         """Row/column strategy labels, in the block's ordering."""
-        kind, cells = _BLOCKS[self.block_id]
-        return tuple(GAMES[kind][2][i] for i in cells)
+        return _BLOCK_LABELS[self.block_id]
 
     def as_game(self) -> BimatrixGame:
         """The block as a symmetric two-player game, of payoffs and labels it has checked."""
@@ -166,8 +165,10 @@ def _scalar_table(key: bytes) -> np.ndarray:
     return table
 
 
-# Each block's rows and columns in its game's table, for `table[..., i, j]`.
+# Each block's rows and columns in its game's table, for `table[..., i, j]`, and their labels.
 _BLOCK_CELLS = {block: np.ix_(cells, cells) for block, (_, cells) in _BLOCKS.items()}
+_BLOCK_LABELS = {block: tuple(GAMES[kind][2][i] for i in cells)
+                 for block, (kind, cells) in _BLOCKS.items()}
 
 
 def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:

@@ -69,9 +69,13 @@ def _is_value(token: str) -> bool:
         return False
 
 
+# Each game's payoff type and its field names, which are its flags.
+_PAYOFF_FIELDS = {kind: (row[0], tuple(f.name for f in dataclasses.fields(row[0])))
+                  for kind, row in GAMES.items()}
+
+
 def _payoffs_from(args):
-    payoff_type = GAMES[args.game][0]
-    names = [f.name for f in dataclasses.fields(payoff_type)]
+    payoff_type, names = _PAYOFF_FIELDS[args.game]
     flags = ["--" + k for k in names]
     missing = [k for k in names if getattr(args, k) is None]
     if missing:
@@ -121,13 +125,12 @@ def cmd_quantize(args) -> int:
     equilibria = pure_nash(game)
 
     lines = [f"quantized payoff matrix  game={args.game}  gamma={_fmt(gamma)} rad"]
-    width = 22
-    header = " " * 10 + "".join(lab.ljust(width) for lab in game.labels)
-    lines.append(header)
-    for lab, row, col in zip(game.labels, game.row.tolist(), game.col.tolist()):
-        # pad to one under the width, then one space, so a long cell still ends in a separator
-        cells = "".join(f"({r:.10g}, {c:.10g})".ljust(width - 1) + " " for r, c in zip(row, col))
-        lines.append(lab.ljust(10) + cells)
+    lines.append(" " * 10 + "%-22s" * game.n % game.labels)
+    # each cell padded to 21, then one space, so a long cell still ends in a separator
+    line = "%-10s" + "%-21s " * game.n
+    rows = game.row.tolist()
+    for lab, row, col in zip(game.labels, rows, zip(*rows)):
+        lines.append(line % (lab, *("(%.10g, %.10g)" % rc for rc in zip(row, col))))
     if equilibria:
         named = ", ".join("(%s, %s)" % game.label_cell(c) for c in equilibria)
     else:
@@ -320,6 +323,8 @@ def _merge_config(argv):
     before the explicit ones, so explicit command-line flags win on conflict.
     A switch (a store-const flag) takes key=true (given) or key=false (not)."""
     argv = list(argv)
+    if "--config" not in " ".join(argv):  # one scan when no token can start with it
+        return argv
     at = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
     if at is None:
         return argv

@@ -55,12 +55,14 @@ def pure_nash(game: BimatrixGame):
     """All cells where both players weakly best-respond, in row-major order.
 
     Ties within BEST_RESPONSE_TOL count as best responses, so degenerate
-    games report every tied cell rather than none.
+    games report every tied cell rather than none.  Read on Python floats: the same IEEE compares
+    as on the array, without NumPy's per-call cost on a small table.
     """
-    # best[i, j]: row i is a best response to column j; best.T the same for the column player
-    best = game.row >= game.row.max(axis=0) - BEST_RESPONSE_TOL
-    i, j = np.nonzero(best & best.T)
-    return list(zip(i.tolist(), j.tolist()))
+    rows = game.row.tolist()
+    bars = [max(col) - BEST_RESPONSE_TOL for col in zip(*rows)]
+    # best[i][j]: row i is a best response to column j; best[j][i] the same for the column player
+    best = [[x >= bar for x, bar in zip(row, bars)] for row in rows]
+    return [(i, j) for i, row in enumerate(best) for j, b in enumerate(row) if b and best[j][i]]
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,31 @@ weights), a fixture that counts circuit runs with the caches emptied,
 NumPy-scalar references for
 the block -> (J, h, m) step, logit play of a block on a ring of players,
 the finite chain's magnetization at 60 digits, the one-midpoint-at-a-time
-bisection, and payoff generators.
+bisection, payoff generators, and the path of the qgames package under test in the
+report header.
 
 The closed forms live here, outside the library, so the circuit-derived
 blocks are always checked against an independent route.
 """
 
 import math
+import os
 
 import mpmath
 import numpy as np
 import pytest
 
+import qgames
 from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, catalog, eisert, ising, tensor
 from qgames.eisert import (
     GAMMA_RANGE, C, D, Q, _circuit, _entangler, _strategy_operator, check_gamma,
 )
+
+
+def pytest_report_header(config):
+    """Where qgames was imported from: pyproject.toml's `pythonpath = ["src"]` puts this
+    checkout's src ahead of PYTHONPATH, so a run meant for another tree shows it here."""
+    return f"qgames: {os.path.dirname(qgames.__file__)}"
 
 
 def qvc_closed_form(p: PDPayoffs, gamma: float) -> np.ndarray:

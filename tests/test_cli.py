@@ -25,6 +25,7 @@ from conftest import (
     random_pd,
 )
 from qgames import Block, IsingParams, cli, couplings, extract_block, magnetization, oracle
+from qgames import BimatrixGame, pure_nash, quantized_game
 from qgames.catalog import _BLOCKS, GAMES
 from qgames.cli import main
 from qgames.eisert import check_gamma
@@ -53,6 +54,20 @@ def cells_of(table_text):
         (float(a), float(b))
         for a, b in re.findall(r"\(([-+0-9.e]+), ([-+0-9.e]+)\)", table_text)
     ]
+
+
+def ljust_quantize_text(kind, gamma, game):
+    """quantize's stdout as its f-string and `ljust` code once wrote it, one cell at a time:
+    the reference for the bytes of its %-formatted table."""
+    lines = [f"quantized payoff matrix  game={kind}  gamma={gamma:.17g} rad"]
+    width = 22
+    lines.append(" " * 10 + "".join(lab.ljust(width) for lab in game.labels))
+    for lab, row, col in zip(game.labels, game.row.tolist(), game.col.tolist()):
+        cells = "".join(f"({r:.10g}, {c:.10g})".ljust(width - 1) + " " for r, c in zip(row, col))
+        lines.append(lab.ljust(10) + cells)
+    named = ", ".join("(%s, %s)" % game.label_cell(c) for c in pure_nash(game)) or "none"
+    lines.append(f"pure Nash equilibria: {named}")
+    return "\n".join(lines) + "\n"
 
 
 class TestQuantize:
@@ -95,6 +110,31 @@ class TestQuantize:
         assert [row.split()[0] for row in rows] == ["swerve", "straight", "Q"]
         for row in rows:
             assert re.fullmatch(r"\w+ +(\([^ ()]+, [^ ()]+\) +){3}", row), row
+
+    @pytest.mark.parametrize("kind", ["pd", "chicken"])
+    def test_table_bytes_match_the_ljust_formatter(self, capsys, kind):
+        rng = np.random.default_rng([49, len(kind)])
+        for _ in range(30):
+            payoffs = random_pd(rng) if kind == "pd" else random_chicken(rng)
+            gamma = float(rng.uniform(0.0, math.pi / 2))
+            flags = [f"--{k}={v!r}" for k, v in dataclasses.asdict(payoffs).items()]
+            code, out, _ = run(capsys, "quantize", "--game", kind, *flags, f"--gamma={gamma!r}")
+            assert code == 0
+            assert out == ljust_quantize_text(kind, gamma, quantized_game(kind, payoffs, gamma))
+
+    def test_short_long_and_negative_zero_cells_match_the_ljust_formatter(self, capsys,
+                                                                         monkeypatch):
+        # cells one under the 22-character column, at it and past it, and a -0 one
+        tiny = -1.234567891e-300
+        row = np.array([[-0.0, 1234567.5, 1234567.5], [12345678.0, 2.25, tiny],
+                        [-12345678.0, 0.1, tiny]])
+        game = BimatrixGame(row, ("C", "D", "Q"))
+        monkeypatch.setattr(cli, "quantized_game", lambda kind, payoffs, gamma: game)
+        code, out, _ = run(capsys, "quantize", *PD_FLAGS, "--gamma", "0.5")
+        assert code == 0 and out == ljust_quantize_text("pd", 0.5, game)
+        cells = re.findall(r"\([^()]*\)", "".join(out.splitlines()[2:5]))
+        assert cells[0] == "(-0, -0)"
+        assert sorted({len(c) for c in cells}) == [8, 12, 21, 22, 24, 38]
 
     def test_oracle_disagreement_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.oracle, "transfer_matrix_finite", lambda spec: 0.123)

@@ -150,6 +150,37 @@ class TestFinalState:
         assert all(np.array_equal(states[k], final_state(D, Q, g)) for k, g in enumerate(grid))
 
 
+class TestNormGate:
+    """The circuit's one reduction over every final state's norm: an empty grid passes it, and
+    a NaN norm or one past NORM_DRIFT_TOL raises, naming the first drifting (gamma, cell)."""
+
+    def test_an_empty_grid_gives_an_empty_table(self, circuit_passes):
+        assert extended_matrix(PD_ROW, _STRATEGIES, np.array([])).shape == (0, 3, 3)
+        assert [g.shape for g in circuit_passes] == [(0,)]
+
+    def test_a_nan_norm_names_its_gamma_and_the_first_cell(self):
+        g = np.array([0.25, math.nan, 0.5])  # past check_gamma, which refuses a NaN
+        with pytest.raises(ConsistencyError) as err:
+            eisert._circuit(eisert._CELLS, g)
+        assert str(err.value) == "gamma=nan, cell (0,0): state norm drifted to nan"
+
+    @pytest.mark.parametrize("scale, message", [
+        (1 + 1e-9, "gamma=0.25, cell (1,2): state norm drifted to 1.000000002"),
+        (1 + 1e-12, None),  # a norm of about 1 + 2e-12, inside the tolerance
+    ])
+    def test_a_drift_past_the_tolerance_names_the_first_drifting_cell(self, scale, message):
+        cells = eisert._CELLS.copy()
+        cells[2, 0] *= scale
+        cells[1, 2] *= scale  # before (2, 0) in row-major order
+        g = check_gamma([0.25, 0.5])
+        if message is None:
+            assert eisert._circuit(cells, g)[1].shape == (2, 3, 3, 4)
+            return
+        with pytest.raises(ConsistencyError) as err:
+            eisert._circuit(cells, g)
+        assert str(err.value).startswith(message)
+
+
 WEIGHTS_NOT_VALID = "weights must be 4 finite real scalars"
 
 

@@ -105,25 +105,27 @@ class TestPureNashMatchesTheTwoTableLoop:
         assert all(type(c) is tuple and [type(k) for k in c] == [int, int] for c in got)
         return got
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_dyadic_games_with_entries_at_the_tie_margin(self, n):
         # below each column's maximum by exactly BEST_RESPONSE_TOL and one ulp either side
-        # of it: the cells where a best-response decision turns
+        # of it: the cells where a best-response decision turns.  At entries of about 1e308
+        # a positive maximum less BEST_RESPONSE_TOL rounds back to the maximum.
         rng = np.random.default_rng(n)
-        labels = tuple("abcd"[:n])
-        decided = set()
-        for _ in range(400):
-            row = rng.integers(-8, 9, size=(n, n)) / 4.0
-            edge = row.max(axis=0) - BEST_RESPONSE_TOL
-            edges = np.stack([np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)])
-            pick = rng.integers(0, 3, size=(n, n))
-            moved = (rng.random((n, n)) < 0.5) & (row < row.max(axis=0))
-            row = np.where(moved, edges[pick, np.arange(n)], row)
-            cells = self.assert_same_cells(row, labels)
-            decided |= {(int(pick[i, j]), (i, j) in cells)
-                        for i, j in zip(*np.nonzero(moved & moved.T))}
-        # an entry one ulp below the margin is never a best response, the other two can be
-        assert decided == {(0, False), (1, False), (1, True), (2, False), (2, True)}
+        labels = tuple("abcde"[:n])
+        for scale in (0.25, 2.0**1020):
+            decided = set()
+            for _ in range(400):
+                row = rng.integers(-8, 9, size=(n, n)) * scale
+                edge = row.max(axis=0) - BEST_RESPONSE_TOL
+                edges = np.stack([np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)])
+                pick = rng.integers(0, 3, size=(n, n))
+                moved = (rng.random((n, n)) < 0.5) & (row < row.max(axis=0))
+                row = np.where(moved, edges[pick, np.arange(n)], row)
+                cells = self.assert_same_cells(row, labels)
+                decided |= {(int(pick[i, j]), (i, j) in cells)
+                            for i, j in zip(*np.nonzero(moved & moved.T))}
+            # an entry one ulp below the margin is never a best response, the other two can be
+            assert decided == {(0, False), (1, False), (1, True), (2, False), (2, True)}, scale
 
     @pytest.mark.parametrize("kind", [PD, CHICKEN])
     def test_quantized_games_and_their_blocks(self, kind):
