@@ -1,10 +1,10 @@
 """Two-qubit game quantization.
 
-The protocol: entangle |00> with a gate L(gamma), let each player act with a
-local unitary O(theta, phi), disentangle with L^dag, and measure.  Payoffs
-are the measurement probabilities weighted by the row player's payoffs of the
-outcomes |00>, |01>, |10>, |11>, in that basis order.  gamma=0 reproduces the
-classical game, gamma=pi/2 is maximal entanglement.
+The protocol of Eisert, Wilkens & Lewenstein (PRL 83, 3077 (1999)): entangle |00> with the gate
+J(gamma) = cos(gamma/2) I + i sin(gamma/2) D(x)D, L(gamma) here, let each player act with a local
+unitary O(theta, phi), disentangle with L^dag, and measure.  Payoffs are the measurement
+probabilities weighted by the row player's payoffs of the outcomes |00>, |01>, |10>, |11>, in
+that basis order.  gamma=0 reproduces the classical game, gamma=pi/2 is maximal entanglement.
 
 Players pick from the paper's three strategies, the members C, D, Q of `Strategy`, whose
 operator products are built once at import (`_CELLS`).  The circuit runs as one vectorized pass
@@ -70,6 +70,10 @@ _OPS = np.array([_strategy_operator(0.0, 0.0), _strategy_operator(math.pi, 0.0),
 #: The products O_i (x) O_j of every ordered strategy pair, shape (3, 3, 4, 4), read-only.
 _CELLS = (_OPS[:, None, :, None, :, None] * _OPS[None, :, None, :, None, :]).reshape(3, 3, 4, 4)
 _CELLS.flags.writeable = False
+#: i D(x)D, read-only, of D written exactly: `_OPS[D]`'s cos(pi/2) ~ 6e-17 would move bits.
+_IDD = 1j * np.kron([[0, 1], [-1, 0]], [[0, 1], [-1, 0]])
+_IDD.flags.writeable = False
+_DIAG = np.arange(4)
 
 
 def check_gamma(gamma) -> np.ndarray:
@@ -89,15 +93,10 @@ def check_gamma(gamma) -> np.ndarray:
 
 
 def _entangler(g: np.ndarray) -> np.ndarray:
-    """The 4x4 entangling gate at a checked gamma: cos(gamma/2) on the diagonal,
-    +i sin(gamma/2) linking |00> and |11>, -i sin(gamma/2) linking |01> and |10>.
+    """The 4x4 entangling gate cos(gamma/2) I + i sin(gamma/2) D(x)D at a checked gamma.
     A 0-d gamma gives one (4, 4) gate, a 1-D gamma grid a (G, 4, 4) stack."""
-    c = np.cos(g / 2)
-    s = np.sin(g / 2)
-    lhat = np.zeros(g.shape + (4, 4), dtype=complex)
-    lhat[..., 0, 0] = lhat[..., 1, 1] = lhat[..., 2, 2] = lhat[..., 3, 3] = c
-    lhat[..., 0, 3] = lhat[..., 3, 0] = 1j * s
-    lhat[..., 1, 2] = lhat[..., 2, 1] = -1j * s
+    lhat = _IDD * np.sin(g / 2)[..., None, None]
+    lhat[..., _DIAG, _DIAG] = np.cos(g / 2)[..., None]
     return lhat
 
 

@@ -38,11 +38,6 @@ class BimatrixGame:
             raise ValidationError("payoffs must be finite")
 
     @property
-    def col(self) -> np.ndarray:
-        """The column player's payoffs, col[i, j] = row[j, i]: the players swap roles."""
-        return self.row.T
-
-    @property
     def n(self) -> int:
         return len(self.labels)
 

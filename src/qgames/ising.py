@@ -13,7 +13,6 @@ majority strategy flips.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .catalog import GAMES, Block, ChickenPayoffs, PDPayoffs, StrategyBlock, extract_block
@@ -53,11 +52,10 @@ def couplings(block: StrategyBlock) -> list[tuple[float, float]]:
     """
     if not isinstance(block, StrategyBlock):
         raise ValidationError(f"couplings takes a StrategyBlock, got {type(block).__name__}")
-    big = sys.float_info.max
     pairs = []
     for a, b, c, d in block.row_payoffs.reshape(-1, 4).tolist():
         J, h = ((a - c) + (d - b)) / 4.0, ((a - c) + (b - d)) / 4.0
-        if not (abs(J) <= big and abs(h) <= big):
+        if not (math.isfinite(J) and math.isfinite(h)):
             a, b, c, d = (0.25 * x for x in (a, b, c, d))
             J, h = (a - c) + (d - b), (a - c) + (b - d)
         pairs.append((J, h))

@@ -237,8 +237,8 @@ def _metropolis_sweeps(bits, us, accept, out):
     value is one of four maps of the left value: constant down, constant up,
     copy or negation.  Acceptance is monotone in the neighbour sum, so a
     sweep's other maps are all copies (J >= 0) or all negations (J < 0).
-    Flipping the odd sites, the sublattice gauge transformation, turns each
-    negation into a copy, since sites k-1 and k lie on different sublattices
+    Flipping the odd sites, the sublattice gauge transformation (Mattis, Phys. Lett. A 56, 421
+    (1976)), turns each negation into a copy, since sites k-1 and k lie on different sublattices
     (site 0, which sees the old site N-1, is even).  A sweep then resolves
     as a prefix scan: the last constant at or before k fixes the value.
 

@@ -1,6 +1,6 @@
 """Shared test oracles: closed-form block matrices, the classical games,
-the strategies' angles and operator products, the circuit's final state of
-one strategy pair, its payoffs built without a cache (and with exact int
+the strategies' angles and operator products, the entangling gate entry by entry, the
+circuit's final state of one strategy pair, its payoffs built without a cache (and with exact int
 weights), a fixture that counts circuit runs with the caches emptied,
 NumPy-scalar references for
 the block -> (J, h, m) step, logit play of a block on a ring of players,
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import qgames
-from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, catalog, eisert, ising, tensor
+from qgames import BimatrixGame, ChickenPayoffs, PDPayoffs, catalog, eisert, ising
 from qgames.eisert import (
     GAMMA_RANGE, C, D, Q, _circuit, _entangler, _strategy_operator, check_gamma,
 )
@@ -85,6 +85,19 @@ def entangler(gamma) -> np.ndarray:
     return _entangler(check_gamma(gamma))
 
 
+def reference_entangler(g: np.ndarray) -> np.ndarray:
+    """The entangling gate at a checked gamma, entry by entry: cos(gamma/2) on the diagonal,
+    +i sin(gamma/2) linking |00> and |11>, -i sin(gamma/2) linking |01> and |10>.  The bits
+    of eisert's `_entangler` are checked against it, and the circuit reference is built on it."""
+    c = np.cos(g / 2)
+    s = np.sin(g / 2)
+    lhat = np.zeros(g.shape + (4, 4), dtype=complex)
+    lhat[..., 0, 0] = lhat[..., 1, 1] = lhat[..., 2, 2] = lhat[..., 3, 3] = c
+    lhat[..., 0, 3] = lhat[..., 3, 0] = 1j * s
+    lhat[..., 1, 2] = lhat[..., 2, 1] = -1j * s
+    return lhat
+
+
 #: (theta, phi) of each strategy, read here so the references build their operators
 #: apart from eisert's import-time product table.
 ANGLES = {C: (0.0, 0.0), D: (math.pi, 0.0), Q: (0.0, math.pi / 2)}
@@ -108,11 +121,12 @@ def final_state(s1, s2, gamma) -> np.ndarray:
 
 def uncached_extended_matrix(weights, strategies, gamma):
     """extended_matrix without its caches or its checks: the operators and their products
-    built on this call from ANGLES, the final state squared here and weighed by
+    built on this call from ANGLES, the gate from `reference_entangler`, applied with `@`
+    apart from the library's `tensor`, the final state squared here and weighed by
     `np.array(weights)`."""
     cells = products([ANGLES[s] for s in strategies])
-    lhat = entangler(gamma)[..., None, None, :, :]
-    chi = tensor.apply(tensor.adjoint(lhat), tensor.apply(cells, lhat[..., :, 0]))
+    lhat = reference_entangler(check_gamma(gamma))[..., None, None, :, :]
+    chi = (lhat.conj().swapaxes(-1, -2) @ (cells @ lhat[..., :, 0, None]))[..., 0]
     return (chi.conj() * chi).real @ np.array(weights)
 
 

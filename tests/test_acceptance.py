@@ -82,7 +82,7 @@ def test_criterion_1_extended_matrix_reference():
 
     game = build()
     expected = np.array([[3, 0, 1], [5, 1, 0], [1, 5, 3]], dtype=float)
-    err = max(np.max(np.abs(game.row - expected)), np.max(np.abs(game.col - expected.T)))
+    err = max(np.max(np.abs(game.row - expected)), np.max(np.abs(game.row.T - expected.T)))
     equilibria = [game.label_cell(c) for c in pure_nash(game)]
     elapsed = best_of(3, lambda: pure_nash(build()))
     ok = err <= 1e-12 and equilibria == [("Q", "Q")] and elapsed < 1e-3

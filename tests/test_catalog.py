@@ -36,7 +36,7 @@ class TestPDPayoffs:
         # the circuit leaves a ~1e-32 residue where the sucker payoff is 0
         g = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.CLASSICAL_PD, 0.0).as_game()
         assert np.max(np.abs(g.row - [[3, 0], [5, 1]])) <= 1e-12
-        assert np.max(np.abs(g.col - [[3, 5], [0, 1]])) <= 1e-12
+        assert np.max(np.abs(g.row.T - [[3, 5], [0, 1]])) <= 1e-12
         assert g.labels == ("C", "D")
 
     def test_violated_ordering_names_the_inequality(self):
@@ -59,7 +59,7 @@ class TestChickenPayoffs:
     def test_strictly_ordered_is_silent(self):
         g = extract_block("chicken", ChickenPayoffs(3, 4), Block.CLASSICAL_CHICKEN, 0.0).as_game()
         assert np.array_equal(g.row, [[-4, 3], [-3, 0]])
-        assert np.array_equal(g.col, [[-4, -3], [3, 0]])
+        assert np.array_equal(g.row.T, [[-4, -3], [3, 0]])
         assert g.labels == ("straight", "swerve")
 
     def test_equal_payoffs_warn_but_build(self):
@@ -247,7 +247,7 @@ def test_block_as_game_is_symmetric():
     blk = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVD, 0.8)
     g = blk.as_game()
     assert g.labels == ("Q", "D")
-    assert np.array_equal(g.col, g.row.T)
+    assert np.array_equal(g.row, blk.row_payoffs)  # one table: the column player reads its .T
 
 
 @pytest.mark.parametrize("call", [

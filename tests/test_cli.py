@@ -62,7 +62,7 @@ def ljust_quantize_text(kind, gamma, game):
     lines = [f"quantized payoff matrix  game={kind}  gamma={gamma:.17g} rad"]
     width = 22
     lines.append(" " * 10 + "".join(lab.ljust(width) for lab in game.labels))
-    for lab, row, col in zip(game.labels, game.row.tolist(), game.col.tolist()):
+    for lab, row, col in zip(game.labels, game.row.tolist(), game.row.T.tolist()):
         cells = "".join(f"({r:.10g}, {c:.10g})".ljust(width - 1) + " " for r, c in zip(row, col))
         lines.append(lab.ljust(10) + cells)
     named = ", ".join("(%s, %s)" % game.label_cell(c) for c in pure_nash(game)) or "none"
@@ -1190,6 +1190,18 @@ class TestConfigFile:
         spaced = run(capsys, "--config", str(bad), "transition")
         assert spaced[2] == "error: --config must follow the subcommand\n"
         assert run(capsys, f"--config={bad}", "transition") == spaced
+
+    def test_a_token_containing_config_is_not_the_flag(self, tmp_path, capsys):
+        # past _merge_config's one-scan shortcut: "--config" is in the joined argv, no token is it
+        point = ("transition", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1")
+        out = tmp_path / "a--config"
+        assert run(capsys, *point, "--output", str(out)) == (0, "", "")
+        assert out.read_text().startswith("game=pd  block=QvD\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*point, "--config-x", "1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments: --config-x 1" in captured.err
 
 
 class TestConfigSwitches:

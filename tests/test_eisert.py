@@ -21,6 +21,7 @@ from conftest import (
     products,
     random_chicken,
     random_pd,
+    reference_entangler,
     uncached_extended_matrix,
 )
 import qgames
@@ -117,6 +118,13 @@ class TestEntangler:
         with pytest.raises(ValidationError) as err:
             check_gamma(gamma)
         assert str(err.value) == f"gamma={named} outside [0.0, 1.5707963267948966]"
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.0, 5e-324, 0.7, math.pi / 2,
+                                       np.linspace(0, math.pi / 2, 1025)],
+                             ids=lambda g: f"grid{g.size}" if np.ndim(g) else repr(g))
+    def test_gate_equals_the_entry_by_entry_reference(self, gamma):
+        g = check_gamma(gamma)
+        assert np.array_equal(entangler(gamma), reference_entangler(g))
 
     def test_grid_gives_a_stack_of_the_single_gates(self):
         grid = np.linspace(0, math.pi / 2, 9)

@@ -81,7 +81,7 @@ def test_pure_nash_invariant_under_column_shifts(data, lam, mu):
     lam, mu = lam / 8, mu / 8
     g = BimatrixGame(row, ("a", "b"))
     g2 = BimatrixGame(row + np.array([[lam, mu], [lam, mu]]), ("a", "b"))  # per-column shift
-    assert np.array_equal(g2.col, g.col + np.array([[lam, lam], [mu, mu]]))
+    assert np.array_equal(g2.row.T, g.row.T + np.array([[lam, lam], [mu, mu]]))
     assert pure_nash(g) == pure_nash(g2)
 
 
