@@ -73,14 +73,16 @@ def to_ising(block, beta: float) -> IsingParams:
 
 def curve_rows(block: StrategyBlock, betas) -> tuple[list[tuple[float, float]], list[float]]:
     """`couplings(block)`, and m at each (gamma, beta) row, gamma-major, one `magnetization`
-    call a row. Each beta passes IsingParams' check once, in order, and each row's params
-    hold the floats it stores, `errors.unchecked` inline (a call would cost as much)."""
+    call a row. Each beta passes IsingParams' check once, in order; one params object, never
+    handed out, is refilled with the checked floats for each row, without checking again."""
     pairs, ms = couplings(block), []
     betas = [IsingParams(0.0, 0.0, beta).beta for beta in betas]
+    # ip never leaves curve_rows, and magnetization keeps no reference to it
+    d = (ip := object.__new__(IsingParams)).__dict__
     for J, h in pairs:
+        d["J"], d["h"] = J, h
         for beta in betas:
-            d = (ip := object.__new__(IsingParams)).__dict__
-            d["J"], d["h"], d["beta"] = J, h, beta
+            d["beta"] = beta
             ms.append(magnetization(ip))
     return pairs, ms
 

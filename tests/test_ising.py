@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import pickle
@@ -623,7 +624,9 @@ class TestCurve:
     def test_one_magnetization_call_per_row_on_the_checked_params(self, monkeypatch, capsys):
         seen = []
         run = ising.magnetization
-        monkeypatch.setattr(ising, "magnetization", lambda ip: seen.append(ip) or run(ip))
+        # curve_rows refills one params object, so the spy keeps a copy of it as called
+        monkeypatch.setattr(ising, "magnetization",
+                            lambda ip: seen.append(copy.copy(ip)) or run(ip))
         betas = (0.5, -0.0, 3.0)
         assert cli.main(["curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
                          "--p", "1", "--block", "QvD", "--gamma-stop", "1",
@@ -652,7 +655,9 @@ class TestCurve:
     def test_rows_take_the_float_of_a_real_scalar_beta(self, monkeypatch):
         seen = []
         run = ising.magnetization
-        monkeypatch.setattr(ising, "magnetization", lambda ip: seen.append(ip) or run(ip))
+        # curve_rows refills one params object, so the spy keeps a copy of it as called
+        monkeypatch.setattr(ising, "magnetization",
+                            lambda ip: seen.append(copy.copy(ip)) or run(ip))
         stacked = extract_block("pd", PD_3501, Block.QVD, np.linspace(0.0, 1.0, 3))
         betas = (np.float32(2.1), 3, np.array(0.5))
         pairs, ms = ising.curve_rows(stacked, betas)
@@ -660,6 +665,39 @@ class TestCurve:
         assert [vars(ip)["beta"] for ip in seen] == floats * 3
         assert all(type(v) is float for ip in seen for v in vars(ip).values())
         assert ms == [run(IsingParams(J, h, b)) for J, h in pairs for b in floats]
+
+    # (J, h) rows: (1, +0.0); (0, -0.0) from signed-zero payoffs; (0, 1) and (0.5, -1), each
+    # with betas either side of beta*|h| = 20; and one whose sums overflow (quarter payoffs)
+    EDGE_ROWS = np.array([
+        [[2.0, 0.0], [0.0, 2.0]],
+        [[-0.0, -0.0], [0.0, 0.0]],
+        [[1.0, 1.0], [-1.0, -1.0]],
+        [[0.0, 0.0], [1.0, 3.0]],
+        [[1.5e308, 1.5e308], [-1.5e308, 1.0]],
+    ])
+    EDGE_BETAS = (0.0, -0.0, 0.5, math.nextafter(20.0, 0.0), 20.0, 40.0, 1e300)
+
+    @pytest.mark.parametrize("case", ["pd-default", "chicken-default", "edge-rows"])
+    def test_rows_are_the_bits_of_one_fresh_params_a_row(self, case):
+        if case == "edge-rows":
+            block, betas = StrategyBlock(self.EDGE_ROWS, Block.QVD), self.EDGE_BETAS
+            pairs = couplings(block)
+            assert [float.hex(h) for _, h in pairs[:2]] == [float.hex(0.0), float.hex(-0.0)]
+            assert pairs[2:4] == [(0.0, 1.0), (0.5, -1.0)]
+            (a, _), (c, _) = self.EDGE_ROWS[4].tolist()
+            assert a - c == math.inf and all(map(math.isfinite, pairs[4]))
+        else:
+            grid = np.linspace(*ising.GAMMA_RANGE, cli.DEFAULT_GAMMA_STEPS)
+            if case == "pd-default":
+                block = extract_block("pd", PD_3501, Block.QVD, grid)
+            else:
+                with pytest.warns(UserWarning):
+                    block = extract_block("chicken", ChickenPayoffs(4, 4), Block.QVSTRAIGHT, grid)
+            betas = cli.DEFAULT_BETAS
+        got_pairs, ms = ising.curve_rows(block, betas)
+        want = [magnetization(IsingParams(J, h, b)) for J, h in couplings(block) for b in betas]
+        assert got_pairs == couplings(block)
+        assert ms == want and [m.hex() for m in ms] == [m.hex() for m in want]
 
 
 class TestPhaseTransition:
