@@ -98,7 +98,7 @@ def _gamma_from(args) -> float:
 
 def _emit(path, lines):
     text = "\n".join(lines) + "\n"
-    if path in (None, "-"):
+    if path == "-":
         # Unbuffered (python -u), one long write to a pipe whose reader leaves is cut short
         # without an error; a pipe takes a write of at most PIPE_BUF bytes whole or raises.
         sys.stdout.writelines(text[i : i + _PIPE_BUF] for i in range(0, len(text), _PIPE_BUF))

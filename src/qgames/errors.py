@@ -44,8 +44,6 @@ def check_floats(obj, message: str) -> None:
 def real_array(value):
     """`value` as a float array, or None for a bool, complex, str or bytes dtype, ragged
     nesting, or an object element that `real` refuses.  A float64 ndarray is returned as it is."""
-    if type(value) is np.ndarray and value.dtype == float:
-        return value
     try:
         a = np.asarray(value)
     except ValueError:  # ragged nesting

@@ -78,7 +78,7 @@ def curve_rows(block: StrategyBlock, betas) -> tuple[list[tuple[float, float]], 
     pairs, ms = couplings(block), []
     betas = [IsingParams(0.0, 0.0, beta).beta for beta in betas]
     # ip never leaves curve_rows, and magnetization keeps no reference to it
-    d = (ip := object.__new__(IsingParams)).__dict__
+    d = vars(ip := unchecked(IsingParams))
     for J, h in pairs:
         d["J"], d["h"] = J, h
         for beta in betas:

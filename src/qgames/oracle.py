@@ -19,7 +19,6 @@ import cmath
 import functools
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,10 +221,6 @@ def transfer_matrix_finite(spec: ChainSpec) -> float:
     return f.imag / _EPS + (s if gap >= 0.0 else 0.0)
 
 
-# a run's full and last block formats; struct.unpack's cache keeps 100, each up to 0.8 MB
-_unpacker = functools.lru_cache(maxsize=2)(struct.Struct)
-
-
 def _metropolis_sweeps(bits, us, accept, out):
     """Run one uniform block of sweeps; record mean spin per sweep, return the new state.
 
@@ -271,12 +266,10 @@ def _metropolis_sweeps(bits, us, accept, out):
     gauge = 0 if a[0] <= a[2] and a[3] >= a[5] else full // 3 << (1 - n % 2)  # odd sites
     keys = a[:3] + [min(pair) for pair in zip(a, a[3:])]
     live = list(dict.fromkeys(k for k in keys if 0.0 < k < 1.0))
-    data = np.packbits(us < np.array(live)[:, None, None], axis=-1, bitorder="little").tobytes()
-    # data is laid out (column, sweep, byte): one unpack and one lazy map turn
-    # it into ints, and each live column takes the next `sweeps` of them
-    fmt = f"{(n + 7) // 8}s" * (len(live) * sweeps)
-    masks = map(int.from_bytes, _unpacker(fmt).unpack(data), itertools.repeat("little"))
-    packed = {k: list(itertools.islice(masks, sweeps)) for k in live}
+    flips = np.packbits(us < np.array(live)[:, None, None], axis=-1, bitorder="little")
+    # flips is (column, sweep, byte); viewing each sweep's bytes as one item reads them per column
+    rows = flips.view(f"V{flips.shape[-1]}")[..., 0].tolist()
+    packed = {k: list(map(int.from_bytes, c, itertools.repeat("little"))) for k, c in zip(live, rows)}
     cols = [packed[k] if k in packed else itertools.repeat(full if k else 0, sweeps) for k in keys]
 
     counts = []

@@ -37,7 +37,7 @@ from qgames.eisert import (
     check_gamma,
     extended_matrix,
 )
-from qgames.errors import ConsistencyError, ValidationError, real
+from qgames.errors import ConsistencyError, ValidationError, real, real_array
 from qgames.oracle import (
     ChainSpec, enumerate_magnetization, metropolis_magnetization, transfer_matrix_finite,
 )
@@ -685,6 +685,15 @@ def test_each_real_scalar_as_a_weight_gives_the_bits_of_its_float(value):
         for gamma in (0.3, CACHE_GAMMAS[-1]):
             got = extended_matrix(weights, (C, D, Q), gamma)
             assert same_payoffs(got, uncached_extended_matrix(floats, (C, D, Q), gamma))
+
+
+@pytest.mark.parametrize("a", [
+    np.linspace(0.0, 1.0, 7), np.frombuffer(np.linspace(0.0, 1.0, 7).tobytes()), np.array(0.7),
+    np.empty(0), np.arange(12.0)[::3], np.arange(12.0).reshape(3, 4)[:, ::2],
+], ids=["contiguous", "read-only", "0-d", "empty", "strided", "strided-2-D"])
+def test_real_array_returns_a_float64_ndarray_as_it_is(a):
+    """No copy and no new view: the grid or table a caller built is the one stored."""
+    assert real_array(a) is a
 
 
 CHAIN_ROUTES = {
