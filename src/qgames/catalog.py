@@ -8,8 +8,6 @@ indexed from that table; the circuit behind it reads eisert's import-time operat
 caches its probabilities per gamma, so both games share its runs.
 """
 
-from __future__ import annotations
-
 import functools
 import struct
 import sys

@@ -19,8 +19,6 @@ message and exit code is argparse's. On both routes a dash-led token is a value
 when float() reads each of its comma items (`_is_value`).
 """
 
-from __future__ import annotations
-
 import argparse
 import dataclasses
 import functools

@@ -14,8 +14,6 @@ gamma of the grid.  No payoff enters its probabilities, so `_probs` caches them 
 weighs them with its payoffs into a fresh array.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from enum import IntEnum

@@ -1,8 +1,6 @@
 """Finite symmetric games and the two equilibrium notions the analysis needs:
 weak pure-Nash enumeration and the interior mixed point of a 2x2 game."""
 
-from __future__ import annotations
-
 import math
 import warnings
 from dataclasses import dataclass

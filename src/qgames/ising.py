@@ -10,8 +10,6 @@ change of m along the entanglement axis is the phase transition where the
 majority strategy flips.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

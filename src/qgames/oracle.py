@@ -13,8 +13,6 @@ matrix approaches the closed form as N grows (when the correlation length
 fits inside the chain); Metropolis agrees statistically.
 """
 
-from __future__ import annotations
-
 import cmath
 import functools
 import itertools

@@ -5,8 +5,6 @@ computational basis ordered |00>, |01>, |10>, |11>.  Leading axes broadcast,
 so one call runs the circuit for a whole gamma grid and every strategy pair.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 

@@ -136,6 +136,14 @@ class TestQuantize:
         assert cells[0] == "(-0, -0)"
         assert sorted({len(c) for c in cells}) == [8, 12, 21, 22, 24, 38]
 
+    def test_no_pure_nash_cell_prints_none(self, capsys, monkeypatch):
+        # no PD or chicken table is known to lack a pure Nash cell, so the line is forced
+        argv = ("quantize", *PD_FLAGS, "--gamma", "0.5")
+        table = run(capsys, *argv)[1].splitlines(keepends=True)[:-1]
+        monkeypatch.setattr(cli, "pure_nash", lambda game: [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == "".join(table) + "pure Nash equilibria: none\n"
+
     def test_oracle_disagreement_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.oracle, "transfer_matrix_finite", lambda spec: 0.123)
         code, _, err = run(

@@ -189,6 +189,15 @@ class TestMixedNash:
         assert [str(w.message) for w in record] == [
             "indifference point p=0.0 sits on the boundary; degenerate"]
 
+    def test_all_tie_game_warns_and_has_no_mixed_point(self):
+        # unentangled QvC: Q plays as C, so every cell pays r
+        g = extract_block("pd", PDPayoffs(3, 5, 0, 1), Block.QVC, 0.0).as_game()
+        assert g.row.tolist() == [[3.0, 3.0], [3.0, 3.0]]
+        with pytest.warns(UserWarning) as record:
+            assert mixed_nash_symmetric_2x2(g) is None
+        assert [str(w.message) for w in record] == [
+            "degenerate game: both strategies always tie, no unique mixed point"]
+
     def test_rejects_larger_games(self):
         g = quantized_game("pd", PDPayoffs(3, 5, 0, 1), 0.5)
         with pytest.raises(ValidationError, match="2x2"):
