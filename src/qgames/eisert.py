@@ -129,11 +129,11 @@ def _probs(bits: bytes, shape) -> np.ndarray:
 def extended_matrix(weights, strategies, gamma) -> np.ndarray:
     """Row player's expected payoffs over every ordered pair of `strategies`, which must be the
     members C, D, Q in that order (`_STRATEGIES`): shape (3, 3) for a float gamma and (G, 3, 3)
-    for a 1-D gamma grid, from one cached pass of the circuit.  `weights` are the row player's
-    payoffs of the outcomes |00>, |01>, |10>, |11>: four real scalars (`errors.real`), all finite.
-    The protocol is symmetric under swapping the players, so the weights of a
-    symmetric game give a symmetric game, which this one table defines
-    (`equilibrium.BimatrixGame`).
+    for a 1-D gamma grid, from one pass of the circuit, cached for at most `_CACHED_GAMMAS`
+    gammas and uncached beyond.  `weights` are the row player's payoffs of the outcomes |00>,
+    |01>, |10>, |11>: four real scalars (`errors.real`), all finite.  The protocol is symmetric
+    under swapping the players, so the weights of a symmetric game give a symmetric game, which
+    this one table defines (`equilibrium.BimatrixGame`).
     """
     try:
         w = [real(v) for v in weights]

@@ -7,7 +7,7 @@ import numpy as np
 
 
 class ValidationError(ValueError):
-    """An input violates a documented precondition (payoff ordering, angle
+    """An input violates a documented precondition (payoff ordering, gamma
     range, grid shape, ...)."""
 
 

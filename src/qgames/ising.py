@@ -132,9 +132,9 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
     change brackets exactly one root.  Blocks with h identically zero have
     no sign change and return None.
 
-    The endpoints read the games' cached circuit runs at 0 and pi/2.  A miss of the field
-    cache runs one circuit pass over the midpoints the loop visits if h is affine in
-    cos(2*gamma) on its bracket; a wrong guess costs a pass.
+    The endpoints read the games' cached circuit runs at 0 and pi/2.  Each circuit pass runs
+    the midpoints the loop visits if h is affine in cos(2*gamma) on the current bracket; the
+    loop walks them until its midpoint leaves that path, then predicts again from there.
     """
     a, b = GAMMA_RANGE
     fa = to_ising(extract_block(game_kind, payoffs, block_id, a), 1.0).h
@@ -147,25 +147,23 @@ def phase_transition_bisect(game_kind, payoffs, block_id):
         return b
     if (fa > 0) == (fb > 0):
         return None
-    fields = {}
     while b - a > _BISECT_TOL:
-        mid = 0.5 * (a + b)
-        if mid not in fields:
-            ca, cb = math.cos(2.0 * a), math.cos(2.0 * b)
-            root = ca + (cb - ca) / (1.0 - fb / fa)  # cos(2*gamma*); fb/fa < 0, so never NaN
-            lo, hi, mids = a, b, []
-            while hi - lo > _BISECT_TOL:  # cos(2*gamma) falls on [0, pi/2]
-                mids.append(m := 0.5 * (lo + hi))
-                lo, hi = (m, hi) if math.cos(2.0 * m) > root else (lo, m)
-            pairs = couplings(extract_block(game_kind, payoffs, block_id, mids))
-            fields.update((m, h) for m, (_, h) in zip(mids, pairs))
-        fm = fields[mid]
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
+        ca, cb = math.cos(2.0 * a), math.cos(2.0 * b)
+        root = ca + (cb - ca) / (1.0 - fb / fa)  # cos(2*gamma*); fb/fa < 0, so never NaN
+        lo, hi, mids = a, b, []
+        while hi - lo > _BISECT_TOL:  # cos(2*gamma) falls on [0, pi/2]
+            mids.append(m := 0.5 * (lo + hi))
+            lo, hi = (m, hi) if math.cos(2.0 * m) > root else (lo, m)
+        pairs = couplings(extract_block(game_kind, payoffs, block_id, mids))
+        for mid, (_, fm) in zip(mids, pairs):
+            if mid != 0.5 * (a + b):  # the bisection left the predicted path
+                break
+            if fm == 0.0:
+                return mid
+            if (fm > 0) == (fa > 0):
+                a, fa = mid, fm
+            else:
+                b, fb = mid, fm
     return 0.5 * (a + b)
 
 

@@ -29,8 +29,8 @@ from qgames import BimatrixGame, pure_nash, quantized_game
 from qgames.catalog import _BLOCKS, GAMES
 from qgames.cli import main
 from qgames.eisert import check_gamma
-from qgames.errors import ResourceLimitError, ValidationError
-from test_golden import CASES, assert_golden, stdout_bytes
+from qgames.errors import ConsistencyError, ResourceLimitError, ValidationError
+from test_golden import CASES, GOLDEN, assert_golden, stdout_bytes
 from test_perfbench import perfbench  # noqa: F401  (fixture)
 
 GAMMA_HALF_PI = "1.5707963"
@@ -1119,6 +1119,77 @@ class TestClosedPipe:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+class _ClosedPipeStdout:
+    """A stdout whose reader has left: writes are kept, flush raises, and fileno
+    is a real descriptor for entry to point at devnull."""
+
+    def __init__(self, fd):
+        self.fd, self.text = fd, []
+
+    def writelines(self, lines):
+        self.text.extend(lines)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestEntry:
+    """The console-script hook, run in this process: its exit status is main's
+    return code, or 1 when flushing stdout finds the pipe closed."""
+
+    @staticmethod
+    def exit_code(monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", ["qgames", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        return exc.value.code
+
+    def test_success_exits_0_with_the_golden_bytes(self, monkeypatch, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # chicken with r == s warns by design
+            code = self.exit_code(monkeypatch, "transition", "--game", "chicken",
+                                  "--r", "4", "--s", "4")
+        assert code == 0
+        assert_golden("transition_chicken.txt", capsys.readouterr().out.encode())
+
+    def test_validation_error_exits_2(self, monkeypatch, capsys):
+        code = self.exit_code(monkeypatch, "transition", "--game", "pd", "--r", "3",
+                              "--t", "5", "--s", "0", "--p", "4")
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: r > p violated (r=3.0, p=4.0)\n")
+
+    def test_consistency_error_exits_3(self, monkeypatch, capsys):
+        def disagree(*args):
+            raise ConsistencyError("stand-in disagreement")
+
+        monkeypatch.setattr(cli.ising, "phase_transition_gamma", disagree)
+        code = self.exit_code(monkeypatch, "transition", "--game", "pd", "--r", "3",
+                              "--t", "5", "--s", "0", "--p", "1")
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "internal consistency failure: stand-in disagreement\n")
+
+    def test_closed_pipe_exits_1_and_points_stdout_at_devnull(self, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "wb") as file:
+            stdout = _ClosedPipeStdout(file.fileno())
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = self.exit_code(monkeypatch, "transition", "--game", "pd", "--r", "3",
+                                  "--t", "5", "--s", "0", "--p", "1")
+            assert code == 1
+            assert "".join(stdout.text).encode() == (GOLDEN / "transition_pd.txt").read_bytes()
+            fd_stat, devnull = os.fstat(file.fileno()), os.stat(os.devnull)
+            assert (fd_stat.st_dev, fd_stat.st_ino) == (devnull.st_dev, devnull.st_ino)
+
+    def test_main_without_argv_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["qgames", "transition", "--game", "pd", "--r", "3",
+                                          "--t", "5", "--s", "0", "--p", "1"])
+        assert main() == 0
+        assert_golden("transition_pd.txt", capsys.readouterr().out.encode())
 
 
 class TestConfigFile:

@@ -943,3 +943,36 @@ class TestPredictedPathBisection:
     ])
     def test_circuit_runs_per_bisection(self, monkeypatch, kind, payoffs, block_id, runs):
         assert self._counted(monkeypatch, kind, payoffs, block_id)[1] == runs
+
+    @pytest.mark.parametrize("field", [
+        lambda g, r: (g - r) ** 3,
+        lambda g, r: np.tanh(40.0 * (r - g)),
+        lambda g, r: g - r,
+        lambda g, r: (g - r) / max(r, math.pi / 2 - r) * 1.7e308,
+    ], ids=["cubic", "steep-tanh", "gamma-minus-root", "huge-linear"])
+    @pytest.mark.parametrize("root", [1e-6, 0.3, 0.7853981, 1.2, 1.5707])
+    def test_each_pass_starts_at_the_reference_bracket(self, monkeypatch, field, root):
+        """Over one call's circuit passes no gamma runs twice, and each pass starts at
+        the midpoint of reference_bisect's bracket after the midpoints earlier passes
+        got right, walks that path and leaves it at most once."""
+        extract, runs = _field_block(lambda g: field(g, root)), []
+
+        def recorded(*args):
+            runs.append(np.atleast_1d(args[3]).tolist())
+            return extract(*args)
+
+        monkeypatch.setattr(ising, "extract_block", recorded)
+        phase_transition_bisect("pd", PD_3501, Block.QVD)
+        passes = runs[2:]  # after the two endpoint reads
+        runs.clear()
+        reference_bisect("pd", PD_3501, Block.QVD)
+        reference = [gamma for (gamma,) in runs[2:]]
+        gammas = [gamma for run in passes for gamma in run]
+        assert len(set(gammas)) == len(gammas)
+        on_path, step = set(reference), 0  # step: reference midpoints the passes so far ran
+        for run in passes:
+            k = len(on_path.intersection(run))
+            assert run[0] == reference[step]
+            assert run[:k] == reference[step:step + k]
+            step += k
+        assert step == len(reference)
