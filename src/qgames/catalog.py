@@ -8,9 +8,9 @@ indexed from that table; the circuit behind it reads eisert's import-time operat
 caches its probabilities per gamma, so both games share its runs.
 """
 
+import collections
 import functools
 import struct
-import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -120,20 +120,22 @@ class StrategyBlock:
 def _pd_cos_2gamma(p: PDPayoffs) -> float:
     """(r - p) / (t - s), from halved payoffs where t - s overflows."""
     den = p.t - p.s  # positive, since t > s
-    if den <= sys.float_info.max:
+    if den < np.inf:
         return (p.r - p.p) / den
     return (p.r / 2 - p.p / 2) / (p.t / 2 - p.s / 2)
 
 
-# One row per game kind: payoff type, the row player's weights of the outcomes |00>, |01>,
-# |10>, |11> (|0> cooperate or swerve, |1> defect or straight), labels of _STRATEGIES, block
-# whose field changes sign, and cos(2 gamma*) there in closed form, the bisection's check.
-# Chicken's s / (2 r) is formed as (s / r) / 2: the same bits where 2 r is finite, and finite
-# where it is not.
+# One row per game kind: its payoff type, the row player's weights of the outcomes |00>, |01>,
+# |10>, |11> (|0> cooperate or swerve, |1> defect or straight), the labels of _STRATEGIES, the
+# transition block, whose field changes sign, and cos(2 gamma*) there in closed form, the
+# bisection's check. Chicken's s / (2 r) is formed as (s / r) / 2: the same bits where 2 r is
+# finite, and finite where it is not.
+_Game = collections.namedtuple("_Game", "payoffs weights labels transition_block cos_2gamma")
 GAMES = {
-    PD: (PDPayoffs, lambda p: (p.r, p.s, p.t, p.p), ("C", "D", "Q"), Block.QVD, _pd_cos_2gamma),
-    CHICKEN: (ChickenPayoffs, lambda c: (0.0, -c.r, c.r, -c.s), ("swerve", "straight", "Q"),
-              Block.QVSTRAIGHT, lambda c: c.s / c.r / 2.0),
+    PD: _Game(PDPayoffs, lambda p: (p.r, p.s, p.t, p.p), ("C", "D", "Q"), Block.QVD,
+              _pd_cos_2gamma),
+    CHICKEN: _Game(ChickenPayoffs, lambda c: (0.0, -c.r, c.r, -c.s), ("swerve", "straight", "Q"),
+                   Block.QVSTRAIGHT, lambda c: c.s / c.r / 2.0),
 }
 
 
@@ -143,14 +145,14 @@ def _table(game_kind: str, payoffs, gamma) -> np.ndarray:
     and read-only at a gamma `errors.real` reads (`_scalar_table`), fresh along a grid."""
     if game_kind not in GAMES:
         raise ValidationError(f"unknown game kind {game_kind!r}; expected one of {tuple(GAMES)}")
-    payoff_type, weights, *_ = GAMES[game_kind]
-    if not isinstance(payoffs, payoff_type):
-        raise ValidationError(f"{game_kind} needs {payoff_type.__name__}, "
+    game = GAMES[game_kind]
+    if not isinstance(payoffs, game.payoffs):
+        raise ValidationError(f"{game_kind} needs {game.payoffs.__name__}, "
                               f"got {type(payoffs).__name__}")
     if (x := real(gamma)) is not None:  # keyed on float64 bits, so -0.0 and 0.0 stay apart
-        return _scalar_table(struct.pack("5d", *weights(payoffs), x))
+        return _scalar_table(struct.pack("5d", *game.weights(payoffs), x))
     # keywords: perfbench/spans.py reads strategies and gamma by name, or as arguments 2 and 3
-    return eisert.extended_matrix(weights(payoffs), strategies=_STRATEGIES, gamma=gamma)
+    return eisert.extended_matrix(game.weights(payoffs), strategies=_STRATEGIES, gamma=gamma)
 
 
 @functools.lru_cache(maxsize=16)
@@ -165,7 +167,7 @@ def _scalar_table(key: bytes) -> np.ndarray:
 
 # Each block's rows and columns in its game's table, for `table[..., i, j]`, and their labels.
 _BLOCK_CELLS = {block: np.ix_(cells, cells) for block, (_, cells) in _BLOCKS.items()}
-_BLOCK_LABELS = {block: tuple(GAMES[kind][2][i] for i in cells)
+_BLOCK_LABELS = {block: tuple(GAMES[kind].labels[i] for i in cells)
                  for block, (kind, cells) in _BLOCKS.items()}
 
 
@@ -174,7 +176,7 @@ def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
     if (g := eisert.check_gamma(gamma)).ndim:  # refused before the circuit runs
         raise ValidationError("quantized_game takes one gamma, not a grid")
     table = _table(game_kind, payoffs, g)  # checks the game kind before GAMES is read
-    return unchecked(BimatrixGame, row=table.copy(), labels=GAMES[game_kind][2])
+    return unchecked(BimatrixGame, row=table.copy(), labels=GAMES[game_kind].labels)
 
 
 def extract_block(game_kind: str, payoffs, block_id, gamma):

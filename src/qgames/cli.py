@@ -8,9 +8,9 @@ Subcommands:
 * oracle     CSV cross-check of enumeration / transfer matrix / Metropolis /
              closed form at one (J, h, beta) point
 
-Exit codes: 0 success, 2 validation error, 3 internal consistency failure.
-All numeric CSV fields carry 17 significant digits so they re-parse to the
-exact binary values that produced them.
+Exit codes: 0 success, 1 stdout closed early by its reader, 2 validation error,
+3 internal consistency failure. All numeric CSV fields carry 17 significant
+digits so they re-parse to the exact binary values that produced them.
 
 Flags are declared once, in `build_parser`; `--config` reads each one's kind there.
 A known subcommand's well-formed argv is read from its parser's option table
@@ -20,7 +20,6 @@ when float() reads each of its comma items (`_is_value`).
 """
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -38,7 +37,7 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 DEFAULT_BETAS = (0.5, 1.0, 2.0, 5.0)
 DEFAULT_GAMMA_STEPS = 200
 MAX_CURVE_ROWS = 1 << 20  # gamma steps x betas: a 440 MB peak (tracemalloc), 420 B a row
-_PIPE_BUF = 4096  # the POSIX minimum of PIPE_BUF, in characters of the ASCII output
+_PIPE_BUF = 4096  # Linux's PIPE_BUF, in characters of the ASCII output (POSIX asks only 512)
 
 # disagreement gates for the oracle subcommand (exit code 3 when exceeded)
 ENUM_VS_TRANSFER_TOL = 1e-10
@@ -67,13 +66,9 @@ def _is_value(token: str) -> bool:
         return False
 
 
-# Each game's payoff type and its field names, which are its flags.
-_PAYOFF_FIELDS = {kind: (row[0], tuple(f.name for f in dataclasses.fields(row[0])))
-                  for kind, row in GAMES.items()}
-
-
 def _payoffs_from(args):
-    payoff_type, names = _PAYOFF_FIELDS[args.game]
+    payoff_type = GAMES[args.game].payoffs
+    names = payoff_type.__match_args__  # the dataclass's fields in order, which are its flags
     flags = ["--" + k for k in names]
     missing = [k for k in names if getattr(args, k) is None]
     if missing:
@@ -98,7 +93,8 @@ def _emit(path, lines):
     text = "\n".join(lines) + "\n"
     if path == "-":
         # Unbuffered (python -u), one long write to a pipe whose reader leaves is cut short
-        # without an error; a pipe takes a write of at most PIPE_BUF bytes whole or raises.
+        # without an error; a pipe takes a write of at most PIPE_BUF bytes whole or raises, a
+        # guarantee lost for these 4096-character chunks where the platform's PIPE_BUF is smaller.
         sys.stdout.writelines(text[i : i + _PIPE_BUF] for i in range(0, len(text), _PIPE_BUF))
         return
     try:
@@ -183,7 +179,7 @@ def cmd_curve(args) -> int:
 
 def cmd_transition(args) -> int:
     payoffs = _payoffs_from(args)
-    block_id = Block(args.block or GAMES[args.game][3])
+    block_id = Block(args.block or GAMES[args.game].transition_block)
     analytic, numeric = ising.phase_transition_gamma(args.game, payoffs, block_id)
 
     lines = [f"game={args.game}  block={block_id.value}"]
@@ -295,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transition", help="locate the magnetization sign change")
     _add_game_flags(p)
-    defaults = ", ".join(f"{row[3].value} for {kind}" for kind, row in GAMES.items())
+    defaults = ", ".join(f"{row.transition_block.value} for {kind}" for kind, row in GAMES.items())
     p.add_argument("--block", choices=[b.value for b in Block], help=f"defaults to {defaults}")
     p.set_defaults(func=cmd_transition)
 

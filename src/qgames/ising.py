@@ -197,10 +197,10 @@ def phase_transition_gamma(game_kind, payoffs, block_id):
     if isinstance(payoffs, (PDPayoffs, ChickenPayoffs)):  # anything else fails validation below
         payoffs = _unit_scaled(payoffs)
     numeric = phase_transition_bisect(game_kind, payoffs, block_id)  # validates the inputs
-    *_, sign_block, cos_2gamma = GAMES[game_kind]
+    game = GAMES[game_kind]
     analytic = None
-    if block_id is sign_block:  # any other block's h is identically zero or independent of gamma
-        arg = cos_2gamma(payoffs)
+    if block_id is game.transition_block:  # any other block's h is zero or independent of gamma
+        arg = game.cos_2gamma(payoffs)
         analytic = None if arg > 1.0 else 0.5 * math.acos(arg)
     if (analytic is None) != (numeric is None) or (
         analytic is not None and not abs(analytic - numeric) <= _CROSSCHECK_TOL

@@ -309,7 +309,7 @@ class TestBlockIsItsGameSlice:
 
     @pytest.mark.parametrize("kind,payoffs", SLICE_PAYOFFS, ids=repr)
     def test_every_block_keeps_every_bit(self, circuit_runs, kind, payoffs):
-        weights = GAMES[kind][1](payoffs)
+        weights = GAMES[kind].weights(payoffs)
         for block_id, (block_kind, strategies) in _BLOCKS.items():
             if block_kind != kind:
                 continue
@@ -329,7 +329,7 @@ class TestBlockIsItsGameSlice:
     def test_big_ints_weigh_as_float64_with_the_object_weighing_bits(self, gamma):
         """The payoffs hold floats, so the weights are floats, and the blocks keep the
         bits the exact ints gave when they weighed as an object array."""
-        assert all(type(w) is float for w in GAMES["pd"][1](BIG_INT_PD))
+        assert all(type(w) is float for w in GAMES["pd"].weights(BIG_INT_PD))
         exact = [2**64 + 1, -(2**70), 2**65 + 3, 2**63 + 5]  # BIG_INT_PD's r, s, t, p
         for block_id in (Block.QVC, Block.QVD, Block.CLASSICAL_PD):
             got = extract_block("pd", BIG_INT_PD, block_id, gamma).row_payoffs
@@ -351,7 +351,7 @@ class TestProbabilityCache:
 
     @pytest.mark.parametrize("kind,payoffs", SLICE_PAYOFFS, ids=repr)
     def test_every_cached_result_keeps_the_uncached_bits(self, circuit_passes, kind, payoffs):
-        weights = GAMES[kind][1](payoffs)
+        weights = GAMES[kind].weights(payoffs)
         sets = [_STRATEGIES, *(cells for k, cells in _BLOCKS.values() if k == kind)]
         for gamma in SLICE_GAMMAS:
             for _ in range(2):  # a miss, then a hit

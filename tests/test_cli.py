@@ -517,7 +517,7 @@ EDGE_BETAS = ["-0.0", "0", "5e-324", "1e-300", "0.5", "1", "20", "1e300",
 @st.composite
 def curve_argvs(draw):
     game = draw(st.sampled_from(sorted(GAMES)))
-    names = [f.name for f in dataclasses.fields(GAMES[game][0])]
+    names = [f.name for f in dataclasses.fields(GAMES[game].payoffs)]
     payoffs = draw(st.sampled_from(CURVE_PAYOFFS[game]))
     block = draw(st.sampled_from([b.value for b, (kind, _) in _BLOCKS.items()
                                   if kind == game]))
@@ -752,9 +752,11 @@ class TestPayoffFlags:
 
     @pytest.mark.parametrize("kind", tuple(GAMES))
     def test_each_games_row_fits_its_kind_and_the_cli_flags(self, kind):
-        payoff_type, _, _, block, _ = GAMES[kind]
-        assert _BLOCKS[block][0] == kind
-        names = {f.name for f in dataclasses.fields(payoff_type)}
+        row = GAMES[kind]
+        assert _BLOCKS[row.transition_block][0] == kind
+        # _payoffs_from reads the flags from __match_args__: the dataclass's fields in order
+        assert row.payoffs.__match_args__ == tuple(f.name for f in dataclasses.fields(row.payoffs))
+        names = {f.name for f in dataclasses.fields(row.payoffs)}
         assert names <= {"r", "t", "s", "p"}
         assert names <= vars(cli.build_parser().parse_args(["transition", "--game", kind])).keys()
 

@@ -43,7 +43,7 @@ from qgames.oracle import (
 )
 
 PD_3501 = PDPayoffs(3, 5, 0, 1)
-PD_ROW = GAMES[PD][1](PD_3501)
+PD_ROW = GAMES[PD].weights(PD_3501)
 
 
 def swapped(weights):
@@ -266,7 +266,7 @@ class TestExtendedMatrix:
 
     def test_chicken_swerve_vs_quantum_entry(self):
         ch = ChickenPayoffs(3, 4)
-        row_t = GAMES[CHICKEN][1](ch)
+        row_t = GAMES[CHICKEN].weights(ch)
         for gamma in (0.0, 0.5, 1.2, math.pi / 2):
             row = extended_matrix(row_t, (C, D, Q), gamma)
             col = extended_matrix(swapped(row_t), (C, D, Q), gamma)
@@ -279,7 +279,7 @@ class TestExtendedMatrix:
         pd_expected = classical_pd_matrix(PD_3501)
         ch = ChickenPayoffs(3, 4)
         ch_expected = classical_chicken_matrix(ch)
-        ch_row_t = GAMES[CHICKEN][1](ch)
+        ch_row_t = GAMES[CHICKEN].weights(ch)
         for gamma in np.linspace(0, math.pi / 2, 25):
             row = cells_of(extended_matrix(PD_ROW, _STRATEGIES, gamma), (C, D))
             assert np.max(np.abs(row - pd_expected)) <= 1e-12
@@ -289,7 +289,7 @@ class TestExtendedMatrix:
     def test_alpha_coefficient_identities_on_grid(self):
         r, t, s, p = 3.0, 5.0, 0.0, 1.0
         ch = ChickenPayoffs(3, 4)
-        ch_row_t = GAMES[CHICKEN][1](ch)
+        ch_row_t = GAMES[CHICKEN].weights(ch)
         for gamma in np.linspace(0, math.pi / 2, 101):
             cg2, sg2 = math.cos(gamma) ** 2, math.sin(gamma) ** 2
             row = extended_matrix(PD_ROW, (C, D, Q), gamma)
@@ -307,7 +307,7 @@ class TestExtendedMatrix:
         rng = np.random.default_rng(22)
         grid = np.linspace(0, math.pi / 2, 52)
         for game_kind, draw in ((PD, random_pd), (CHICKEN, random_chicken)):
-            weights = GAMES[game_kind][1]
+            weights = GAMES[game_kind].weights
             for _ in range(50):
                 row_w = weights(draw(rng))
                 row = extended_matrix(row_w, _STRATEGIES, grid)
@@ -346,7 +346,7 @@ class TestExtendedMatrix:
         with a payoff near the float max they once overflowed to -inf with a RuntimeWarning,
         failing `quantize` and each block that holds such a cell.  The exact payoff is a mean of the
         weights, so each cell is clipped to their range; other cells keep their bits."""
-        values, grid = GAMES[kind][1](payoffs), np.linspace(0.0, math.pi / 2, 200)
+        values, grid = GAMES[kind].weights(payoffs), np.linspace(0.0, math.pi / 2, 200)
         with np.errstate(over="ignore"):
             plain = uncached_extended_matrix(values, _STRATEGIES, grid)
         inside = (plain >= min(values)) & (plain <= max(values))
@@ -367,7 +367,7 @@ _RNG = np.random.default_rng(27)
 CELL_SETS = sorted({cells for _, cells in _BLOCKS.values()} | {_STRATEGIES, (Q,), (C, C, D)})
 CACHE_GAMMAS = [0.0, math.pi / 2, 5e-324, *_RNG.uniform(0.0, math.pi / 2, 5),
                 np.linspace(0.0, math.pi / 2, 200)]
-CACHE_WEIGHTS = [PD_ROW, GAMES[CHICKEN][1](ChickenPayoffs(3, 4)),
+CACHE_WEIGHTS = [PD_ROW, GAMES[CHICKEN].weights(ChickenPayoffs(3, 4)),
                  *(tuple(_RNG.normal(0.0, 10.0, 4).tolist()) for _ in range(3))]
 
 
@@ -554,7 +554,7 @@ def mp_probabilities(strategies, gamma):
 
 def mp_payoffs(kind, payoffs, gamma):
     """The game's 3x3 row payoffs at 50 digits, in the order of catalog._STRATEGIES."""
-    weights = [mpmath.mpf(w) for w in GAMES[kind][1](payoffs)]
+    weights = [mpmath.mpf(w) for w in GAMES[kind].weights(payoffs)]
     with mpmath.workdps(50):
         return [[mpmath.fsum(p * w for p, w in zip(cell, weights)) for cell in row]
                 for row in mp_probabilities(_STRATEGIES, gamma)]

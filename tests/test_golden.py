@@ -121,7 +121,7 @@ def invocation_digests():
         payoffs = random_pd(rng) if game == "pd" else random_chicken(rng)
         flags = ["--game", game] + [tok for f in dataclasses.fields(payoffs)
                                     for tok in number(f.name, getattr(payoffs, f.name))]
-        call("sweep", "curve", *flags, "--block", GAMES[game][3].value)
+        call("sweep", "curve", *flags, "--block", GAMES[game].transition_block.value)
         call("sweep", "transition", *flags)
 
         gamma, beta = rng.uniform(*GAMMA_RANGE), rng.uniform(0.5, 5.0)

@@ -767,8 +767,7 @@ class TestPhaseTransition:
 
     def test_closed_form_off_the_circuit_is_a_consistency_error(self, monkeypatch, capsys):
         # the row's closed form puts gamma* at pi/6, the circuit at acos(2/5)/2
-        *row, _ = catalog.GAMES["pd"]
-        monkeypatch.setitem(catalog.GAMES, "pd", (*row, lambda p: 0.5))
+        monkeypatch.setitem(catalog.GAMES, "pd", GAMES["pd"]._replace(cos_2gamma=lambda p: 0.5))
         with pytest.raises(ConsistencyError, match="transition mismatch for QvD"):
             phase_transition_gamma("pd", PD_3501, Block.QVD)
         argv = ["transition", "--game", "pd", "--r", "3", "--t", "5", "--s", "0", "--p", "1"]
@@ -779,7 +778,7 @@ class TestPhaseTransition:
 
     def test_closed_forms_keep_their_bits_where_the_old_quotients_are_finite(self):
         # (r - p) / (t - s) and s / (2 r), at payoff scales 1e-315 to 2.5e307
-        pd_form, chicken_form = GAMES["pd"][4], GAMES["chicken"][4]
+        pd_form, chicken_form = GAMES["pd"].cos_2gamma, GAMES["chicken"].cos_2gamma
         rng = np.random.default_rng(2708)
         for scale in (10.0 ** rng.uniform(-315.0, 307.4, 3000)).tolist():
             p = random_pd(rng)
@@ -793,7 +792,7 @@ class TestPhaseTransition:
     def test_closed_forms_are_finite_where_the_old_quotients_overflow(self):
         # t - s or 2 r past the float64 maximum; mpmath gives the quotient
         big = sys.float_info.max
-        pd_form, chicken_form = GAMES["pd"][4], GAMES["chicken"][4]
+        pd_form, chicken_form = GAMES["pd"].cos_2gamma, GAMES["chicken"].cos_2gamma
         rng = np.random.default_rng(2709)
         for _ in range(500):
             t, s = rng.uniform(0.5, 1.0) * big, -rng.uniform(0.5, 1.0) * big
@@ -815,7 +814,7 @@ class TestPhaseTransition:
     def test_subnormal_payoffs_give_the_result_of_their_game_scaled_to_order_1(
             self, kind, values):
         # an exact power-of-two scaling keeps every payoff ratio, so both routes agree
-        payoff_type, *_, block, _ = GAMES[kind]
+        payoff_type, block = GAMES[kind].payoffs, GAMES[kind].transition_block
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # chicken's s == r
             tiny = payoff_type(*values)
