@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 import pickle
@@ -621,12 +620,22 @@ class TestCurve:
             with pytest.raises(ValidationError, match=match):
                 self.sweep(tmp_path, "QvD", 1.0, *flags)
 
-    def test_one_magnetization_call_per_row_on_the_checked_params(self, monkeypatch, capsys):
-        seen = []
-        run = ising.magnetization
-        # curve_rows refills one params object, so the spy keeps a copy of it as called
+    @staticmethod
+    def spy_rows(monkeypatch):
+        """The (type, J, h, beta) of each `magnetization` argument, read as it is called:
+        curve_rows refills one record, so a reference to it would read only its last row."""
+        seen, run = [], ising.magnetization
         monkeypatch.setattr(ising, "magnetization",
-                            lambda ip: seen.append(copy.copy(ip)) or run(ip))
+                            lambda ip: seen.append((type(ip), ip.J, ip.h, ip.beta)) or run(ip))
+        return seen
+
+    @staticmethod
+    def hex_rows(rows):
+        """Each row's floats as float.hex strings, which tell -0.0 from 0.0."""
+        return [tuple(map(float.hex, row)) for row in rows]
+
+    def test_one_magnetization_call_per_row_on_the_checked_params(self, monkeypatch, capsys):
+        seen = self.spy_rows(monkeypatch)
         betas = (0.5, -0.0, 3.0)
         assert cli.main(["curve", "--game", "pd", "--r", "3", "--t", "5", "--s", "0",
                          "--p", "1", "--block", "QvD", "--gamma-stop", "1",
@@ -635,8 +644,10 @@ class TestCurve:
         stacked = extract_block("pd", PD_3501, Block.QVD, np.linspace(0.0, 1.0, 7))
         want = [IsingParams(J, h, b) for J, h in couplings(stacked) for b in betas]
         assert len(seen) == len(rows) == 21
-        assert seen == want and [hash(ip) for ip in seen] == [hash(ip) for ip in want]
-        assert all(type(ip) is IsingParams and vars(ip) == vars(w) for ip, w in zip(seen, want))
+        assert all(t is ising._Row for t, *_ in seen)
+        assert self.hex_rows(row[1:] for row in seen) == self.hex_rows(
+            (w.J, w.h, w.beta) for w in want)
+        assert all(type(v) is float for row in seen for v in row[1:])
 
     @pytest.mark.parametrize("betas, message", [
         ((1.0, -1.0), "beta must be >= 0, got -1.0"),
@@ -653,18 +664,16 @@ class TestCurve:
         assert str(err.value) == message
 
     def test_rows_take_the_float_of_a_real_scalar_beta(self, monkeypatch):
-        seen = []
-        run = ising.magnetization
-        # curve_rows refills one params object, so the spy keeps a copy of it as called
-        monkeypatch.setattr(ising, "magnetization",
-                            lambda ip: seen.append(copy.copy(ip)) or run(ip))
+        seen = self.spy_rows(monkeypatch)
         stacked = extract_block("pd", PD_3501, Block.QVD, np.linspace(0.0, 1.0, 3))
         betas = (np.float32(2.1), 3, np.array(0.5))
         pairs, ms = ising.curve_rows(stacked, betas)
         floats = [float(b) for b in betas]
-        assert [vars(ip)["beta"] for ip in seen] == floats * 3
-        assert all(type(v) is float for ip in seen for v in vars(ip).values())
-        assert ms == [run(IsingParams(J, h, b)) for J, h in pairs for b in floats]
+        want = [IsingParams(J, h, b) for J, h in pairs for b in floats]
+        assert self.hex_rows(row[1:] for row in seen) == self.hex_rows(
+            (w.J, w.h, w.beta) for w in want)
+        assert all(type(v) is float for row in seen for v in row[1:])
+        assert ms == [magnetization(w) for w in want]
 
     # (J, h) rows: (1, +0.0); (0, -0.0) from signed-zero payoffs; (0, 1) and (0.5, -1), each
     # with betas either side of beta*|h| = 20; and one whose sums overflow (quarter payoffs)
@@ -677,7 +686,18 @@ class TestCurve:
     ])
     EDGE_BETAS = (0.0, -0.0, 0.5, math.nextafter(20.0, 0.0), 20.0, 40.0, 1e300)
 
-    @pytest.mark.parametrize("case", ["pd-default", "chicken-default", "edge-rows"])
+    @staticmethod
+    def random_blocks(kind):
+        """40 seeded payoff sets of `kind`, each on one of its three blocks over a random grid."""
+        rng = np.random.default_rng(56 if kind == "pd" else 57)
+        blocks = [b for k, b in SIX_BLOCKS if k == kind]
+        for _ in range(40):
+            payoffs = random_pd(rng) if kind == "pd" else random_chicken(rng)
+            grid = rng.uniform(*ising.GAMMA_RANGE, rng.integers(1, 30))
+            yield extract_block(kind, payoffs, blocks[rng.integers(3)], grid)
+
+    @pytest.mark.parametrize("case", ["pd-default", "chicken-default", "edge-rows", "pd-random",
+                                      "chicken-random"])
     def test_rows_are_the_bits_of_one_fresh_params_a_row(self, case):
         if case == "edge-rows":
             block, betas = StrategyBlock(self.EDGE_ROWS, Block.QVD), self.EDGE_BETAS
@@ -686,6 +706,10 @@ class TestCurve:
             assert pairs[2:4] == [(0.0, 1.0), (0.5, -1.0)]
             (a, _), (c, _) = self.EDGE_ROWS[4].tolist()
             assert a - c == math.inf and all(map(math.isfinite, pairs[4]))
+            cases = [(block, betas)]
+        elif case.endswith("random"):
+            betas = cli.DEFAULT_BETAS + (0.0, -0.0, math.nextafter(20.0, 0.0), 20.0, 1e300)
+            cases = [(block, betas) for block in self.random_blocks(case.split("-")[0])]
         else:
             grid = np.linspace(*ising.GAMMA_RANGE, cli.DEFAULT_GAMMA_STEPS)
             if case == "pd-default":
@@ -693,11 +717,12 @@ class TestCurve:
             else:
                 with pytest.warns(UserWarning):
                     block = extract_block("chicken", ChickenPayoffs(4, 4), Block.QVSTRAIGHT, grid)
-            betas = cli.DEFAULT_BETAS
-        got_pairs, ms = ising.curve_rows(block, betas)
-        want = [magnetization(IsingParams(J, h, b)) for J, h in couplings(block) for b in betas]
-        assert got_pairs == couplings(block)
-        assert ms == want and [m.hex() for m in ms] == [m.hex() for m in want]
+            cases = [(block, cli.DEFAULT_BETAS)]
+        for block, betas in cases:
+            got_pairs, ms = ising.curve_rows(block, betas)
+            want = [magnetization(IsingParams(J, h, b)) for J, h in couplings(block) for b in betas]
+            assert got_pairs == couplings(block)
+            assert ms == want and [m.hex() for m in ms] == [m.hex() for m in want]
 
 
 class TestPhaseTransition:
