@@ -79,18 +79,6 @@ class Block(str, Enum):
         raise ValidationError(f"unknown block {value!r}; expected one of {[b.value for b in cls]}")
 
 
-# Each block's game and its row/column strategies, members of the one 3x3 order _STRATEGIES
-# (cooperate or swerve, defect or straight, quantum) and so their indices in it.
-_BLOCKS = {
-    Block.QVC: (PD, (C, Q)),
-    Block.QVD: (PD, (Q, D)),
-    Block.CLASSICAL_PD: (PD, (C, D)),
-    Block.QVSWERVE: (CHICKEN, (C, Q)),
-    Block.QVSTRAIGHT: (CHICKEN, (Q, D)),
-    Block.CLASSICAL_CHICKEN: (CHICKEN, (D, C)),
-}
-
-
 @dataclass(frozen=True)
 class StrategyBlock:
     """Row-player payoffs of a 2x2 strategy restriction, (2, 2) or (G, 2, 2) along gamma."""
@@ -108,7 +96,7 @@ class StrategyBlock:
     @property
     def labels(self) -> tuple[str, str]:
         """Row/column strategy labels, in the block's ordering."""
-        return _BLOCK_LABELS[self.block_id]
+        return _BLOCKS[self.block_id].labels
 
     def as_game(self) -> BimatrixGame:
         """The block as a symmetric two-player game, of payoffs and labels it has checked."""
@@ -138,6 +126,17 @@ GAMES = {
                    Block.QVSTRAIGHT, lambda c: c.s / c.r / 2.0),
 }
 
+# One row per block: its game kind, its row/column strategies `cells`, members of the one 3x3
+# order _STRATEGIES (cooperate or swerve, defect or straight, quantum) and so their indices in
+# it, their labels, and `index`, np.ix_(cells, cells), which reads them as `table[..., i, j]`.
+_Block = collections.namedtuple("_Block", "game cells labels index")
+_BLOCKS = {block: _Block(game, cells, tuple(GAMES[game].labels[i] for i in cells),
+                         np.ix_(cells, cells))
+           for block, game, cells in [
+               (Block.QVC, PD, (C, Q)), (Block.QVD, PD, (Q, D)), (Block.CLASSICAL_PD, PD, (C, D)),
+               (Block.QVSWERVE, CHICKEN, (C, Q)), (Block.QVSTRAIGHT, CHICKEN, (Q, D)),
+               (Block.CLASSICAL_CHICKEN, CHICKEN, (D, C))]}
+
 
 def _table(game_kind: str, payoffs, gamma) -> np.ndarray:
     """The row player's payoffs over the 3x3 strategy order _STRATEGIES: (3, 3) for a float gamma,
@@ -165,12 +164,6 @@ def _scalar_table(key: bytes) -> np.ndarray:
     return table
 
 
-# Each block's rows and columns in its game's table, for `table[..., i, j]`, and their labels.
-_BLOCK_CELLS = {block: np.ix_(cells, cells) for block, (_, cells) in _BLOCKS.items()}
-_BLOCK_LABELS = {block: tuple(GAMES[kind].labels[i] for i in cells)
-                 for block, (kind, cells) in _BLOCKS.items()}
-
-
 def quantized_game(game_kind: str, payoffs, gamma: float) -> BimatrixGame:
     """Full 3x3 bimatrix over the classical pair plus the quantum strategy, in a fresh array."""
     if (g := eisert.check_gamma(gamma)).ndim:  # refused before the circuit runs
@@ -187,9 +180,9 @@ def extract_block(game_kind: str, payoffs, block_id, gamma):
     pair, so these are the bits of a circuit run over the block's pair alone.
     """
     block_id = Block(block_id)
-    kind_required, _ = _BLOCKS[block_id]
-    if game_kind != kind_required:
-        raise ValidationError(f"block {block_id.value} belongs to game kind {kind_required!r}")
-    i, j = _BLOCK_CELLS[block_id]
+    row = _BLOCKS[block_id]
+    if game_kind != row.game:
+        raise ValidationError(f"block {block_id.value} belongs to game kind {row.game!r}")
+    i, j = row.index
     return unchecked(StrategyBlock, row_payoffs=_table(game_kind, payoffs, gamma)[..., i, j],
                      block_id=block_id)  # a table of the shape and values it checks

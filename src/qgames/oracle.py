@@ -303,10 +303,10 @@ def metropolis_magnetization(
 
     Sites are proposed in fixed order 0..N-1 within a sweep; one uniform
     deviate per proposal is drawn from a PCG64 stream, so a given seed
-    reproduces the trajectory exactly.  The standard error comes from 32
-    batch means (the per-sweep values when too few to batch), and is 0 when
-    every measured sweep reads the same m.  N and sweeps are capped at 2**24,
-    and N * sweeps, the number of site updates, at 2**32.
+    reproduces the trajectory exactly.  The standard error is a batch-means
+    one, over 32 batches, or over batches of one sweep each below 64 measured
+    sweeps, and is 0 when every measured sweep reads the same m.  N and sweeps
+    are capped at 2**24, and N * sweeps, the number of site updates, at 2**32.
     """
     if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                for v in (sweeps, burn_in, seed)):
@@ -350,9 +350,8 @@ def metropolis_magnetization(
     mean = float(meas.mean())
     if meas.min() == meas.max():  # one sample or a frozen chain: no spread, not rounding noise
         se = 0.0
-    elif meas.size >= 2 * _BATCHES:
-        batches = meas[: meas.size - meas.size % _BATCHES].reshape(_BATCHES, -1).mean(axis=1)
-        se = float(batches.std(ddof=1) / math.sqrt(_BATCHES))
-    else:
-        se = float(meas.std(ddof=1) / math.sqrt(meas.size))
+    else:  # 32 batch means, or each sweep its own batch when too few to batch
+        k = _BATCHES if meas.size >= 2 * _BATCHES else meas.size
+        batches = meas[: meas.size - meas.size % k].reshape(k, -1).mean(axis=1)
+        se = float(batches.std(ddof=1) / math.sqrt(k))
     return SampledEstimate(mean=mean, std_error=se, samples=int(meas.size), seed=seed)

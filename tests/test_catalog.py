@@ -310,12 +310,12 @@ class TestBlockIsItsGameSlice:
     @pytest.mark.parametrize("kind,payoffs", SLICE_PAYOFFS, ids=repr)
     def test_every_block_keeps_every_bit(self, circuit_runs, kind, payoffs):
         weights = GAMES[kind].weights(payoffs)
-        for block_id, (block_kind, strategies) in _BLOCKS.items():
-            if block_kind != kind:
+        for block_id, row in _BLOCKS.items():
+            if row.game != kind:
                 continue
-            cells = np.array(strategies)  # each member is its own index in _STRATEGIES
+            cells = np.array(row.cells)  # each member is its own index in _STRATEGIES
             for gamma in SLICE_GAMMAS:
-                want = uncached_extended_matrix(weights, strategies, gamma)
+                want = uncached_extended_matrix(weights, row.cells, gamma)
                 got = extract_block(kind, payoffs, block_id, gamma).row_payoffs
                 if np.ndim(gamma) == 0:
                     game = quantized_game(kind, payoffs, gamma).row
@@ -333,7 +333,7 @@ class TestBlockIsItsGameSlice:
         exact = [2**64 + 1, -(2**70), 2**65 + 3, 2**63 + 5]  # BIG_INT_PD's r, s, t, p
         for block_id in (Block.QVC, Block.QVD, Block.CLASSICAL_PD):
             got = extract_block("pd", BIG_INT_PD, block_id, gamma).row_payoffs
-            want = object_weighed(exact, _BLOCKS[block_id][1], gamma)
+            want = object_weighed(exact, _BLOCKS[block_id].cells, gamma)
             assert got.dtype == np.float64 and np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("gamma", [0.4, np.array([0.1, 0.4])], ids=["float", "grid"])
@@ -352,7 +352,7 @@ class TestProbabilityCache:
     @pytest.mark.parametrize("kind,payoffs", SLICE_PAYOFFS, ids=repr)
     def test_every_cached_result_keeps_the_uncached_bits(self, circuit_passes, kind, payoffs):
         weights = GAMES[kind].weights(payoffs)
-        sets = [_STRATEGIES, *(cells for k, cells in _BLOCKS.values() if k == kind)]
+        sets = [_STRATEGIES, *(row.cells for row in _BLOCKS.values() if row.game == kind)]
         for gamma in SLICE_GAMMAS:
             for _ in range(2):  # a miss, then a hit
                 got = eisert.extended_matrix(weights, _STRATEGIES, gamma)
@@ -400,8 +400,8 @@ class TestOneRoute:
                                                               gamma):
         if np.ndim(gamma) == 0:
             quantized_game(kind, payoffs, gamma)
-        for block_id, (block_kind, _) in _BLOCKS.items():
-            if block_kind == kind:
+        for block_id, row in _BLOCKS.items():
+            if row.game == kind:
                 extract_block(kind, payoffs, block_id, gamma)
         # at a float gamma the game weighs its table and its blocks read it; a grid is not a
         # game, and each block weighs it again

@@ -519,8 +519,8 @@ def curve_argvs(draw):
     game = draw(st.sampled_from(sorted(GAMES)))
     names = [f.name for f in dataclasses.fields(GAMES[game].payoffs)]
     payoffs = draw(st.sampled_from(CURVE_PAYOFFS[game]))
-    block = draw(st.sampled_from([b.value for b, (kind, _) in _BLOCKS.items()
-                                  if kind == game]))
+    block = draw(st.sampled_from([b.value for b, row in _BLOCKS.items()
+                                  if row.game == game]))
     # one or two of the last eight betas (half of them bad) among good ones, so a bad beta
     # is often not first and two bad ones must raise the message of the first
     betas = draw(st.lists(st.sampled_from(EDGE_BETAS[:9]), min_size=1, max_size=3))
@@ -753,7 +753,7 @@ class TestPayoffFlags:
     @pytest.mark.parametrize("kind", tuple(GAMES))
     def test_each_games_row_fits_its_kind_and_the_cli_flags(self, kind):
         row = GAMES[kind]
-        assert _BLOCKS[row.transition_block][0] == kind
+        assert _BLOCKS[row.transition_block].game == kind
         # _payoffs_from reads the flags from __match_args__: the dataclass's fields in order
         assert row.payoffs.__match_args__ == tuple(f.name for f in dataclasses.fields(row.payoffs))
         names = {f.name for f in dataclasses.fields(row.payoffs)}
@@ -1728,7 +1728,7 @@ def contract_argv(draw):
     if tame or draw(st.booleans()):
         values.sort(key=float)
     argv = [name, "--game", game, *(tok for pair in zip(ascending, values) for tok in pair)]
-    blocks = [b.value for b, (kind, _) in _BLOCKS.items() if kind == game]
+    blocks = [b.value for b, row in _BLOCKS.items() if row.game == game]
     if name == "quantize":
         flag, hi = draw(st.sampled_from((("--gamma", math.pi / 2), ("--gamma-degrees", 90.0))))
         return argv + [flag, draw(num(0, hi, (0, hi)))]

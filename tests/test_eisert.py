@@ -364,7 +364,7 @@ def bits(a):
 
 _RNG = np.random.default_rng(27)
 # every block's strategy pair, every game's 3x3 order, one strategy alone and a repeated one
-CELL_SETS = sorted({cells for _, cells in _BLOCKS.values()} | {_STRATEGIES, (Q,), (C, C, D)})
+CELL_SETS = sorted({row.cells for row in _BLOCKS.values()} | {_STRATEGIES, (Q,), (C, C, D)})
 CACHE_GAMMAS = [0.0, math.pi / 2, 5e-324, *_RNG.uniform(0.0, math.pi / 2, 5),
                 np.linspace(0.0, math.pi / 2, 200)]
 CACHE_WEIGHTS = [PD_ROW, GAMES[CHICKEN].weights(ChickenPayoffs(3, 4)),
@@ -580,9 +580,10 @@ def test_payoffs_and_couplings_are_within_4_ulps_of_a_50_digit_circuit(low, gaps
         for gamma, ref in zip(MP_GAMMAS, refs):
             row = qgames.quantized_game(kind, payoffs, gamma).row
             assert all(abs(row[i, j] - ref[i][j]) <= tol for i in range(3) for j in range(3))
-        for block, (block_kind, (k, m)) in _BLOCKS.items():
-            if block_kind != kind:
+        for block, block_row in _BLOCKS.items():
+            if block_row.game != kind:
                 continue
+            k, m = block_row.cells
             stacked = qgames.couplings(extract_block(kind, payoffs, block, grid))
             for gamma, ref, pair_on_grid in zip(MP_GAMMAS, refs, stacked):
                 ip = to_ising(extract_block(kind, payoffs, block, gamma), 1.0)

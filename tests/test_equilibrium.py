@@ -131,7 +131,7 @@ class TestPureNashMatchesTheTwoTableLoop:
     def test_quantized_games_and_their_blocks(self, kind):
         rng = np.random.default_rng(len(kind))
         grid = np.linspace(0.0, math.pi / 2, 33)
-        blocks = [b for b, (k, _) in _BLOCKS.items() if k == kind]
+        blocks = [b for b, row in _BLOCKS.items() if row.game == kind]
         for _ in range(20):
             payoffs = random_pd(rng) if kind == PD else random_chicken(rng)
             for gamma in [0.0, math.pi / 4, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 5)]:

@@ -126,8 +126,8 @@ def invocation_digests():
 
         gamma, beta = rng.uniform(*GAMMA_RANGE), rng.uniform(0.5, 5.0)
         call("scan", "quantize", *flags, *number("gamma", gamma))
-        for block_id, (kind, _) in _BLOCKS.items():
-            if kind == game:
+        for block_id, row in _BLOCKS.items():
+            if row.game == game:
                 block = extract_block(game, payoffs, block_id, gamma)
                 ip = to_ising(block, beta)
                 mixed = mixed_nash_symmetric_2x2(block.as_game())

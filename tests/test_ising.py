@@ -277,7 +277,7 @@ class TestZeroTemperatureMajority:
         grid = np.linspace(0.0, math.pi / 2, 21)
         cells = differing = 0
         for block_id in Block:
-            kind = catalog._BLOCKS[block_id][0]
+            kind = catalog._BLOCKS[block_id].game
             for _ in range(20):
                 payoffs = random_pd(rng) if kind == "pd" else random_chicken(rng)
                 stacked = extract_block(kind, payoffs, block_id, grid)

@@ -567,6 +567,29 @@ class TestMetropolis:
         assert est.samples == 1
         assert est.std_error == 0.0
 
+    @pytest.mark.parametrize("measured", [2, 3, 63, 64, 65, 100])
+    def test_standard_error_keeps_its_bits_per_sweep_and_over_32_batches(self, monkeypatch,
+                                                                           measured):
+        # below 64 measured sweeps the standard error is the per-sweep one; from 64 on it
+        # reads the means of 32 batches of the leading measured // 32 * 32 sweeps
+        values = np.random.default_rng(measured).uniform(-1.0, 1.0, measured + 1)
+        fed = iter(values)
+
+        def stand_in(bits, us, accept, out):
+            out[:] = list(itertools.islice(fed, len(out)))
+            return bits
+
+        monkeypatch.setattr(oracle, "_metropolis_sweeps", stand_in)
+        est = metropolis_magnetization(spec(8, 0.3, 0.2, 1.0), measured + 1, 1, 0)
+        meas = values[1:]
+        if measured < 64:
+            want = meas.std(ddof=1) / math.sqrt(measured)
+        else:
+            batches = meas[: measured - measured % 32].reshape(32, -1).mean(axis=1)
+            want = batches.std(ddof=1) / math.sqrt(32)
+        assert est.samples == measured
+        assert float.hex(est.std_error) == float.hex(float(want))
+
     @pytest.mark.parametrize("n, sweeps", [((1 << 24) + 1, 2), (4, (1 << 24) + 1)])
     def test_chain_or_run_above_2_to_24_is_refused_before_any_draw(self, n, sweeps):
         tracemalloc.start()
